@@ -167,17 +167,13 @@ class BiPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset((k, _hashable(c)) for k, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms!r})"
 
     def __str__(self) -> str:
         return render_bipoly(self)
-
-
-def _hashable(c):
-    return c
 
 
 def _powers(a, n: int) -> list:

@@ -280,8 +280,8 @@ def cmd_table(args, cfg) -> int:
     k = cfg.default_k if args.k is None else args.k
     if k < 0 or k > cfg.k_cap:
         raise UsageError(f"--k must lie in [0, {cfg.k_cap}]")
-    if args.size_max > cfg.size_cap:
-        raise UsageError(f"--size-max exceeds the hard cap {cfg.size_cap}")
+    if args.size_max < 0 or args.size_max > cfg.size_cap:
+        raise UsageError(f"--size-max must lie in [0, {cfg.size_cap}]")
     header = ["lambda", "size", "class", "dagger", "ell", "H(kappa)", "H(k)", "c_super", "c_cat(-2k)"]
     rows = []
     for lam in upto(args.size_max):

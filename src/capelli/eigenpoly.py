@@ -284,7 +284,7 @@ def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
     r = r_coeff(lamd, k)
     alpha = RatFunc(h_poly(lam).scale(-r), UniPoly((-k, 1)))
     beta = RatFunc(h_poly(lamd))
-    coeff = (beta.derivative().eval(k) - alpha.derivative().eval(k)) / h_poly(lam).derivative()(k)
+    coeff = (beta.derivative_at(k) - alpha.derivative_at(k)) / h_poly(lam).derivative()(k)
     body = q_poly(lamd, k) + reg_part(lam, k).scale(coeff)
     return body.scale(Fraction(1) / h_poly(lamd)(k))
 
@@ -317,15 +317,15 @@ def eigen(lam: Pair2, k: int, route: Route | None = None) -> EigenPoly:
     return _ROUTE_FN[route](lam, k)
 
 
-def restriction_pair(lam: Pair2, mu: Pair2, k: int) -> tuple[Fraction, Fraction]:
-    """Jordan pair (semisimple, nilpotent) of the lam-th operator on block mu.
+def restriction_pair(f: BiPoly, sq: BiPoly, mu: Pair2, k: int) -> tuple[Fraction, Fraction]:
+    """Jordan pair (semisimple, nilpotent) on block mu of the operator whose
+    eigenvalue polynomial is ``f``, given ``sq`` = square_op(f).
 
-    The semisimple part is f_lam at the shifted point of mu, the nilpotent
-    coefficient is square_op(f_lam) there.  Only regular/quasiregular mu
-    index a block.
+    The semisimple part is f at the shifted point of mu, the nilpotent
+    coefficient is square_op(f) there.  Only regular/quasiregular mu index a
+    block.
     """
     if classify(mu, k) is PClass.SINGULAR:
         raise ValueError(f"no block exists for {k}-singular {mu}")
-    f = eigen(lam, k).body
     pt = eval_point(mu, k)
-    return f.eval2(*pt), square_op(f).eval2(*pt)
+    return f.eval2(*pt), sq.eval2(*pt)

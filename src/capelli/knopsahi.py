@@ -40,23 +40,22 @@ class KsPoly:
 
     ``cleared`` stores (numerator, m, n) with the shared denominator ``den``
     = (kappa+1)_(r); coefficient (m, n) is ``numerator / den`` in lowest
-    terms.  Keeping the cleared form makes evaluation at shifted points a
-    single rational-function normalization instead of one per term.
+    terms.  ``body`` is built over the same denominator: the numerators are
+    expanded into the monomial basis as polynomials in kappa and each
+    monomial coefficient is normalized once.  Keeping the cleared form makes
+    evaluation at shifted points a single rational-function normalization
+    instead of one per term.
+
+    Values at kappa = k (``sing_part``, ``reg_part`` and the kappa-derivative
+    of route 1 of ``q_poly``) are read coefficient-wise off the local
+    expansion of ``body`` at k (``RatFunc.residue``, ``regular_value`` and
+    ``derivative_at``); they normalize nothing.
     """
 
     lam: Pair2
     den: UniPoly
     cleared: tuple[tuple[UniPoly, int, int], ...]
     body: BiPoly
-
-    def falling_terms(self) -> tuple[tuple[RatFunc, int, int], ...]:
-        return tuple((RatFunc(num, self.den), m, n) for num, m, n in self.cleared)
-
-    def coeff(self, m: int, n: int) -> RatFunc:
-        for num, mm, nn in self.cleared:
-            if (mm, nn) == (m, n):
-                return RatFunc(num, self.den)
-        return RatFunc.zero()
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +76,7 @@ def ks_poly(lam: Pair2) -> KsPoly:
                 * UniPoly.falling(KAPPA + 1, r - j)
             ).scale(scale)
             cleared.append((num, l2 + i, l2 + j))
-    body = from_falling((RatFunc(num, den), m, n) for num, m, n in cleared)
+    body = from_falling(cleared).map_coeffs(lambda num: RatFunc(num, den))
     return KsPoly(lam=lam, den=den, cleared=tuple(cleared), body=body)
 
 
@@ -205,7 +204,7 @@ def q_poly(lam: Pair2, k: int) -> BiPoly:
     r = r_coeff(lam, k)
 
     dual_body = ks_poly(lamd).body
-    route1 = reg_part(lam, k) - dual_body.map_coeffs(lambda c: c.derivative().eval(k)).scale(r)
+    route1 = reg_part(lam, k) - dual_body.map_coeffs(lambda c: c.derivative_at(k)).scale(r)
 
     pole = RatFunc(UniPoly.const(r), UniPoly((-k, 1)))
     combo = ks_poly(lam).body - dual_body.scale(pole)
@@ -265,7 +264,7 @@ def tcheck_values(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
     beta = RatFunc(h_poly(lam))
     t1 = beta.eval(k)
     denom = 4 * (k + 1 - lam[0] + lam[1])
-    t2 = (beta.derivative().eval(k) - alpha.derivative().eval(k)) / denom
+    t2 = (beta.derivative_at(k) - alpha.derivative_at(k)) / denom
     return t1, t2
 
 

@@ -10,10 +10,20 @@ This module provides the two scalar-level building blocks:
   equality.
 
 ``RatFunc`` knows about its local behaviour at a rational point: valuation,
-simple-pole residue and regular value.  Poles of order two or more are
-treated as hard errors (``PoleError``); the objects this package builds are
-guaranteed to have simple poles only, so a higher-order pole always signals
-a bug upstream.
+simple-pole residue, regular value and the value of the derivative.  These
+are read off the local expansion instead of being built as new ``RatFunc``
+values: at a simple pole ``a`` the denominator is split once as
+``den = (x - a) * d1``, and with ``num``, ``num'``, ``d1`` and ``d1'``
+evaluated at ``a``
+
+    residue       = num(a) / d1(a),
+    regular value = (num'(a) - residue * d1'(a)) / d1(a),
+
+while at a regular point the value and the derivative come from one Horner
+pass over ``num`` and ``den``.  None of this normalizes, so it costs no gcd.
+Poles of order two or more are treated as hard errors (``PoleError``); the
+objects this package builds are guaranteed to have simple poles only, so a
+higher-order pole always signals a bug upstream.
 """
 
 from __future__ import annotations
@@ -212,6 +222,15 @@ class UniPoly:
             acc = acc * a + c
         return acc
 
+    def value_and_slope(self, a: Scalar) -> tuple[Fraction, Fraction]:
+        """The pair (p(a), p'(a)) from one Horner pass."""
+        a = Fraction(a)
+        val = slope = Fraction(0)
+        for c in reversed(self.coeffs):
+            slope = slope * a + val
+            val = val * a + c
+        return val, slope
+
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute ``inner`` for the variable."""
         acc = UniPoly.zero()
@@ -396,34 +415,45 @@ class RatFunc:
             return -m
         return self.num.multiplicity(a)
 
+    def _pole_cofactor(self, a: Fraction) -> UniPoly | None:
+        """``d1`` with den = (x - a) * d1 when ``a`` is a simple pole, None
+        when f is regular at ``a``; a pole of order two or more raises."""
+        if self.den(a):
+            return None
+        cof = self.den.divexact(UniPoly((-a, 1)))
+        if cof(a):
+            return cof
+        raise PoleError(a, self.den.multiplicity(a))
+
     def residue(self, a: Scalar) -> Fraction:
         """lim (x - a) * f; zero when f is regular at ``a``.
 
         Requires the pole (if any) to be simple; a double pole raises.
         """
         a = Fraction(a)
-        if not self:
+        cof = self._pole_cofactor(a)
+        if cof is None:
             return Fraction(0)
-        v = self.valuation(a)
-        if v >= 0:
-            return Fraction(0)
-        if v < -1:
-            raise PoleError(a, -v)
-        reduced = self.den.divexact(UniPoly((-a, 1)))
-        return self.num(a) / reduced(a)
+        return self.num(a) / cof(a)
 
     def regular_value(self, a: Scalar) -> Fraction:
         """lim (f - residue/(x - a)); plain evaluation at regular points."""
         a = Fraction(a)
-        if not self:
-            return Fraction(0)
-        v = self.valuation(a)
-        if v >= 0:
+        cof = self._pole_cofactor(a)
+        if cof is None:
             return self.eval(a)
-        if v < -1:
-            raise PoleError(a, -v)
-        res = self.residue(a)
-        return (self - RatFunc(UniPoly.const(res), UniPoly((-a, 1)))).eval(a)
+        n0, n1 = self.num.value_and_slope(a)
+        c0, c1 = cof.value_and_slope(a)
+        return (n1 - n0 / c0 * c1) / c0
+
+    def derivative_at(self, a: Scalar) -> Fraction:
+        """f'(a) at a regular point ``a``; raises ``PoleError`` at a pole."""
+        a = Fraction(a)
+        d0, d1 = self.den.value_and_slope(a)
+        if not d0:
+            raise PoleError(a, self.den.multiplicity(a))
+        n0, n1 = self.num.value_and_slope(a)
+        return (n1 * d0 - n0 * d1) / (d0 * d0)
 
     # -- calculus and substitution ---------------------------------------------
 

@@ -8,11 +8,15 @@ count.
 
 A failed comparison is data (status ``fail`` with both sides rendered), not
 an exception; unexpected exceptions inside a check are also folded into a
-failing record so one defect cannot take down a whole sweep.
+failing record so one defect cannot take down a whole sweep.  Such a record
+reads ``error: <type> at <file>:<line>: <message>``, naming the frame that
+raised.
 """
 
 from __future__ import annotations
 
+import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +26,7 @@ from . import eigenpoly as ep
 from . import hypergeom as hg
 from . import identities as idn
 from . import knopsahi as ks
-from .bipoly import render_bipoly
+from .bipoly import render_bipoly, square_op
 from .config import Config
 from .partitions import PClass, Pair2, classify, dagger, size, upto
 from .ratfunc import render_frac
@@ -91,7 +95,11 @@ def _guarded(name, params, fn) -> Check:
     try:
         return fn()
     except Exception as exc:  # a defect inside a check is a failing record
-        return _check(name, params, False, lhs=f"error: {exc}", rhs="-")
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        message = f": {exc}" if str(exc) else ""
+        lhs = f"error: {type(exc).__name__} at {where}{message}"
+        return _check(name, params, False, lhs=lhs, rhs="-")
 
 
 # -- knop-sahi suite ----------------------------------------------------------------
@@ -222,11 +230,12 @@ def check_restrictions(lam: Pair2, k: int) -> Check:
         cls = classify(lam, k)
         lamd = dagger(lam, k)
         f = ep.eigen(lam, k).body
+        sq = square_op(f)
         for mu in upto(size(lam)):
             mu_cls = classify(mu, k)
             if mu_cls is PClass.SINGULAR:
                 continue
-            d_val, d_nil = ep.restriction_pair(lam, mu, k)
+            d_val, d_nil = ep.restriction_pair(f, sq, mu, k)
             if mu_cls is PClass.QUASIREGULAR:
                 want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
                 if d_nil != want_nil:

@@ -75,6 +75,11 @@ class TestExitCodes:
         assert code == 2
         assert err
 
+    def test_negative_table_size_is_one_line(self):
+        code, out, err = run_cli(["table", "--size-max", "-1"])
+        assert code == 2 and out == ""
+        assert err == "capelli: error: --size-max must lie in [0, 14]\n"
+
     def test_unknown_suite_is_two(self):
         code, _, _ = run_cli(["verify", "nonsense"])
         assert code == 2

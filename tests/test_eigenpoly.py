@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from capelli import eigenpoly as ep
-from capelli.bipoly import BiPoly
+from capelli.bipoly import BiPoly, square_op
 from capelli.eigenpoly import Route, SingularSystemError, gauss_solve
 from capelli.knopsahi import gen_eval
 from capelli.partitions import size, upto
@@ -147,16 +147,21 @@ class TestVariationAssembly:
             ep.qreg_variation_body((1, 0), 0)
 
 
+def _pair(lam, mu, k):
+    f = ep.eigen(lam, k).body
+    return ep.restriction_pair(f, square_op(f), mu, k)
+
+
 class TestRestrictionPair:
     def test_identity_on_own_block(self):
-        assert ep.restriction_pair((1, 0), (1, 0), 1) == (Q(1), Q(0))
+        assert _pair((1, 0), (1, 0), 1) == (Q(1), Q(0))
 
     def test_pure_nilpotent_on_dagger(self):
-        assert ep.restriction_pair((2, 0), (1, 1), 0) == (Q(0), Q(1))
+        assert _pair((2, 0), (1, 1), 0) == (Q(0), Q(1))
 
     def test_order_exceeds_degree(self):
-        assert ep.restriction_pair((1, 0), (0, 0), 1) == (Q(0), Q(0))
+        assert _pair((1, 0), (0, 0), 1) == (Q(0), Q(0))
 
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError):
-            ep.restriction_pair((1, 0), (3, 0), 1)
+            _pair((1, 0), (3, 0), 1)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from capelli import knopsahi as ks
-from capelli.bipoly import BiPoly, to_falling_coeff
+from capelli.bipoly import BiPoly, from_falling, to_falling_coeff
 from capelli.partitions import PClass, classify, dagger, h_poly, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
@@ -30,6 +30,14 @@ class TestConstruction:
             assert to_falling_coeff(body, lam[0], lam[1]) == RatFunc.one()
             assert body.total_degree() == size(lam)
             assert body.is_symmetric()
+
+    def test_shared_denominator_build_matches_per_term_sum(self):
+        # the body is expanded over (kappa+1)_(r) and normalized once per
+        # monomial; summing normalized falling terms must give the same body
+        for lam in upto(8):
+            p = ks.ks_poly(lam)
+            per_term = from_falling((RatFunc(num, p.den), m, n) for num, m, n in p.cleared)
+            assert p.body == per_term, lam
 
 
 class TestCharacterization:

@@ -195,3 +195,77 @@ def test_regular_points_have_zero_residue(f, a):
     if f.valuation(a) >= 0:
         assert f.residue(a) == 0
         assert f.regular_value(a) == f.eval(a)
+
+
+# -- local expansion at a point -------------------------------------------------
+
+
+@st.composite
+def simple_pole_or_regular(draw):
+    """(f, a) with f canonical and at worst a simple pole at ``a``."""
+    a = draw(small_frac)
+    cofactor = draw(nonzero_polys.filter(lambda d: d(a) != 0))
+    pole = UniPoly((-a, 1)) ** draw(st.integers(0, 1))
+    return RatFunc(draw(polys), pole * cofactor), a
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_pole_or_regular())
+def test_local_expansion_matches_definitions(case):
+    f, a = case
+    linear = RatFunc(UniPoly((-a, 1)))
+    res = f.residue(a)
+    assert res == (f * linear).eval(a)
+    assert f.regular_value(a) == (f - RatFunc(UniPoly.const(res), UniPoly((-a, 1)))).eval(a)
+    if f.den(a):
+        assert res == 0
+        assert f.derivative_at(a) == f.derivative().eval(a)
+    else:
+        with pytest.raises(PoleError) as info:
+            f.derivative_at(a)
+        assert info.value.order == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, small_frac)
+def test_value_and_slope_is_one_horner_pass(p, a):
+    assert p.value_and_slope(a) == (p(a), p.derivative()(a))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_higher_order_poles_raise_with_their_order(order):
+    a = Q(3)
+    f = RatFunc(P(1, 1), P(-a, 1) ** order * P(1, 0, 1))
+    for local in (f.residue, f.regular_value, f.derivative_at, f.eval):
+        with pytest.raises(PoleError) as info:
+            local(a)
+        assert (info.value.point, info.value.order) == (a, order)
+        assert str(info.value) == f"pole of order {order} at 3"
+
+
+SYMPY_CASES = [
+    (P(0, 2), P(-1, 1), Q(1)),
+    (P(1, 2, 3), P(0, 1) * P(2, 1), Q(0)),
+    (P(Q(1, 2), -1, 0, 4), P(-3, 1) * P(1, 0, 1), Q(3)),
+    (P(5, 0, 1), P(Q(2, 3), -1) * P(1, 1) ** 2, Q(2, 3)),
+    (P(1, 1, 1, 1), P(1, 2) * P(-1, 0, 1), Q(-1, 2)),
+    (P(7, -3), P(4, 0, 1), Q(2)),
+]
+
+
+@pytest.mark.parametrize("num, den, a", SYMPY_CASES)
+def test_local_expansion_against_sympy(num, den, a):
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+
+    def expr(p):
+        return sum(sp.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
+
+    f = RatFunc(num, den)
+    g = expr(num) / expr(den)
+    pt = sp.Rational(a.numerator, a.denominator)
+    res = sp.residue(g, x, pt)
+    assert f.residue(a) == Q(str(res))
+    assert f.regular_value(a) == Q(str(sp.limit(g - res / (x - pt), x, pt)))
+    if den(a):
+        assert f.derivative_at(a) == Q(str(sp.diff(g, x).subs(x, pt)))
