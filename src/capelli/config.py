@@ -33,6 +33,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _checked(cfg: Config) -> Config:
+    for name in ("size_cap", "n_cap", "k_cap", "jobs"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} = {getattr(cfg, name)} must be non-negative")
+    if not 0 <= cfg.default_k <= cfg.k_cap:
+        raise ConfigError(f"default_k = {cfg.default_k} must lie in [0, k_cap = {cfg.k_cap}]")
+    return cfg
+
+
 def parse_config_text(text: str, base: Config | None = None) -> Config:
     cfg = base or Config()
     updates = {}
@@ -50,7 +59,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
             updates[key] = int(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key} needs an integer, got {value!r}") from exc
-    return replace(cfg, **updates)
+    return _checked(replace(cfg, **updates))
 
 
 def load_config(path: str | None = None, environ: dict | None = None) -> Config:
@@ -70,4 +79,4 @@ def load_config(path: str | None = None, environ: dict | None = None) -> Config:
                 updates[name] = int(raw)
             except ValueError as exc:
                 raise ConfigError(f"{ENV_PREFIX}{name.upper()} needs an integer, got {raw!r}") from exc
-    return replace(cfg, **updates)
+    return _checked(replace(cfg, **updates))

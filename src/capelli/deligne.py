@@ -4,10 +4,10 @@ The invariant-operator algebra on symmetric powers of the generating object
 of categorical dimension t is generated by two commuting operators C and E;
 it acts faithfully on the generalized eigenblocks of C, and on each block
 the action is a dual number value + nil*eps with eps^2 = 0.  That block
-model is all this module keeps: operators are sparse polynomials in (C, E)
-with coefficients in Q(s) (``OpPoly``), blocks are labelled by partitions
-with multiplicity 1 or 2 (``Block``), and evaluation is dual-number
-arithmetic (``DualScalar``).
+model is all this module keeps: operators are ``BiPoly`` polynomials in
+(C, E) with coefficients in Q(s), blocks are labelled by partitions with
+multiplicity 1 or 2 (``Block``), and evaluation is dual-number arithmetic
+(``DualScalar``).
 
 * blocks of size d exist for every partition of d when t is not a
   non-positive even integer; otherwise (with kb = -t/2) only for partitions
@@ -16,7 +16,9 @@ arithmetic (``DualScalar``).
 * ``l_op`` is the spectral projector-like element built from the size-d
   Casimir spectrum at a deformation parameter s;
 * ``d_op`` combines one or two of these per the class of the partition, and
-  its coefficients provably have no pole at s = t (asserted here);
+  its coefficients provably have no pole at s = t (asserted here); a check
+  specializes it at s = t once, and ``block_eval`` reads the resulting
+  rational polynomial p(C, E) and its C-derivative off each block;
 * ``cat_eig_from_blocks`` reads generalized values off the blocks and
   interpolates the eigenvalue polynomial; ``cat_eig_formula`` evaluates the
   closed forms obtained from the interpolation polynomials under the
@@ -25,11 +27,12 @@ arithmetic (``DualScalar``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
 
-from .bipoly import BiPoly, square_op
+from .bipoly import BiPoly, falling_coeffs, square_op
 from .eigenpoly import interpolate_ev
 from .knopsahi import eval_point, ks_poly
 from .partitions import (
@@ -96,69 +99,6 @@ class Block:
     mult: int
 
 
-class OpPoly:
-    """Polynomial in the commuting generators C, E with Q(s) coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], RatFunc] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        object.__setattr__(self, "terms", {k: c for k, c in items if c})
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("OpPoly is immutable")
-
-    @classmethod
-    def one(cls) -> "OpPoly":
-        return cls({(0, 0): RatFunc.one()})
-
-    @classmethod
-    def c_minus(cls, c: RatFunc) -> "OpPoly":
-        return cls({(1, 0): RatFunc.one(), (0, 0): -c})
-
-    @classmethod
-    def e_minus(cls, i: int) -> "OpPoly":
-        return cls({(0, 1): RatFunc.one(), (0, 0): RatFunc.const(-i)})
-
-    def __add__(self, other: "OpPoly") -> "OpPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return OpPoly(out)
-
-    def __mul__(self, other: "OpPoly") -> "OpPoly":
-        out: dict[tuple[int, int], RatFunc] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                p = c1 * c2
-                s = out.get(k)
-                s = p if s is None else s + p
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return OpPoly(out)
-
-    def scale(self, c: RatFunc) -> "OpPoly":
-        if not c:
-            return OpPoly()
-        return OpPoly({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"OpPoly({self.terms!r})"
-
-
 def c_cat_poly(lam: Pair2) -> UniPoly:
     """The Casimir eigenvalue a(a + s - 2), a = l1 - l2, as a polynomial in s."""
     a = lam[0] - lam[1]
@@ -201,63 +141,57 @@ def blocks(d: int, t: Fraction) -> list[Block]:
     return out
 
 
-def block_eval(op: OpPoly, block: Block, s_value: Fraction) -> DualScalar:
-    """Evaluate an operator polynomial on one block.
+def block_eval(op_t: BiPoly, block: Block) -> DualScalar:
+    """Evaluate an operator p(C, E), already specialized at s = t, on one block.
 
     C acts as c_cat(lam, t) + eps on multiplicity-2 blocks and as the plain
-    scalar otherwise; E acts as |lam|.  Coefficients are specialized at
-    s = s_value first (a pole there propagates as ``PoleError``).
+    scalar otherwise; E acts as |lam|.  So the value is p(c, e) and, on a
+    multiplicity-2 block, the nil part is dp/dC (c, e).
     """
-    c_dual = DualScalar(c_cat(block.lam, block.t), Fraction(1 if block.mult == 2 else 0))
-    e_val = Fraction(size(block.lam))
-    acc = DualScalar(Fraction(0))
-    for (ci, ei), coeff in op.terms.items():
-        acc = acc + (c_dual**ci) * (e_val**ei) * coeff.eval(s_value)
-    if block.mult == 1 and acc.nil:
-        raise AssertionError(f"nilpotent part {acc.nil} on a multiplicity-1 block {block.lam}")
-    return acc
+    c = c_cat(block.lam, block.t)
+    e = Fraction(size(block.lam))
+    value = op_t.eval2(c, e)
+    if block.mult == 1:
+        return DualScalar(value)
+    if block.mult != 2:
+        raise AssertionError(f"block {block.lam} has multiplicity {block.mult}, not 1 or 2")
+    return DualScalar(value, op_t.partials()[0].eval2(c, e))
 
 
 # -- the deformed operators ------------------------------------------------------------
 
 
-def l_op(lam: Pair2) -> OpPoly:
+@lru_cache(maxsize=None)
+def l_op(lam: Pair2) -> BiPoly:
     """The normalized element
 
         prod_{i<d} (E - i) * prod_{|nu|=d, nu != lam} (C - c_nu(s))
         ---------------------------------------------------------,   d = |lam|,
         d! * prod_{|nu|=d, nu != lam} (c_lam(s) - c_nu(s))
 
-    with coefficients in Q(s); they are independent of t and have poles only
-    at non-positive even integers.
+    as a polynomial in (C, E) with coefficients in Q(s); they are independent
+    of t and have poles only at non-positive even integers.  The numerator
+    has polynomial coefficients and the denominator is one polynomial, so
+    each monomial is normalized once.
     """
     check_partition(lam)
     d = size(lam)
-    op = OpPoly.one()
-    for i in range(d):
-        op = op * OpPoly.e_minus(i)
-    denom = RatFunc.const(_factorial(d))
+    num = BiPoly({(0, j): UniPoly.const(c) for j, c in enumerate(falling_coeffs(d))})
+    den = UniPoly.const(math.factorial(d))
     c_lam = c_cat_poly(lam)
     for nu_ in of_size(d):
         if nu_ == lam:
             continue
         c_nu = c_cat_poly(nu_)
-        op = op * OpPoly.c_minus(RatFunc(c_nu))
-        diff = RatFunc(c_lam - c_nu)
+        num = num * BiPoly({(1, 0): UniPoly.one(), (0, 0): -c_nu})
+        diff = c_lam - c_nu
         if not diff:
             raise ArithmeticError(f"identically vanishing spectral gap {lam} vs {nu_}")
-        denom = denom * diff
-    return op.scale(RatFunc.one() / denom)
+        den = den * diff
+    return num.map_coeffs(lambda c: RatFunc(c, den))
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def d_op(lam: Pair2, t: Fraction) -> OpPoly:
+def d_op(lam: Pair2, t: Fraction) -> BiPoly:
     """Case dispatch on (t, class of lam at kb = -t/2):
 
     (i)   generic t, or kb-regular lam:   L_lam
@@ -299,23 +233,24 @@ class InterpolationMismatch(AssertionError):
 def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
     """Eigenvalue polynomial read off the block model.
 
-    Evaluates d_op at s = t on every block of size <= |lam| (the projection
-    onto operators of order <= |lam| is invisible there), assembles the
-    generalized values -- multiplicity-2 blocks contribute their nilpotent
-    coefficient as the value at the missing singular partner -- and
-    interpolates.  The interpolant is then re-checked against every block.
+    Specializes d_op at s = t once and evaluates it on every block of size
+    <= |lam| (the projection onto operators of order <= |lam| is invisible
+    there), assembles the generalized values -- multiplicity-2 blocks
+    contribute their nilpotent coefficient as the value at the missing
+    singular partner -- and interpolates.  The interpolant is then
+    re-checked against every block.
     """
     t = Fraction(t)
     check_partition(lam)
     d = size(lam)
-    op = d_op(lam, t)
+    op_t = d_op(lam, t).map_coeffs(lambda c: c.eval(t))
     kb = kbar(t)
     integer_k = is_even_nonpositive(t)
     values: dict[Pair2, Fraction] = {}
     duals: list[tuple[Block, DualScalar]] = []
     for m in range(d + 1):
         for b in blocks(m, t):
-            dv = block_eval(op, b, t)
+            dv = block_eval(op_t, b)
             duals.append((b, dv))
             values[b.lam] = dv.value
             if b.mult == 2:

@@ -70,11 +70,13 @@ class Bounds:
             ("psi N-max", self.psi_n_max, cfg.n_cap),
             ("deligne size-max", self.deligne_size_max, cfg.size_cap),
             ("min-poly d-max", self.minpoly_d_max, cfg.size_cap),
+            ("a-max", self.a_max, None),
+            ("bcd-max", self.bcd_max, None),
         ):
-            if value > cap:
+            if value < 0:
+                raise BoundsError(f"{label} = {value} must be non-negative")
+            if cap is not None and value > cap:
                 raise BoundsError(f"{label} = {value} exceeds the hard cap {cap}")
-        if min(self.k_max, self.size_max, self.n_max, self.a_max, self.bcd_max) < 0:
-            raise BoundsError("bounds must be non-negative")
 
 
 def _plam(lam: Pair2) -> str:
@@ -375,7 +377,7 @@ def check_vanishing_suite(lam: Pair2, t: Fraction) -> Check:
     params = (("lambda", _plam(lam)), ("t", render_frac(t)))
 
     def run() -> Check:
-        op = dl.d_op(lam, t)
+        op_t = dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t))
         singular_partner = None
         if dl.is_even_nonpositive(t):
             k = int(dl.kbar(t))
@@ -383,7 +385,7 @@ def check_vanishing_suite(lam: Pair2, t: Fraction) -> Check:
                 singular_partner = dagger(lam, k)
         for m in range(size(lam) + 1):
             for blk in dl.blocks(m, t):
-                got = dl.block_eval(op, blk, t)
+                got = dl.block_eval(op_t, blk)
                 if singular_partner is not None:
                     want = dl.DualScalar(Fraction(0), Fraction(int(blk.lam == singular_partner)))
                 else:
@@ -537,9 +539,10 @@ def run_suite(suite: str, bounds: Bounds, params: tuple[tuple[str, str], ...] = 
               jobs: int = 1) -> RunReport:
     """Run one suite (or all) and assemble the report in task order."""
     tasks = suite_tasks(suite, bounds)
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             checks = list(pool.map(run_task, tasks, chunksize=chunk))
     else:
         checks = [run_task(t) for t in tasks]

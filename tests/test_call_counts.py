@@ -1,17 +1,22 @@
-"""Call-count guards for the hot paths of the knop-sahi and capelli sweeps.
+"""Call-count guards for the hot paths of the knop-sahi, capelli and deligne
+sweeps.
 
 Each guard wraps a function with a counter and asserts how often it runs.
 Nothing is timed, so the guards are deterministic: they fail when a change
 brings back normalization in Q(kappa) where values at kappa = k are read off
-the local expansion, or rebuilds an eigenvalue polynomial per block.
+the local expansion, rebuilds an eigenvalue polynomial per block, or
+specializes a block-model operator per block instead of once per check.
 """
+
+from fractions import Fraction as Q
 
 import pytest
 
+from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli import knopsahi as ks
 from capelli import verify as vf
-from capelli.partitions import PClass, classify, upto
+from capelli.partitions import PClass, classify, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
 
@@ -57,4 +62,39 @@ def test_jordan_check_builds_f_once(monkeypatch, k):
         check = vf.check_restrictions(lam, k)
         assert check.status == "pass", check
         assert (len(eigen), len(square)) == (1, 1), lam
+        monkeypatch.undo()
+
+
+def test_l_op_normalizes_once_per_monomial(monkeypatch):
+    for lam in upto(6):
+        dl.l_op.cache_clear()  # so the counted call builds
+        inits = _counter(monkeypatch, RatFunc, "__init__")
+        op = dl.l_op(lam)
+        assert len(inits) <= len(op.terms), lam
+        monkeypatch.undo()
+
+
+def test_block_eval_makes_no_ratfunc_work(monkeypatch):
+    t = Q(-2)
+    ops = {lam: dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t)) for lam in upto(4)}
+    evals = _counter(monkeypatch, RatFunc, "eval")
+    inits = _counter(monkeypatch, RatFunc, "__init__")
+    for lam, op_t in ops.items():
+        for m in range(size(lam) + 1):
+            for blk in dl.blocks(m, t):
+                dl.block_eval(op_t, blk)
+    assert (evals, inits) == ([], [])
+
+
+@pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
+def test_deligne_checks_specialize_once(monkeypatch, t):
+    for lam in upto(5):
+        monomials = len(dl.d_op(lam, t).terms)
+        evals = _counter(monkeypatch, RatFunc, "eval")
+        check = vf.check_vanishing_suite(lam, t)
+        assert check.status == "pass", check
+        assert len(evals) <= monomials, lam
+        evals.clear()
+        dl.cat_eig_from_blocks(lam, t)
+        assert len(evals) <= monomials, lam
         monkeypatch.undo()

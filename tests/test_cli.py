@@ -80,6 +80,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "capelli: error: --size-max must lie in [0, 14]\n"
 
+    @pytest.mark.parametrize(
+        "flag, label",
+        [
+            ("--psi-N-max", "psi N-max"),
+            ("--deligne-size-max", "deligne size-max"),
+            ("--minpoly-d-max", "min-poly d-max"),
+        ],
+    )
+    def test_negative_sweep_bound_is_one_line(self, flag, label):
+        code, out, err = run_cli(["verify", "deligne", flag, "-1"])
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {label} = -1 must be non-negative\n"
+
     def test_unknown_suite_is_two(self):
         code, _, _ = run_cli(["verify", "nonsense"])
         assert code == 2
@@ -154,6 +167,12 @@ class TestConfig:
         code, out, _ = run_cli(["eig", "1,0", "--config", str(cfg)])
         assert code == 0
         assert out.splitlines()[0] == "x + y + 3"
+
+    def test_negative_jobs_env_is_one_line(self, monkeypatch):
+        monkeypatch.setenv("CAPELLI_JOBS", "-3")
+        code, out, err = run_cli(["verify", "dougall", "--a-max", "1", "--bcd-max", "0"])
+        assert code == 2 and out == ""
+        assert err == "capelli: error: jobs = -3 must be non-negative\n"
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = tmp_path / "capelli.conf"

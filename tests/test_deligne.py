@@ -1,13 +1,20 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli.bipoly import BiPoly
-from capelli.deligne import Block, DualScalar, OpPoly
-from capelli.partitions import upto
+from capelli.deligne import Block, DualScalar
+from capelli.partitions import c_cat, of_size, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
+
+
+def _at(op: BiPoly, t: Q) -> BiPoly:
+    """Specialize an operator with Q(s) coefficients at s = t."""
+    return op.map_coeffs(lambda c: c.eval(t))
 
 
 class TestDualScalar:
@@ -56,36 +63,81 @@ class TestBlocks:
 
 class TestBlockEval:
     def test_casimir_on_thick_block(self):
-        op = OpPoly({(1, 0): RatFunc.one()})
+        op = BiPoly({(1, 0): Q(1)})
         b = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert dl.block_eval(op, b, Q(0)) == DualScalar(Q(0), Q(1))
+        assert dl.block_eval(op, b) == DualScalar(Q(0), Q(1))
 
     def test_euler_square(self):
-        op = OpPoly({(0, 2): RatFunc.one()})
+        op = BiPoly({(0, 2): Q(1)})
         b = Block(lam=(2, 0), t=Q(7), mult=1)
-        assert dl.block_eval(op, b, Q(7)) == DualScalar(Q(4), Q(0))
+        assert dl.block_eval(op, b) == DualScalar(Q(4), Q(0))
 
     def test_casimir_square_chain_rule(self):
-        op = OpPoly({(2, 0): RatFunc.one()})
+        op = BiPoly({(2, 0): Q(1)})
         b = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert dl.block_eval(op, b, Q(0)) == DualScalar(Q(0), Q(0))
+        assert dl.block_eval(op, b) == DualScalar(Q(0), Q(0))
+
+    def test_multiplicity_beyond_two_rejected(self):
+        b = Block(lam=(1, 1), t=Q(0), mult=3)
+        with pytest.raises(AssertionError, match="multiplicity 3"):
+            dl.block_eval(BiPoly({(1, 0): Q(1)}), b)
+
+
+coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+keys = st.tuples(st.integers(0, 4), st.integers(0, 3))
+ops = st.dictionaries(keys, coeffs, max_size=6).map(BiPoly)
+block_list = [Block(lam=lam, t=t, mult=m) for lam in upto(4)
+              for t in (Q(0), Q(-2), Q(3), Q(1, 2)) for m in (1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops, st.sampled_from(block_list))
+def test_block_eval_is_dual_number_substitution(op, blk):
+    c_dual = DualScalar(c_cat(blk.lam, blk.t), Q(1 if blk.mult == 2 else 0))
+    e = Q(size(blk.lam))
+    want = DualScalar(Q(0))
+    for (i, j), c in op.terms.items():
+        want = want + c * (c_dual**i) * e**j
+    assert dl.block_eval(op, blk) == want
+
+
+def _l_op_per_factor(lam):
+    """The normalized product built one factor at a time, each product
+    normalized in Q(s): the reference ``l_op`` must reproduce."""
+    d = size(lam)
+    op = BiPoly.const(RatFunc.one())
+    for i in range(d):
+        op = op * BiPoly({(0, 1): RatFunc.one(), (0, 0): RatFunc.const(-i)})
+    denom = RatFunc.const(math.factorial(d))
+    c_lam = dl.c_cat_poly(lam)
+    for nu in of_size(d):
+        if nu == lam:
+            continue
+        c_nu = dl.c_cat_poly(nu)
+        op = op * BiPoly({(1, 0): RatFunc.one(), (0, 0): -RatFunc(c_nu)})
+        denom = denom * RatFunc(c_lam - c_nu)
+    return op.scale(RatFunc.one() / denom)
 
 
 class TestOperators:
+    @pytest.mark.parametrize("lam", upto(6))
+    def test_l_equals_per_factor_product(self, lam):
+        assert dl.l_op(lam) == _l_op_per_factor(lam)
+
     def test_l_trivial(self):
-        assert dl.l_op((0, 0)) == OpPoly.one()
+        assert dl.l_op((0, 0)) == BiPoly.const(RatFunc.one())
 
     def test_l_size_one_is_euler(self):
-        assert dl.l_op((1, 0)) == OpPoly({(0, 1): RatFunc.one()})
+        assert dl.l_op((1, 0)) == BiPoly({(0, 1): RatFunc.one()})
 
     def test_l_size_two(self):
         # E(E-1) C / (2! * 2s) for lam = (2,0)
         got = dl.l_op((2, 0))
         s4 = RatFunc(UniPoly((1,)), UniPoly((0, 4)))
-        assert got == OpPoly({(1, 2): s4, (1, 1): -s4})
+        assert got == BiPoly({(1, 2): s4, (1, 1): -s4})
 
     def test_d_case_generic(self):
-        assert dl.d_op((1, 0), Q(7)) == OpPoly({(0, 1): RatFunc.one()})
+        assert dl.d_op((1, 0), Q(7)) == BiPoly({(0, 1): RatFunc.one()})
 
     def test_d_case_singular(self):
         got = dl.d_op((2, 0), Q(0))
@@ -143,17 +195,17 @@ class TestScalarLimit:
 
 class TestVanishingPattern:
     def test_identity_on_own_block(self):
-        op = dl.d_op((1, 1), Q(0))
+        op = _at(dl.d_op((1, 1), Q(0)), Q(0))
         blk = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert dl.block_eval(op, blk, Q(0)) == DualScalar(Q(1), Q(0))
+        assert dl.block_eval(op, blk) == DualScalar(Q(1), Q(0))
 
     def test_nilpotent_on_dagger_block(self):
-        op = dl.d_op((2, 0), Q(0))
+        op = _at(dl.d_op((2, 0), Q(0)), Q(0))
         blk = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert dl.block_eval(op, blk, Q(0)) == DualScalar(Q(0), Q(1))
+        assert dl.block_eval(op, blk) == DualScalar(Q(0), Q(1))
 
     def test_zero_on_smaller_blocks(self):
-        op = dl.d_op((1, 1), Q(0))
+        op = _at(dl.d_op((1, 1), Q(0)), Q(0))
         for m in range(2):
             for blk in dl.blocks(m, Q(0)):
-                assert dl.block_eval(op, blk, Q(0)) == DualScalar(Q(0), Q(0))
+                assert dl.block_eval(op, blk) == DualScalar(Q(0), Q(0))

@@ -63,3 +63,22 @@ class TestConfig:
     def test_effective_jobs_positive(self):
         assert Config(jobs=3).effective_jobs() == 3
         assert Config(jobs=0).effective_jobs() >= 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["size_cap = -1", "n_cap = -1", "k_cap = -1", "jobs = -3",
+         "default_k = -1", "default_k = 7", "k_cap = 2\ndefault_k = 3"],
+    )
+    def test_out_of_range_values_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+    def test_out_of_range_env_rejected(self):
+        with pytest.raises(ConfigError, match="jobs = -3"):
+            load_config(environ={"CAPELLI_JOBS": "-3"})
+        with pytest.raises(ConfigError, match="default_k = 3"):
+            load_config(environ={"CAPELLI_K_CAP": "2", "CAPELLI_DEFAULT_K": "3"})
+
+    def test_boundary_values_accepted(self):
+        cfg = parse_config_text("k_cap = 0\ndefault_k = 0\njobs = 0\nsize_cap = 0\nn_cap = 0")
+        assert (cfg.k_cap, cfg.default_k, cfg.jobs) == (0, 0, 0)

@@ -1,7 +1,10 @@
 import re
 
+import pytest
+
 from capelli import knopsahi as ks
 from capelli import verify as vf
+from capelli.config import Config
 from capelli.ratfunc import RatFunc, UniPoly
 
 
@@ -21,3 +24,47 @@ def test_bare_assertion_still_names_its_frame(monkeypatch):
     check = vf.check_characterization((1, 0))
     assert re.fullmatch(r"error: AssertionError at test_verify\.py:\d+", check.lhs)
 
+
+@pytest.mark.parametrize("field", ["psi_n_max", "deligne_size_max", "minpoly_d_max"])
+def test_negative_sweep_bounds_are_rejected(field):
+    with pytest.raises(vf.BoundsError, match="must be non-negative"):
+        vf.Bounds(**{field: -1}).validate(Config())
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in-process, so no worker is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [
+        (64, 8, 4),    # capped by the 4 tasks
+        (64, 3, 3),    # capped by the CPU count
+        (2, 8, 2),     # as requested
+        (64, None, None),  # CPU count unknown: one worker, no pool
+    ],
+)
+def test_pool_is_capped_by_tasks_and_cpus(monkeypatch, jobs, cpus, workers):
+    bounds = vf.Bounds(a_max=4, bcd_max=0)
+    assert len(vf.suite_tasks("dougall", bounds)) == 4
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(vf, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(vf.os, "cpu_count", lambda: cpus)
+    report = vf.run_suite("dougall", bounds, jobs=jobs)
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+    assert report.to_json() == vf.run_suite("dougall", bounds, jobs=1).to_json()
