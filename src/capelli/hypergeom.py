@@ -20,24 +20,26 @@ from typing import Sequence
 
 def rising(a, n: int) -> Fraction:
     """Pochhammer a (a+1) ... (a+n-1); empty product is 1."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for t in range(n):
-        out *= a + t
-        if not out:
-            break
-    return out
+    return _pochhammer(a, n, 1)
 
 
 def falling(a, n: int) -> Fraction:
     """a (a-1) ... (a-n+1); empty product is 1."""
-    a = Fraction(a)
-    out = Fraction(1)
+    return _pochhammer(a, n, -1)
+
+
+def _pochhammer(a, n: int, step: int) -> Fraction:
+    """prod_{t<n} (a + step*t) for a = p/q: the integer numerators p + step*t*q
+    are multiplied and the product is normalized once over q**n."""
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    num = 1
     for t in range(n):
-        out *= a - t
-        if not out:
-            break
-    return out
+        num *= p + step * t * q
+        if not num:
+            return Fraction(0)
+    return Fraction(num, q**n) if n > 0 else Fraction(1)
 
 
 def _is_nonpositive_int(a: Fraction) -> bool:

@@ -7,11 +7,17 @@ The headline identity expresses
 
 as an explicit double sum of rational functions; it is checked here as an
 equality of canonical rational functions, no sampling involved.  The
-supporting chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two
+left side is the quotient-rule derivative; the right side sums its
+numerators over the shared denominator x_(N)^2 and is normalized once.
+
+The supporting chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two
 variables; those identities are verified by exact evaluation on
 deterministic tensor grids whose sizes exceed the degree bounds obtained by
 clearing the (explicit, y-only or small) denominators, which suffices for a
-polynomial identity.
+polynomial identity.  psi_1 and psi_2 are evaluated over a whole point list
+at once, each from its own tables: the factors that depend on x alone are
+computed once per distinct x, those that depend on y alone (with their pole
+checks) once per distinct y, and only the mixed factor per point.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -20,7 +26,9 @@ load-bearing at the q = 0, j = 0 and s = 0 boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,6 +75,7 @@ def _report(name: str, params, ok: bool, witness: Witness | None = None) -> Iden
 # -- the derivative identity, in canonical rational-function form -------------------
 
 
+@lru_cache(maxsize=None)
 def _falling_x(m: int) -> UniPoly:
     return UniPoly.falling(X, m)
 
@@ -80,12 +89,25 @@ def lhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
 def rhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
     """The double sum over (q, p); terms with q > min(i, j) vanish because of
     the i_(q) j_(q) prefactor and are skipped before any falling factorial
-    with a negative step could be formed."""
+    with a negative step could be formed.
+
+    The (q, p) term is c(q, p) x_(p-i) x_(p-j) (x-p+q) / (x_(p+1) (x-N+q)_(q)),
+    and its denominator divides x_(N)^2 with cofactor (x-p-1)_(N-p-1) x_(N-q).
+    Over that shared denominator the p-dependent part B_p = x_(p-i) x_(p-j)
+    (x-p-1)_(N-p-1) is built once per p, the sum over p for each q is a
+    linear combination of the B_p, and the whole sum is normalized once.
+    """
     _check_ijn(i, j, n)
-    total = RatFunc.zero()
-    for q in range(0, j + 1):
-        if q > i:
-            continue
+    # tail[p] = (x-p-1)_(N-p-1) = x_(N) / x_(p+1), built from p = N-1 down
+    tail = [UniPoly.one()] * n
+    for p in range(n - 2, -1, -1):
+        tail[p] = tail[p + 1] * UniPoly((-(p + 1), 1))
+    body: dict[int, UniPoly] = {}
+    total = UniPoly.zero()
+    for q in range(0, min(i, j) + 1):
+        # sum over p of c B_p and of c (q - p) B_p, so the q-term is
+        # (x * lead + rest) x_(N-q)
+        lead = rest = UniPoly.zero()
         for p in range(i + j - q, min(n - q, n - 1) + 1):
             const = (
                 Fraction((-1) ** (n + p + q + 1))
@@ -93,15 +115,16 @@ def rhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
                 * falling(i, q)
                 * falling(j, q)
                 * falling(n - i - j, n - p - q)
+                / ((n - p) * math.factorial(q))
             )
             if not const:
                 continue
-            num = (_falling_x(p - i) * _falling_x(p - j) * UniPoly((-(p - q), 1))).scale(const)
-            den = (_falling_x(p + 1) * UniPoly.falling(X - (n - q), q)).scale(
-                (n - p) * math.factorial(q)
-            )
-            total = total + RatFunc(num, den)
-    return total
+            if p not in body:
+                body[p] = _falling_x(p - i) * _falling_x(p - j) * tail[p]
+            lead = lead + body[p].scale(const)
+            rest = rest + body[p].scale(const * (q - p))
+        total = total + (X * lead + rest) * _falling_x(n - q)
+    return RatFunc(total, _falling_x(n) * _falling_x(n))
 
 
 def _check_ijn(i: int, j: int, n: int) -> None:
@@ -118,16 +141,6 @@ def derivative_identity_check(i: int, j: int, n: int) -> IdentityReport:
         lhs == rhs,
         Witness(point="-", lhs=render_ratfunc(lhs, "x"), rhs=render_ratfunc(rhs, "x")),
     )
-
-
-def verify_derivative_identity(n_max: int) -> list[IdentityReport]:
-    """All triples 0 <= i + j <= N <= n_max, in deterministic order."""
-    out = []
-    for n in range(n_max + 1):
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                out.append(derivative_identity_check(i, j, n))
-    return out
 
 
 def logderiv_check(n: int) -> IdentityReport:
@@ -182,22 +195,72 @@ def e_term(q: int, r: int, x: Fraction, y: Fraction, d: int, j: int) -> Fraction
     return num / den
 
 
+def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
+    """psi_1 = sum of E(q, r) at each point, from per-call tables.
+
+    E(q, r) factors as K(q, r) * x_(d-r) * Y(q, r, y) * (x-y-d)_(q), with K
+    constant, x_(d-r) computed once per distinct x and the y-only quotient
+    Y (pole checks included, in the order e_term makes them) once per
+    distinct y; only (x-y-d)_(q) is formed per point, by Horner's rule in
+    the falling basis.
+    """
+    spans = [range(max(1, q), d - j + q + 1) for q in range(j + 1)]
+    consts = [
+        [Fraction((-1) ** (r + q + 1)) * falling(r, q) * falling(j, q) * falling(d - j, r - q)
+         / (r * math.factorial(q)) for r in rs]
+        for q, rs in enumerate(spans)
+    ]
+    # x_(d-r) at index r - 1
+    xs = {x: [falling(x, d - r) for r in range(1, d + 1)] for x in dict.fromkeys(x for x, _ in points)}
+    ys = {}
+    for y in dict.fromkeys(y for _, y in points):
+        ys[y] = rows = []
+        for q, (rs, ks) in enumerate(zip(spans, consts)):
+            row = []
+            for r, k in zip(rs, ks):
+                den = (_nonzero(falling(y + r + j, j + r), f"(y+{r}+{j})_({j + r})")
+                       * _nonzero(y + q, f"y+{q}"))
+                row.append(k * (y + r + q) * falling(y + r - 1, r - q) / den)
+            rows.append(row)
+    out = []
+    for x, y in points:
+        xrow, rows = xs[x], ys[y]
+        w = x - y - d
+        total = Fraction(0)
+        for q in range(j, -1, -1):
+            rs = spans[q]
+            total = total * (w - q) + sum(map(operator.mul, rows[q], xrow[rs.start - 1:rs.stop - 1]))
+        out.append(total)
+    return out
+
+
+def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
+    """psi_2, the Leibniz expansion of d/dx psi_L with the pole variable
+    renamed to y, at each point: x_(d) and its derivative once per distinct
+    x, 1 / prod (y+t) and sum 1/(y+t) once per distinct y."""
+    dfall = _falling_x(d).derivative()
+    xs = {x: (falling(x, d), Fraction(dfall(x))) for x in dict.fromkeys(x for x, _ in points)}
+    ys = {}
+    for y in dict.fromkeys(y for _, y in points):
+        prod = Fraction(1)
+        for t in range(1, j + 1):
+            prod *= _nonzero(y + t, f"y+{t}")
+        ys[y] = (1 / prod, sum(Fraction(1) / (y + t) for t in range(1, j + 1)))
+    out = []
+    for x, y in points:
+        (fx, dfx), (inv_prod, harm) = xs[x], ys[y]
+        out.append((dfx - fx * harm) * inv_prod)
+    return out
+
+
 def psi1(x: Fraction, y: Fraction, d: int, j: int) -> Fraction:
-    total = Fraction(0)
-    for q in range(0, j + 1):
-        for r in range(max(1, q), d - j + q + 1):
-            total += e_term(q, r, x, y, d, j)
-    return total
+    """psi_1 at one point."""
+    return psi1_at([(x, y)], d, j)[0]
 
 
 def psi2(x: Fraction, y: Fraction, d: int, j: int) -> Fraction:
-    """Leibniz expansion of d/dx psi_L with the pole variable renamed to y."""
-    prod = Fraction(1)
-    for t in range(1, j + 1):
-        prod *= _nonzero(y + t, f"y+{t}")
-    harm = sum(Fraction(1) / (y + t) for t in range(1, j + 1))
-    dfall = _falling_x(d).derivative()
-    return -falling(x, d) / prod * harm + Fraction(dfall(x)) / prod
+    """psi_2 at one point."""
+    return psi2_at([(x, y)], d, j)[0]
 
 
 def psi_l(n: int, d: int, j: int) -> RatFunc:
@@ -244,8 +307,7 @@ def psi_chain_check(
     else:
         pts = list(sample_points)
         params = (("i", i), ("j", j), ("N", n), ("points", len(pts)))
-    for x, y in pts:
-        a, b = psi1(x, y, d, j), psi2(x, y, d, j)
+    for (x, y), a, b in zip(pts, psi1_at(pts, d, j), psi2_at(pts, d, j)):
         if a != b:
             return _report(
                 "psi-chain", params, False,
@@ -253,15 +315,15 @@ def psi_chain_check(
             )
     psi_r = rhs_derivative_identity(i, j, n)
     dpsi_l = psi_l(n, d, j).derivative()
-    for x in sorted({x for x, _ in pts}):
-        y = x - n
-        lhs_r, on_diag = psi_r.eval(x), psi1(x, y, d, j)
+    diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
+    for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
+        lhs_r = psi_r.eval(x)
         if lhs_r != on_diag:
             return _report(
                 "psi-chain", params, False,
                 Witness(point=f"x={render_frac(x)}", lhs=render_frac(lhs_r), rhs=render_frac(on_diag)),
             )
-        lhs_d, rhs_d = dpsi_l.eval(x), psi2(x, y, d, j)
+        lhs_d = dpsi_l.eval(x)
         if lhs_d != rhs_d:
             return _report(
                 "psi-chain", params, False,

@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
+from .hypergeom import falling
 from .partitions import PClass, Pair2, check_partition, classify, dagger, h_poly, size, upto
 from .ratfunc import PoleError, RatFunc, UniPoly
 
@@ -97,20 +98,11 @@ def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:
         xfall.append(xfall[-1] * (xarg - t))
     acc = UniPoly.zero()
     for num, m, n in p.cleared:
-        yv = _falling_int(m2, n)
+        yv = falling(m2, n)
         if not yv:
             continue
         acc = acc + (num * xfall[m]).scale(yv)
     return RatFunc(acc, p.den)
-
-
-def _falling_int(a: int, n: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(n):
-        out *= a - t
-        if not out:
-            break
-    return out
 
 
 def characterization_holds(lam: Pair2) -> bool:

@@ -70,12 +70,12 @@ class Bounds:
             ("psi N-max", self.psi_n_max, cfg.n_cap),
             ("deligne size-max", self.deligne_size_max, cfg.size_cap),
             ("min-poly d-max", self.minpoly_d_max, cfg.size_cap),
-            ("a-max", self.a_max, None),
-            ("bcd-max", self.bcd_max, None),
+            ("a-max", self.a_max, cfg.n_cap),
+            ("bcd-max", self.bcd_max, cfg.n_cap),
         ):
             if value < 0:
                 raise BoundsError(f"{label} = {value} must be non-negative")
-            if cap is not None and value > cap:
+            if value > cap:
                 raise BoundsError(f"{label} = {value} exceeds the hard cap {cap}")
 
 

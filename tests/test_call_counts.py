@@ -1,11 +1,13 @@
-"""Call-count guards for the hot paths of the knop-sahi, capelli and deligne
-sweeps.
+"""Call-count guards for the hot paths of the knop-sahi, capelli, identity-e
+and deligne sweeps.
 
 Each guard wraps a function with a counter and asserts how often it runs.
 Nothing is timed, so the guards are deterministic: they fail when a change
 brings back normalization in Q(kappa) where values at kappa = k are read off
-the local expansion, rebuilds an eigenvalue polynomial per block, or
-specializes a block-model operator per block instead of once per check.
+the local expansion, rebuilds an eigenvalue polynomial per block,
+specializes a block-model operator per block instead of once per check,
+normalizes the derivative identity per term, or recomputes a psi-chain
+factor per sample point that depends on x or y alone.
 """
 
 from fractions import Fraction as Q
@@ -14,6 +16,7 @@ import pytest
 
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
+from capelli import identities as idn
 from capelli import knopsahi as ks
 from capelli import verify as vf
 from capelli.partitions import PClass, classify, size, upto
@@ -98,3 +101,34 @@ def test_deligne_checks_specialize_once(monkeypatch, t):
         dl.cat_eig_from_blocks(lam, t)
         assert len(evals) <= monomials, lam
         monkeypatch.undo()
+
+
+def test_rhs_derivative_identity_normalizes_once(monkeypatch):
+    for n in range(8):
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                inits = _counter(monkeypatch, RatFunc, "__init__")
+                idn.rhs_derivative_identity(i, j, n)
+                assert len(inits) == 1, (i, j, n)
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("i, j, n", [(0, 0, 2), (1, 1, 3), (0, 2, 4), (2, 1, 5)])
+def test_psi_chain_builds_each_falling_polynomial_once(monkeypatch, i, j, n):
+    wide = [(Q(n + 1 + u), Q(1, 3) + v) for u in range(30) for v in range(3)]
+    for pts in (None, wide):
+        idn._falling_x.cache_clear()
+        builds = _counter(monkeypatch, UniPoly, "falling")
+        assert idn.psi_chain_check(i, j, n, pts).passed
+        assert len(builds) <= n + 2
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("i, j, n", [(0, 0, 3), (1, 1, 3), (0, 2, 4), (1, 2, 5)])
+def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
+    pts, d = idn.chain_grid(i, j, n), n - i
+    xs = {x for x, _ in pts}
+    falls = _counter(monkeypatch, idn, "falling")
+    idn.psi1_at(pts, d, j)
+    # on the chain grid every x exceeds every integer the constants use
+    assert len([a for a in falls if a[0] in xs]) <= len(xs) * (d + 1)

@@ -7,6 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from capelli import cli
 from capelli.cli import main
 from capelli.report import Check
 from capelli import verify as vf
@@ -92,6 +93,17 @@ class TestExitCodes:
         code, out, err = run_cli(["verify", "deligne", flag, "-1"])
         assert code == 2 and out == ""
         assert err == f"capelli: error: {label} = -1 must be non-negative\n"
+
+    @pytest.mark.parametrize("flag, label", [("--a-max", "a-max"), ("--bcd-max", "bcd-max")])
+    def test_dougall_bound_above_cap_is_one_line(self, monkeypatch, flag, label):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.setattr(vf, "suite_tasks", never)
+        code, out, err = run_cli(["verify", "dougall", flag, "11"])
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {label} = 11 exceeds the hard cap 10\n"
 
     def test_unknown_suite_is_two(self):
         code, _, _ = run_cli(["verify", "nonsense"])

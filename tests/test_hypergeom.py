@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capelli.hypergeom import DougallResult, HypParams, dougall_check, falling, pfq_terminating, rising
 
@@ -17,6 +18,70 @@ class TestFactorials:
 
     def test_empty_products(self):
         assert rising(Q(7, 3), 0) == 1 == falling(Q(-5), 0)
+
+
+def _naive(a, n: int, step: int) -> Q:
+    """The step-by-step Fraction product prod_{t<n} (a + step*t)."""
+    out = Q(1)
+    for t in range(n):
+        out *= Q(a) + step * t
+    return out
+
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=rationals, n=st.integers(min_value=-3, max_value=9))
+@example(a=Q(2), n=5)        # the factor a - 2 hits zero
+@example(a=Q(-3), n=4)       # rising: a + 3 hits zero
+@example(a=Q(-7, 2), n=0)    # empty product
+@example(a=Q(5, 3), n=-2)    # n < 0 is the empty product too
+def test_factorials_match_naive_product(a, n):
+    assert falling(a, n) == _naive(a, n, -1)
+    assert rising(a, n) == _naive(a, n, 1)
+    if a.denominator == 1:
+        assert falling(int(a), n) == falling(a, n)
+        assert rising(int(a), n) == rising(a, n)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestAgainstSympy:
+    """Differential checks against an independent implementation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=rationals, n=st.integers(min_value=0, max_value=9))
+    def test_factorials(self, sympy, a, n):
+        sa = sympy.Rational(a.numerator, a.denominator)
+        assert falling(a, n) == Q(str(sympy.ff(sa, n)))
+        assert rising(a, n) == Q(str(sympy.rf(sa, n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stop=st.integers(min_value=0, max_value=6),
+        upper=st.lists(rationals, max_size=3),
+        lower=st.lists(st.fractions(min_value=Q(1, 7), max_value=9, max_denominator=7), max_size=3),
+        z=rationals,
+    )
+    def test_pfq_terminating(self, sympy, stop, upper, lower, z):
+        num = [-stop] + upper
+        params = HypParams.of(num, lower, z)
+        n_max = params.validate()
+        rat = lambda v: sympy.Rational(v.numerator, v.denominator)  # noqa: E731
+        expected = sum(
+            (
+                sympy.Mul(*(sympy.rf(rat(a), n) for a in params.numerator))
+                / sympy.Mul(*(sympy.rf(rat(b), n) for b in params.denominator))
+                * rat(params.argument) ** n / sympy.factorial(n)
+                for n in range(n_max + 1)
+            ),
+            sympy.Integer(0),
+        )
+        assert pfq_terminating(params) == Q(str(expected))
 
 
 class TestTerminatingSeries:

@@ -1,13 +1,28 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capelli import identities as idn
+from capelli.hypergeom import falling
 from capelli.ratfunc import RatFunc, UniPoly
+
+X = UniPoly.x()
 
 
 def RF(num, den=(1,)):
     return RatFunc(UniPoly(num), UniPoly(den))
+
+
+def verify_derivative_identity(n_max: int) -> list[idn.IdentityReport]:
+    """All triples 0 <= i + j <= N <= n_max, in deterministic order."""
+    out = []
+    for n in range(n_max + 1):
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                out.append(idn.derivative_identity_check(i, j, n))
+    return out
 
 
 class TestDerivativeIdentitySides:
@@ -32,9 +47,38 @@ class TestDerivativeIdentitySides:
             idn.lhs_derivative_identity(2, 1, 2)
 
 
+def rhs_per_term(i: int, j: int, n: int) -> RatFunc:
+    """The derivative identity's double sum with one normalized RatFunc per
+    (q, p) term: the reference for the shared-denominator build."""
+    total = RatFunc.zero()
+    for q in range(0, min(i, j) + 1):
+        for p in range(i + j - q, min(n - q, n - 1) + 1):
+            const = (
+                Q((-1) ** (n + p + q + 1))
+                * falling(n - p, q)
+                * falling(i, q)
+                * falling(j, q)
+                * falling(n - i - j, n - p - q)
+            )
+            if not const:
+                continue
+            num = UniPoly.falling(X, p - i) * UniPoly.falling(X, p - j) * UniPoly((-(p - q), 1))
+            den = UniPoly.falling(X, p + 1) * UniPoly.falling(X - (n - q), q)
+            num, den = num.scale(const), den.scale((n - p) * math.factorial(q))
+            total = total + RatFunc(num, den)
+    return total
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rhs_matches_per_term_sum(n):
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            assert idn.rhs_derivative_identity(i, j, n) == rhs_per_term(i, j, n), (i, j, n)
+
+
 class TestSweeps:
     def test_small_exhaustive(self):
-        reports = idn.verify_derivative_identity(4)
+        reports = verify_derivative_identity(4)
         assert len(reports) == sum((n + 1) * (n + 2) // 2 for n in range(5))
         assert all(r.passed for r in reports)
 
@@ -58,6 +102,75 @@ class TestPsiChain:
         with pytest.raises(idn.SamplePoleError) as err:
             idn.psi1(Q(10), Q(-1), 3, 1)
         assert "y+" in str(err.value)
+
+
+def psi1_pointwise(x, y, d: int, j: int) -> Q:
+    """psi_1 as the plain sum of e_term over (q, r)."""
+    return sum(
+        (idn.e_term(q, r, x, y, d, j) for q in range(j + 1) for r in range(max(1, q), d - j + q + 1)),
+        Q(0),
+    )
+
+
+def psi2_pointwise(x, y, d: int, j: int) -> Q:
+    """psi_2 as the pointwise Leibniz formula, rebuilding x_(d) per point."""
+    prod = Q(1)
+    for t in range(1, j + 1):
+        if not y + t:
+            raise idn.SamplePoleError(f"y+{t}")
+        prod *= y + t
+    harm = sum(Q(1) / (y + t) for t in range(1, j + 1))
+    dfall = UniPoly.falling(X, d).derivative()
+    return -falling(x, d) / prod * harm + Q(dfall(x)) / prod
+
+
+def _outcome(fn):
+    """The values, or the factor of the pole that stopped the evaluation."""
+    try:
+        return fn()
+    except idn.SamplePoleError as err:
+        return ("pole", err.factor)
+
+
+@st.composite
+def point_lists(draw):
+    """Non-tensor point lists that reuse a few x and y values; y ranges over
+    integers too, so some lists hit a pole."""
+    coord = st.fractions(min_value=-5, max_value=9, max_denominator=3)
+    xs = draw(st.lists(coord, min_size=1, max_size=3))
+    ys = draw(st.lists(coord, min_size=1, max_size=3))
+    idx = st.tuples(st.integers(0, len(xs) - 1), st.integers(0, len(ys) - 1))
+    return [(xs[a], ys[b]) for a, b in draw(st.lists(idx, min_size=1, max_size=7))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pts=point_lists(), d=st.integers(0, 5), data=st.data())
+def test_psi_tables_match_pointwise(pts, d, data):
+    j = data.draw(st.integers(0, d))
+    assert _outcome(lambda: idn.psi1_at(pts, d, j)) == _outcome(
+        lambda: [psi1_pointwise(x, y, d, j) for x, y in pts])
+    assert _outcome(lambda: idn.psi2_at(pts, d, j)) == _outcome(
+        lambda: [psi2_pointwise(x, y, d, j) for x, y in pts])
+
+
+def test_psi_tables_match_pointwise_on_grids():
+    for n in range(4):
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                pts, d = idn.chain_grid(i, j, n), n - i
+                assert idn.psi1_at(pts, d, j) == [psi1_pointwise(x, y, d, j) for x, y in pts]
+                assert idn.psi2_at(pts, d, j) == [psi2_pointwise(x, y, d, j) for x, y in pts]
+
+
+@pytest.mark.parametrize(
+    "y, factor", [(Q(-1), "(y+1+1)_(2)"), (Q(-4), "(y+3+1)_(4)"), (Q(0), "y+0")]
+)
+def test_pole_factor_text_is_kept(y, factor):
+    pts = [(Q(10), Q(1, 3)), (Q(11), y), (Q(10), y)]
+    with pytest.raises(idn.SamplePoleError) as err:
+        idn.psi1_at(pts, 3, 1)
+    reference = _outcome(lambda: [psi1_pointwise(x, y, 3, 1) for x, y in pts])
+    assert err.value.factor == factor and reference == ("pole", factor)
 
 
 class TestFClosedForm:

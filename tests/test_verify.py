@@ -31,6 +31,26 @@ def test_negative_sweep_bounds_are_rejected(field):
         vf.Bounds(**{field: -1}).validate(Config())
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"a_max": 11}, "a-max = 11 exceeds the hard cap 10"),
+        ({"bcd_max": 11}, "bcd-max = 11 exceeds the hard cap 10"),
+        ({"a_max": 10**4, "bcd_max": 10**4}, "a-max = 10000 exceeds the hard cap 10"),
+    ],
+)
+def test_dougall_bounds_are_capped_by_n_cap(bounds, message):
+    # validate() alone: the oversized task list is never built
+    with pytest.raises(vf.BoundsError, match=message):
+        vf.Bounds(**bounds).validate(Config())
+
+
+def test_dougall_cap_follows_configured_n_cap():
+    vf.Bounds(a_max=3, bcd_max=3, n_max=3, psi_n_max=3).validate(Config(n_cap=3))
+    with pytest.raises(vf.BoundsError, match="bcd-max = 4 exceeds the hard cap 3"):
+        vf.Bounds(a_max=3, bcd_max=4, n_max=3, psi_n_max=3).validate(Config(n_cap=3))
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count and maps
     in-process, so no worker is started."""
