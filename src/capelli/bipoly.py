@@ -246,11 +246,6 @@ def falling_expansion(f: BiPoly) -> dict[Key, object]:
     return out
 
 
-def to_falling_coeff(f: BiPoly, m: int, n: int):
-    """Single coefficient of x_(m) y_(n) in the falling-basis expansion."""
-    return falling_expansion(f).get((m, n), Fraction(0))
-
-
 # -- the symmetry operator ----------------------------------------------------
 
 

@@ -69,7 +69,7 @@ def load_config(path: str | None = None, environ: dict | None = None) -> Config:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cfg = parse_config_text(fh.read(), cfg)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     env = os.environ if environ is None else environ
     updates = {}

@@ -94,17 +94,14 @@ def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 # -- the interpolation oracle -----------------------------------------------------
 
 
-def sym_falling_basis(d: int) -> tuple[Pair2, ...]:
-    """Exponent pairs (a, b), a >= b, a + b <= d, in graded-lex order.
+def _basis_poly(a: int, b: int) -> BiPoly:
+    """The symmetric falling-basis element of the exponent pair (a, b), a >= b.
 
-    Pair (a, b) stands for x_(a) y_(b) + x_(b) y_(a) when a > b and for
+    The oracle's basis of degree <= d is ``upto(d)``, in graded-lex order:
+    (a, b) stands for x_(a) y_(b) + x_(b) y_(a) when a > b and for
     x_(a) y_(a) when a = b; falling factorials keep the evaluation matrix
     integral at the shifted integer points.
     """
-    return upto(d)
-
-
-def _basis_poly(a: int, b: int) -> BiPoly:
     if a == b:
         return falling_term(a, a)
     return falling_term(a, b) + falling_term(b, a)
@@ -125,7 +122,7 @@ def _ev_system(k, d: int) -> _EvSystem:
     cached = _SYSTEMS.get(key)
     if cached is not None:
         return cached
-    basis = sym_falling_basis(d)
+    basis = upto(d)
     mus = upto(d)
     columns = []
     for a, b in basis:

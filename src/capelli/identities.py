@@ -27,49 +27,23 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
 from .hypergeom import HypParams, falling, pfq_terminating
 from .ratfunc import RatFunc, UniPoly, render_frac, render_ratfunc
+from .report import Check
 
 X = UniPoly.x()
 
 
-@dataclass(frozen=True)
-class Witness:
-    point: str
-    lhs: str
-    rhs: str
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    params: tuple[tuple[str, object], ...]
-    status: str  # "pass" or "fail"
-    witness: Witness | None = None
-
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fail" and self.witness is None:
-            raise ValueError("failing report requires a witness")
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def _report(name: str, params, ok: bool, witness: Witness | None = None) -> IdentityReport:
-    return IdentityReport(
-        name=name,
-        params=tuple(params),
-        status="pass" if ok else "fail",
-        witness=None if ok else witness,
-    )
+def _report(name: str, params, ok: bool, point: str = "-", lhs: str = "-", rhs: str = "-") -> Check:
+    """The check record; a failing one names its witness point in ``lhs``."""
+    params = tuple((k, str(v)) for k, v in params)
+    if ok:
+        return Check(name, params, "pass")
+    return Check(name, params, "fail", f"{lhs} at {point}", rhs)
 
 
 # -- the derivative identity, in canonical rational-function form -------------------
@@ -132,29 +106,21 @@ def _check_ijn(i: int, j: int, n: int) -> None:
         raise ValueError(f"need 0 <= i, j and i + j <= N; got ({i}, {j}, {n})")
 
 
-def derivative_identity_check(i: int, j: int, n: int) -> IdentityReport:
+def derivative_identity_check(i: int, j: int, n: int) -> Check:
     lhs = lhs_derivative_identity(i, j, n)
     rhs = rhs_derivative_identity(i, j, n)
-    return _report(
-        "derivative-identity",
-        (("i", i), ("j", j), ("N", n)),
-        lhs == rhs,
-        Witness(point="-", lhs=render_ratfunc(lhs, "x"), rhs=render_ratfunc(rhs, "x")),
-    )
+    return _report("derivative-identity", (("i", i), ("j", j), ("N", n)), lhs == rhs,
+                   lhs=render_ratfunc(lhs, "x"), rhs=render_ratfunc(rhs, "x"))
 
 
-def logderiv_check(n: int) -> IdentityReport:
+def logderiv_check(n: int) -> Check:
     """d/dx x_(N) = sum_{t=1}^{N} (-1)^(t+1)/t * N_(t) x_(N-t), as polynomials."""
     lhs = _falling_x(n).derivative()
     rhs = UniPoly.zero()
     for t in range(1, n + 1):
         rhs = rhs + _falling_x(n - t).scale(Fraction((-1) ** (t + 1), t) * falling(n, t))
-    return _report(
-        "falling-log-derivative",
-        (("N", n),),
-        lhs == rhs,
-        Witness(point="-", lhs=render_ratfunc(RatFunc(lhs), "x"), rhs=render_ratfunc(RatFunc(rhs), "x")),
-    )
+    return _report("falling-log-derivative", (("N", n),), lhs == rhs,
+                   lhs=render_ratfunc(RatFunc(lhs), "x"), rhs=render_ratfunc(RatFunc(rhs), "x"))
 
 
 # -- the two-variable chain -----------------------------------------------------------
@@ -292,7 +258,7 @@ def chain_grid(i: int, j: int, n: int) -> list[tuple[Fraction, Fraction]]:
 
 def psi_chain_check(
     i: int, j: int, n: int, sample_points: Sequence[tuple[Fraction, Fraction]] | None = None
-) -> IdentityReport:
+) -> Check:
     """The full chain at exact sample points:
 
     psi_1 = psi_2 on the two-variable grid, and on the diagonal y = x - N,
@@ -309,26 +275,20 @@ def psi_chain_check(
         params = (("i", i), ("j", j), ("N", n), ("points", len(pts)))
     for (x, y), a, b in zip(pts, psi1_at(pts, d, j), psi2_at(pts, d, j)):
         if a != b:
-            return _report(
-                "psi-chain", params, False,
-                Witness(point=f"({render_frac(x)},{render_frac(y)})", lhs=render_frac(a), rhs=render_frac(b)),
-            )
+            return _report("psi-chain", params, False, f"({render_frac(x)},{render_frac(y)})",
+                           render_frac(a), render_frac(b))
     psi_r = rhs_derivative_identity(i, j, n)
     dpsi_l = psi_l(n, d, j).derivative()
     diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
     for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
         lhs_r = psi_r.eval(x)
         if lhs_r != on_diag:
-            return _report(
-                "psi-chain", params, False,
-                Witness(point=f"x={render_frac(x)}", lhs=render_frac(lhs_r), rhs=render_frac(on_diag)),
-            )
+            return _report("psi-chain", params, False, f"x={render_frac(x)}",
+                           render_frac(lhs_r), render_frac(on_diag))
         lhs_d = dpsi_l.eval(x)
         if lhs_d != rhs_d:
-            return _report(
-                "psi-chain", params, False,
-                Witness(point=f"x={render_frac(x)}", lhs=render_frac(lhs_d), rhs=render_frac(rhs_d)),
-            )
+            return _report("psi-chain", params, False, f"x={render_frac(x)}",
+                           render_frac(lhs_d), render_frac(rhs_d))
     return _report("psi-chain", params, True)
 
 
@@ -381,7 +341,7 @@ def f_grid(j: int, l: int) -> tuple[list[Fraction], list[Fraction]]:
 
 def f_closed_form_check(
     j: int, l: int, sample_x: Sequence[Fraction] | None = None, sample_y: Sequence[Fraction] | None = None
-) -> IdentityReport:
+) -> Check:
     """Defining sum vs closed form for every integer s in [0, l]."""
     if j < 0 or l < 0:
         raise ValueError("j and l must be non-negative")
@@ -394,14 +354,9 @@ def f_closed_form_check(
             for y in ys:
                 a, b = f_sum(s, j, l, x, y), f_closed(s, j, l, x, y)
                 if a != b:
-                    return _report(
-                        "f-closed-form", params, False,
-                        Witness(
-                            point=f"s={s},({render_frac(x)},{render_frac(y)})",
-                            lhs=render_frac(a),
-                            rhs=render_frac(b),
-                        ),
-                    )
+                    return _report("f-closed-form", params, False,
+                                   f"s={s},({render_frac(x)},{render_frac(y)})",
+                                   render_frac(a), render_frac(b))
     return _report("f-closed-form", params, True)
 
 
@@ -435,7 +390,7 @@ def h_hypergeometric(s: int, j: int, x: Fraction, y: Fraction) -> Fraction:
     return e1_term(0, s, x, y, j) * pfq_terminating(params)
 
 
-def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> IdentityReport:
+def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> Check:
     """H(s) = 1/s for integer s >= 1 (also matching the 5F4 route), and
     H(0) = sum 1/(y+t) - sum 1/(x+t); requires x, y, x - y - j > 0."""
     x, y = Fraction(x), Fraction(y)
@@ -447,14 +402,10 @@ def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> IdentityReport
         expected = Fraction(1, s)
         via_5f4 = h_hypergeometric(s, j, x, y)
         ok = got == expected == via_5f4
-        return _report(
-            "h-function", params, ok,
-            Witness(point=f"s={s}", lhs=render_frac(got), rhs=f"{render_frac(expected)} (5F4: {render_frac(via_5f4)})"),
-        )
+        return _report("h-function", params, ok, f"s={s}", render_frac(got),
+                       f"{render_frac(expected)} (5F4: {render_frac(via_5f4)})")
     expected = sum(Fraction(1) / (y + t) for t in range(1, j + 1)) - sum(
         Fraction(1) / (x + t) for t in range(1, j + 1)
     )
-    return _report(
-        "h-function", params, got == expected,
-        Witness(point="s=0", lhs=render_frac(got), rhs=render_frac(expected)),
-    )
+    return _report("h-function", params, got == expected, "s=0",
+                   render_frac(got), render_frac(expected))

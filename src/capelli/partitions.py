@@ -137,13 +137,3 @@ def upto(d: int) -> tuple[Pair2, ...]:
     for m in range(d + 1):
         out.extend(of_size(m))
     return tuple(out)
-
-
-def count_upto(d: int) -> int:
-    """|{lam : |lam| <= d}| = floor((d + 2)^2 / 4)."""
-    return (d + 2) ** 2 // 4
-
-
-def nonsingular(parts, k: int) -> tuple[Pair2, ...]:
-    """Drop k-singular partitions (the index set of indecomposable blocks)."""
-    return tuple(p for p in parts if classify(p, k) is not PClass.SINGULAR)

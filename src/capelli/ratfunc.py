@@ -64,7 +64,9 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", _trim([Fraction(c) for c in coeffs]))
+        # Fraction(c) on a Fraction costs as much as building one; keep it as is
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
@@ -161,8 +163,9 @@ class UniPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no squaring after the last bit
+                base = base * base
         return out
 
     def scale(self, c: Scalar) -> "UniPoly":

@@ -1,10 +1,16 @@
 """Verification sweeps over every exact identity the package implements.
 
-Each suite enumerates a deterministic list of small, picklable tasks; a task
-runs one check and returns a ``Check`` record.  Sweeps run either serially
-or on a process pool -- results are gathered in task order either way, so
-reports are byte-identical for identical invocations regardless of worker
-count.
+Each suite enumerates a deterministic list of small, picklable tasks
+``(family, args)``; a task runs one check and returns a ``Check`` record.
+Sweeps run either serially or on a process pool -- results are gathered in
+task order either way, so reports are byte-identical for identical
+invocations regardless of worker count.
+
+A check family is registered with the ``_family(name, *labels)`` decorator,
+which files it in ``_TASKS`` under ``name``.  The decorated body takes the
+task args and returns ``(ok, lhs, rhs)``, or a ``Check`` the library already
+built (the identity-e families, whose records carry extra params); the
+decorator renders the args as the record's params, one per label.
 
 A failed comparison is data (status ``fail`` with both sides rendered), not
 an exception; unexpected exceptions inside a check are also folded into a
@@ -15,11 +21,13 @@ raised.
 
 from __future__ import annotations
 
+import functools
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import deligne as dl
 from . import eigenpoly as ep
@@ -31,6 +39,9 @@ from .config import Config
 from .partitions import PClass, Pair2, classify, dagger, size, upto
 from .ratfunc import render_frac
 from .report import Check, RunReport
+
+# What a check body returns: ``(ok, lhs, rhs)``, or a record the library built.
+Outcome = tuple[bool, str, str] | Check
 
 SUITES = ("knop-sahi", "capelli", "identity-e", "dougall", "deligne", "all")
 
@@ -83,358 +94,245 @@ def _plam(lam: Pair2) -> str:
     return f"{lam[0]},{lam[1]}"
 
 
-def _check(name, params, ok, lhs="-", rhs="-") -> Check:
-    return Check(
-        name=name,
-        params=tuple((k, str(v)) for k, v in params),
-        status="pass" if ok else "fail",
-        lhs=lhs,
-        rhs=rhs,
-    )
+_TASKS: dict[str, Callable[..., Check]] = {}
 
 
-def _guarded(name, params, fn) -> Check:
-    try:
-        return fn()
-    except Exception as exc:  # a defect inside a check is a failing record
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
-        message = f": {exc}" if str(exc) else ""
-        lhs = f"error: {type(exc).__name__} at {where}{message}"
-        return _check(name, params, False, lhs=lhs, rhs="-")
+def _family(name: str, *labels: str):
+    """Register a check body as the family ``name`` in ``_TASKS``.
+
+    ``labels`` name the task args; a pair renders as ``a,b``, anything else
+    through ``str``.  The body returns ``(ok, lhs, rhs)``, or a ``Check`` the
+    library already built; an exception it raises becomes a failing record.
+    """
+
+    def register(body: Callable[..., Outcome]) -> Callable[..., Check]:
+        @functools.wraps(body)
+        def check(*args) -> Check:
+            params = tuple((k, _plam(v) if isinstance(v, tuple) else str(v))
+                           for k, v in zip(labels, args))
+            try:
+                out = body(*args)
+            except Exception as exc:  # a defect inside a check is a failing record
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+                message = f": {exc}" if str(exc) else ""
+                lhs = f"error: {type(exc).__name__} at {where}{message}"
+                return Check(name, params, "fail", lhs)
+            if isinstance(out, Check):
+                return out
+            ok, lhs, rhs = out
+            return Check(name, params, "pass" if ok else "fail", lhs, rhs)
+
+        _TASKS[name] = check
+        return check
+
+    return register
 
 
 # -- knop-sahi suite ----------------------------------------------------------------
 
 
-def check_characterization(lam: Pair2) -> Check:
-    params = (("lambda", _plam(lam)),)
-
-    def run() -> Check:
-        ok = ks.characterization_holds(lam)
-        return _check(
-            "characterization", params, ok,
-            lhs="P(mu1-kappa-1, mu2) over I(|lambda|)",
-            rhs="delta(lambda, mu) * H(kappa)",
-        )
-
-    return _guarded("characterization", params, run)
+@_family("characterization", "lambda")
+def check_characterization(lam: Pair2) -> Outcome:
+    return (ks.characterization_holds(lam),
+            "P(mu1-kappa-1, mu2) over I(|lambda|)", "delta(lambda, mu) * H(kappa)")
 
 
-def check_pole_set(lam: Pair2, k_max: int) -> Check:
-    params = (("lambda", _plam(lam)), ("k_max", k_max))
-
-    def run() -> Check:
-        got = sorted(ks.ks_pole_set(lam, k_max))
-        want = sorted(
-            k for k in range(k_max + 1) if classify(lam, k) is PClass.SINGULAR
-        )
-        return _check("pole-set", params, got == want, lhs=str(got), rhs=str(want))
-
-    return _guarded("pole-set", params, run)
+@_family("pole-set", "lambda", "k_max")
+def check_pole_set(lam: Pair2, k_max: int) -> Outcome:
+    got = sorted(ks.ks_pole_set(lam, k_max))
+    want = sorted(k for k in range(k_max + 1) if classify(lam, k) is PClass.SINGULAR)
+    return got == want, str(got), str(want)
 
 
-def check_singular_part(lam: Pair2, k: int) -> Check:
-    params = (("lambda", _plam(lam)), ("k", k))
-
-    def run() -> Check:
-        lamd = dagger(lam, k)
-        assert lamd is not None
-        lhs = ks.sing_part(lam, k)
-        rhs = ks.reg_part(lamd, k).scale(ks.r_coeff(lam, k))
-        return _check(
-            "singular-part", params, lhs == rhs,
-            lhs=render_bipoly(lhs), rhs=render_bipoly(rhs),
-        )
-
-    return _guarded("singular-part", params, run)
+@_family("singular-part", "lambda", "k")
+def check_singular_part(lam: Pair2, k: int) -> Outcome:
+    lamd = dagger(lam, k)
+    assert lamd is not None
+    lhs = ks.sing_part(lam, k)
+    rhs = ks.reg_part(lamd, k).scale(ks.r_coeff(lam, k))
+    return lhs == rhs, render_bipoly(lhs), render_bipoly(rhs)
 
 
-def check_q_values(lam: Pair2, k: int) -> Check:
+@_family("q-depolarized", "lambda", "k")
+def check_q_values(lam: Pair2, k: int) -> Outcome:
     """Q_lam route agreement plus its generalized values t1/t2 pattern."""
-    params = (("lambda", _plam(lam)), ("k", k))
-
-    def run() -> Check:
-        q = ks.q_poly(lam, k)  # asserts the two routes agree
-        t1, t2 = ks.tcheck_values(lam, k)
-        lamd = dagger(lam, k)
-        for mu in upto(size(lam)):
-            want = Fraction(0)
-            if mu == lamd:
-                want += t1
-            if mu == lam:
-                want += t2
-            got = ks.gen_eval(q, mu, k)
-            if got != want:
-                return _check(
-                    "q-depolarized", params, False,
-                    lhs=f"ev(Q, {_plam(mu)}) = {render_frac(got)}",
-                    rhs=render_frac(want),
-                )
-        return _check("q-depolarized", params, True,
-                      lhs=f"t1={render_frac(t1)}", rhs=f"t2={render_frac(t2)}")
-
-    return _guarded("q-depolarized", params, run)
+    q = ks.q_poly(lam, k)  # asserts the two routes agree
+    t1, t2 = ks.tcheck_values(lam, k)
+    lamd = dagger(lam, k)
+    for mu in upto(size(lam)):
+        want = Fraction(0)
+        if mu == lamd:
+            want += t1
+        if mu == lam:
+            want += t2
+        got = ks.gen_eval(q, mu, k)
+        if got != want:
+            return False, f"ev(Q, {_plam(mu)}) = {render_frac(got)}", render_frac(want)
+    return True, f"t1={render_frac(t1)}", f"t2={render_frac(t2)}"
 
 
-def check_basis_triangular(k: int, d: int) -> Check:
-    params = (("k", k), ("d", d))
-
-    def run() -> Check:
-        ok = ks.reg_basis_triangular(k, d)
-        return _check("reg-basis-triangular", params, ok,
-                      lhs="unitriangular in symmetric falling basis", rhs="graded-lex order")
-
-    return _guarded("reg-basis-triangular", params, run)
+@_family("reg-basis-triangular", "k", "d")
+def check_basis_triangular(k: int, d: int) -> Outcome:
+    return (ks.reg_basis_triangular(k, d),
+            "unitriangular in symmetric falling basis", "graded-lex order")
 
 
 # -- capelli suite ---------------------------------------------------------------------
 
 
-def check_eigen_routes(lam: Pair2, k: int) -> Check:
-    params = (("lambda", _plam(lam)), ("k", k))
-
-    def run() -> Check:
-        routes = ep.applicable_routes(lam, k)
-        bodies = [ep.eigen(lam, k, r).body for r in routes]
-        if classify(lam, k) is PClass.QUASIREGULAR:
-            bodies.append(ep.qreg_variation_body(lam, k))
-        oracle = bodies[len(routes) - 1]
-        closed = bodies[0]
-        if any(b != oracle for b in bodies):
-            return _check("eigen-routes", params, False,
-                          lhs=render_bipoly(closed), rhs=render_bipoly(oracle))
-        f = oracle
-        if f.total_degree() != size(lam) or not f.is_symmetric():
-            return _check("eigen-routes", params, False,
-                          lhs=f"degree {f.total_degree()}", rhs=f"expected {size(lam)}")
-        for mu in upto(size(lam)):
-            want = Fraction(int(mu == lam))
-            if ks.gen_eval(f, mu, k) != want:
-                return _check("eigen-routes", params, False,
-                              lhs=f"ev(f, {_plam(mu)})", rhs=render_frac(want))
-        return _check("eigen-routes", params, True,
-                      lhs=render_bipoly(closed), rhs=render_bipoly(oracle))
-
-    return _guarded("eigen-routes", params, run)
+@_family("eigen-routes", "lambda", "k")
+def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
+    routes = ep.applicable_routes(lam, k)
+    bodies = [ep.eigen(lam, k, r).body for r in routes]
+    if classify(lam, k) is PClass.QUASIREGULAR:
+        bodies.append(ep.qreg_variation_body(lam, k))
+    oracle = bodies[len(routes) - 1]
+    closed = bodies[0]
+    if any(b != oracle for b in bodies):
+        return False, render_bipoly(closed), render_bipoly(oracle)
+    f = oracle
+    if f.total_degree() != size(lam) or not f.is_symmetric():
+        return False, f"degree {f.total_degree()}", f"expected {size(lam)}"
+    for mu in upto(size(lam)):
+        want = Fraction(int(mu == lam))
+        if ks.gen_eval(f, mu, k) != want:
+            return False, f"ev(f, {_plam(mu)})", render_frac(want)
+    return True, render_bipoly(closed), render_bipoly(oracle)
 
 
-def check_restrictions(lam: Pair2, k: int) -> Check:
+@_family("jordan-restrictions", "lambda", "k")
+def check_restrictions(lam: Pair2, k: int) -> Outcome:
     """Jordan data on every block of size <= |lambda|.
 
     The nilpotent coefficient matters only on quasiregular blocks (regular
     blocks have no nilpotent direction at all); there it must be the delta
     on the dagger block of a singular lambda.  Evaluation must also agree
     across each quasiregular/singular shifted-point pair."""
-    params = (("lambda", _plam(lam)), ("k", k))
-
-    def run() -> Check:
-        cls = classify(lam, k)
-        lamd = dagger(lam, k)
-        f = ep.eigen(lam, k).body
-        sq = square_op(f)
-        for mu in upto(size(lam)):
-            mu_cls = classify(mu, k)
-            if mu_cls is PClass.SINGULAR:
-                continue
-            d_val, d_nil = ep.restriction_pair(f, sq, mu, k)
-            if mu_cls is PClass.QUASIREGULAR:
-                want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
-                if d_nil != want_nil:
-                    return _check("jordan-restrictions", params, False,
-                                  lhs=f"nil on {_plam(mu)} = {render_frac(d_nil)}",
-                                  rhs=render_frac(want_nil))
-                mud = dagger(mu, k)
-                assert mud is not None
-                a = f.eval2(*ks.eval_point(mu, k))
-                b = f.eval2(*ks.eval_point(mud, k))
-                if a != b:
-                    return _check("jordan-restrictions", params, False,
-                                  lhs=f"f at {_plam(mu)} = {render_frac(a)}",
-                                  rhs=f"f at {_plam(mud)} = {render_frac(b)}")
-        return _check("jordan-restrictions", params, True,
-                      lhs="nilpotent parts on quasiregular blocks",
-                      rhs="delta on the dagger block")
-
-    return _guarded("jordan-restrictions", params, run)
+    cls = classify(lam, k)
+    lamd = dagger(lam, k)
+    f = ep.eigen(lam, k).body
+    sq = square_op(f)
+    for mu in upto(size(lam)):
+        mu_cls = classify(mu, k)
+        if mu_cls is PClass.SINGULAR:
+            continue
+        d_val, d_nil = ep.restriction_pair(f, sq, mu, k)
+        if mu_cls is PClass.QUASIREGULAR:
+            want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
+            if d_nil != want_nil:
+                return False, f"nil on {_plam(mu)} = {render_frac(d_nil)}", render_frac(want_nil)
+            mud = dagger(mu, k)
+            assert mud is not None
+            a = f.eval2(*ks.eval_point(mu, k))
+            b = f.eval2(*ks.eval_point(mud, k))
+            if a != b:
+                return (False, f"f at {_plam(mu)} = {render_frac(a)}",
+                        f"f at {_plam(mud)} = {render_frac(b)}")
+    return True, "nilpotent parts on quasiregular blocks", "delta on the dagger block"
 
 
 # -- identity-e suite --------------------------------------------------------------------
+# The library builds these records; each body looks its check up on ``idn`` at
+# call time, so that a wrapper installed there (a tracer, a test) is reached.
 
 
-def _from_identity_report(rep: idn.IdentityReport) -> Check:
-    lhs, rhs = "-", "-"
-    if rep.witness is not None:
-        lhs = f"{rep.witness.lhs} at {rep.witness.point}"
-        rhs = rep.witness.rhs
-    return Check(
-        name=rep.name,
-        params=tuple((k, str(v)) for k, v in rep.params),
-        status=rep.status,
-        lhs=lhs,
-        rhs=rhs,
-    )
+@_family("derivative-identity", "i", "j", "N")
+def check_derivative_identity(i: int, j: int, n: int) -> Outcome:
+    return idn.derivative_identity_check(i, j, n)
 
 
-def check_derivative_identity(i: int, j: int, n: int) -> Check:
-    params = (("i", i), ("j", j), ("N", n))
-    return _guarded(
-        "derivative-identity", params,
-        lambda: _from_identity_report(idn.derivative_identity_check(i, j, n)),
-    )
+@_family("falling-log-derivative", "N")
+def check_logderiv(n: int) -> Outcome:
+    return idn.logderiv_check(n)
 
 
-def check_logderiv(n: int) -> Check:
-    return _guarded("falling-log-derivative", (("N", n),),
-                    lambda: _from_identity_report(idn.logderiv_check(n)))
+@_family("psi-chain", "i", "j", "N")
+def check_psi_chain(i: int, j: int, n: int) -> Outcome:
+    return idn.psi_chain_check(i, j, n)
 
 
-def check_psi_chain(i: int, j: int, n: int) -> Check:
-    params = (("i", i), ("j", j), ("N", n))
-    return _guarded("psi-chain", params,
-                    lambda: _from_identity_report(idn.psi_chain_check(i, j, n)))
+@_family("f-closed-form", "j", "l")
+def check_f_closed(j: int, l: int) -> Outcome:
+    return idn.f_closed_form_check(j, l)
 
 
-def check_f_closed(j: int, l: int) -> Check:
-    return _guarded("f-closed-form", (("j", j), ("l", l)),
-                    lambda: _from_identity_report(idn.f_closed_form_check(j, l)))
-
-
-def check_h_function(j: int, s: int) -> Check:
+@_family("h-function", "j", "s")
+def check_h_function(j: int, s: int) -> Outcome:
     """H(s) at two deterministic pole-free points per parameter pair."""
-    params = (("j", j), ("s", s))
-
-    def run() -> Check:
-        for y in (Fraction(5, 3), Fraction(3)):
-            for dx in (2, 5):
-                x = y + j + dx
-                rep = idn.h_function_check(j, s, x, y)
-                if not rep.passed:
-                    return _from_identity_report(rep)
-        return _check("h-function", params, True, lhs="sum E1(q,s)",
-                      rhs=("1/s and 5F4 route" if s else "harmonic difference"))
-
-    return _guarded("h-function", params, run)
+    for y in (Fraction(5, 3), Fraction(3)):
+        for dx in (2, 5):
+            rep = idn.h_function_check(j, s, y + j + dx, y)
+            if not rep.passed:
+                return rep
+    return True, "sum E1(q,s)", ("1/s and 5F4 route" if s else "harmonic difference")
 
 
 # -- dougall suite --------------------------------------------------------------------------
 
 
-def check_dougall(a: int, b: int, c: int, d: int) -> Check:
-    params = (("a", a), ("b", b), ("c", c), ("d", d))
-
-    def run() -> Check:
-        res = hg.dougall_check(a, b, c, d)
-        return _check("dougall", params, res.equal,
-                      lhs=render_frac(res.lhs), rhs=render_frac(res.rhs))
-
-    return _guarded("dougall", params, run)
+@_family("dougall", "a", "b", "c", "d")
+def check_dougall(a: int, b: int, c: int, d: int) -> Outcome:
+    res = hg.dougall_check(a, b, c, d)
+    return res.equal, render_frac(res.lhs), render_frac(res.rhs)
 
 
 # -- deligne suite ---------------------------------------------------------------------------
 
 
-def check_min_poly(d: int, t: Fraction) -> Check:
-    params = (("d", d), ("t", render_frac(t)))
-
-    def run() -> Check:
-        ok = dl.min_poly_is_minimal(d, t)
-        return _check("min-poly", params, ok,
-                      lhs="annihilates all size-d blocks", rhs="no proper divisor does")
-
-    return _guarded("min-poly", params, run)
+@_family("min-poly", "d", "t")
+def check_min_poly(d: int, t: Fraction) -> Outcome:
+    return (dl.min_poly_is_minimal(d, t),
+            "annihilates all size-d blocks", "no proper divisor does")
 
 
-def check_cat_routes(lam: Pair2, t: Fraction) -> Check:
-    params = (("lambda", _plam(lam)), ("t", render_frac(t)))
-
-    def run() -> Check:
-        a = dl.cat_eig_from_blocks(lam, t)
-        b = dl.cat_eig_formula(lam, t)
-        return _check("cat-eigen", params, a == b,
-                      lhs=render_bipoly(a), rhs=render_bipoly(b))
-
-    return _guarded("cat-eigen", params, run)
+@_family("cat-eigen", "lambda", "t")
+def check_cat_routes(lam: Pair2, t: Fraction) -> Outcome:
+    a = dl.cat_eig_from_blocks(lam, t)
+    b = dl.cat_eig_formula(lam, t)
+    return a == b, render_bipoly(a), render_bipoly(b)
 
 
-def check_super_cat(lam: Pair2, k: int) -> Check:
-    params = (("lambda", _plam(lam)), ("k", k))
-
-    def run() -> Check:
-        a = dl.cat_eig_formula(lam, Fraction(-2 * k))
-        b = ep.eigen(lam, k).body
-        return _check("super-cat-degeneration", params, a == b,
-                      lhs=render_bipoly(a), rhs=render_bipoly(b))
-
-    return _guarded("super-cat-degeneration", params, run)
+@_family("super-cat-degeneration", "lambda", "k")
+def check_super_cat(lam: Pair2, k: int) -> Outcome:
+    a = dl.cat_eig_formula(lam, Fraction(-2 * k))
+    b = ep.eigen(lam, k).body
+    return a == b, render_bipoly(a), render_bipoly(b)
 
 
-def check_vanishing_suite(lam: Pair2, t: Fraction) -> Check:
+@_family("block-vanishing", "lambda", "t")
+def check_vanishing_suite(lam: Pair2, t: Fraction) -> Outcome:
     """Dual-number pattern of d_op at s = t over all blocks of size <= |lam|:
     (1,0) on the lam block, (0,1) on the dagger block when lam indexes no
     block itself, (0,0) everywhere else.  Includes the idempotent limit (the
     nil part on a quasiregular lam's own block is exactly zero)."""
-    params = (("lambda", _plam(lam)), ("t", render_frac(t)))
-
-    def run() -> Check:
-        op_t = dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t))
-        singular_partner = None
-        if dl.is_even_nonpositive(t):
-            k = int(dl.kbar(t))
-            if classify(lam, k) is PClass.SINGULAR:
-                singular_partner = dagger(lam, k)
-        for m in range(size(lam) + 1):
-            for blk in dl.blocks(m, t):
-                got = dl.block_eval(op_t, blk)
-                if singular_partner is not None:
-                    want = dl.DualScalar(Fraction(0), Fraction(int(blk.lam == singular_partner)))
-                else:
-                    want = dl.DualScalar(Fraction(int(blk.lam == lam)), Fraction(0))
-                if got != want:
-                    return _check(
-                        "block-vanishing", params, False,
-                        lhs=f"on {_plam(blk.lam)}: ({render_frac(got.value)},{render_frac(got.nil)})",
-                        rhs=f"({render_frac(want.value)},{render_frac(want.nil)})",
-                    )
-        return _check("block-vanishing", params, True,
-                      lhs="dual action on blocks", rhs="identity/nilpotent pattern")
-
-    return _guarded("block-vanishing", params, run)
+    op_t = dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t))
+    singular_partner = None
+    if dl.is_even_nonpositive(t):
+        k = int(dl.kbar(t))
+        if classify(lam, k) is PClass.SINGULAR:
+            singular_partner = dagger(lam, k)
+    for m in range(size(lam) + 1):
+        for blk in dl.blocks(m, t):
+            got = dl.block_eval(op_t, blk)
+            if singular_partner is not None:
+                want = dl.DualScalar(Fraction(0), Fraction(int(blk.lam == singular_partner)))
+            else:
+                want = dl.DualScalar(Fraction(int(blk.lam == lam)), Fraction(0))
+            if got != want:
+                return (False,
+                        f"on {_plam(blk.lam)}: ({render_frac(got.value)},{render_frac(got.nil)})",
+                        f"({render_frac(want.value)},{render_frac(want.nil)})")
+    return True, "dual action on blocks", "identity/nilpotent pattern"
 
 
-def check_scalar_limit(lam: Pair2, k: int) -> Check:
-    params = (("lambda", _plam(lam)), ("k", k))
-
-    def run() -> Check:
-        lhs, rhs = dl.singular_scale_limit(lam, k)
-        return _check("singular-scale-limit", params, lhs == rhs,
-                      lhs=render_frac(lhs), rhs=render_frac(rhs))
-
-    return _guarded("singular-scale-limit", params, run)
+@_family("singular-scale-limit", "lambda", "k")
+def check_scalar_limit(lam: Pair2, k: int) -> Outcome:
+    lhs, rhs = dl.singular_scale_limit(lam, k)
+    return lhs == rhs, render_frac(lhs), render_frac(rhs)
 
 
 # -- task plumbing -----------------------------------------------------------------------------
-
-_TASKS = {
-    "characterization": check_characterization,
-    "pole-set": check_pole_set,
-    "singular-part": check_singular_part,
-    "q-depolarized": check_q_values,
-    "reg-basis-triangular": check_basis_triangular,
-    "eigen-routes": check_eigen_routes,
-    "jordan-restrictions": check_restrictions,
-    "derivative-identity": check_derivative_identity,
-    "falling-log-derivative": check_logderiv,
-    "psi-chain": check_psi_chain,
-    "f-closed-form": check_f_closed,
-    "h-function": check_h_function,
-    "dougall": check_dougall,
-    "min-poly": check_min_poly,
-    "cat-eigen": check_cat_routes,
-    "super-cat-degeneration": check_super_cat,
-    "block-vanishing": check_vanishing_suite,
-    "singular-scale-limit": check_scalar_limit,
-}
 
 Task = tuple[str, tuple]
 

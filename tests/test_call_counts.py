@@ -6,8 +6,9 @@ Nothing is timed, so the guards are deterministic: they fail when a change
 brings back normalization in Q(kappa) where values at kappa = k are read off
 the local expansion, rebuilds an eigenvalue polynomial per block,
 specializes a block-model operator per block instead of once per check,
-normalizes the derivative identity per term, or recomputes a psi-chain
-factor per sample point that depends on x or y alone.
+normalizes the derivative identity per term, recomputes a psi-chain factor
+per sample point that depends on x or y alone, or squares a polynomial
+power's base after its last bit.
 """
 
 from fractions import Fraction as Q
@@ -132,3 +133,11 @@ def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     idn.psi1_at(pts, d, j)
     # on the chain grid every x exceeds every integer the constants use
     assert len([a for a in falls if a[0] in xs]) <= len(xs) * (d + 1)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_power_squares_no_more_than_needed(monkeypatch, n):
+    p = UniPoly((1, 2, 3))
+    muls = _counter(monkeypatch, UniPoly, "__mul__")
+    p ** n
+    assert len(muls) <= (n.bit_length() - 1 if n else 0) + bin(n).count("1")

@@ -191,3 +191,11 @@ class TestConfig:
         cfg.write_text("nonsense = 3\n")
         code, _, _ = run_cli(["table", "--config", str(cfg)])
         assert code == 2
+
+    def test_invalid_utf8_config_is_one_line(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"jobs=1\n\xff\n")
+        code, out, err = run_cli(["table", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"capelli: error: cannot read config file {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from capelli import identities as idn
 from capelli.hypergeom import falling
 from capelli.ratfunc import RatFunc, UniPoly
+from capelli.report import Check
 
 X = UniPoly.x()
 
@@ -15,7 +16,7 @@ def RF(num, den=(1,)):
     return RatFunc(UniPoly(num), UniPoly(den))
 
 
-def verify_derivative_identity(n_max: int) -> list[idn.IdentityReport]:
+def verify_derivative_identity(n_max: int) -> list[Check]:
     """All triples 0 <= i + j <= N <= n_max, in deterministic order."""
     out = []
     for n in range(n_max + 1):
@@ -215,11 +216,15 @@ class TestHFunction:
             idn.h_function_check(3, 1, Q(4), Q(2))
 
 
-class TestReportType:
-    def test_fail_requires_witness(self):
-        with pytest.raises(ValueError):
-            idn.IdentityReport(name="x", params=(), status="fail", witness=None)
-
-    def test_status_vocabulary(self):
-        with pytest.raises(ValueError):
-            idn.IdentityReport(name="x", params=(), status="maybe")
+def test_failing_psi_chain_record_names_its_witness(monkeypatch):
+    """A grid mismatch gives the exact record: the grid's size and degree
+    bound among the params, the witness point after the left side."""
+    psi2_at = idn.psi2_at
+    monkeypatch.setattr(idn, "psi2_at", lambda pts, d, j: [v + 1 for v in psi2_at(pts, d, j)])
+    assert idn.psi_chain_check(1, 2, 4) == Check(
+        name="psi-chain",
+        params=(("i", "1"), ("j", "2"), ("N", "4"), ("points", "225"), ("degree_bound", "14")),
+        status="fail",
+        lhs="-747/98 at (5,1/3)",
+        rhs="-649/98",
+    )

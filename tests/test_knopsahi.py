@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from capelli import knopsahi as ks
-from capelli.bipoly import BiPoly, from_falling, to_falling_coeff
+from capelli.bipoly import BiPoly, falling_expansion, from_falling
 from capelli.partitions import PClass, classify, dagger, h_poly, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
@@ -27,7 +27,7 @@ class TestConstruction:
     def test_leading_falling_coefficient_is_one(self):
         for lam in upto(6):
             body = ks.ks_poly(lam).body
-            assert to_falling_coeff(body, lam[0], lam[1]) == RatFunc.one()
+            assert falling_expansion(body).get(lam, 0) == RatFunc.one()
             assert body.total_degree() == size(lam)
             assert body.is_symmetric()
 

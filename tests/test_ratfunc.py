@@ -227,6 +227,14 @@ def test_local_expansion_matches_definitions(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(polys, st.integers(0, 9))
+def test_power_is_repeated_product(p, n):
+    want = UniPoly.one()
+    for _ in range(n):
+        want = want * p
+    assert p ** n == want
+
+
 @given(polys, small_frac)
 def test_value_and_slope_is_one_horner_pass(p, a):
     assert p.value_and_slope(a) == (p(a), p.derivative()(a))

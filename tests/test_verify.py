@@ -1,11 +1,16 @@
 import re
+from fractions import Fraction as Q
 
 import pytest
 
+from capelli import deligne as dl
+from capelli import hypergeom as hg
+from capelli import identities as idn
 from capelli import knopsahi as ks
 from capelli import verify as vf
 from capelli.config import Config
 from capelli.ratfunc import RatFunc, UniPoly
+from capelli.report import Check
 
 
 def test_raising_check_names_type_and_frame(monkeypatch):
@@ -23,6 +28,58 @@ def test_bare_assertion_still_names_its_frame(monkeypatch):
     monkeypatch.setattr(ks, "characterization_holds", broken)
     check = vf.check_characterization((1, 0))
     assert re.fullmatch(r"error: AssertionError at test_verify\.py:\d+", check.lhs)
+
+
+def test_every_family_is_registered_once():
+    used = {name for name, _ in vf.suite_tasks("all", vf.Bounds())}
+    assert set(vf._TASKS) == used
+
+
+@pytest.mark.parametrize(
+    "family, attr, args",
+    [
+        ("derivative-identity", "derivative_identity_check", (1, 1, 3)),
+        ("falling-log-derivative", "logderiv_check", (4,)),
+        ("psi-chain", "psi_chain_check", (1, 1, 3)),
+        ("f-closed-form", "f_closed_form_check", (1, 1)),
+        ("h-function", "h_function_check", (1, 1)),
+    ],
+)
+def test_identity_families_look_up_their_check_at_call_time(monkeypatch, family, attr, args):
+    # a wrapper installed on the identities module (a tracer, say) must be reached
+    record = Check(name=family, params=(("seen", "1"),), status="fail", lhs="a at p", rhs="b")
+    monkeypatch.setattr(idn, attr, lambda *a: record)
+    assert vf.run_task((family, args)) is record
+
+
+def _raise_boom(*args):
+    raise ValueError("boom")
+
+
+_BOOM_LINE = _raise_boom.__code__.co_firstlineno + 1
+_H_SUM = idn.h_sum
+
+
+@pytest.mark.parametrize(
+    "owner, attr, stub, task, want",
+    [
+        (ks, "ks_pole_set", lambda lam, k: [0, 9], ("pole-set", ((3, 1), 6)),
+         Check("pole-set", (("lambda", "3,1"), ("k_max", "6")), "fail", "[0, 9]", "[0]")),
+        (dl, "min_poly_is_minimal", lambda d, t: False, ("min-poly", (3, Q(-5, 3))),
+         Check("min-poly", (("d", "3"), ("t", "-5/3")), "fail",
+               "annihilates all size-d blocks", "no proper divisor does")),
+        (hg, "dougall_check", _raise_boom, ("dougall", (1, 2, 3, 4)),
+         Check("dougall", (("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")), "fail",
+               f"error: ValueError at test_verify.py:{_BOOM_LINE}: boom")),
+        (idn, "h_sum", lambda s, j, x, y: _H_SUM(s, j, x, y) + 1, ("h-function", (2, 1)),
+         Check("h-function", (("j", "2"), ("s", "1"), ("x", "17/3"), ("y", "5/3")), "fail",
+               "2 at s=1", "1 (5F4: 1)")),
+    ],
+    ids=["pole-set", "min-poly", "raising-dougall", "h-function-point"],
+)
+def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
+    monkeypatch.setattr(owner, attr, stub)
+    assert vf.run_task(task) == want
 
 
 @pytest.mark.parametrize("field", ["psi_n_max", "deligne_size_max", "minpoly_d_max"])
