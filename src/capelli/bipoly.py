@@ -73,17 +73,11 @@ class BiPoly:
         """Maximum of i + j over stored terms; -1 for the zero polynomial."""
         return max((i + j for i, j in self.terms), default=-1)
 
-    def coeff(self, i: int, j: int):
-        return self.terms.get((i, j), Fraction(0))
-
     def is_symmetric(self) -> bool:
         for (i, j), c in self.terms.items():
             if i != j and self.terms.get((j, i)) != c:
                 return False
         return True
-
-    def swap(self) -> "BiPoly":
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
 
     # -- ring operations ---------------------------------------------------------
 

@@ -59,7 +59,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_t_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(tok) for tok in text.split(",") if tok.strip())
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise UsageError(f"--t-list has an empty entry: {text!r}")
+    return tuple(parse_rational(tok) for tok in tokens)
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -186,15 +189,6 @@ def cmd_ks(args, cfg) -> int:
     return 0
 
 
-_ROUTES = {
-    "a": ep.Route.A,
-    "b": ep.Route.B,
-    "c": ep.Route.C,
-    "d": ep.Route.D,
-    "oracle": ep.Route.ORACLE,
-}
-
-
 def cmd_eig(args, cfg) -> int:
     lam = parse_partition(args.partition)
     _check_size(lam, cfg)
@@ -207,8 +201,8 @@ def cmd_eig(args, cfg) -> int:
     if args.route == "all":
         routes = ep.applicable_routes(lam, k)
         bodies = [ep.eigen(lam, k, r) for r in routes]
-        agree = all(b.body == bodies[0].body for b in bodies)
-        rendered = render_bipoly(bodies[0].body, falling=args.falling)
+        agree = all(b == bodies[0] for b in bodies)
+        rendered = render_bipoly(bodies[0], falling=args.falling)
         if args.format == "json":
             doc = {
                 "command": "eig", "lambda": args.partition, "k": k,
@@ -221,10 +215,11 @@ def cmd_eig(args, cfg) -> int:
         else:
             _emit(f"{rendered}\nroutes agree: {'yes' if agree else 'NO'}\n", args.out)
         return 0 if agree else FAIL_EXIT
-    route = _ROUTES[args.route]
-    if route not in ep.applicable_routes(lam, k):
-        raise UsageError(f"lambda is {k}-{cls.value}; route {args.route} requires {_route_class(route)}")
-    body = ep.eigen(lam, k, route).body
+    route = ep.Route(args.route)
+    if route not in ep.ROUTES[cls]:
+        need = next(c for c, routes in ep.ROUTES.items() if route in routes)
+        raise UsageError(f"lambda is {k}-{cls.value}; route {args.route} requires {need.value}")
+    body = ep.eigen(lam, k, route)
     rendered = render_bipoly(body, falling=args.falling)
     if args.format == "json":
         doc = {"command": "eig", "lambda": args.partition, "k": k,
@@ -233,15 +228,6 @@ def cmd_eig(args, cfg) -> int:
     else:
         _emit(rendered + "\n", args.out)
     return 0
-
-
-def _route_class(route: ep.Route) -> str:
-    return {
-        ep.Route.A: "regular",
-        ep.Route.B: "singular",
-        ep.Route.C: "quasiregular",
-        ep.Route.D: "quasiregular",
-    }.get(route, "any class")
 
 
 def cmd_deligne(args, cfg) -> int:

@@ -41,9 +41,9 @@ from .partitions import (
     c_cat,
     check_partition,
     classify,
-    dagger,
     h_poly,
     of_size,
+    paired,
     size,
 )
 from .ratfunc import RatFunc, UniPoly
@@ -205,14 +205,11 @@ def d_op(lam: Pair2, t: Fraction) -> BiPoly:
         k = int(kbar(t))
         cls = classify(lam, k)
         if cls is PClass.SINGULAR:
-            lamd = dagger(lam, k)
-            assert lamd is not None
+            lamd = paired(lam, k, cls)
             gap = RatFunc(c_cat_poly(lamd) - c_cat_poly(lam))
             op = l_op(lamd).scale(gap)
         elif cls is PClass.QUASIREGULAR:
-            lamd = dagger(lam, k)
-            assert lamd is not None
-            op = l_op(lam) + l_op(lamd)
+            op = l_op(lam) + l_op(paired(lam, k, cls))
         else:
             op = l_op(lam)
     else:
@@ -254,9 +251,7 @@ def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
             duals.append((b, dv))
             values[b.lam] = dv.value
             if b.mult == 2:
-                partner = dagger(b.lam, int(kb))
-                assert partner is not None
-                values[partner] = dv.nil
+                values[paired(b.lam, int(kb), PClass.QUASIREGULAR)] = dv.nil
     f = interpolate_ev(values, d, kb)
     sq = square_op(f)
     for b, dv in duals:
@@ -284,8 +279,7 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
         k = int(kb)
         cls = classify(lam, k)
         if cls is PClass.SINGULAR:
-            lamd = dagger(lam, k)
-            assert lamd is not None
+            lamd = paired(lam, k, cls)
             gap = RatFunc((c_cat_poly(lamd) - c_cat_poly(lam)))
             scale = gap / RatFunc(h_poly(lamd).compose(HALF_NEG_S))
             body_s = ks_poly(lamd).body.map_coeffs(
@@ -293,8 +287,7 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
             )
             return body_s.map_coeffs(lambda c: c.eval(t))
         if cls is PClass.QUASIREGULAR:
-            lamd = dagger(lam, k)
-            assert lamd is not None
+            lamd = paired(lam, k, cls)
             inv_h = RatFunc.one() / RatFunc(h_poly(lam).compose(HALF_NEG_S))
             inv_hd = RatFunc.one() / RatFunc(h_poly(lamd).compose(HALF_NEG_S))
             body_s = ks_poly(lam).body.map_coeffs(
@@ -316,10 +309,7 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
 
     Returns both sides, exactly.
     """
-    if classify(lam, k) is not PClass.SINGULAR:
-        raise ValueError(f"{lam} is not {k}-singular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.SINGULAR)
     ratio = RatFunc(c_cat_poly(lamd) - c_cat_poly(lam)) / RatFunc(
         h_poly(lamd).compose(HALF_NEG_S)
     )

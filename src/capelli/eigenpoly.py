@@ -15,13 +15,15 @@ Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
 ORACLE).  The oracle rests only on unique solvability, so when a closed form
 disagrees it is the closed form that is reported as wrong.
+
+Every route returns f_lam itself, a ``BiPoly`` with rational coefficients.
+Which routes apply to which class is known here only, in ``ROUTES``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -39,10 +41,10 @@ from .partitions import (
     Pair2,
     check_partition,
     classify,
-    dagger,
     ell,
     h_poly,
     nu,
+    paired,
     size,
     upto,
 )
@@ -57,12 +59,12 @@ class Route(enum.Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class EigenPoly:
-    lam: Pair2
-    k: int
-    body: BiPoly
-    route: Route
+# The routes that apply to each class, closed form first and the oracle last.
+ROUTES: dict[PClass, tuple[Route, ...]] = {
+    PClass.REGULAR: (Route.A, Route.ORACLE),
+    PClass.SINGULAR: (Route.B, Route.ORACLE),
+    PClass.QUASIREGULAR: (Route.C, Route.D, Route.ORACLE),
+}
 
 
 class SingularSystemError(ArithmeticError):
@@ -107,41 +109,31 @@ def _basis_poly(a: int, b: int) -> BiPoly:
     return falling_term(a, b) + falling_term(b, a)
 
 
-@dataclass(frozen=True)
-class _EvSystem:
-    basis: tuple[Pair2, ...]
-    mus: tuple[Pair2, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+# (k, d) -> the evaluation matrix: row mu, column (a, b), both over upto(d)
+_SYSTEMS: dict[tuple[Fraction, int], tuple[tuple[Fraction, ...], ...]] = {}
 
 
-_SYSTEMS: dict[tuple[Fraction, int], _EvSystem] = {}
-
-
-def _ev_system(k, d: int) -> _EvSystem:
+def _ev_matrix(k, d: int) -> tuple[tuple[Fraction, ...], ...]:
     key = (Fraction(k), d)
     cached = _SYSTEMS.get(key)
     if cached is not None:
         return cached
-    basis = upto(d)
-    mus = upto(d)
+    parts = upto(d)
     columns = []
-    for a, b in basis:
+    for a, b in parts:
         g = _basis_poly(a, b)
         sq = square_op(g)
         col = []
-        for mu in mus:
+        for mu in parts:
             pt = eval_point(mu, k)
             if is_integer_parameter(k) and classify(mu, int(Fraction(k))) is PClass.SINGULAR:
                 col.append(sq.eval2(*pt))
             else:
                 col.append(g.eval2(*pt))
         columns.append(col)
-    matrix = tuple(
-        tuple(columns[c][r] for c in range(len(basis))) for r in range(len(mus))
-    )
-    system = _EvSystem(basis=basis, mus=mus, matrix=matrix)
-    _SYSTEMS[key] = system
-    return system
+    matrix = tuple(zip(*columns))
+    _SYSTEMS[key] = matrix
+    return matrix
 
 
 def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
@@ -151,63 +143,53 @@ def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
     Solves the exact linear system in the symmetric falling basis; a rank
     drop raises ``SingularSystemError`` (it cannot happen legitimately).
     """
-    system = _ev_system(k, d)
-    rhs = [Fraction(values.get(mu, Fraction(0))) for mu in system.mus]
-    coeffs = gauss_solve([list(row) for row in system.matrix], rhs)
+    parts = upto(d)
+    rhs = [Fraction(values.get(mu, Fraction(0))) for mu in parts]
+    coeffs = gauss_solve([list(row) for row in _ev_matrix(k, d)], rhs)
     body = BiPoly.zero()
-    for c, (a, b) in zip(coeffs, system.basis):
+    for c, (a, b) in zip(coeffs, parts):
         if c:
             body = body + _basis_poly(a, b).scale(c)
     return body
 
 
-def eig_oracle(lam: Pair2, k: int) -> EigenPoly:
+def eig_oracle(lam: Pair2, k: int) -> BiPoly:
     """Route ORACLE: solve gen_eval(f, mu) = delta_{lam,mu} directly."""
     check_partition(lam)
-    body = interpolate_ev({lam: Fraction(1)}, size(lam), k)
-    return EigenPoly(lam=lam, k=k, body=body, route=Route.ORACLE)
+    return interpolate_ev({lam: Fraction(1)}, size(lam), k)
 
 
 # -- closed-form routes ------------------------------------------------------------
 
 
-def eig_regular(lam: Pair2, k: int) -> EigenPoly:
+def eig_regular(lam: Pair2, k: int) -> BiPoly:
     """Route A (k-regular lam): P_lam^k scaled by 1 / H_lam(k)."""
     if classify(lam, k) is not PClass.REGULAR:
         raise ValueError(f"{lam} is not {k}-regular; route a requires regular")
     h = Fraction(h_poly(lam)(k))
     if not h:
         raise AssertionError(f"H_{lam}({k}) = 0 on a regular partition")
-    body = reg_part(lam, k).scale(1 / h)
-    return EigenPoly(lam=lam, k=k, body=body, route=Route.A)
+    return reg_part(lam, k).scale(1 / h)
 
 
-def eig_singular(lam: Pair2, k: int) -> EigenPoly:
+def eig_singular(lam: Pair2, k: int) -> BiPoly:
     """Route B (k-singular lam): rescaled specialization of P at the dagger."""
-    if classify(lam, k) is not PClass.SINGULAR:
-        raise ValueError(f"{lam} is not {k}-singular; route b requires singular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.SINGULAR)
     scale = Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
-    body = reg_part(lamd, k).scale(scale)
-    return EigenPoly(lam=lam, k=k, body=body, route=Route.B)
+    return reg_part(lamd, k).scale(scale)
 
 
-def eig_qreg_limit(lam: Pair2, k: int) -> EigenPoly:
+def eig_qreg_limit(lam: Pair2, k: int) -> BiPoly:
     """Route C (k-quasiregular lam): pole-cancelling limit of the H-normalized
     sum P_lam/H_lam + P_{lam+}/H_{lam+} at kappa = k."""
-    if classify(lam, k) is not PClass.QUASIREGULAR:
-        raise ValueError(f"{lam} is not {k}-quasiregular; route c requires quasiregular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.QUASIREGULAR)
     combined = ks_poly(lam).body.scale(RatFunc(1, h_poly(lam))) + ks_poly(lamd).body.scale(
         RatFunc(1, h_poly(lamd))
     )
     try:
-        body = combined.map_coeffs(lambda c: c.eval(k))
+        return combined.map_coeffs(lambda c: c.eval(k))
     except PoleError as exc:  # the poles must cancel in the sum
         raise AssertionError(f"residual pole in route c for {lam}, k={k}: {exc}") from exc
-    return EigenPoly(lam=lam, k=k, body=body, route=Route.C)
 
 
 def m_coeff(lam: Pair2, mu: Pair2, k: int) -> Fraction:
@@ -241,19 +223,16 @@ def m_coeff(lam: Pair2, mu: Pair2, k: int) -> Fraction:
     )
 
 
-def eig_qreg_explicit(lam: Pair2, k: int) -> EigenPoly:
+def eig_qreg_explicit(lam: Pair2, k: int) -> BiPoly:
     """Route D (k-quasiregular lam): explicit combination in the regularized
     basis,
 
         f_lam = (l+1)! / ((l1-k-1)! (l1+l-k)!) *
                 ( R_{lam+} / (2k+2-l1+l2)!  +  sum_mu M_{lam,mu} R_{nu(lam,mu)} ).
     """
-    if classify(lam, k) is not PClass.QUASIREGULAR:
-        raise ValueError(f"{lam} is not {k}-quasiregular; route d requires quasiregular")
+    lamd = paired(lam, k, PClass.QUASIREGULAR)
     l = ell(lam, k)
     l1, l2 = lam
-    lamd = dagger(lam, k)
-    assert lamd is not None
     pre = Fraction(
         math.factorial(l + 1), math.factorial(l1 - k - 1) * math.factorial(l1 + l - k)
     )
@@ -262,7 +241,7 @@ def eig_qreg_explicit(lam: Pair2, k: int) -> EigenPoly:
         c = m_coeff(lam, mu, k)
         if c:
             acc = acc + reg_part(nu(lam, mu, k), k).scale(c)
-    return EigenPoly(lam=lam, k=k, body=acc.scale(pre), route=Route.D)
+    return acc.scale(pre)
 
 
 def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
@@ -274,10 +253,7 @@ def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
     beta = H_{lam+}.  Built entirely from the depolarization primitives, so
     it cross-checks them against the eigenvalue routes.
     """
-    if classify(lam, k) is not PClass.QUASIREGULAR:
-        raise ValueError(f"{lam} is not {k}-quasiregular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.QUASIREGULAR)
     r = r_coeff(lamd, k)
     alpha = RatFunc(h_poly(lam).scale(-r), UniPoly((-k, 1)))
     beta = RatFunc(h_poly(lamd))
@@ -290,12 +266,7 @@ def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
 
 
 def applicable_routes(lam: Pair2, k: int) -> tuple[Route, ...]:
-    cls = classify(lam, k)
-    if cls is PClass.REGULAR:
-        return (Route.A, Route.ORACLE)
-    if cls is PClass.SINGULAR:
-        return (Route.B, Route.ORACLE)
-    return (Route.C, Route.D, Route.ORACLE)
+    return ROUTES[classify(lam, k)]
 
 
 _ROUTE_FN = {
@@ -307,7 +278,7 @@ _ROUTE_FN = {
 }
 
 
-def eigen(lam: Pair2, k: int, route: Route | None = None) -> EigenPoly:
+def eigen(lam: Pair2, k: int, route: Route | None = None) -> BiPoly:
     """f_lam via the requested route, or the class-appropriate closed form."""
     if route is None:
         route = applicable_routes(lam, k)[0]

@@ -9,15 +9,18 @@ as an explicit double sum of rational functions; it is checked here as an
 equality of canonical rational functions, no sampling involved.  The
 left side is the quotient-rule derivative; the right side sums its
 numerators over the shared denominator x_(N)^2 and is normalized once.
+Each x_(m) is ``UniPoly(falling_coeffs(m))``, the cached table of
+``bipoly``, and a check renders its two sides only when it fails.
 
 The supporting chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two
 variables; those identities are verified by exact evaluation on
 deterministic tensor grids whose sizes exceed the degree bounds obtained by
 clearing the (explicit, y-only or small) denominators, which suffices for a
-polynomial identity.  psi_1 and psi_2 are evaluated over a whole point list
-at once, each from its own tables: the factors that depend on x alone are
-computed once per distinct x, those that depend on y alone (with their pole
-checks) once per distinct y, and only the mixed factor per point.
+polynomial identity.  psi_1 and psi_2 are evaluated only over a whole point
+list at once (``psi1_at``, ``psi2_at``), each from its own tables: the
+factors that depend on x alone are computed once per distinct x, those that
+depend on y alone (with their pole checks) once per distinct y, and only the
+mixed factor per point.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -27,12 +30,12 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
+from .bipoly import falling_coeffs
 from .hypergeom import HypParams, falling, pfq_terminating
-from .ratfunc import RatFunc, UniPoly, render_frac, render_ratfunc
+from .ratfunc import RatFunc, UniPoly, render_frac, render_ratfunc, render_unipoly
 from .report import Check
 
 X = UniPoly.x()
@@ -49,15 +52,11 @@ def _report(name: str, params, ok: bool, point: str = "-", lhs: str = "-", rhs: 
 # -- the derivative identity, in canonical rational-function form -------------------
 
 
-@lru_cache(maxsize=None)
-def _falling_x(m: int) -> UniPoly:
-    return UniPoly.falling(X, m)
-
-
 def lhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
     """d/dx of x_(N-i) x_(N-j) / x_(N), canonical in Q(x)."""
     _check_ijn(i, j, n)
-    return RatFunc(_falling_x(n - i) * _falling_x(n - j), _falling_x(n)).derivative()
+    num = UniPoly(falling_coeffs(n - i)) * UniPoly(falling_coeffs(n - j))
+    return RatFunc(num, UniPoly(falling_coeffs(n))).derivative()
 
 
 def rhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
@@ -94,11 +93,12 @@ def rhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
             if not const:
                 continue
             if p not in body:
-                body[p] = _falling_x(p - i) * _falling_x(p - j) * tail[p]
+                body[p] = UniPoly(falling_coeffs(p - i)) * UniPoly(falling_coeffs(p - j)) * tail[p]
             lead = lead + body[p].scale(const)
             rest = rest + body[p].scale(const * (q - p))
-        total = total + (X * lead + rest) * _falling_x(n - q)
-    return RatFunc(total, _falling_x(n) * _falling_x(n))
+        total = total + (X * lead + rest) * UniPoly(falling_coeffs(n - q))
+    x_n = UniPoly(falling_coeffs(n))
+    return RatFunc(total, x_n * x_n)
 
 
 def _check_ijn(i: int, j: int, n: int) -> None:
@@ -109,18 +109,24 @@ def _check_ijn(i: int, j: int, n: int) -> None:
 def derivative_identity_check(i: int, j: int, n: int) -> Check:
     lhs = lhs_derivative_identity(i, j, n)
     rhs = rhs_derivative_identity(i, j, n)
-    return _report("derivative-identity", (("i", i), ("j", j), ("N", n)), lhs == rhs,
+    params = (("i", i), ("j", j), ("N", n))
+    if lhs == rhs:
+        return _report("derivative-identity", params, True)
+    return _report("derivative-identity", params, False,
                    lhs=render_ratfunc(lhs, "x"), rhs=render_ratfunc(rhs, "x"))
 
 
 def logderiv_check(n: int) -> Check:
     """d/dx x_(N) = sum_{t=1}^{N} (-1)^(t+1)/t * N_(t) x_(N-t), as polynomials."""
-    lhs = _falling_x(n).derivative()
+    lhs = UniPoly(falling_coeffs(n)).derivative()
     rhs = UniPoly.zero()
     for t in range(1, n + 1):
-        rhs = rhs + _falling_x(n - t).scale(Fraction((-1) ** (t + 1), t) * falling(n, t))
-    return _report("falling-log-derivative", (("N", n),), lhs == rhs,
-                   lhs=render_ratfunc(RatFunc(lhs), "x"), rhs=render_ratfunc(RatFunc(rhs), "x"))
+        c = Fraction((-1) ** (t + 1), t) * falling(n, t)
+        rhs = rhs + UniPoly(falling_coeffs(n - t)).scale(c)
+    if lhs == rhs:
+        return _report("falling-log-derivative", (("N", n),), True)
+    return _report("falling-log-derivative", (("N", n),), False,
+                   lhs=render_unipoly(lhs, "x"), rhs=render_unipoly(rhs, "x"))
 
 
 # -- the two-variable chain -----------------------------------------------------------
@@ -204,7 +210,7 @@ def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
     """psi_2, the Leibniz expansion of d/dx psi_L with the pole variable
     renamed to y, at each point: x_(d) and its derivative once per distinct
     x, 1 / prod (y+t) and sum 1/(y+t) once per distinct y."""
-    dfall = _falling_x(d).derivative()
+    dfall = UniPoly(falling_coeffs(d)).derivative()
     xs = {x: (falling(x, d), Fraction(dfall(x))) for x in dict.fromkeys(x for x, _ in points)}
     ys = {}
     for y in dict.fromkeys(y for _, y in points):
@@ -219,19 +225,9 @@ def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
     return out
 
 
-def psi1(x: Fraction, y: Fraction, d: int, j: int) -> Fraction:
-    """psi_1 at one point."""
-    return psi1_at([(x, y)], d, j)[0]
-
-
-def psi2(x: Fraction, y: Fraction, d: int, j: int) -> Fraction:
-    """psi_2 at one point."""
-    return psi2_at([(x, y)], d, j)[0]
-
-
 def psi_l(n: int, d: int, j: int) -> RatFunc:
     """x_(d) / ((x-N+1) ... (x-N+j)) as a rational function of x."""
-    return RatFunc(_falling_x(d), UniPoly.product(UniPoly((t - n, 1)) for t in range(1, j + 1)))
+    return RatFunc(UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j))
 
 
 def chain_bound(i: int, j: int, n: int) -> int:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
 from .hypergeom import falling
-from .partitions import PClass, Pair2, check_partition, classify, dagger, h_poly, size, upto
+from .partitions import PClass, Pair2, check_partition, classify, h_poly, paired, size, upto
 from .ratfunc import PoleError, RatFunc, UniPoly
 
 KAPPA = UniPoly.x()
@@ -166,10 +166,7 @@ def r_coeff(lam: Pair2, k: int) -> Fraction:
     Computed both as -H_lam(k) / H'_{lam+}(k) and by the closed product
     formula; the two must agree exactly.
     """
-    if classify(lam, k) is not PClass.SINGULAR:
-        raise ValueError(f"{lam} is not {k}-singular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.SINGULAR)
     via_h = -Fraction(h_poly(lam)(k)) / h_poly(lamd).derivative()(k)
     l1, l2 = lam
     diff = l1 - l2
@@ -189,10 +186,7 @@ def q_poly(lam: Pair2, k: int) -> BiPoly:
     P_{lam+} at k.  Route 2: coefficient-wise limit of
     P_lam - r_lam/(kappa-k) * P_{lam+}.  Exact agreement is asserted.
     """
-    if classify(lam, k) is not PClass.SINGULAR:
-        raise ValueError(f"{lam} is not {k}-singular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.SINGULAR)
     r = r_coeff(lam, k)
 
     dual_body = ks_poly(lamd).body
@@ -247,10 +241,7 @@ def tcheck_values(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
     t1 = H_lam(k); t2 is assembled from the derivatives of
     alpha(kappa) = -r_lam/(kappa-k) * H_{lam+}(kappa) and beta = H_lam.
     """
-    if classify(lam, k) is not PClass.SINGULAR:
-        raise ValueError(f"{lam} is not {k}-singular")
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.SINGULAR)
     r = r_coeff(lam, k)
     alpha = RatFunc(h_poly(lamd).scale(-r), UniPoly((-k, 1)))
     beta = RatFunc(h_poly(lam))

@@ -67,6 +67,19 @@ def dagger(lam: Pair2, k: int) -> Pair2 | None:
     return None
 
 
+def paired(lam: Pair2, k: int, cls: PClass) -> Pair2:
+    """The dagger partner of a k-``cls`` partition (singular or quasiregular).
+
+    The one class guard of the dagger pairs: raises ``ValueError`` unless lam
+    is k-``cls``; the partner of such a partition always exists.
+    """
+    if classify(lam, k) is not cls:
+        raise ValueError(f"{lam} is not {k}-{cls.value}")
+    lamd = dagger(lam, k)
+    assert lamd is not None
+    return lamd
+
+
 def h_poly(lam: Pair2) -> UniPoly:
     """The normalization polynomial
 
@@ -75,11 +88,8 @@ def h_poly(lam: Pair2) -> UniPoly:
     of degree l2 in kappa.
     """
     l1, l2 = check_partition(lam)
-    base = math.factorial(l1 - l2) * math.factorial(l2)
-    out = UniPoly.const(base)
-    for i in range(l2):
-        out = out * UniPoly((l1 - 1 - i, -1))
-    return out
+    scale = math.factorial(l1 - l2) * math.factorial(l2)
+    return UniPoly.falling(UniPoly((l1 - 1, -1)), l2).scale(scale)
 
 
 def c_super(lam: Pair2, k: int) -> Fraction:

@@ -90,13 +90,6 @@ class UniPoly:
         return cls((0, 1))
 
     @classmethod
-    def product(cls, factors: Iterable["UniPoly"]) -> "UniPoly":
-        out = cls.one()
-        for f in factors:
-            out = out * f
-        return out
-
-    @classmethod
     def falling(cls, base: "UniPoly", steps: int) -> "UniPoly":
         """base * (base - 1) * ... * (base - steps + 1); empty product is 1."""
         out = cls.one()
@@ -325,10 +318,6 @@ class RatFunc:
     def one(cls) -> "RatFunc":
         return cls(UniPoly.one())
 
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(UniPoly.x())
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -336,14 +325,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.degree() == 0
-
-    def as_constant(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num[0]
 
     # -- field operations ----------------------------------------------------
 
@@ -534,10 +515,6 @@ def render_unipoly(p: UniPoly, var: str = "κ") -> str:
         else:
             parts.append(("-" if c < 0 else "+") + body)
     return "".join(parts)
-
-
-def _paren(s: str) -> str:
-    return s if s.isalnum() else f"({s})"
 
 
 def render_ratfunc(f: RatFunc, var: str = "κ") -> str:

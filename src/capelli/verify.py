@@ -36,7 +36,7 @@ from . import identities as idn
 from . import knopsahi as ks
 from .bipoly import render_bipoly, square_op
 from .config import Config
-from .partitions import PClass, Pair2, classify, dagger, size, upto
+from .partitions import PClass, Pair2, classify, dagger, paired, size, upto
 from .ratfunc import render_frac
 from .report import Check, RunReport
 
@@ -49,6 +49,8 @@ DEFAULT_T_LIST: tuple[Fraction, ...] = tuple(Fraction(v) for v in range(-6, 8)) 
     Fraction(1, 2),
     Fraction(-5, 3),
 )
+# Most t values a deligne sweep takes; every one adds a full pass over lambda.
+T_LIST_MAX = 64
 
 
 class BoundsError(ValueError):
@@ -88,6 +90,8 @@ class Bounds:
                 raise BoundsError(f"{label} = {value} must be non-negative")
             if value > cap:
                 raise BoundsError(f"{label} = {value} exceeds the hard cap {cap}")
+        if not 0 < len(self.t_list) <= T_LIST_MAX:
+            raise BoundsError(f"t-list has {len(self.t_list)} values; it needs 1 to {T_LIST_MAX}")
 
 
 def _plam(lam: Pair2) -> str:
@@ -147,8 +151,7 @@ def check_pole_set(lam: Pair2, k_max: int) -> Outcome:
 
 @_family("singular-part", "lambda", "k")
 def check_singular_part(lam: Pair2, k: int) -> Outcome:
-    lamd = dagger(lam, k)
-    assert lamd is not None
+    lamd = paired(lam, k, PClass.SINGULAR)
     lhs = ks.sing_part(lam, k)
     rhs = ks.reg_part(lamd, k).scale(ks.r_coeff(lam, k))
     return lhs == rhs, render_bipoly(lhs), render_bipoly(rhs)
@@ -184,7 +187,7 @@ def check_basis_triangular(k: int, d: int) -> Outcome:
 @_family("eigen-routes", "lambda", "k")
 def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
     routes = ep.applicable_routes(lam, k)
-    bodies = [ep.eigen(lam, k, r).body for r in routes]
+    bodies = [ep.eigen(lam, k, r) for r in routes]
     if classify(lam, k) is PClass.QUASIREGULAR:
         bodies.append(ep.qreg_variation_body(lam, k))
     oracle = bodies[len(routes) - 1]
@@ -211,7 +214,7 @@ def check_restrictions(lam: Pair2, k: int) -> Outcome:
     across each quasiregular/singular shifted-point pair."""
     cls = classify(lam, k)
     lamd = dagger(lam, k)
-    f = ep.eigen(lam, k).body
+    f = ep.eigen(lam, k)
     sq = square_op(f)
     for mu in upto(size(lam)):
         mu_cls = classify(mu, k)
@@ -222,8 +225,7 @@ def check_restrictions(lam: Pair2, k: int) -> Outcome:
             want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
             if d_nil != want_nil:
                 return False, f"nil on {_plam(mu)} = {render_frac(d_nil)}", render_frac(want_nil)
-            mud = dagger(mu, k)
-            assert mud is not None
+            mud = paired(mu, k, mu_cls)
             a = f.eval2(*ks.eval_point(mu, k))
             b = f.eval2(*ks.eval_point(mud, k))
             if a != b:
@@ -296,7 +298,7 @@ def check_cat_routes(lam: Pair2, t: Fraction) -> Outcome:
 @_family("super-cat-degeneration", "lambda", "k")
 def check_super_cat(lam: Pair2, k: int) -> Outcome:
     a = dl.cat_eig_formula(lam, Fraction(-2 * k))
-    b = ep.eigen(lam, k).body
+    b = ep.eigen(lam, k)
     return a == b, render_bipoly(a), render_bipoly(b)
 
 

@@ -29,6 +29,14 @@ REPORT_CASES = [
         ["verify", "capelli", "--k-max", "3", "--size-max", "8", "--format", "json"],
     ),
     (
+        "verify_knop_sahi_s5.json",
+        ["verify", "knop-sahi", "--size-max", "5", "--format", "json"],
+    ),
+    (
+        "verify_deligne_s5_d4.json",
+        ["verify", "deligne", "--size-max", "5", "--deligne-size-max", "4", "--format", "json"],
+    ),
+    (
         "verify_dougall_a4_b3.json",
         ["verify", "dougall", "--a-max", "4", "--bcd-max", "3", "--format", "json"],
     ),

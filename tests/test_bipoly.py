@@ -153,7 +153,7 @@ def test_falling_monomial_round_trip(f):
 @settings(max_examples=50, deadline=None)
 @given(sparse)
 def test_square_op_clears_division(f):
-    sym = f + f.swap()
+    sym = f + BiPoly({(j, i): c for (i, j), c in f.terms.items()})
     quot = square_op(sym)
     fx, fy = sym.partials()
     xmy = X - Y

@@ -7,8 +7,9 @@ brings back normalization in Q(kappa) where values at kappa = k are read off
 the local expansion, rebuilds an eigenvalue polynomial per block,
 specializes a block-model operator per block instead of once per check,
 normalizes the derivative identity per term, recomputes a psi-chain factor
-per sample point that depends on x or y alone, or squares a polynomial
-power's base after its last bit.
+per sample point that depends on x or y alone, builds x_(m) other than from
+the cached ``falling_coeffs`` table, renders a passing identity check, or
+squares a polynomial power's base after its last bit.
 """
 
 from fractions import Fraction as Q
@@ -19,7 +20,9 @@ from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli import identities as idn
 from capelli import knopsahi as ks
+from capelli import ratfunc
 from capelli import verify as vf
+from capelli.bipoly import falling_coeffs
 from capelli.partitions import PClass, classify, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
@@ -118,11 +121,25 @@ def test_rhs_derivative_identity_normalizes_once(monkeypatch):
 def test_psi_chain_builds_each_falling_polynomial_once(monkeypatch, i, j, n):
     wide = [(Q(n + 1 + u), Q(1, 3) + v) for u in range(30) for v in range(3)]
     for pts in (None, wide):
-        idn._falling_x.cache_clear()
+        falling_coeffs.cache_clear()
         builds = _counter(monkeypatch, UniPoly, "falling")
         assert idn.psi_chain_check(i, j, n, pts).passed
-        assert len(builds) <= n + 2
+        assert falling_coeffs.cache_info().misses <= n + 2
+        # x_(m) comes from falling_coeffs only; UniPoly.falling builds just
+        # psi_L's denominator (x-N+j)_(j)
+        assert [base for base, _ in builds] == [UniPoly((j - n, 1))]
         monkeypatch.undo()
+
+
+def test_passing_identity_checks_render_nothing(monkeypatch):
+    renders = [_counter(monkeypatch, owner, name)
+               for owner in (idn, ratfunc) for name in ("render_ratfunc", "render_unipoly")]
+    for n in range(6):
+        assert idn.logderiv_check(n).passed
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                assert idn.derivative_identity_check(i, j, n).passed
+    assert renders == [[], [], [], []]
 
 
 @pytest.mark.parametrize("i, j, n", [(0, 0, 3), (1, 1, 3), (0, 2, 4), (1, 2, 5)])

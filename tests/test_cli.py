@@ -114,6 +114,41 @@ class TestExitCodes:
         assert code == 2
         assert "1-singular" in err and "regular" in err
 
+    @pytest.mark.parametrize(
+        "lam, k, route, message",
+        [
+            ("3,0", "1", "a", "lambda is 1-singular; route a requires regular"),
+            ("1,0", "0", "b", "lambda is 0-regular; route b requires singular"),
+            ("2,2", "1", "b", "lambda is 1-quasiregular; route b requires singular"),
+            ("1,0", "0", "c", "lambda is 0-regular; route c requires quasiregular"),
+            ("3,0", "1", "c", "lambda is 1-singular; route c requires quasiregular"),
+            ("1,0", "0", "d", "lambda is 0-regular; route d requires quasiregular"),
+        ],
+    )
+    def test_wrong_route_is_one_line(self, lam, k, route, message):
+        code, out, err = run_cli(["eig", lam, "--k", k, "--route", route])
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "t_list, message",
+        [
+            ("", "--t-list has an empty entry: ''"),
+            ("1,,2", "--t-list has an empty entry: '1,,2'"),
+            ("0, ", "--t-list has an empty entry: '0, '"),
+            (",".join(["1"] * 65), "t-list has 65 values; it needs 1 to 64"),
+        ],
+        ids=["empty", "empty-entry", "blank-entry", "too-long"],
+    )
+    def test_bad_t_list_is_one_line(self, monkeypatch, t_list, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        code, out, err = run_cli(["verify", "deligne", "--t-list", t_list])
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {message}\n"
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self):

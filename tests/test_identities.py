@@ -101,7 +101,7 @@ class TestPsiChain:
 
     def test_pole_reported_with_factor(self):
         with pytest.raises(idn.SamplePoleError) as err:
-            idn.psi1(Q(10), Q(-1), 3, 1)
+            idn.psi1_at([(Q(10), Q(-1))], 3, 1)
         assert "y+" in str(err.value)
 
 
@@ -228,3 +228,44 @@ def test_failing_psi_chain_record_names_its_witness(monkeypatch):
         lhs="-747/98 at (5,1/3)",
         rhs="-649/98",
     )
+
+
+def _plus_x(f):
+    return lambda *args: f(*args) + RatFunc(UniPoly((0, 1)))
+
+
+def _plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+@pytest.mark.parametrize(
+    "attr, wrong, check, want",
+    [
+        ("rhs_derivative_identity", _plus_x, lambda: idn.derivative_identity_check(1, 1, 2),
+         Check("derivative-identity", (("i", "1"), ("j", "1"), ("N", "2")), "fail",
+               "-1/(x^2-2x+1) at -", "(x^3-2x^2+x-1)/(x^2-2x+1)")),
+        ("rhs_derivative_identity", _plus_x, lambda: idn.derivative_identity_check(0, 0, 3),
+         Check("derivative-identity", (("i", "0"), ("j", "0"), ("N", "3")), "fail",
+               "3x^2-6x+2 at -", "3x^2-5x+2")),
+        ("falling", _plus_one, lambda: idn.logderiv_check(3),
+         Check("falling-log-derivative", (("N", "3"),), "fail",
+               "3x^2-6x+2 at -", "4x^2-15/2x+7/3")),
+    ],
+    ids=["derivative-1-1-2", "derivative-0-0-3", "logderiv-3"],
+)
+def test_failing_identity_records_render_both_sides(monkeypatch, attr, wrong, check, want):
+    """A wrong right-hand side gives the exact record: both sides rendered
+    in x, the left one followed by the (absent) witness point."""
+    monkeypatch.setattr(idn, attr, wrong(getattr(idn, attr)))
+    assert check() == want
+
+
+def test_psi_l_denominator_is_the_product():
+    """psi_L's denominator (x-N+j)_(j) equals (x-N+1) ... (x-N+j)."""
+    for n in range(8):
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                den = UniPoly.one()
+                for t in range(1, j + 1):
+                    den = den * UniPoly((t - n, 1))
+                assert idn.psi_l(n, n - i, j) == RatFunc(UniPoly.falling(UniPoly((0, 1)), n - i), den)

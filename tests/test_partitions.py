@@ -1,8 +1,13 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
 
+from capelli import deligne as dl
+from capelli import eigenpoly as ep
+from capelli import knopsahi as ks
 from capelli import partitions as pt
+from capelli import verify as vf
 from capelli.partitions import PClass
 from capelli.ratfunc import UniPoly
 
@@ -66,6 +71,51 @@ class TestDagger:
                     assert {cls, other} == {PClass.QUASIREGULAR, PClass.SINGULAR}
                     assert pt.dagger(lamd, k) == lam
 
+    def test_paired_is_the_dagger_of_its_class(self):
+        for k in range(5):
+            for lam in pt.upto(10):
+                cls = pt.classify(lam, k)
+                if cls is not PClass.REGULAR:
+                    assert pt.paired(lam, k, cls) == pt.dagger(lam, k)
+
+
+_GUARDED = [
+    (pt.paired, PClass.SINGULAR),
+    (pt.paired, PClass.QUASIREGULAR),
+    (ep.eig_singular, PClass.SINGULAR),
+    (ep.eig_qreg_limit, PClass.QUASIREGULAR),
+    (ep.eig_qreg_explicit, PClass.QUASIREGULAR),
+    (ep.qreg_variation_body, PClass.QUASIREGULAR),
+    (ks.r_coeff, PClass.SINGULAR),
+    (ks.q_poly, PClass.SINGULAR),
+    (ks.tcheck_values, PClass.SINGULAR),
+    (dl.singular_scale_limit, PClass.SINGULAR),
+]
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize(
+    "fn, cls", _GUARDED, ids=[f"{fn.__module__}.{fn.__name__}-{cls.value}" for fn, cls in _GUARDED]
+)
+def test_class_guard_rejects_every_other_class(fn, cls, k):
+    for lam in pt.upto(6):
+        if pt.classify(lam, k) is cls:
+            continue
+        args = (lam, k, cls) if fn is pt.paired else (lam, k)
+        with pytest.raises(ValueError, match=f"is not {k}-{cls.value}"):
+            fn(*args)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_singular_part_check_rejects_every_other_class(k):
+    for lam in pt.upto(6):
+        if pt.classify(lam, k) is PClass.SINGULAR:
+            continue
+        check = vf.check_singular_part(lam, k)
+        assert check.status == "fail"
+        assert check.lhs.startswith("error: ValueError at partitions.py:")
+        assert check.lhs.endswith(f"is not {k}-singular")
+
 
 class TestHPoly:
     def test_row(self):
@@ -76,6 +126,15 @@ class TestHPoly:
 
     def test_factorial_only(self):
         assert pt.h_poly((2, 0)) == UniPoly((2,))
+
+    def test_is_the_scaled_product(self):
+        # (l1 - l2)! l2! prod_{i < l2} (l1 - 1 - i - kappa), factor by factor
+        for lam in pt.upto(14):
+            l1, l2 = lam
+            want = UniPoly.const(math.factorial(l1 - l2) * math.factorial(l2))
+            for i in range(l2):
+                want = want * UniPoly((l1 - 1 - i, -1))
+            assert pt.h_poly(lam) == want, lam
 
     def test_degree_is_second_part(self):
         for lam in pt.upto(8):

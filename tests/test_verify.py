@@ -108,6 +108,19 @@ def test_dougall_cap_follows_configured_n_cap():
         vf.Bounds(a_max=3, bcd_max=4, n_max=3, psi_n_max=3).validate(Config(n_cap=3))
 
 
+@pytest.mark.parametrize(
+    "t_list, message",
+    [((), "t-list has 0 values; it needs 1 to 64"),
+     ((Q(1),) * 65, "t-list has 65 values; it needs 1 to 64")],
+    ids=["empty", "too-long"],
+)
+def test_t_list_length_is_bounded(t_list, message):
+    # validate() alone: no sweep is built or run
+    with pytest.raises(vf.BoundsError, match=message):
+        vf.Bounds(t_list=t_list).validate(Config())
+    vf.Bounds(t_list=(Q(1),) * vf.T_LIST_MAX).validate(Config())
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count and maps
     in-process, so no worker is started."""
