@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,19 @@ FAIL_EXIT = 1
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors.  Its test for a token that is a
+    negative number, not an option name, is widened from -4 and -.5 to any
+    minus sign and digit, so ``--t -4/3`` parses like ``--t=-4/3``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def parse_partition(text: str) -> Pair2:
@@ -73,7 +87,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capelli",
         description="Exact interpolation and Capelli eigenvalue polynomials in two variables.",
     )

@@ -3,7 +3,8 @@
 The caps guard the CLI against accidental combinatorial blowup; requested
 sweep bounds beyond a cap are a usage error.  Values come from (in order of
 increasing precedence) built-in defaults, a ``key=value`` config file, and
-``CAPELLI_*`` environment variables.
+``CAPELLI_*`` environment variables.  A file or environment value may lower
+a cap but never raise it above its built-in default.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class Config:
 
 
 _FIELDS = ("size_cap", "n_cap", "k_cap", "default_k", "jobs")
+_CAPS = ("size_cap", "n_cap", "k_cap")
 
 
 class ConfigError(ValueError):
@@ -35,9 +37,13 @@ class ConfigError(ValueError):
 
 
 def _checked(cfg: Config) -> Config:
-    for name in ("size_cap", "n_cap", "k_cap", "jobs"):
+    for name in _CAPS + ("jobs",):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} = {getattr(cfg, name)} must be non-negative")
+    for name in _CAPS:
+        value, ceiling = getattr(cfg, name), getattr(Config, name)
+        if value > ceiling:
+            raise ConfigError(f"{name} = {value} exceeds its built-in ceiling {ceiling}")
     if not 0 <= cfg.default_k <= cfg.k_cap:
         raise ConfigError(f"default_k = {cfg.default_k} must lie in [0, k_cap = {cfg.k_cap}]")
     return cfg

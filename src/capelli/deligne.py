@@ -9,10 +9,11 @@ model is all this module keeps: operators are ``BiPoly`` polynomials in
 multiplicity 1 or 2 (``Block``), and evaluation is dual-number arithmetic
 (``DualScalar``).
 
-* blocks of size d exist for every partition of d when t is not a
-  non-positive even integer; otherwise (with kb = -t/2) only for partitions
-  that are not kb-singular, with multiplicity 2 exactly on the
-  kb-quasiregular ones;
+* every case split reads the class of a partition at kb = -t/2 through
+  ``classify_at``, so every partition is regular unless t is a non-positive
+  even integer;
+* blocks of size d exist for the partitions of d that are not kb-singular,
+  with multiplicity 2 exactly on the kb-quasiregular ones;
 * ``l_op`` is the spectral projector-like element built from the size-d
   Casimir spectrum at a deformation parameter s;
 * ``d_op`` combines one or two of these per the class of the partition, and
@@ -40,7 +41,7 @@ from .partitions import (
     Pair2,
     c_cat,
     check_partition,
-    classify,
+    classify_at,
     h_poly,
     of_size,
     paired,
@@ -48,13 +49,7 @@ from .partitions import (
 )
 from .ratfunc import RatFunc, UniPoly
 
-S = UniPoly.x()
 HALF_NEG_S = UniPoly((0, Fraction(-1, 2)))  # the substitution kappa := -s/2
-
-
-def is_even_nonpositive(t: Fraction) -> bool:
-    t = Fraction(t)
-    return t.denominator == 1 and t <= 0 and int(t) % 2 == 0
 
 
 def kbar(t: Fraction) -> Fraction:
@@ -115,13 +110,12 @@ def min_poly(d: int, t: Fraction) -> UniPoly:
 
     Root coincidences (always in pairs, never triples) happen exactly for
     t a non-positive even integer, so the displayed product already carries
-    each root with its multiplicity in the minimal polynomial.
+    each root with its multiplicity in the minimal polynomial.  The roots are
+    the Casimir eigenvalues c_cat(lam, t) over the partitions of d.
     """
-    t = Fraction(t)
     out = UniPoly.one()
-    for a in range(d % 2, d + 1, 2):
-        root = a * (a + t - 2)
-        out = out * UniPoly((-root, 1))
+    for lam in of_size(d):
+        out = out * UniPoly((-c_cat(lam, t), 1))
     return out
 
 
@@ -129,15 +123,10 @@ def blocks(d: int, t: Fraction) -> list[Block]:
     """Indecomposable blocks of the degree-d symmetric power, graded-lex order."""
     t = Fraction(t)
     out = []
-    if is_even_nonpositive(t):
-        k = int(kbar(t))
-        for lam in of_size(d):
-            cls = classify(lam, k)
-            if cls is PClass.SINGULAR:
-                continue
+    for lam in of_size(d):
+        cls = classify_at(lam, kbar(t))
+        if cls is not PClass.SINGULAR:
             out.append(Block(lam=lam, t=t, mult=2 if cls is PClass.QUASIREGULAR else 1))
-    else:
-        out.extend(Block(lam=lam, t=t, mult=1) for lam in of_size(d))
     return out
 
 
@@ -192,26 +181,22 @@ def l_op(lam: Pair2) -> BiPoly:
 
 
 def d_op(lam: Pair2, t: Fraction) -> BiPoly:
-    """Case dispatch on (t, class of lam at kb = -t/2):
+    """Case dispatch on the class of lam at kb = -t/2:
 
-    (i)   generic t, or kb-regular lam:   L_lam
-    (ii)  kb-singular lam:                (c_{lam+}(s) - c_lam(s)) L_{lam+}
-    (iii) kb-quasiregular lam:            L_lam + L_{lam+}
+    (i)   kb-regular lam:        L_lam
+    (ii)  kb-singular lam:       (c_{lam+}(s) - c_lam(s)) L_{lam+}
+    (iii) kb-quasiregular lam:   L_lam + L_{lam+}
 
     Every combined coefficient must be regular at s = t; asserted here.
     """
     t = Fraction(t)
-    if is_even_nonpositive(t):
-        k = int(kbar(t))
-        cls = classify(lam, k)
-        if cls is PClass.SINGULAR:
-            lamd = paired(lam, k, cls)
-            gap = RatFunc(c_cat_poly(lamd) - c_cat_poly(lam))
-            op = l_op(lamd).scale(gap)
-        elif cls is PClass.QUASIREGULAR:
-            op = l_op(lam) + l_op(paired(lam, k, cls))
-        else:
-            op = l_op(lam)
+    kb = kbar(t)
+    cls = classify_at(lam, kb)
+    if cls is PClass.SINGULAR:
+        lamd = paired(lam, int(kb), cls)
+        op = l_op(lamd).scale(RatFunc(c_cat_poly(lamd) - c_cat_poly(lam)))
+    elif cls is PClass.QUASIREGULAR:
+        op = l_op(lam) + l_op(paired(lam, int(kb), cls))
     else:
         op = l_op(lam)
     for key, coeff in op.terms.items():
@@ -242,7 +227,6 @@ def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
     d = size(lam)
     op_t = d_op(lam, t).map_coeffs(lambda c: c.eval(t))
     kb = kbar(t)
-    integer_k = is_even_nonpositive(t)
     values: dict[Pair2, Fraction] = {}
     duals: list[tuple[Block, DualScalar]] = []
     for m in range(d + 1):
@@ -266,39 +250,37 @@ def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
 def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
     """Closed forms for the eigenvalue polynomial.
 
-    Generic t (or regular lam): P_lam / H_lam at kappa = -t/2.  At
-    non-positive even t the singular and quasiregular cases are s -> t
-    limits computed by substituting kappa := -s/2 into the coefficients and
-    taking exact regular values; double poles cannot survive the combination
-    and would raise.
+    A kb-regular lam (every lam unless t is a non-positive even integer)
+    gives P_lam / H_lam at kappa = kb = -t/2.  The singular and quasiregular
+    cases are s -> t limits of
+
+        singular:      (c_{lam+}(s) - c_lam(s)) P_{lam+} / H_{lam+}
+        quasiregular:  P_lam / H_lam + P_{lam+} / H_{lam+}
+
+    computed by substituting kappa := -s/2 into the coefficients and taking
+    exact regular values; double poles cannot survive the combination and
+    would raise.
     """
     t = Fraction(t)
-    check_partition(lam)
     kb = kbar(t)
-    if is_even_nonpositive(t):
-        k = int(kb)
-        cls = classify(lam, k)
-        if cls is PClass.SINGULAR:
-            lamd = paired(lam, k, cls)
-            gap = RatFunc((c_cat_poly(lamd) - c_cat_poly(lam)))
-            scale = gap / RatFunc(h_poly(lamd).compose(HALF_NEG_S))
-            body_s = ks_poly(lamd).body.map_coeffs(
-                lambda c: c.substitute(HALF_NEG_S) * scale
-            )
-            return body_s.map_coeffs(lambda c: c.eval(t))
-        if cls is PClass.QUASIREGULAR:
-            lamd = paired(lam, k, cls)
-            inv_h = RatFunc.one() / RatFunc(h_poly(lam).compose(HALF_NEG_S))
-            inv_hd = RatFunc.one() / RatFunc(h_poly(lamd).compose(HALF_NEG_S))
-            body_s = ks_poly(lam).body.map_coeffs(
-                lambda c: c.substitute(HALF_NEG_S) * inv_h
-            ) + ks_poly(lamd).body.map_coeffs(lambda c: c.substitute(HALF_NEG_S) * inv_hd)
-            return body_s.map_coeffs(lambda c: c.eval(t))
-    h = h_poly(lam)
-    h_val = Fraction(h(kb))
-    if not h_val:
-        raise AssertionError(f"H_{lam}({kb}) = 0 outside the quasiregular case")
-    return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)
+    cls = classify_at(lam, kb)
+    if cls is PClass.REGULAR:
+        h_val = Fraction(h_poly(lam)(kb))
+        if not h_val:
+            raise AssertionError(f"H_{lam}({kb}) = 0 outside the quasiregular case")
+        return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)
+    lamd = paired(lam, int(kb), cls)
+    if cls is PClass.SINGULAR:
+        scaled = [(lamd, c_cat_poly(lamd) - c_cat_poly(lam))]
+    else:
+        scaled = [(lam, UniPoly.one()), (lamd, UniPoly.one())]
+    body_s = BiPoly.zero()
+    for mu, num in scaled:
+        scale = RatFunc(num, h_poly(mu).compose(HALF_NEG_S))
+        body_s = body_s + ks_poly(mu).body.map_coeffs(
+            lambda c: c.substitute(HALF_NEG_S) * scale
+        )
+    return body_s.map_coeffs(lambda c: c.eval(t))
 
 
 def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
@@ -310,9 +292,7 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
     Returns both sides, exactly.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
-    ratio = RatFunc(c_cat_poly(lamd) - c_cat_poly(lam)) / RatFunc(
-        h_poly(lamd).compose(HALF_NEG_S)
-    )
+    ratio = RatFunc(c_cat_poly(lamd) - c_cat_poly(lam), h_poly(lamd).compose(HALF_NEG_S))
     lhs = ratio.eval(Fraction(-2 * k))
     rhs = Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
     return lhs, rhs
@@ -329,22 +309,10 @@ def min_poly_is_minimal(d: int, t: Fraction) -> bool:
     blks = blocks(d, t)
 
     def annihilated(poly: UniPoly) -> bool:
-        for b in blks:
-            c_dual = DualScalar(c_cat(b.lam, t), Fraction(1 if b.mult == 2 else 0))
-            acc = DualScalar(Fraction(0))
-            power = DualScalar(Fraction(1))
-            for coeff in poly.coeffs:
-                acc = acc + power * coeff
-                power = power * c_dual
-            if not acc.is_zero():
-                return False
-        return True
+        op = BiPoly({(i, 0): c for i, c in enumerate(poly.coeffs)})
+        return all(block_eval(op, b).is_zero() for b in blks)
 
     if not annihilated(p):
         return False
-    roots = {Fraction(a * (a + t - 2)) for a in range(d % 2, d + 1, 2)}
-    for u in roots:
-        reduced = p.divexact(UniPoly((-u, 1)))
-        if annihilated(reduced):
-            return False
-    return True
+    roots = {c_cat(lam, t) for lam in of_size(d)}
+    return not any(annihilated(p.divexact(UniPoly((-u, 1)))) for u in roots)

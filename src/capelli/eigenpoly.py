@@ -30,7 +30,6 @@ from typing import Mapping
 from .bipoly import BiPoly, falling_term, square_op
 from .knopsahi import (
     eval_point,
-    is_integer_parameter,
     ks_poly,
     q_poly,
     r_coeff,
@@ -41,6 +40,7 @@ from .partitions import (
     Pair2,
     check_partition,
     classify,
+    classify_at,
     ell,
     h_poly,
     nu,
@@ -125,11 +125,8 @@ def _ev_matrix(k, d: int) -> tuple[tuple[Fraction, ...], ...]:
         sq = square_op(g)
         col = []
         for mu in parts:
-            pt = eval_point(mu, k)
-            if is_integer_parameter(k) and classify(mu, int(Fraction(k))) is PClass.SINGULAR:
-                col.append(sq.eval2(*pt))
-            else:
-                col.append(g.eval2(*pt))
+            poly = sq if classify_at(mu, k) is PClass.SINGULAR else g
+            col.append(poly.eval2(*eval_point(mu, k)))
         columns.append(col)
     matrix = tuple(zip(*columns))
     _SYSTEMS[key] = matrix

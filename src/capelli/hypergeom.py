@@ -13,7 +13,7 @@ which is valid verbatim for non-negative integers b, c, d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,50 +46,30 @@ def _is_nonpositive_int(a: Fraction) -> bool:
     return a.denominator == 1 and a <= 0
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Parameters of a terminating pFq at a rational argument."""
+def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> Fraction:
+    """Exact finite sum of the terminating pFq(numerator; denominator; argument).
 
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
-    argument: Fraction = field(default_factory=lambda: Fraction(1))
-
-    @classmethod
-    def of(cls, numerator: Sequence, denominator: Sequence, argument=1) -> "HypParams":
-        return cls(
-            numerator=tuple(Fraction(a) for a in numerator),
-            denominator=tuple(Fraction(b) for b in denominator),
-            argument=Fraction(argument),
-        )
-
-    def termination_index(self) -> int:
-        """Smallest |a| over non-positive-integer numerator parameters."""
-        stops = [-int(a) for a in self.numerator if _is_nonpositive_int(a)]
-        if not stops:
-            raise ValueError("series does not terminate: no non-positive integer upstairs")
-        return min(stops)
-
-    def validate(self) -> int:
-        n_max = self.termination_index()
-        for b in self.denominator:
-            if _is_nonpositive_int(b) and -int(b) < n_max:
-                raise ValueError(
-                    f"denominator parameter {b} vanishes within the summation range"
-                )
-        return n_max
-
-
-def pfq_terminating(params: HypParams) -> Fraction:
-    """Exact finite sum of the terminating series."""
-    n_max = params.validate()
+    The sum stops at the smallest |a| over non-positive-integer numerator
+    parameters; a denominator parameter that vanishes before then is an error.
+    """
+    numerator = [Fraction(a) for a in numerator]
+    denominator = [Fraction(b) for b in denominator]
+    argument = Fraction(argument)
+    stops = [-int(a) for a in numerator if _is_nonpositive_int(a)]
+    if not stops:
+        raise ValueError("series does not terminate: no non-positive integer upstairs")
+    n_max = min(stops)
+    for b in denominator:
+        if _is_nonpositive_int(b) and -int(b) < n_max:
+            raise ValueError(f"denominator parameter {b} vanishes within the summation range")
     total = Fraction(1)
     term = Fraction(1)
     for n in range(n_max):
-        for a in params.numerator:
+        for a in numerator:
             term *= a + n
-        for b in params.denominator:
+        for b in denominator:
             term /= b + n
-        term *= params.argument
+        term *= argument
         term /= n + 1
         total += term
     return total
@@ -119,12 +99,9 @@ def dougall_check(a, b: int, c: int, d: int) -> DougallResult:
         raise ValueError("requires a + b + c + d + 1 > 0")
     if not a:
         raise ValueError("a = 0 puts a zero in the denominator parameters")
-    params = HypParams.of(
-        numerator=(a / 2 + 1, a, -b, -c, -d),
-        denominator=(a / 2, a + b + 1, a + c + 1, a + d + 1),
-        argument=1,
+    lhs = pfq_terminating(
+        (a / 2 + 1, a, -b, -c, -d), (a / 2, a + b + 1, a + c + 1, a + d + 1)
     )
-    lhs = pfq_terminating(params)
     rhs = (rising(a + 1, b) * rising(a + b + c + 1, d)) / (
         rising(a + c + 1, d) * rising(a + d + 1, b)
     )

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bipoly import falling_coeffs
-from .hypergeom import HypParams, falling, pfq_terminating
+from .hypergeom import falling, pfq_terminating
 from .ratfunc import RatFunc, UniPoly, render_frac, render_ratfunc, render_unipoly
 from .report import Check
 
@@ -378,12 +378,10 @@ def h_hypergeometric(s: int, j: int, x: Fraction, y: Fraction) -> Fraction:
     the first j + 1 terms of the series are nonzero."""
     if s < 1:
         raise ValueError("the 5F4 form is used for s >= 1")
-    params = HypParams.of(
-        numerator=(y / 2 + Fraction(s, 2) + 1, y + s, -j, s, y - x),
-        denominator=(y / 2 + Fraction(s, 2), y + s + j + 1, y + 1, x + s + 1),
-        argument=1,
+    return e1_term(0, s, x, y, j) * pfq_terminating(
+        (y / 2 + Fraction(s, 2) + 1, y + s, -j, s, y - x),
+        (y / 2 + Fraction(s, 2), y + s + j + 1, y + 1, x + s + 1),
     )
-    return e1_term(0, s, x, y, j) * pfq_terminating(params)
 
 
 def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> Check:

@@ -29,7 +29,9 @@ from functools import lru_cache
 
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
 from .hypergeom import falling
-from .partitions import PClass, Pair2, check_partition, classify, h_poly, paired, size, upto
+from .partitions import (
+    PClass, Pair2, check_partition, classify, classify_at, h_poly, paired, size, upto,
+)
 from .ratfunc import PoleError, RatFunc, UniPoly
 
 KAPPA = UniPoly.x()
@@ -210,17 +212,12 @@ def eval_point(mu: Pair2, k) -> tuple[Fraction, Fraction]:
     return (Fraction(m1) - Fraction(k) - 1, Fraction(m2))
 
 
-def is_integer_parameter(k) -> bool:
-    k = Fraction(k)
-    return k.denominator == 1 and k >= 0
-
-
 def gen_eval(f: BiPoly, mu: Pair2, k) -> Fraction:
     """Generalized value of a symmetric polynomial at mu.
 
     Plain evaluation at the shifted point for regular/quasiregular mu; the
-    square_op value there when mu is k-singular.  For non-integer k there
-    are no singular partitions and the plain branch always applies.
+    square_op value there when mu is k-singular (``classify_at``, so at a
+    parameter that is not a non-negative integer the plain branch applies).
 
     Takes rational-coefficient polynomials only; parameter-dependent input
     must be specialized first.
@@ -230,7 +227,7 @@ def gen_eval(f: BiPoly, mu: Pair2, k) -> Fraction:
     if any(not isinstance(c, Fraction) for c in f.terms.values()):
         raise TypeError("generalized evaluation needs rational coefficients; specialize first")
     a, b = eval_point(mu, k)
-    if is_integer_parameter(k) and classify(mu, int(Fraction(k))) is PClass.SINGULAR:
+    if classify_at(mu, k) is PClass.SINGULAR:
         return square_op(f).eval2(a, b)
     return f.eval2(a, b)
 

@@ -58,6 +58,19 @@ def classify(lam: Pair2, k: int) -> PClass:
     return PClass.REGULAR
 
 
+def classify_at(lam: Pair2, k) -> PClass:
+    """The class of lam at a rational parameter k.
+
+    The trichotomy exists only at a non-negative integer k; at any other
+    rational parameter every partition behaves as regular.
+    """
+    k = Fraction(k)
+    if k.denominator == 1 and k >= 0:
+        return classify(lam, int(k))
+    check_partition(lam)
+    return PClass.REGULAR
+
+
 def dagger(lam: Pair2, k: int) -> Pair2 | None:
     """The involution partner, or None when it is not a partition."""
     l1, l2 = check_partition(lam)

@@ -36,7 +36,7 @@ from . import identities as idn
 from . import knopsahi as ks
 from .bipoly import render_bipoly, square_op
 from .config import Config
-from .partitions import PClass, Pair2, classify, dagger, paired, size, upto
+from .partitions import PClass, Pair2, classify, classify_at, dagger, paired, size, upto
 from .ratfunc import render_frac
 from .report import Check, RunReport
 
@@ -206,31 +206,28 @@ def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
 
 @_family("jordan-restrictions", "lambda", "k")
 def check_restrictions(lam: Pair2, k: int) -> Outcome:
-    """Jordan data on every block of size <= |lambda|.
+    """Jordan data on the quasiregular blocks of size <= |lambda|.
 
-    The nilpotent coefficient matters only on quasiregular blocks (regular
-    blocks have no nilpotent direction at all); there it must be the delta
-    on the dagger block of a singular lambda.  Evaluation must also agree
-    across each quasiregular/singular shifted-point pair."""
+    Only quasiregular blocks carry data (regular blocks have no nilpotent
+    direction at all): the nilpotent coefficient must be the delta on the
+    dagger block of a singular lambda, and f must agree across each
+    quasiregular/singular shifted-point pair."""
     cls = classify(lam, k)
     lamd = dagger(lam, k)
     f = ep.eigen(lam, k)
     sq = square_op(f)
     for mu in upto(size(lam)):
-        mu_cls = classify(mu, k)
-        if mu_cls is PClass.SINGULAR:
+        if classify(mu, k) is not PClass.QUASIREGULAR:
             continue
-        d_val, d_nil = ep.restriction_pair(f, sq, mu, k)
-        if mu_cls is PClass.QUASIREGULAR:
-            want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
-            if d_nil != want_nil:
-                return False, f"nil on {_plam(mu)} = {render_frac(d_nil)}", render_frac(want_nil)
-            mud = paired(mu, k, mu_cls)
-            a = f.eval2(*ks.eval_point(mu, k))
-            b = f.eval2(*ks.eval_point(mud, k))
-            if a != b:
-                return (False, f"f at {_plam(mu)} = {render_frac(a)}",
-                        f"f at {_plam(mud)} = {render_frac(b)}")
+        a, d_nil = ep.restriction_pair(f, sq, mu, k)  # a = f at mu's shifted point
+        want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
+        if d_nil != want_nil:
+            return False, f"nil on {_plam(mu)} = {render_frac(d_nil)}", render_frac(want_nil)
+        mud = paired(mu, k, PClass.QUASIREGULAR)
+        b = f.eval2(*ks.eval_point(mud, k))
+        if a != b:
+            return (False, f"f at {_plam(mu)} = {render_frac(a)}",
+                    f"f at {_plam(mud)} = {render_frac(b)}")
     return True, "nilpotent parts on quasiregular blocks", "delta on the dagger block"
 
 
@@ -309,11 +306,10 @@ def check_vanishing_suite(lam: Pair2, t: Fraction) -> Outcome:
     block itself, (0,0) everywhere else.  Includes the idempotent limit (the
     nil part on a quasiregular lam's own block is exactly zero)."""
     op_t = dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t))
+    kb = dl.kbar(t)
     singular_partner = None
-    if dl.is_even_nonpositive(t):
-        k = int(dl.kbar(t))
-        if classify(lam, k) is PClass.SINGULAR:
-            singular_partner = dagger(lam, k)
+    if classify_at(lam, kb) is PClass.SINGULAR:
+        singular_partner = paired(lam, int(kb), PClass.SINGULAR)
     for m in range(size(lam) + 1):
         for blk in dl.blocks(m, t):
             got = dl.block_eval(op_t, blk)

@@ -152,7 +152,7 @@ def test_c8_deligne_degeneration():
         for lam in upto(6):
             op_t = dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t))
             partner = None
-            if dl.is_even_nonpositive(t):
+            if t.denominator == 1 and t <= 0 and t % 2 == 0:
                 kk = int(dl.kbar(t))
                 if classify(lam, kk) is PClass.SINGULAR:
                     partner = dagger(lam, kk)

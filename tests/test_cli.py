@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import string
+from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from capelli import cli
 from capelli.cli import main
-from capelli.report import Check
+from capelli.report import Check, RunReport
 from capelli import verify as vf
 from cli_cases import REPORT_CASES, STDOUT_CASES
 
@@ -148,6 +153,174 @@ class TestExitCodes:
         code, out, err = run_cli(["verify", "deligne", "--t-list", t_list])
         assert code == 2 and out == ""
         assert err == f"capelli: error: {message}\n"
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ([], "capelli: error: the following arguments are required: command"),
+            (["verify", "capelli", "--k-max", "abc"],
+             "capelli verify: error: argument --k-max: invalid int value: 'abc'"),
+            (["deligne", "1,0"], "capelli deligne: error: the following arguments are required: --t"),
+            (["deligne", "1,0", "--t"], "capelli deligne: error: argument --t: expected one argument"),
+            (["eig", "1,0", "--bogus"], "capelli: error: unrecognized arguments: --bogus"),
+        ],
+        ids=["bare", "bad-int", "missing-t", "t-without-value", "unknown-flag"],
+    )
+    def test_is_one_line(self, argv, line):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == line + "\n"
+
+    def test_bad_choice_is_one_line(self):
+        # the choices list after the message is worded differently across
+        # Python versions; the line itself is what is pinned
+        code, out, err = run_cli(["eig", "2,0", "--route", "z"])
+        assert code == 2 and out == ""
+        assert err.startswith("capelli eig: error: argument --route: invalid choice: 'z'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("t", ["-4/3", "-2", "-5/3"])
+    def test_negative_t_parses_like_equals_form(self, t):
+        spaced = run_cli(["deligne", "1,0", "--t", t])
+        joined = run_cli(["deligne", "1,0", f"--t={t}"])
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[2] == ""
+
+    def test_negative_t_list_parses_like_equals_form(self, monkeypatch):
+        seen = []
+
+        def record(suite, bounds, params=(), jobs=1):
+            seen.append(bounds.t_list)
+            return RunReport(command=f"verify {suite}", params=params, checks=[])
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        spaced = run_cli(["verify", "deligne", "--t-list", "-5/3,1"])
+        joined = run_cli(["verify", "deligne", "--t-list=-5/3,1"])
+        assert spaced == joined and spaced[0] == 0
+        assert seen == [(Q(-5, 3), Q(1))] * 2
+
+
+class TestCapCeilings:
+    def test_env_cap_above_default_is_one_line(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the table must not be built")
+
+        monkeypatch.setattr(cli, "upto", never)
+        monkeypatch.setenv("CAPELLI_SIZE_CAP", "100000")
+        code, out, err = run_cli(["table", "--size-max", "100000"])
+        assert code == 2 and out == ""
+        assert err == "capelli: error: size_cap = 100000 exceeds its built-in ceiling 14\n"
+
+    def test_config_cap_above_default_is_one_line(self, tmp_path):
+        cfg = tmp_path / "capelli.conf"
+        cfg.write_text("k_cap = 7\n")
+        code, out, err = run_cli(["eig", "1,0", "--k", "7", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err == "capelli: error: k_cap = 7 exceeds its built-in ceiling 6\n"
+
+    def test_cap_at_default_accepted(self, monkeypatch):
+        monkeypatch.setenv("CAPELLI_N_CAP", "10")
+        code, _, _ = run_cli(["verify", "dougall", "--a-max", "1", "--bcd-max", "0"])
+        assert code == 0
+
+
+_PARTITIONS = ["0,0", "1,0", "1,1", "2,0", "2,1", "2,2", "3,0", "3,1"]
+_JUNK = ["", "x", "1,2", "-1,0", "9,9", "1/0", "0,,2", "-", "-x", "--bogus", "--"]
+_OPTIONS = {
+    "--k": ["0", "1", "2", "3", "6", "7", "-1"],
+    "--t": ["-4", "-2", "0", "1/2", "-4/3", "3", "-5/3"],
+    "--t-list": ["-5/3,1", "0,-2", "1/2", "-4/3"],
+    "--route": ["a", "b", "c", "d", "oracle", "all", "z"],
+    "--part": ["poly", "reg", "sing"],
+    "--format": ["pretty", "json", "csv"],
+    "--size-max": ["0", "2", "4", "6", "15", "-1"],
+    "--k-max": ["0", "2", "7"],
+    "--N-max": ["0", "3", "11"],
+    "--deligne-size-max": ["0", "4", "-1"],
+    "--a-max": ["1", "11"],
+    "--jobs": ["0", "1", "2"],
+}
+_COMMAND_FLAGS = {
+    "ks": ["--k", "--part", "--format"],
+    "eig": ["--k", "--route", "--format"],
+    "deligne": ["--format"],
+    "table": ["--k", "--size-max", "--format"],
+    "verify": ["--k-max", "--size-max", "--N-max", "--deligne-size-max", "--a-max",
+               "--t-list", "--format", "--jobs"],
+}
+_POSITIONAL = {"ks": _PARTITIONS, "eig": _PARTITIONS, "deligne": _PARTITIONS, "table": [],
+               "verify": ["knop-sahi", "capelli", "deligne", "all", "nonsense"]}
+
+
+def _command_argv(cmd):
+    """Mostly well-formed tokens for one subcommand, so that most draws run
+    it; no drawn token abbreviates --out or --config."""
+    option = st.sampled_from(_COMMAND_FLAGS[cmd] + ["--bogus"]).flatmap(
+        lambda flag: st.sampled_from(_OPTIONS.get(flag, [""]) * 3 + _JUNK).map(
+            lambda v: [flag, v]))
+    return st.tuples(
+        st.just([cmd]),
+        st.sampled_from(_POSITIONAL[cmd] * 3 + _JUNK).map(lambda v: [v])
+        if _POSITIONAL[cmd] else st.just([]),
+        st.sampled_from([["--t", "1/2"], ["--t", "-2"], ["--t", "0"], []])
+        if cmd == "deligne" else st.just([]),
+        st.lists(option, max_size=3).map(lambda pairs: [tok for pair in pairs for tok in pair]),
+        st.sampled_from([[], [], ["--falling"]]),
+    ).map(lambda parts: [tok for part in parts for tok in part])
+
+
+_argv = st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(_command_argv)
+_ENV_KEYS = [f"CAPELLI_{name.upper()}" for name in
+             ("size_cap", "n_cap", "k_cap", "default_k", "jobs")]
+_setting_values = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.sampled_from(["", "x", "1.5", "99999", " 3 ", "1_0"]),
+    st.text(st.sampled_from(string.printable), max_size=5),
+)
+_config_lines = st.one_of(
+    st.tuples(st.sampled_from(["size_cap", "n_cap", "k_cap", "default_k", "jobs", "nonsense"]),
+              _setting_values).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(st.sampled_from(string.printable), max_size=8),
+)
+
+
+class TestBoundaryFuzz:
+    """Every argv, config file and CAPELLI_* value either works or exits 2
+    with one stderr line; a traceback is never acceptable."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        argv=_argv,
+        config=st.one_of(st.none(), st.none(), st.none(),
+                         st.lists(_config_lines, max_size=3).map("\n".join),
+                         st.binary(max_size=6)),
+        env=st.one_of(st.just({}), st.just({}), st.dictionaries(
+            st.sampled_from(_ENV_KEYS), _setting_values, max_size=2)),
+    )
+    def test_exit_code_and_one_line(self, monkeypatch, tmp_path, argv, config, env):
+        def no_sweep(suite, bounds, params=(), jobs=1):
+            return RunReport(command=f"verify {suite}", params=params, checks=[])
+
+        monkeypatch.setattr(cli, "run_suite", no_sweep)
+        if config is not None:
+            path = tmp_path / "fuzz.conf"
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            else:
+                path.write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        with mock.patch.dict(os.environ):
+            for key in [k for k in os.environ if k.startswith("CAPELLI_")]:
+                del os.environ[key]
+            os.environ.update(env)
+            code, _, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") <= 1, err
 
 
 class TestDeterminism:

@@ -8,8 +8,9 @@ from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli.bipoly import BiPoly
 from capelli.deligne import Block, DualScalar
-from capelli.partitions import c_cat, of_size, size, upto
+from capelli.partitions import PClass, c_cat, classify, of_size, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
+from capelli.verify import DEFAULT_T_LIST
 
 
 def _at(op: BiPoly, t: Q) -> BiPoly:
@@ -99,6 +100,26 @@ def test_block_eval_is_dual_number_substitution(op, blk):
     for (i, j), c in op.terms.items():
         want = want + c * (c_dual**i) * e**j
     assert dl.block_eval(op, blk) == want
+
+
+def _blocks_two_branch(d, t):
+    """Blocks of size d built with separate generic and even-t branches,
+    each with its own class rule: the reference ``blocks`` must reproduce."""
+    if t.denominator == 1 and t <= 0 and t % 2 == 0:
+        k = int(-t / 2)
+        out = []
+        for lam in of_size(d):
+            cls = classify(lam, k)
+            if cls is not PClass.SINGULAR:
+                out.append(Block(lam=lam, t=t, mult=2 if cls is PClass.QUASIREGULAR else 1))
+        return out
+    return [Block(lam=lam, t=t, mult=1) for lam in of_size(d)]
+
+
+@pytest.mark.parametrize("t", DEFAULT_T_LIST + (Q(-8), Q(2), Q(1, 3)), ids=str)
+def test_blocks_match_two_branch_build(t):
+    for d in range(9):
+        assert dl.blocks(d, t) == _blocks_two_branch(d, t), d
 
 
 def _l_op_per_factor(lam):

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from capelli.hypergeom import DougallResult, HypParams, dougall_check, falling, pfq_terminating, rising
+from capelli.hypergeom import DougallResult, dougall_check, falling, pfq_terminating, rising
 
 
 class TestFactorials:
@@ -68,51 +68,47 @@ class TestAgainstSympy:
         z=rationals,
     )
     def test_pfq_terminating(self, sympy, stop, upper, lower, z):
-        num = [-stop] + upper
-        params = HypParams.of(num, lower, z)
-        n_max = params.validate()
+        num = [Q(-stop)] + upper
+        n_max = min(-int(a) for a in num if a.denominator == 1 and a <= 0)
         rat = lambda v: sympy.Rational(v.numerator, v.denominator)  # noqa: E731
         expected = sum(
             (
-                sympy.Mul(*(sympy.rf(rat(a), n) for a in params.numerator))
-                / sympy.Mul(*(sympy.rf(rat(b), n) for b in params.denominator))
-                * rat(params.argument) ** n / sympy.factorial(n)
+                sympy.Mul(*(sympy.rf(rat(a), n) for a in num))
+                / sympy.Mul(*(sympy.rf(rat(b), n) for b in lower))
+                * rat(z) ** n / sympy.factorial(n)
                 for n in range(n_max + 1)
             ),
             sympy.Integer(0),
         )
-        assert pfq_terminating(params) == Q(str(expected))
+        assert pfq_terminating(num, lower, z) == Q(str(expected))
 
 
 class TestTerminatingSeries:
     def test_two_term_2f1(self):
         # 2F1(-1, b; c; 1) = 1 - b/c
-        p = HypParams.of((-1, 3), (5,), 1)
-        assert pfq_terminating(p) == 1 - Q(3, 5)
+        assert pfq_terminating((-1, 3), (5,), 1) == 1 - Q(3, 5)
 
     def test_zero_numerator_parameter(self):
-        p = HypParams.of((0, 7, Q(1, 2)), (2, 3), Q(9))
-        assert pfq_terminating(p) == 1
+        assert pfq_terminating((0, 7, Q(1, 2)), (2, 3), Q(9)) == 1
 
     def test_dougall_two_terms(self):
-        p = HypParams.of((2, 2, -1, -1, -1), (1, 4, 4, 4), 1)
-        assert pfq_terminating(p) == Q(15, 16)
+        assert pfq_terminating((2, 2, -1, -1, -1), (1, 4, 4, 4), 1) == Q(15, 16)
 
     def test_requires_termination(self):
         with pytest.raises(ValueError):
-            pfq_terminating(HypParams.of((Q(1, 2), 3), (5,), 1))
+            pfq_terminating((Q(1, 2), 3), (5,), 1)
 
     def test_denominator_zero_in_range(self):
         with pytest.raises(ValueError):
-            pfq_terminating(HypParams.of((-3, 1), (-1,), 1))
+            pfq_terminating((-3, 1), (-1,), 1)
 
     def test_denominator_zero_out_of_range_ok(self):
         # -b = -1 stops the sum before the denominator factor vanishes
-        assert pfq_terminating(HypParams.of((-1, 1), (-1,), 1)) == 2
+        assert pfq_terminating((-1, 1), (-1,), 1) == 2
 
     def test_permutation_invariance(self):
-        a = pfq_terminating(HypParams.of((-2, 3, Q(1, 2)), (4, 5), Q(2, 3)))
-        b = pfq_terminating(HypParams.of((3, Q(1, 2), -2), (5, 4), Q(2, 3)))
+        a = pfq_terminating((-2, 3, Q(1, 2)), (4, 5), Q(2, 3))
+        b = pfq_terminating((3, Q(1, 2), -2), (5, 4), Q(2, 3))
         assert a == b
 
 

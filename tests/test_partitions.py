@@ -47,6 +47,25 @@ class TestClassify:
             pt.classify((1, 2), 0)
 
 
+class TestClassifyAt:
+    def test_matches_classify_at_integer_k(self):
+        for k in range(7):
+            for lam in pt.upto(10):
+                want = pt.classify(lam, k)
+                assert pt.classify_at(lam, k) is want
+                assert pt.classify_at(lam, Q(k)) is want
+
+    @pytest.mark.parametrize("k", [-1, -3, Q(1, 2), Q(-5, 6), Q(7, 3)])
+    def test_regular_off_the_non_negative_integers(self, k):
+        for lam in pt.upto(10):
+            assert pt.classify_at(lam, k) is PClass.REGULAR
+
+    @pytest.mark.parametrize("k", [0, -1, Q(1, 2)])
+    def test_rejects_non_partition(self, k):
+        with pytest.raises(ValueError):
+            pt.classify_at((1, 2), k)
+
+
 class TestDagger:
     def test_singular_to_quasiregular(self):
         assert pt.dagger((3, 0), 1) == (2, 1)

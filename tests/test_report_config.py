@@ -79,6 +79,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="default_k = 3"):
             load_config(environ={"CAPELLI_K_CAP": "2", "CAPELLI_DEFAULT_K": "3"})
 
+    @pytest.mark.parametrize(
+        "name, ceiling", [("size_cap", 14), ("n_cap", 10), ("k_cap", 6)]
+    )
+    def test_cap_above_built_in_default_rejected(self, name, ceiling):
+        message = f"{name} = {ceiling + 1} exceeds its built-in ceiling {ceiling}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"{name} = {ceiling + 1}")
+        with pytest.raises(ConfigError, match=message):
+            load_config(environ={f"CAPELLI_{name.upper()}": str(ceiling + 1)})
+        assert getattr(parse_config_text(f"{name} = {ceiling}"), name) == ceiling
+
     def test_boundary_values_accepted(self):
         cfg = parse_config_text("k_cap = 0\ndefault_k = 0\njobs = 0\nsize_cap = 0\nn_cap = 0")
         assert (cfg.k_cap, cfg.default_k, cfg.jobs) == (0, 0, 0)

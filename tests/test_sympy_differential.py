@@ -1,0 +1,99 @@
+"""Differential checks of the core algebra against sympy, an independent
+implementation: canonical rational functions and the polynomial gcd, the
+falling-factorial basis and the square operator."""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from capelli.bipoly import BiPoly, falling_expansion, from_falling, square_op
+from capelli.ratfunc import RatFunc, UniPoly
+
+X, Y = sympy.symbols("x y")
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+unipolys = st.lists(small, max_size=4).map(UniPoly)
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small, max_size=5
+).map(BiPoly)
+
+
+def _rat(c: Q):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _uni_expr(p: UniPoly):
+    return sum((_rat(c) * X**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _bi_expr(f: BiPoly):
+    return sum((_rat(c) * X**i * Y**j for (i, j), c in f.terms.items()), sympy.Integer(0))
+
+
+def _bi_terms(expr) -> dict:
+    """The monomial coefficients of a sympy polynomial in x, y as Fractions."""
+    poly = sympy.Poly(sympy.expand(expr), X, Y)
+    return {key: Q(str(c)) for key, c in poly.terms() if c}
+
+
+def _coeffs(expr) -> tuple:
+    """Coefficients of a sympy polynomial in x, lowest degree first."""
+    return tuple(Q(str(c)) for c in reversed(sympy.Poly(expr, X).all_coeffs()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(unipolys, unipolys.filter(bool), unipolys.filter(bool))
+def test_ratfunc_canonical_form_matches_cancel(num, den, common):
+    """Coprime numerator and monic denominator, as sympy.cancel reduces them."""
+    f = RatFunc(num * common, den * common)
+    n, d = sympy.fraction(sympy.cancel(_uni_expr(num) / _uni_expr(den)))
+    lead = sympy.Poly(d, X).LC()
+    want_num, want_den = _coeffs(sympy.expand(n / lead)), _coeffs(sympy.expand(d / lead))
+    assert f.num.coeffs == (want_num if num else ())
+    assert f.den.coeffs == (want_den if num else (Q(1),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unipolys, unipolys, unipolys)
+def test_gcd_matches_sympy_gcd(a, b, common):
+    got = (a * common).gcd(b * common)
+    want = sympy.Poly(sympy.gcd(_uni_expr(a * common), _uni_expr(b * common)), X)
+    if want.is_zero:
+        assert not got
+    else:
+        assert got.coeffs == _coeffs(want.monic().as_expr())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipolys)
+def test_falling_expansion_matches_sympy_ff(f):
+    expansion = falling_expansion(f)
+    rebuilt = sum(
+        (_rat(c) * sympy.ff(X, m) * sympy.ff(Y, n) for (m, n), c in expansion.items()),
+        sympy.Integer(0),
+    )
+    assert _bi_terms(rebuilt) == f.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small, st.integers(0, 4), st.integers(0, 4)), max_size=5))
+def test_from_falling_matches_sympy_ff(terms):
+    want = sum(
+        (_rat(c) * sympy.ff(X, m) * sympy.ff(Y, n) for c, m, n in terms), sympy.Integer(0)
+    )
+    assert from_falling(terms).terms == _bi_terms(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipolys)
+def test_square_op_matches_sympy_diff_and_div(g):
+    f = g + BiPoly({(j, i): c for (i, j), c in g.terms.items()})  # symmetrized
+    expr = _bi_expr(f)
+    quotient, remainder = sympy.div(
+        sympy.diff(expr, X) - sympy.diff(expr, Y), 4 * (X - Y), X, Y
+    )
+    assert remainder == 0
+    assert square_op(f).terms == _bi_terms(quotient)
