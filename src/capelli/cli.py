@@ -6,6 +6,10 @@ eigenvalue polynomial, block table, minimal polynomial), ``table``
 (partition data), ``verify`` (identity sweeps with machine-readable
 reports).
 
+``build_parser`` alone declares what each subcommand accepts: ``csv``
+output on ``table`` and ``verify`` only, ``--jobs`` on ``verify`` only (the
+one command that starts workers), and flags spelled in full, never abbreviated.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error.  Output is byte-deterministic for fixed inputs.
 """
@@ -37,12 +41,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with one-line usage errors.  Its test for a token that is a
-    negative number, not an option name, is widened from -4 and -.5 to any
-    minus sign and digit, so ``--t -4/3`` parses like ``--t=-4/3``."""
+    """argparse with one-line usage errors and no prefix abbreviations.  Its
+    test for a token that is a negative number, not an option name, is
+    widened from -4 and -.5 to any minus sign and digit, so ``--t -4/3``
+    parses like ``--t=-4/3``."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
@@ -79,10 +84,21 @@ def parse_t_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(tok) for tok in tokens)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+# The verify sweep bounds in report order, named by their report keys.  The
+# flag is ``--`` plus the key with ``-`` for ``_``; the ``Bounds`` field is
+# the key lower-cased.
+BOUND_KEYS = ("k_max", "size_max", "N_max", "psi_N_max", "deligne_size_max",
+              "minpoly_d_max", "a_max", "bcd_max")
+
+_TEXT_FORMATS = ("pretty", "json")
+_TABLE_FORMATS = _TEXT_FORMATS + ("csv",)
+
+
+def _common_flags(sub: argparse.ArgumentParser, formats=_TEXT_FORMATS, jobs=False) -> None:
+    sub.add_argument("--format", choices=formats, default="pretty")
     sub.add_argument("--out", metavar="PATH", default=None)
-    sub.add_argument("--jobs", type=int, default=None, metavar="N")
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=None, metavar="N")
     sub.add_argument("--config", metavar="PATH", default=None)
 
 
@@ -117,20 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = subs.add_parser("table", help="partition classification table")
     p_tab.add_argument("--k", type=int, default=None, metavar="K")
     p_tab.add_argument("--size-max", type=int, default=6, dest="size_max")
-    _common_flags(p_tab)
+    _common_flags(p_tab, _TABLE_FORMATS)
 
     p_ver = subs.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    p_ver.add_argument("--k-max", type=int, default=None, dest="k_max")
-    p_ver.add_argument("--size-max", type=int, default=None, dest="size_max")
-    p_ver.add_argument("--N-max", "--n-max", type=int, default=None, dest="n_max")
-    p_ver.add_argument("--psi-N-max", type=int, default=None, dest="psi_n_max")
-    p_ver.add_argument("--deligne-size-max", type=int, default=None, dest="deligne_size_max")
-    p_ver.add_argument("--minpoly-d-max", type=int, default=None, dest="minpoly_d_max")
-    p_ver.add_argument("--a-max", type=int, default=None, dest="a_max")
-    p_ver.add_argument("--bcd-max", type=int, default=None, dest="bcd_max")
+    for key in BOUND_KEYS:
+        flags = ["--" + key.replace("_", "-")] + (["--n-max"] if key == "N_max" else [])
+        p_ver.add_argument(*flags, type=int, default=None, dest=key.lower())
     p_ver.add_argument("--t-list", default=None, dest="t_list", metavar="T1,T2,...")
-    _common_flags(p_ver)
+    _common_flags(p_ver, _TABLE_FORMATS, jobs=True)
 
     return parser
 
@@ -157,18 +168,27 @@ def _json_doc(obj: dict) -> str:
 # -- subcommand implementations ------------------------------------------------------
 
 
-def _check_size(lam, cfg) -> None:
+def _partition(args, cfg) -> Pair2:
+    """The LAMBDA argument, parsed and held to the size cap."""
+    lam = parse_partition(args.partition)
     if size(lam) > cfg.size_cap:
         raise UsageError(f"partition size {size(lam)} exceeds the hard cap {cfg.size_cap}")
+    return lam
+
+
+def _k(args, cfg) -> int:
+    """``--k``, range-checked, or the configured ``default_k`` when omitted."""
+    if args.k is None:
+        return cfg.default_k
+    if not 0 <= args.k <= cfg.k_cap:
+        raise UsageError(f"--k must lie in [0, {cfg.k_cap}]")
+    return args.k
 
 
 def cmd_ks(args, cfg) -> int:
-    lam = parse_partition(args.partition)
-    _check_size(lam, cfg)
+    lam = _partition(args, cfg)
     if args.part in ("reg", "sing") and args.k is None:
         raise UsageError("--part reg|sing requires --k")
-    if args.format == "csv":
-        raise UsageError("csv format applies to 'table' and 'verify' only")
     body = ks.ks_poly(lam).body
     fall = args.falling
     pairs: list[tuple[str, str]] = []
@@ -179,9 +199,7 @@ def cmd_ks(args, cfg) -> int:
             pairs.append(("P", render_bipoly(body)))
             pairs.append(("P_falling", render_bipoly(body, falling=True)))
     else:
-        k = args.k
-        if k < 0 or k > cfg.k_cap:
-            raise UsageError(f"--k must lie in [0, {cfg.k_cap}]")
+        k = _k(args, cfg)
         reg = ks.reg_part(lam, k)
         sing = ks.sing_part(lam, k)
         if args.part == "sing":
@@ -204,13 +222,8 @@ def cmd_ks(args, cfg) -> int:
 
 
 def cmd_eig(args, cfg) -> int:
-    lam = parse_partition(args.partition)
-    _check_size(lam, cfg)
-    k = cfg.default_k if args.k is None else args.k
-    if k < 0 or k > cfg.k_cap:
-        raise UsageError(f"--k must lie in [0, {cfg.k_cap}]")
-    if args.format == "csv":
-        raise UsageError("csv format applies to 'table' and 'verify' only")
+    lam = _partition(args, cfg)
+    k = _k(args, cfg)
     cls = classify(lam, k)
     if args.route == "all":
         routes = ep.applicable_routes(lam, k)
@@ -245,11 +258,8 @@ def cmd_eig(args, cfg) -> int:
 
 
 def cmd_deligne(args, cfg) -> int:
-    lam = parse_partition(args.partition)
-    _check_size(lam, cfg)
+    lam = _partition(args, cfg)
     t = parse_rational(args.t)
-    if args.format == "csv":
-        raise UsageError("csv format applies to 'table' and 'verify' only")
     f = dl.cat_eig_formula(lam, t)
     consistent = f == dl.cat_eig_from_blocks(lam, t)
     rendered = render_bipoly(f, falling=args.falling)
@@ -277,9 +287,7 @@ def cmd_deligne(args, cfg) -> int:
 
 
 def cmd_table(args, cfg) -> int:
-    k = cfg.default_k if args.k is None else args.k
-    if k < 0 or k > cfg.k_cap:
-        raise UsageError(f"--k must lie in [0, {cfg.k_cap}]")
+    k = _k(args, cfg)
     if args.size_max < 0 or args.size_max > cfg.size_cap:
         raise UsageError(f"--size-max must lie in [0, {cfg.size_cap}]")
     header = ["lambda", "size", "class", "dagger", "ell", "H(kappa)", "H(k)", "c_super", "c_cat(-2k)"]
@@ -323,12 +331,8 @@ def cmd_table(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    overrides = {}
-    for name in ("k_max", "size_max", "n_max", "psi_n_max", "deligne_size_max",
-                 "minpoly_d_max", "a_max", "bcd_max"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: value for name in map(str.lower, BOUND_KEYS)
+                 if (value := getattr(args, name)) is not None}
     if args.t_list is not None:
         overrides["t_list"] = parse_t_list(args.t_list)
     bounds = Bounds(**overrides)
@@ -339,25 +343,14 @@ def cmd_verify(args, cfg) -> int:
     jobs = args.jobs if args.jobs is not None else cfg.effective_jobs()
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
-    params = [
+    params = (
         ("suite", args.suite),
-        ("k_max", str(bounds.k_max)),
-        ("size_max", str(bounds.size_max)),
-        ("N_max", str(bounds.n_max)),
-        ("psi_N_max", str(bounds.psi_n_max)),
-        ("deligne_size_max", str(bounds.deligne_size_max)),
-        ("minpoly_d_max", str(bounds.minpoly_d_max)),
-        ("a_max", str(bounds.a_max)),
-        ("bcd_max", str(bounds.bcd_max)),
+        *((key, str(getattr(bounds, key.lower()))) for key in BOUND_KEYS),
         ("t_list", ",".join(render_frac(t) for t in bounds.t_list)),
-    ]
-    report = run_suite(args.suite, bounds, params=tuple(params), jobs=jobs)
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        _emit(report.to_pretty(), args.out)
+    )
+    report = run_suite(args.suite, bounds, params=params, jobs=jobs)
+    render = {"json": report.to_json, "csv": report.to_csv, "pretty": report.to_pretty}
+    _emit(render[args.format](), args.out)
     print(report.summary_line(), file=sys.stderr)
     return 0 if report.all_passed else FAIL_EXIT
 

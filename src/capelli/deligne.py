@@ -6,8 +6,8 @@ it acts faithfully on the generalized eigenblocks of C, and on each block
 the action is a dual number value + nil*eps with eps^2 = 0.  That block
 model is all this module keeps: operators are ``BiPoly`` polynomials in
 (C, E) with coefficients in Q(s), blocks are labelled by partitions with
-multiplicity 1 or 2 (``Block``), and evaluation is dual-number arithmetic
-(``DualScalar``).
+multiplicity 1 or 2 (``Block``), and evaluating an operator on a block
+gives a dual number (``DualScalar``).
 
 * every case split reads the class of a partition at kb = -t/2 through
   ``classify_at``, so every partition is regular unless t is a non-positive
@@ -16,10 +16,10 @@ multiplicity 1 or 2 (``Block``), and evaluation is dual-number arithmetic
   with multiplicity 2 exactly on the kb-quasiregular ones;
 * ``l_op`` is the spectral projector-like element built from the size-d
   Casimir spectrum at a deformation parameter s;
-* ``d_op`` combines one or two of these per the class of the partition, and
-  its coefficients provably have no pole at s = t (asserted here); a check
-  specializes it at s = t once, and ``block_eval`` reads the resulting
-  rational polynomial p(C, E) and its C-derivative off each block;
+* ``d_op`` combines one or two of these per the class of the partition and
+  returns the combination at s = t, where its coefficients provably have no
+  pole (asserted there); ``block_eval`` reads that rational polynomial
+  p(C, E) and its C-derivative off each block;
 * ``cat_eig_from_blocks`` reads generalized values off the blocks and
   interpolates the eigenvalue polynomial; ``cat_eig_formula`` evaluates the
   closed forms obtained from the interpolation polynomials under the
@@ -47,7 +47,7 @@ from .partitions import (
     paired,
     size,
 )
-from .ratfunc import RatFunc, UniPoly
+from .ratfunc import PoleError, RatFunc, UniPoly
 
 HALF_NEG_S = UniPoly((0, Fraction(-1, 2)))  # the substitution kappa := -s/2
 
@@ -62,24 +62,6 @@ class DualScalar:
 
     value: Fraction
     nil: Fraction = Fraction(0)
-
-    def __add__(self, other: "DualScalar") -> "DualScalar":
-        return DualScalar(self.value + other.value, self.nil + other.nil)
-
-    def __mul__(self, other) -> "DualScalar":
-        if isinstance(other, DualScalar):
-            return DualScalar(
-                self.value * other.value, self.value * other.nil + self.nil * other.value
-            )
-        return DualScalar(self.value * other, self.nil * other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "DualScalar":
-        out = DualScalar(Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.value and not self.nil
@@ -181,13 +163,14 @@ def l_op(lam: Pair2) -> BiPoly:
 
 
 def d_op(lam: Pair2, t: Fraction) -> BiPoly:
-    """Case dispatch on the class of lam at kb = -t/2:
+    """The operator at s = t, by case dispatch on the class of lam at kb = -t/2:
 
     (i)   kb-regular lam:        L_lam
     (ii)  kb-singular lam:       (c_{lam+}(s) - c_lam(s)) L_{lam+}
     (iii) kb-quasiregular lam:   L_lam + L_{lam+}
 
-    Every combined coefficient must be regular at s = t; asserted here.
+    Each combined Q(s) coefficient is evaluated once at s = t; a pole there
+    would be a defect in the model and raises ``AssertionError``.
     """
     t = Fraction(t)
     kb = kbar(t)
@@ -199,10 +182,14 @@ def d_op(lam: Pair2, t: Fraction) -> BiPoly:
         op = l_op(lam) + l_op(paired(lam, int(kb), cls))
     else:
         op = l_op(lam)
+    values = {}
     for key, coeff in op.terms.items():
-        if coeff.valuation(t) < 0:
-            raise AssertionError(f"coefficient of C^{key[0]}E^{key[1]} has a pole at s={t}")
-    return op
+        try:
+            values[key] = coeff.eval(t)
+        except PoleError:
+            raise AssertionError(
+                f"coefficient of C^{key[0]}E^{key[1]} has a pole at s={t}") from None
+    return BiPoly(values)
 
 
 # -- eigenvalue polynomials, two ways ---------------------------------------------------
@@ -215,9 +202,9 @@ class InterpolationMismatch(AssertionError):
 def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
     """Eigenvalue polynomial read off the block model.
 
-    Specializes d_op at s = t once and evaluates it on every block of size
-    <= |lam| (the projection onto operators of order <= |lam| is invisible
-    there), assembles the generalized values -- multiplicity-2 blocks
+    Evaluates d_op, which is already at s = t, on every block of size <= |lam|
+    (the projection onto operators of order <= |lam| is invisible there),
+    assembles the generalized values -- multiplicity-2 blocks
     contribute their nilpotent coefficient as the value at the missing
     singular partner -- and interpolates.  The interpolant is then
     re-checked against every block.
@@ -225,7 +212,7 @@ def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
     t = Fraction(t)
     check_partition(lam)
     d = size(lam)
-    op_t = d_op(lam, t).map_coeffs(lambda c: c.eval(t))
+    op_t = d_op(lam, t)
     kb = kbar(t)
     values: dict[Pair2, Fraction] = {}
     duals: list[tuple[Block, DualScalar]] = []

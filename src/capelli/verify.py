@@ -305,7 +305,7 @@ def check_vanishing_suite(lam: Pair2, t: Fraction) -> Outcome:
     (1,0) on the lam block, (0,1) on the dagger block when lam indexes no
     block itself, (0,0) everywhere else.  Includes the idempotent limit (the
     nil part on a quasiregular lam's own block is exactly zero)."""
-    op_t = dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t))
+    op_t = dl.d_op(lam, t)
     kb = dl.kbar(t)
     singular_partner = None
     if classify_at(lam, kb) is PClass.SINGULAR:

@@ -17,6 +17,10 @@ STDOUT_CASES = [
     ("deligne_0_0_t_half.txt", ["deligne", "0,0", "--t", "1/2"]),
     ("table_k1_s3.txt", ["table", "--k", "1", "--size-max", "3"]),
     ("table_k0_s2_csv.txt", ["table", "--k", "0", "--size-max", "2", "--format", "csv"]),
+    ("ks_2_0_k0_json.txt", ["ks", "2,0", "--k", "0", "--format", "json"]),
+    ("deligne_1_1_t0_json.txt", ["deligne", "1,1", "--t", "0", "--format", "json"]),
+    ("table_k1_s3_json.txt", ["table", "--k", "1", "--size-max", "3", "--format", "json"]),
+    ("eig_2_2_k1_oracle_json.txt", ["eig", "2,2", "--k", "1", "--route", "oracle", "--format", "json"]),
 ]
 
 REPORT_CASES = [
@@ -39,6 +43,13 @@ REPORT_CASES = [
     (
         "verify_dougall_a4_b3.json",
         ["verify", "dougall", "--a-max", "4", "--bcd-max", "3", "--format", "json"],
+    ),
+    (
+        # every bound flag and --t-list away from its default
+        "verify_deligne_all_bounds.json",
+        ["verify", "deligne", "--k-max", "2", "--size-max", "4", "--N-max", "3",
+         "--psi-N-max", "2", "--deligne-size-max", "3", "--minpoly-d-max", "4",
+         "--a-max", "2", "--bcd-max", "1", "--t-list", "0,1/2,-2", "--format", "json"],
     ),
     (
         "verify_dougall_small.csv",

@@ -23,7 +23,7 @@ from capelli import knopsahi as ks
 from capelli import ratfunc
 from capelli import verify as vf
 from capelli.bipoly import falling_coeffs
-from capelli.partitions import PClass, classify, size, upto
+from capelli.partitions import PClass, classify, classify_at, paired, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
 
@@ -81,9 +81,27 @@ def test_l_op_normalizes_once_per_monomial(monkeypatch):
         monkeypatch.undo()
 
 
+def test_d_op_makes_no_valuation_call(monkeypatch):
+    valuations = _counter(monkeypatch, RatFunc, "valuation")
+    for t in (Q(-4), Q(0), Q(3), Q(1, 2)):
+        for lam in upto(5):
+            dl.d_op(lam, t)
+    assert valuations == []
+
+
+def test_ks_pole_set_makes_no_gcd(monkeypatch):
+    for lam in upto(10):
+        ks.ks_poly(lam)  # build (and normalize) outside the counted region
+    gcd = _counter(monkeypatch, UniPoly, "gcd")
+    inits = _counter(monkeypatch, RatFunc, "__init__")
+    for lam in upto(10):
+        ks.ks_pole_set(lam, 6)
+    assert (gcd, inits) == ([], [])
+
+
 def test_block_eval_makes_no_ratfunc_work(monkeypatch):
     t = Q(-2)
-    ops = {lam: dl.d_op(lam, t).map_coeffs(lambda c: c.eval(t)) for lam in upto(4)}
+    ops = {lam: dl.d_op(lam, t) for lam in upto(4)}
     evals = _counter(monkeypatch, RatFunc, "eval")
     inits = _counter(monkeypatch, RatFunc, "__init__")
     for lam, op_t in ops.items():
@@ -93,10 +111,21 @@ def test_block_eval_makes_no_ratfunc_work(monkeypatch):
     assert (evals, inits) == ([], [])
 
 
+def _d_op_monomials(lam, t) -> int:
+    """How many Q(s) monomials d_op(lam, t) has before it is specialized:
+    those of L_lam, L_{lam+}, or both, per the class of lam at -t/2."""
+    kb = dl.kbar(t)
+    cls = classify_at(lam, kb)
+    keys = set() if cls is PClass.SINGULAR else set(dl.l_op(lam).terms)
+    if cls is not PClass.REGULAR:
+        keys |= set(dl.l_op(paired(lam, int(kb), cls)).terms)
+    return len(keys)
+
+
 @pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
 def test_deligne_checks_specialize_once(monkeypatch, t):
     for lam in upto(5):
-        monomials = len(dl.d_op(lam, t).terms)
+        monomials = _d_op_monomials(lam, t)
         evals = _counter(monkeypatch, RatFunc, "eval")
         check = vf.check_vanishing_suite(lam, t)
         assert check.status == "pass", check

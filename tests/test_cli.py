@@ -173,6 +173,50 @@ class TestArgparseErrors:
         assert code == 2 and out == ""
         assert err == line + "\n"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "deligne", "--t", "1"], "capelli: error: unrecognized arguments: --t 1"),
+            (["table", "--size", "3"], "capelli: error: unrecognized arguments: --size 3"),
+            (["ks", "1,0", "--o", "x"], "capelli: error: unrecognized arguments: --o x"),
+            (["eig", "1,0", "--jobs", "1"], "capelli: error: unrecognized arguments: --jobs 1"),
+        ],
+        ids=["t-for-t-list", "size-for-size-max", "o-for-out", "jobs-on-eig"],
+    )
+    def test_abbreviation_or_foreign_flag_is_one_line(self, monkeypatch, tmp_path, argv, line):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == line + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", [["ks", "1,0"], ["eig", "1,0"], ["deligne", "1,0", "--t", "0"]])
+    def test_csv_outside_table_and_verify_is_one_line(self, cmd):
+        # as in test_bad_choice_is_one_line, the wording of the choices list
+        # varies across Python versions
+        code, out, err = run_cli(cmd + ["--format", "csv"])
+        assert code == 2 and out == ""
+        assert err.startswith(
+            f"capelli {cmd[0]}: error: argument --format: invalid choice: 'csv' (choose from ")
+        assert "pretty" in err and "json" in err and err.count("csv") == 1
+        assert err.count("\n") == 1
+
+    def test_n_max_alias_matches_full_flag(self, monkeypatch):
+        seen = []
+
+        def record(suite, bounds, params=(), jobs=1):
+            seen.append((bounds.n_max, dict(params)["N_max"]))
+            return RunReport(command=f"verify {suite}", params=params, checks=[])
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        assert run_cli(["verify", "dougall", "--N-max", "3"]) == run_cli(
+            ["verify", "dougall", "--n-max", "3"])
+        assert seen == [(3, "3")] * 2
+
     def test_bad_choice_is_one_line(self):
         # the choices list after the message is worded differently across
         # Python versions; the line itself is what is pinned
