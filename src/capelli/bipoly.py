@@ -53,18 +53,7 @@ class BiPoly:
     def zero(cls) -> "BiPoly":
         return cls()
 
-    @classmethod
-    def const(cls, c) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def term(cls, c, i: int, j: int) -> "BiPoly":
-        return cls({(i, j): c})
-
     # -- queries ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)

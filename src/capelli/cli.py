@@ -17,7 +17,6 @@ configuration error.  Output is byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .bipoly import render_bipoly
 from .config import ConfigError, load_config
 from .partitions import PClass, Pair2, classify, dagger, ell, h_poly, c_super, c_cat, size, upto
 from .ratfunc import render_frac, render_unipoly
+from .report import csv_text, json_text
 from .verify import Bounds, BoundsError, SUITES, run_suite
 
 USAGE_EXIT = 2
@@ -161,10 +161,6 @@ def _kv_lines(pairs: list[tuple[str, str]]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
-def _json_doc(obj: dict) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
-
-
 # -- subcommand implementations ------------------------------------------------------
 
 
@@ -212,7 +208,7 @@ def cmd_ks(args, cfg) -> int:
     if args.format == "json":
         doc = {"command": "ks", "lambda": args.partition, "k": args.k}
         doc.update({k.lower(): v for k, v in pairs})
-        _emit(_json_doc(doc), args.out)
+        _emit(json_text(doc), args.out)
     else:
         if args.part in ("reg", "sing"):
             _emit(pairs[0][1] + "\n", args.out)
@@ -238,7 +234,7 @@ def cmd_eig(args, cfg) -> int:
                 "f": rendered,
                 "routes_agree": agree,
             }
-            _emit(_json_doc(doc), args.out)
+            _emit(json_text(doc), args.out)
         else:
             _emit(f"{rendered}\nroutes agree: {'yes' if agree else 'NO'}\n", args.out)
         return 0 if agree else FAIL_EXIT
@@ -251,7 +247,7 @@ def cmd_eig(args, cfg) -> int:
     if args.format == "json":
         doc = {"command": "eig", "lambda": args.partition, "k": k,
                "class": cls.value, "route": args.route, "f": rendered}
-        _emit(_json_doc(doc), args.out)
+        _emit(json_text(doc), args.out)
     else:
         _emit(rendered + "\n", args.out)
     return 0
@@ -276,7 +272,7 @@ def cmd_deligne(args, cfg) -> int:
             "min_poly": render_unipoly(mp, "x"),
             "routes_agree": consistent,
         }
-        _emit(_json_doc(doc), args.out)
+        _emit(json_text(doc), args.out)
     else:
         lines = [f"f = {rendered}"]
         lines += [f"blocks size {m}: {row}" for m, row in block_rows]
@@ -312,16 +308,9 @@ def cmd_table(args, cfg) -> int:
             "command": "table", "k": k, "size_max": args.size_max,
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        _emit(_json_doc(doc), args.out)
+        _emit(json_text(doc), args.out)
     elif args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        _emit(csv_text(header, rows), args.out)
     else:
         widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
@@ -348,7 +337,7 @@ def cmd_verify(args, cfg) -> int:
         *((key, str(getattr(bounds, key.lower()))) for key in BOUND_KEYS),
         ("t_list", ",".join(render_frac(t) for t in bounds.t_list)),
     )
-    report = run_suite(args.suite, bounds, params=params, jobs=jobs)
+    report = run_suite(args.suite, bounds, params=params, jobs=jobs, cfg=cfg)
     render = {"json": report.to_json, "csv": report.to_csv, "pretty": report.to_pretty}
     _emit(render[args.format](), args.out)
     print(report.summary_line(), file=sys.stderr)

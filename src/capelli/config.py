@@ -19,8 +19,9 @@ ENV_PREFIX = "CAPELLI_"
 class Config:
     size_cap: int = 14   # largest |lambda| any sweep may request
     n_cap: int = 10      # largest N for the derivative identity; also caps the
-                         # dougall sweep's a-max and bcd-max
-    k_cap: int = 6       # largest parameter k
+                         # dougall sweep's a-max and bcd-max, and is the last
+                         # N of the log-derivative sweep
+    k_cap: int = 6       # largest parameter k; the pole-set sweep runs to it
     default_k: int = 0   # k used by commands when --k is omitted
     jobs: int = 0        # verification workers; 0 means available parallelism
 

@@ -30,9 +30,9 @@ from typing import Mapping
 from .bipoly import BiPoly, falling_term, square_op
 from .knopsahi import (
     eval_point,
+    h_jump,
     ks_poly,
     q_poly,
-    r_coeff,
     reg_part,
 )
 from .partitions import (
@@ -48,7 +48,7 @@ from .partitions import (
     size,
     upto,
 )
-from .ratfunc import PoleError, RatFunc, UniPoly
+from .ratfunc import PoleError, RatFunc
 
 
 class Route(enum.Enum):
@@ -244,17 +244,14 @@ def eig_qreg_explicit(lam: Pair2, k: int) -> BiPoly:
 def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
     """Fifth, assembly-level expression for the quasiregular case:
 
-        f_lam = ( Q_{lam+} + (beta'(k) - alpha'(k)) / H'_lam(k) * R_lam ) / H_{lam+}(k)
+        f_lam = ( Q_{lam+} + h_jump(lam+, k) / H'_lam(k) * R_lam ) / H_{lam+}(k)
 
-    with alpha(kappa) = -r_{lam+}/(kappa-k) * H_lam(kappa) and
-    beta = H_{lam+}.  Built entirely from the depolarization primitives, so
-    it cross-checks them against the eigenvalue routes.
+    with ``h_jump`` taken at the k-singular partner lam+.  Built entirely
+    from the depolarization primitives, so it cross-checks them against the
+    eigenvalue routes.
     """
     lamd = paired(lam, k, PClass.QUASIREGULAR)
-    r = r_coeff(lamd, k)
-    alpha = RatFunc(h_poly(lam).scale(-r), UniPoly((-k, 1)))
-    beta = RatFunc(h_poly(lamd))
-    coeff = (beta.derivative_at(k) - alpha.derivative_at(k)) / h_poly(lam).derivative()(k)
+    coeff = h_jump(lamd, k) / h_poly(lam).derivative()(k)
     body = q_poly(lamd, k) + reg_part(lam, k).scale(coeff)
     return body.scale(Fraction(1) / h_poly(lamd)(k))
 

@@ -56,6 +56,7 @@ def lhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
     """d/dx of x_(N-i) x_(N-j) / x_(N), canonical in Q(x)."""
     _check_ijn(i, j, n)
     num = UniPoly(falling_coeffs(n - i)) * UniPoly(falling_coeffs(n - j))
+    # reduce, then differentiate: normalizing n'd - nd' over d^2 once is slower (larger gcd)
     return RatFunc(num, UniPoly(falling_coeffs(n))).derivative()
 
 

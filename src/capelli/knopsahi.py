@@ -224,20 +224,19 @@ def gen_eval(f: BiPoly, mu: Pair2, k) -> Fraction:
     return f.eval2(a, b)
 
 
-def tcheck_values(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
-    """The pair (t1, t2) of generalized values of Q_lam at lam-dagger and lam.
-
-    t1 = H_lam(k); t2 is assembled from the derivatives of
-    alpha(kappa) = -r_lam/(kappa-k) * H_{lam+}(kappa) and beta = H_lam.
-    """
+def h_jump(lam: Pair2, k: int) -> Fraction:
+    """beta'(k) - alpha'(k) for k-singular lam, with beta = H_lam and
+    alpha(kappa) = -r_lam/(kappa-k) * H_{lam+}(kappa)."""
     lamd = paired(lam, k, PClass.SINGULAR)
-    r = r_coeff(lam, k)
-    alpha = RatFunc(h_poly(lamd).scale(-r), UniPoly((-k, 1)))
-    beta = RatFunc(h_poly(lam))
-    t1 = beta.eval(k)
-    denom = 4 * (k + 1 - lam[0] + lam[1])
-    t2 = (beta.derivative_at(k) - alpha.derivative_at(k)) / denom
-    return t1, t2
+    alpha = RatFunc(h_poly(lamd).scale(-r_coeff(lam, k)), UniPoly((-k, 1)))
+    return RatFunc(h_poly(lam)).derivative_at(k) - alpha.derivative_at(k)
+
+
+def tcheck_values(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
+    """The pair (t1, t2) of generalized values of Q_lam at lam-dagger and lam:
+    t1 = H_lam(k) and t2 = ``h_jump(lam, k)`` / (4 (k + 1 - l1 + l2))."""
+    t2 = h_jump(lam, k) / (4 * (k + 1 - lam[0] + lam[1]))
+    return h_poly(lam)(k), t2
 
 
 # -- basis of regularized polynomials ------------------------------------------------

@@ -9,7 +9,7 @@ This module provides the two scalar-level building blocks:
   (gcd-reduced, monic denominator), so that structural equality is semantic
   equality.
 
-``RatFunc`` knows about its local behaviour at a rational point: valuation,
+``RatFunc`` knows about its local behaviour at a rational point: its
 simple-pole residue, regular value and the value of the derivative.  These
 are read off the local expansion instead of being built as new ``RatFunc``
 values: at a simple pole ``a`` the denominator is split once as
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
-
-Rat = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -99,9 +97,6 @@ class UniPoly:
 
     # -- basic queries -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -132,9 +127,6 @@ class UniPoly:
     def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        return _as_poly(other) - self
-
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         other = _as_poly(other)
         if not self.coeffs or not other.coeffs:
@@ -148,18 +140,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = UniPoly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:  # no squaring after the last bit
-                base = base * base
-        return out
 
     def scale(self, c: Scalar) -> "UniPoly":
         c = Fraction(c)
@@ -304,29 +284,10 @@ class RatFunc:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RatFunc is immutable")
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RatFunc":
-        return cls(UniPoly.const(c))
-
-    @classmethod
-    def zero(cls) -> "RatFunc":
-        return cls(UniPoly.zero())
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return cls(UniPoly.one())
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    # -- field operations ----------------------------------------------------
+    # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
@@ -339,18 +300,6 @@ class RatFunc:
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
         if other is NotImplemented:
@@ -358,25 +307,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return RatFunc(self.den**(-n), self.num**(-n))
-        return RatFunc(self.num**n, self.den**n)
 
     # -- local analysis at a point ---------------------------------------------
 
@@ -387,17 +317,6 @@ class RatFunc:
         if d:
             return self.num(a) / d
         raise PoleError(a, self.den.multiplicity(a))
-
-    def valuation(self, a: Scalar) -> int:
-        """Order of vanishing at ``a``; negative values are pole orders."""
-        if not self:
-            raise ValueError("valuation of the zero function is undefined")
-        a = Fraction(a)
-        # canonical form: at most one of num, den vanishes at a
-        m = self.den.multiplicity(a)
-        if m:
-            return -m
-        return self.num.multiplicity(a)
 
     def _pole_cofactor(self, a: Fraction) -> UniPoly | None:
         """``d1`` with den = (x - a) * d1 when ``a`` is a simple pole, None

@@ -18,6 +18,20 @@ from dataclasses import dataclass, field
 from . import __version__
 
 
+def json_text(obj) -> str:
+    """The fixed JSON layout of every document the package writes."""
+    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+
+
+def csv_text(header: list[str], rows) -> str:
+    """The fixed CSV layout: a header row, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class Check:
     """One verification record; ``params`` keeps insertion order."""
@@ -78,15 +92,11 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, ensure_ascii=True) + "\n"
+        return json_text(self.to_obj())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "params", "status", "lhs", "rhs"])
-        for c in self.checks:
-            writer.writerow([c.name, c.params_str(), c.status, c.lhs, c.rhs])
-        return buf.getvalue()
+        return csv_text(["name", "params", "status", "lhs", "rhs"],
+                        ([c.name, c.params_str(), c.status, c.lhs, c.rhs] for c in self.checks))
 
     def to_pretty(self) -> str:
         lines = [f"capelli {self.command} (v{self.version})"]

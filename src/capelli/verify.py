@@ -340,11 +340,10 @@ def run_task(task: Task) -> Check:
     return _TASKS[name](*args)
 
 
-def tasks_knopsahi(b: Bounds) -> list[Task]:
+def tasks_knopsahi(b: Bounds, cfg: Config) -> list[Task]:
     out: list[Task] = []
     out += [("characterization", (lam,)) for lam in upto(b.size_max)]
-    pole_k = 6
-    out += [("pole-set", (lam, pole_k)) for lam in upto(b.pole_size_max())]
+    out += [("pole-set", (lam, cfg.k_cap)) for lam in upto(b.pole_size_max())]
     for k in range(b.k_max + 1):
         for lam in upto(b.pole_size_max()):
             if classify(lam, k) is PClass.SINGULAR:
@@ -354,7 +353,7 @@ def tasks_knopsahi(b: Bounds) -> list[Task]:
     return out
 
 
-def tasks_capelli(b: Bounds) -> list[Task]:
+def tasks_capelli(b: Bounds, cfg: Config) -> list[Task]:
     out: list[Task] = []
     for k in range(b.k_max + 1):
         for lam in upto(b.size_max):
@@ -363,13 +362,13 @@ def tasks_capelli(b: Bounds) -> list[Task]:
     return out
 
 
-def tasks_identity(b: Bounds) -> list[Task]:
+def tasks_identity(b: Bounds, cfg: Config) -> list[Task]:
     out: list[Task] = []
     for n in range(b.n_max + 1):
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 out.append(("derivative-identity", (i, j, n)))
-    out += [("falling-log-derivative", (n,)) for n in range(11)]
+    out += [("falling-log-derivative", (n,)) for n in range(cfg.n_cap + 1)]
     for n in range(b.psi_n_max + 1):
         for i in range(n + 1):
             for j in range(n + 1 - i):
@@ -383,7 +382,7 @@ def tasks_identity(b: Bounds) -> list[Task]:
     return out
 
 
-def tasks_dougall(b: Bounds) -> list[Task]:
+def tasks_dougall(b: Bounds, cfg: Config) -> list[Task]:
     out: list[Task] = []
     for a in range(1, b.a_max + 1):
         for bb in range(b.bcd_max + 1):
@@ -393,7 +392,7 @@ def tasks_dougall(b: Bounds) -> list[Task]:
     return out
 
 
-def tasks_deligne(b: Bounds) -> list[Task]:
+def tasks_deligne(b: Bounds, cfg: Config) -> list[Task]:
     out: list[Task] = []
     for t in b.t_list:
         out += [("min-poly", (d, t)) for d in range(b.minpoly_d_max + 1)]
@@ -419,22 +418,24 @@ _SUITE_TASKS = {
 }
 
 
-def suite_tasks(suite: str, bounds: Bounds) -> list[Task]:
+def suite_tasks(suite: str, bounds: Bounds, cfg: Config = Config()) -> list[Task]:
+    """The suite's tasks; the pole-set sweep runs to ``cfg.k_cap`` and the
+    log-derivative sweep to ``cfg.n_cap``."""
     if suite == "all":
         out: list[Task] = []
         for name in ("knop-sahi", "capelli", "identity-e", "dougall", "deligne"):
-            out += _SUITE_TASKS[name](bounds)
+            out += _SUITE_TASKS[name](bounds, cfg)
         return out
     try:
-        return _SUITE_TASKS[suite](bounds)
+        return _SUITE_TASKS[suite](bounds, cfg)
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
 
 
 def run_suite(suite: str, bounds: Bounds, params: tuple[tuple[str, str], ...] = (),
-              jobs: int = 1) -> RunReport:
+              jobs: int = 1, cfg: Config = Config()) -> RunReport:
     """Run one suite (or all) and assemble the report in task order."""
-    tasks = suite_tasks(suite, bounds)
+    tasks = suite_tasks(suite, bounds, cfg)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(tasks) // (4 * workers))

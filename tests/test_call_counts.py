@@ -81,14 +81,6 @@ def test_l_op_normalizes_once_per_monomial(monkeypatch):
         monkeypatch.undo()
 
 
-def test_d_op_makes_no_valuation_call(monkeypatch):
-    valuations = _counter(monkeypatch, RatFunc, "valuation")
-    for t in (Q(-4), Q(0), Q(3), Q(1, 2)):
-        for lam in upto(5):
-            dl.d_op(lam, t)
-    assert valuations == []
-
-
 def test_ks_pole_set_makes_no_gcd(monkeypatch):
     for lam in upto(10):
         ks.ks_poly(lam)  # build (and normalize) outside the counted region
@@ -180,10 +172,3 @@ def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     # on the chain grid every x exceeds every integer the constants use
     assert len([a for a in falls if a[0] in xs]) <= len(xs) * (d + 1)
 
-
-@pytest.mark.parametrize("n", range(17))
-def test_power_squares_no_more_than_needed(monkeypatch, n):
-    p = UniPoly((1, 2, 3))
-    muls = _counter(monkeypatch, UniPoly, "__mul__")
-    p ** n
-    assert len(muls) <= (n.bit_length() - 1 if n else 0) + bin(n).count("1")

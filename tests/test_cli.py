@@ -208,7 +208,7 @@ class TestArgparseErrors:
     def test_n_max_alias_matches_full_flag(self, monkeypatch):
         seen = []
 
-        def record(suite, bounds, params=(), jobs=1):
+        def record(suite, bounds, params=(), jobs=1, cfg=None):
             seen.append((bounds.n_max, dict(params)["N_max"]))
             return RunReport(command=f"verify {suite}", params=params, checks=[])
 
@@ -235,7 +235,7 @@ class TestArgparseErrors:
     def test_negative_t_list_parses_like_equals_form(self, monkeypatch):
         seen = []
 
-        def record(suite, bounds, params=(), jobs=1):
+        def record(suite, bounds, params=(), jobs=1, cfg=None):
             seen.append(bounds.t_list)
             return RunReport(command=f"verify {suite}", params=params, checks=[])
 
@@ -345,7 +345,7 @@ class TestBoundaryFuzz:
             st.sampled_from(_ENV_KEYS), _setting_values, max_size=2)),
     )
     def test_exit_code_and_one_line(self, monkeypatch, tmp_path, argv, config, env):
-        def no_sweep(suite, bounds, params=(), jobs=1):
+        def no_sweep(suite, bounds, params=(), jobs=1, cfg=None):
             return RunReport(command=f"verify {suite}", params=params, checks=[])
 
         monkeypatch.setattr(cli, "run_suite", no_sweep)
@@ -431,6 +431,23 @@ class TestConfig:
         code, out, _ = run_cli(["eig", "1,0", "--config", str(cfg)])
         assert code == 0
         assert out.splitlines()[0] == "x + y + 3"
+
+    def test_verify_sweeps_to_the_loaded_caps(self, monkeypatch):
+        monkeypatch.setenv("CAPELLI_K_CAP", "2")
+        monkeypatch.setenv("CAPELLI_N_CAP", "3")
+        seen = []
+
+        def record(suite, bounds, params=(), jobs=1, cfg=None):
+            seen.append(vf.suite_tasks(suite, bounds, cfg))
+            return RunReport(command=f"verify {suite}", params=params, checks=[])
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        argv = ["verify", "all", "--k-max", "1", "--n-max", "2", "--psi-N-max", "2",
+                "--a-max", "1", "--bcd-max", "1"]
+        assert run_cli(argv)[0] == 0
+        [tasks] = seen
+        assert {args[1] for name, args in tasks if name == "pole-set"} == {2}
+        assert max(args[0] for name, args in tasks if name == "falling-log-derivative") == 3
 
     def test_negative_jobs_env_is_one_line(self, monkeypatch):
         monkeypatch.setenv("CAPELLI_JOBS", "-3")

@@ -112,18 +112,18 @@ def _l_op_per_factor(lam):
     """The normalized product built one factor at a time, each product
     normalized in Q(s): the reference ``l_op`` must reproduce."""
     d = size(lam)
-    op = BiPoly.const(RatFunc.one())
+    op = BiPoly({(0, 0): RatFunc(1)})
     for i in range(d):
-        op = op * BiPoly({(0, 1): RatFunc.one(), (0, 0): RatFunc.const(-i)})
-    denom = RatFunc.const(math.factorial(d))
+        op = op * BiPoly({(0, 1): RatFunc(1), (0, 0): RatFunc(-i)})
+    denom = RatFunc(math.factorial(d))
     c_lam = dl.c_cat_poly(lam)
     for nu in of_size(d):
         if nu == lam:
             continue
         c_nu = dl.c_cat_poly(nu)
-        op = op * BiPoly({(1, 0): RatFunc.one(), (0, 0): -RatFunc(c_nu)})
+        op = op * BiPoly({(1, 0): RatFunc(1), (0, 0): -RatFunc(c_nu)})
         denom = denom * RatFunc(c_lam - c_nu)
-    return op.scale(RatFunc.one() / denom)
+    return op.scale(RatFunc(denom.den, denom.num))
 
 
 class TestOperators:
@@ -132,10 +132,10 @@ class TestOperators:
         assert dl.l_op(lam) == _l_op_per_factor(lam)
 
     def test_l_trivial(self):
-        assert dl.l_op((0, 0)) == BiPoly.const(RatFunc.one())
+        assert dl.l_op((0, 0)) == BiPoly({(0, 0): RatFunc(1)})
 
     def test_l_size_one_is_euler(self):
-        assert dl.l_op((1, 0)) == BiPoly({(0, 1): RatFunc.one()})
+        assert dl.l_op((1, 0)) == BiPoly({(0, 1): RatFunc(1)})
 
     def test_l_size_two(self):
         # E(E-1) C / (2! * 2s) for lam = (2,0)
@@ -154,7 +154,7 @@ class TestOperators:
     def test_d_case_quasiregular_pole_free(self):
         op = dl.l_op((1, 1)) + dl.l_op((2, 0))
         for coeff in op.terms.values():
-            assert coeff.valuation(Q(0)) >= 0
+            assert coeff.den(Q(0)) != 0
         assert dl.d_op((1, 1), Q(0)) == _at(op, Q(0))
 
     def test_d_pole_is_an_assertion(self, monkeypatch):
@@ -183,7 +183,7 @@ class TestEigenvaluePolynomials:
         assert dl.cat_eig_formula((2, 0), Q(0)) == BiPoly({(1, 1): Q(-4)})
 
     def test_constant(self):
-        assert dl.cat_eig_from_blocks((0, 0), Q(1, 2)) == BiPoly.const(Q(1))
+        assert dl.cat_eig_from_blocks((0, 0), Q(1, 2)) == BiPoly({(0, 0): Q(1)})
 
     @pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
     def test_route_agreement_small(self, t):

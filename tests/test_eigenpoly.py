@@ -37,7 +37,7 @@ class TestRegularRoute:
         assert got == expected
 
     def test_constant(self):
-        assert ep.eig_regular((0, 0), 3) == BiPoly.const(Q(1))
+        assert ep.eig_regular((0, 0), 3) == BiPoly({(0, 0): Q(1)})
 
     def test_wrong_class(self):
         with pytest.raises(ValueError):
@@ -101,7 +101,7 @@ class TestMCoeff:
 
 class TestOracle:
     def test_constant(self):
-        assert ep.eig_oracle((0, 0), 0) == BiPoly.const(Q(1))
+        assert ep.eig_oracle((0, 0), 0) == BiPoly({(0, 0): Q(1)})
 
     def test_matches_singular_route(self):
         assert ep.eig_oracle((2, 0), 0) == BiPoly({(1, 1): Q(-4)})

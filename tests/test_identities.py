@@ -51,7 +51,7 @@ class TestDerivativeIdentitySides:
 def rhs_per_term(i: int, j: int, n: int) -> RatFunc:
     """The derivative identity's double sum with one normalized RatFunc per
     (q, p) term: the reference for the shared-denominator build."""
-    total = RatFunc.zero()
+    total = RatFunc(0)
     for q in range(0, min(i, j) + 1):
         for p in range(i + j - q, min(n - q, n - 1) + 1):
             const = (

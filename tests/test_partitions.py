@@ -108,6 +108,7 @@ _GUARDED = [
     (ks.r_coeff, PClass.SINGULAR),
     (ks.q_poly, PClass.SINGULAR),
     (ks.tcheck_values, PClass.SINGULAR),
+    (ks.h_jump, PClass.SINGULAR),
     (dl.singular_scale_limit, PClass.SINGULAR),
 ]
 

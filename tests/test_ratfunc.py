@@ -16,17 +16,17 @@ K = UniPoly.x()
 class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert P(1, 2, 0, 0) == P(1, 2)
-        assert P(0, 0).is_zero()
+        assert not P(0, 0)
         assert P().degree() == -1
 
     def test_arithmetic(self):
         assert (K + 1) * (K - 1) == P(-1, 0, 1)
-        assert (K + 1) ** 3 == P(1, 3, 3, 1)
+        assert (K + 1) * (K + 1) * (K + 1) == P(1, 3, 3, 1)
         assert (K * K - 1) - (K * K) == P(-1)
 
     def test_divmod_exact(self):
         q, r = P(-1, 0, 1).divmod(P(-1, 1))
-        assert q == P(1, 1) and r.is_zero()
+        assert q == P(1, 1) and not r
         assert P(-1, 0, 1).divexact(P(1, 1)) == P(-1, 1)
         with pytest.raises(ArithmeticError):
             P(1, 1).divexact(P(0, 1))
@@ -40,7 +40,7 @@ class TestUniPoly:
         # power rule holds coefficient-exactly
         p = P(Q(1, 3), -2, 0, 5)
         assert p.derivative() == P(-2, 0, 15)
-        assert P(7).derivative().is_zero()
+        assert not P(7).derivative()
 
     def test_eval_and_compose(self):
         p = P(1, 2, 1)  # (k+1)^2
@@ -48,7 +48,7 @@ class TestUniPoly:
         assert p.compose(P(-1, 2)) == P(0, 0, 4)
 
     def test_multiplicity(self):
-        p = P(-1, 1) ** 2 * P(3, 1)
+        p = P(-1, 1) * P(-1, 1) * P(3, 1)
         assert p.multiplicity(1) == 2
         assert p.multiplicity(-3) == 1
         assert p.multiplicity(5) == 0
@@ -64,7 +64,7 @@ class TestNormalization:
 
     def test_zero_case(self):
         f = RatFunc(P(), P(5, 0, 0, 1))
-        assert f.num.is_zero() and f.den == P(1)
+        assert not f.num and f.den == P(1)
 
     def test_already_reduced_unchanged(self):
         f = RatFunc(P(2, 2), P(0, 1))
@@ -94,21 +94,6 @@ class TestEval:
         assert err.value.order == 1
 
 
-class TestValuation:
-    def test_simple_pole(self):
-        assert RatFunc(P(2, 2), P(0, 1)).valuation(0) == -1
-
-    def test_double_zero(self):
-        assert RatFunc(P(-1, 1) ** 2).valuation(1) == 2
-
-    def test_regular_nonzero(self):
-        assert RatFunc(P(1, 1)).valuation(0) == 0
-
-    def test_zero_function_rejected(self):
-        with pytest.raises(ValueError):
-            RatFunc.zero().valuation(0)
-
-
 class TestResidueAndRegularValue:
     def test_simple_pole_residue(self):
         assert RatFunc(P(2, 2), P(0, 1)).residue(0) == 2
@@ -117,7 +102,7 @@ class TestResidueAndRegularValue:
         assert RatFunc(P(1, 1)).residue(0) == 0
 
     def test_double_pole_rejected(self):
-        f = RatFunc(P(1), P(-1, 1) ** 2)
+        f = RatFunc(P(1), P(-1, 1) * P(-1, 1))
         with pytest.raises(PoleError):
             f.residue(1)
         with pytest.raises(PoleError):
@@ -184,15 +169,9 @@ def test_eval_is_ring_homomorphism(f, g, a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ratfuncs().filter(bool), ratfuncs().filter(bool), small_frac)
-def test_valuation_additive(f, g, a):
-    assert (f * g).valuation(a) == f.valuation(a) + g.valuation(a)
-
-
-@settings(max_examples=60, deadline=None)
 @given(ratfuncs().filter(bool), small_frac)
 def test_regular_points_have_zero_residue(f, a):
-    if f.valuation(a) >= 0:
+    if f.den(a) != 0:
         assert f.residue(a) == 0
         assert f.regular_value(a) == f.eval(a)
 
@@ -205,7 +184,7 @@ def simple_pole_or_regular(draw):
     """(f, a) with f canonical and at worst a simple pole at ``a``."""
     a = draw(small_frac)
     cofactor = draw(nonzero_polys.filter(lambda d: d(a) != 0))
-    pole = UniPoly((-a, 1)) ** draw(st.integers(0, 1))
+    pole = draw(st.sampled_from((UniPoly.one(), UniPoly((-a, 1)))))
     return RatFunc(draw(polys), pole * cofactor), a
 
 
@@ -216,7 +195,7 @@ def test_local_expansion_matches_definitions(case):
     linear = RatFunc(UniPoly((-a, 1)))
     res = f.residue(a)
     assert res == (f * linear).eval(a)
-    assert f.regular_value(a) == (f - RatFunc(UniPoly.const(res), UniPoly((-a, 1)))).eval(a)
+    assert f.regular_value(a) == (f + RatFunc(UniPoly.const(-res), UniPoly((-a, 1)))).eval(a)
     if f.den(a):
         assert res == 0
         assert f.derivative_at(a) == f.derivative().eval(a)
@@ -224,15 +203,6 @@ def test_local_expansion_matches_definitions(case):
         with pytest.raises(PoleError) as info:
             f.derivative_at(a)
         assert info.value.order == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys, st.integers(0, 9))
-def test_power_is_repeated_product(p, n):
-    want = UniPoly.one()
-    for _ in range(n):
-        want = want * p
-    assert p ** n == want
 
 
 @given(polys, small_frac)
@@ -243,7 +213,10 @@ def test_value_and_slope_is_one_horner_pass(p, a):
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_higher_order_poles_raise_with_their_order(order):
     a = Q(3)
-    f = RatFunc(P(1, 1), P(-a, 1) ** order * P(1, 0, 1))
+    den = P(1, 0, 1)
+    for _ in range(order):
+        den = den * P(-a, 1)
+    f = RatFunc(P(1, 1), den)
     for local in (f.residue, f.regular_value, f.derivative_at, f.eval):
         with pytest.raises(PoleError) as info:
             local(a)
@@ -255,7 +228,7 @@ SYMPY_CASES = [
     (P(0, 2), P(-1, 1), Q(1)),
     (P(1, 2, 3), P(0, 1) * P(2, 1), Q(0)),
     (P(Q(1, 2), -1, 0, 4), P(-3, 1) * P(1, 0, 1), Q(3)),
-    (P(5, 0, 1), P(Q(2, 3), -1) * P(1, 1) ** 2, Q(2, 3)),
+    (P(5, 0, 1), P(Q(2, 3), -1) * P(1, 1) * P(1, 1), Q(2, 3)),
     (P(1, 1, 1, 1), P(1, 2) * P(-1, 0, 1), Q(-1, 2)),
     (P(7, -3), P(4, 0, 1), Q(2)),
 ]

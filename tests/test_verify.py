@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction as Q
 
@@ -14,7 +15,7 @@ from capelli.report import Check
 
 
 def test_raising_check_names_type_and_frame(monkeypatch):
-    double_pole = RatFunc(UniPoly.one(), UniPoly((-3, 1)) ** 2)
+    double_pole = RatFunc(UniPoly.one(), UniPoly((-3, 1)) * UniPoly((-3, 1)))
     monkeypatch.setattr(ks, "characterization_holds", lambda lam: double_pole.residue(3))
     check = vf.check_characterization((2, 0))
     assert check.status == "fail" and check.rhs == "-"
@@ -33,6 +34,37 @@ def test_bare_assertion_still_names_its_frame(monkeypatch):
 def test_every_family_is_registered_once():
     used = {name for name, _ in vf.suite_tasks("all", vf.Bounds())}
     assert set(vf._TASKS) == used
+
+
+# sha256 of repr(suite_tasks(suite, Bounds())) when the pole-set k and the
+# log-derivative N range were the constants 6 and range(11)
+_DEFAULT_TASK_DIGESTS = {
+    "knop-sahi": "cac6e9e3ed19bd6a762f9f805a51a5948cf0a9ba6c0b559daa277d777e88b650",
+    "capelli": "f2434aa5bc50bfc338a050d7824fc9b8351a84e6278efc05a4bdd140606d0dee",
+    "identity-e": "27079a0b94082f4749e808cbe8ace41cab261c7241638dd5d07d5be657b7b46b",
+    "dougall": "ac9503a0b0217c20e64ffc128dd716042472d9114a6251362702e1ff7315daab",
+    "deligne": "ab46cdb356f098061e8de348e7f3f1b12d11561ddb2d8e6f6d5d0e906d0309a5",
+    "all": "9c335a0c491b7c7018c6b1d31664a95153a54e1c994afa746b6f09601d9d733c",
+}
+
+
+@pytest.mark.parametrize("suite", vf.SUITES)
+def test_default_config_keeps_every_task_list(suite):
+    tasks = vf.suite_tasks(suite, vf.Bounds())
+    assert tasks == vf.suite_tasks(suite, vf.Bounds(), Config())
+    assert hashlib.sha256(repr(tasks).encode()).hexdigest() == _DEFAULT_TASK_DIGESTS[suite]
+
+
+def test_caps_bound_pole_set_and_log_derivative():
+    tasks = vf.suite_tasks("all", vf.Bounds(), Config(k_cap=3, n_cap=5))
+    assert {args[1] for name, args in tasks if name == "pole-set"} == {3}
+    assert [args[0] for name, args in tasks if name == "falling-log-derivative"] == list(range(6))
+
+
+def test_run_suite_passes_its_config_on():
+    report = vf.run_suite("knop-sahi", vf.Bounds(size_max=1, k_max=0), cfg=Config(k_cap=2))
+    assert report.all_passed
+    assert {dict(c.params)["k_max"] for c in report.checks if c.name == "pole-set"} == {"2"}
 
 
 @pytest.mark.parametrize(
