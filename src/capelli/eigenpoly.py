@@ -13,8 +13,11 @@ a closed form:
 
 Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
-ORACLE).  The oracle rests only on unique solvability, so when a closed form
-disagrees it is the closed form that is reported as wrong.
+ORACLE).  Its matrix is built from the values and slopes of the 1-D falling
+factorials x_(m) at each row's shifted point, and the system is solved by
+Bareiss fraction-free integer elimination.  The oracle rests only on unique
+solvability and reads no closed form, so when a closed form disagrees it is
+the closed form that is reported as wrong.
 
 Every route returns f_lam itself, a ``BiPoly`` with rational coefficients.
 Which routes apply to which class is known here only, in ``ROUTES``.
@@ -27,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .bipoly import BiPoly, falling_term, square_op
+from .bipoly import BiPoly, falling_term
 from .knopsahi import (
     eval_point,
     h_jump,
@@ -75,22 +78,48 @@ class SingularSystemError(ArithmeticError):
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact system by Gaussian elimination with pivoting."""
+    """Solve a square exact system by Bareiss fraction-free elimination.
+
+    Each row of the augmented matrix is scaled by the lcm of its denominators
+    to integers.  Bareiss elimination with row pivoting (Bareiss, Math. Comp.
+    22, 1968) keeps every entry an integer minor: each update divides exactly
+    by the previous pivot.  The last pivot D is then the determinant of the
+    row-permuted integer matrix, so by Cramer's rule D * x is integral and
+    back substitution runs in integers too; each component is normalized
+    once, as x_i = (D x_i) / D.  A rank drop raises ``SingularSystemError``.
+    """
     n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = []
+    for row, b in zip(matrix, rhs):
+        row = [*row, b]
+        scale = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (scale // v.denominator) for v in row])
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise SingularSystemError(f"no pivot in column {col}")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col]
+            if f:
+                a[r] = [0] * (col + 1) + [
+                    (p * v - f * w) // prev for v, w in zip(row[col + 1:], top[col + 1:])
+                ]
+            elif p != prev:
+                a[r] = [0] * (col + 1) + [p * v // prev for v in row[col + 1:]]
+        prev = p
+    det = prev
+    dx = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        acc = det * row[n] - sum(row[j] * dx[j] for j in range(i + 1, n))
+        dx[i] = acc // row[i]
+    return [Fraction(v, det) for v in dx]
 
 
 # -- the interpolation oracle -----------------------------------------------------
@@ -109,26 +138,63 @@ def _basis_poly(a: int, b: int) -> BiPoly:
     return falling_term(a, b) + falling_term(b, a)
 
 
+def _falling_table(p: Fraction, d: int) -> list[tuple[Fraction, Fraction]]:
+    """The pairs (x_(m)(p), x_(m)'(p)) for m = 0..d.
+
+    By the recurrence x_(m) = x_(m-1) * (x - m + 1) and its product rule.
+    """
+    val, slope = Fraction(1), Fraction(0)
+    out = [(val, slope)]
+    for m in range(1, d + 1):
+        shift = p - (m - 1)
+        val, slope = val * shift, slope * shift + val
+        out.append((val, slope))
+    return out
+
+
 # (k, d) -> the evaluation matrix: row mu, column (a, b), both over upto(d)
 _SYSTEMS: dict[tuple[Fraction, int], tuple[tuple[Fraction, ...], ...]] = {}
 
 
 def _ev_matrix(k, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The oracle's matrix: entry (mu, (a, b)) is the generalized value at mu
+    of the basis element g = ``_basis_poly(a, b)``; cached in ``_SYSTEMS``.
+
+    Row mu reads the falling tables at its shifted point (p, q) =
+    ``eval_point(mu, k)``.  On a regular or quasiregular row the entry is
+    g(p, q) = x_(a)(p) x_(b)(q) + x_(b)(p) x_(a)(q) (one product when a = b).
+    On a k-singular row it is square_op(g)(p, q) = (g_x - g_y) / (4 (p - q)),
+    with the partials taken from the slopes; there p - q = m1 - m2 - k - 1
+    >= 1, so the quotient is defined.
+    """
     key = (Fraction(k), d)
     cached = _SYSTEMS.get(key)
     if cached is not None:
         return cached
     parts = upto(d)
-    columns = []
-    for a, b in parts:
-        g = _basis_poly(a, b)
-        sq = square_op(g)
-        col = []
-        for mu in parts:
-            poly = sq if classify_at(mu, k) is PClass.SINGULAR else g
-            col.append(poly.eval2(*eval_point(mu, k)))
-        columns.append(col)
-    matrix = tuple(zip(*columns))
+    rows = []
+    for mu in parts:
+        p, q = eval_point(mu, k)
+        xp, xq = _falling_table(p, d), _falling_table(q, d)
+        row = []
+        if classify_at(mu, k) is PClass.SINGULAR:
+            inv = 1 / (4 * (p - q))
+            for a, b in parts:
+                (pa, dpa), (pb, dpb) = xp[a], xp[b]
+                (qa, dqa), (qb, dqb) = xq[a], xq[b]
+                if a == b:
+                    diff = dpa * qa - pa * dqa
+                else:
+                    diff = dpa * qb + dpb * qa - pa * dqb - pb * dqa
+                row.append(diff * inv)
+        else:
+            for a, b in parts:
+                if a == b:
+                    row.append(xp[a][0] * xq[a][0])
+                else:
+                    row.append(xp[a][0] * xq[b][0] + xp[b][0] * xq[a][0])
+        rows.append(tuple(row))
+    matrix = tuple(rows)
     _SYSTEMS[key] = matrix
     return matrix
 

@@ -8,8 +8,10 @@ the local expansion, rebuilds an eigenvalue polynomial per block,
 specializes a block-model operator per block instead of once per check,
 normalizes the derivative identity per term, recomputes a psi-chain factor
 per sample point that depends on x or y alone, builds x_(m) other than from
-the cached ``falling_coeffs`` table, renders a passing identity check, or
-squares a polynomial power's base after its last bit.
+the cached ``falling_coeffs`` table, renders a passing identity check,
+squares a polynomial power's base after its last bit, or builds the
+interpolation oracle's matrix from bivariate polynomials instead of 1-D
+falling tables.
 """
 
 from fractions import Fraction as Q
@@ -20,9 +22,9 @@ from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli import identities as idn
 from capelli import knopsahi as ks
-from capelli import ratfunc
+from capelli import bipoly, ratfunc
 from capelli import verify as vf
-from capelli.bipoly import falling_coeffs
+from capelli.bipoly import BiPoly, falling_coeffs
 from capelli.partitions import PClass, classify, classify_at, paired, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
@@ -70,6 +72,20 @@ def test_jordan_check_builds_f_once(monkeypatch, k):
         assert check.status == "pass", check
         assert (len(eigen), len(square)) == (1, 1), lam
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k, lam", [(6, (6, 6)), (2, (5, 3)), (Q(-5, 6), (4, 1))])
+def test_cold_oracle_solves_once_without_bivariate_evaluation(monkeypatch, k, lam):
+    monkeypatch.setattr(ep, "_SYSTEMS", {})
+    # square_op counted wherever a module of the oracle's path binds the name
+    owners = [m for m in (bipoly, ep) if hasattr(m, "square_op")]
+    squares = [_counter(monkeypatch, m, "square_op") for m in owners]
+    evals = _counter(monkeypatch, BiPoly, "eval2")
+    solves = _counter(monkeypatch, ep, "gauss_solve")
+    routes = [_counter(monkeypatch, ep, name) for name in ("ks_poly", "reg_part")]
+    ep.interpolate_ev({lam: Q(1)}, size(lam), k)
+    assert (squares, evals, len(solves)) == ([[]] * len(owners), [], 1)
+    assert routes == [[], []]  # the oracle reads no closed form
 
 
 def test_l_op_normalizes_once_per_monomial(monkeypatch):

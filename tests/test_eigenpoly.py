@@ -1,16 +1,69 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capelli import eigenpoly as ep
-from capelli.bipoly import BiPoly, square_op
+from capelli.bipoly import BiPoly, falling_coeffs, square_op
 from capelli.eigenpoly import Route, SingularSystemError, gauss_solve
-from capelli.knopsahi import gen_eval
-from capelli.partitions import size, upto
+from capelli.knopsahi import eval_point, gen_eval
+from capelli.partitions import PClass, classify, classify_at, size, upto
+from capelli.ratfunc import UniPoly
 
 HALF_SQUARE = BiPoly(
     {(2, 0): Q(1, 2), (0, 2): Q(1, 2), (1, 1): Q(1), (1, 0): Q(1, 2), (0, 1): Q(1, 2)}
 )
+
+
+ORACLE_KS = [*range(7), Q(-5, 6), Q(1, 3)]
+
+
+def gauss_jordan(matrix, rhs):
+    """Reference solver: Gauss-Jordan elimination over Fractions."""
+    n = len(matrix)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise SingularSystemError(f"no pivot in column {col}")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+        inv = Q(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def ev_matrix_by_eval2(k, d):
+    """Reference build of the oracle matrix: expand each basis element to
+    monomials and evaluate it, or its square_op on a k-singular row, with
+    ``BiPoly.eval2``."""
+    parts = upto(d)
+    columns = []
+    for a, b in parts:
+        g = ep._basis_poly(a, b)
+        sq = square_op(g)
+        col = []
+        for mu in parts:
+            poly = sq if classify_at(mu, k) is PClass.SINGULAR else g
+            col.append(poly.eval2(*eval_point(mu, k)))
+        columns.append(col)
+    return tuple(zip(*columns))
+
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 5))
+    matrix = [draw(st.lists(fracs, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        matrix[0][0] = Q(0)  # a zero leading pivot forces a row swap
+    return matrix, draw(st.lists(fracs, min_size=n, max_size=n))
 
 
 class TestGauss:
@@ -21,6 +74,58 @@ class TestGauss:
     def test_singular_raises(self):
         with pytest.raises(SingularSystemError):
             gauss_solve([[Q(1), Q(2)], [Q(2), Q(4)]], [Q(0), Q(0)])
+
+    def test_rank_deficient_rationals_raise(self):
+        a = [[Q(1, 2), Q(1, 3), Q(2, 7)], [Q(1, 4), Q(1, 6), Q(1, 7)], [Q(3), Q(-1, 5), Q(1)]]
+        with pytest.raises(SingularSystemError):
+            gauss_solve(a, [Q(1, 3), Q(1, 6), Q(2)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(systems())
+    @example(([[Q(0), Q(1, 2), Q(1)], [Q(2, 3), Q(0), Q(1)], [Q(1), Q(1), Q(0)]],
+              [Q(1), Q(-1, 3), Q(5, 2)]))  # zero leading pivot: a row swap
+    def test_matches_gauss_jordan(self, system):
+        matrix, rhs = system
+        try:
+            want = gauss_jordan(matrix, rhs)
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                gauss_solve(matrix, rhs)
+        else:
+            assert gauss_solve(matrix, rhs) == want
+
+    @pytest.mark.parametrize("k", ORACLE_KS)
+    def test_matches_sympy_lusolve_on_oracle_systems(self, k):
+        sympy = pytest.importorskip("sympy")
+        for d in range(7):
+            matrix = [list(row) for row in ep._ev_matrix(k, d)]
+            n = len(matrix)
+            rhs = [Q(i + 1, 2 * i + 3) for i in range(n)]
+            rat = lambda v: sympy.Rational(v.numerator, v.denominator)
+            want = sympy.Matrix([[rat(v) for v in row] for row in matrix]).LUsolve(
+                sympy.Matrix([rat(v) for v in rhs]))
+            assert gauss_solve(matrix, rhs) == [Q(str(v)) for v in want], (k, d)
+
+
+class TestOracleMatrix:
+    @pytest.mark.parametrize("k", ORACLE_KS)
+    def test_matches_eval2_build(self, k):
+        for d in range(9):
+            assert ep._ev_matrix(k, d) == ev_matrix_by_eval2(k, d), (k, d)
+
+    def test_singular_rows_have_distinct_coordinates(self):
+        for k in range(7):
+            for mu in upto(12):
+                if classify(mu, k) is PClass.SINGULAR:
+                    p, q = eval_point(mu, k)
+                    assert p - q >= 1, (mu, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(-20, 20).map(Q),
+                     st.fractions(min_value=-20, max_value=20, max_denominator=7)))
+    def test_falling_table_matches_falling_coeffs(self, p):
+        table = ep._falling_table(p, 14)
+        assert table == [UniPoly(falling_coeffs(m)).value_and_slope(p) for m in range(15)]
 
 
 class TestRegularRoute:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 from fractions import Fraction as Q
@@ -151,6 +152,26 @@ def test_t_list_length_is_bounded(t_list, message):
     with pytest.raises(vf.BoundsError, match=message):
         vf.Bounds(t_list=t_list).validate(Config())
     vf.Bounds(t_list=(Q(1),) * vf.T_LIST_MAX).validate(Config())
+
+
+def test_built_in_ceilings_bound_the_task_count():
+    # The caps can only be lowered from their built-in values (14 / 10 / 6),
+    # so every bound at its ceiling with the longest t-list is the largest
+    # sweep any input can request.
+    cfg = Config()
+    assert (cfg.size_cap, cfg.n_cap, cfg.k_cap) == (14, 10, 6)
+    top = vf.Bounds(k_max=6, size_max=12, n_max=10, psi_n_max=10, deligne_size_max=14,
+                    minpoly_d_max=14, a_max=10, bcd_max=10,
+                    t_list=tuple(Q(t, 3) for t in range(vf.T_LIST_MAX)))
+    top.validate(cfg)
+    for field in ("k_max", "size_max", "n_max", "psi_n_max", "deligne_size_max",
+                  "minpoly_d_max", "a_max", "bcd_max"):
+        with pytest.raises(vf.BoundsError, match="exceeds the hard cap"):
+            dataclasses.replace(top, **{field: getattr(top, field) + 1}).validate(cfg)
+    counts = {s: len(vf.suite_tasks(s, top, cfg)) for s in vf.SUITES if s != "all"}
+    assert counts == {"knop-sahi": 332, "capelli": 686, "identity-e": 693,
+                      "dougall": 13310, "deligne": 9486}
+    assert len(vf.suite_tasks("all", top, cfg)) == 24507
 
 
 class _RecordingPool:
