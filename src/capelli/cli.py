@@ -1,17 +1,21 @@
 """Command-line surface.
 
-Subcommands: ``ks`` (interpolation polynomials and their singular/regular
-parts), ``eig`` (eigenvalue polynomials by route), ``deligne`` (categorical
-eigenvalue polynomial, block table, minimal polynomial), ``table``
-(partition data), ``verify`` (identity sweeps with machine-readable
-reports).
+Subcommands: ``ks`` (interpolation polynomials, or with ``--k`` their
+regular and singular parts; ``--part reg|sing`` keeps one), ``eig``
+(eigenvalue polynomials by route), ``deligne`` (categorical eigenvalue
+polynomial, block table, minimal polynomial), ``table`` (partition data),
+``verify`` (identity sweeps with machine-readable reports).
 
 ``build_parser`` alone declares what each subcommand accepts: ``csv``
 output on ``table`` and ``verify`` only, ``--jobs`` on ``verify`` only (the
 one command that starts workers), and flags spelled in full, never abbreviated.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error.  Output is byte-deterministic for fixed inputs.
+Each command builds its result as a JSON document and as text, and
+``_write`` writes the one ``--format`` asks for to ``--out`` or stdout.
+
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage,
+configuration or bound error (one line on stderr).  Output is
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ks = subs.add_parser("ks", help="interpolation polynomial P_lambda")
     p_ks.add_argument("partition", metavar="LAMBDA", help="partition 'a,b'")
     p_ks.add_argument("--k", type=int, default=None, metavar="K")
-    p_ks.add_argument("--part", choices=("poly", "reg", "sing"), default=None)
+    p_ks.add_argument("--part", choices=("reg", "sing"), default=None)
     p_ks.add_argument("--falling", action="store_true", help="render in the falling basis")
     _common_flags(p_ks)
 
@@ -146,19 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _write(args, doc: dict, text: str) -> None:
+    """Write ``doc`` as JSON under ``--format json``, else ``text`` (pretty or
+    CSV), to ``--out`` or stdout."""
+    if args.format == "json":
+        text = json_text(doc)
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc}")
-
-
-def _kv_lines(pairs: list[tuple[str, str]]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+            raise UsageError(f"cannot write {args.out}: {exc}")
 
 
 # -- subcommand implementations ------------------------------------------------------
@@ -183,37 +187,25 @@ def _k(args, cfg) -> int:
 
 def cmd_ks(args, cfg) -> int:
     lam = _partition(args, cfg)
-    if args.part in ("reg", "sing") and args.k is None:
+    if args.part is not None and args.k is None:
         raise UsageError("--part reg|sing requires --k")
-    body = ks.ks_poly(lam).body
-    fall = args.falling
-    pairs: list[tuple[str, str]] = []
     if args.k is None:
-        if fall:
-            pairs.append(("P_falling", render_bipoly(body, falling=True)))
-        else:
-            pairs.append(("P", render_bipoly(body)))
-            pairs.append(("P_falling", render_bipoly(body, falling=True)))
+        body = ks.ks_poly(lam).body
+        names = ("P_falling",) if args.falling else ("P", "P_falling")
+        fields = {name: render_bipoly(body, falling=name == "P_falling") for name in names}
     else:
         k = _k(args, cfg)
-        reg = ks.reg_part(lam, k)
-        sing = ks.sing_part(lam, k)
-        if args.part == "sing":
-            pairs.append(("Sing", render_bipoly(sing, falling=fall)))
-        elif args.part == "reg":
-            pairs.append(("Reg", render_bipoly(reg, falling=fall)))
-        else:
-            pairs.append(("Reg", render_bipoly(reg, falling=fall)))
-            pairs.append(("Sing", render_bipoly(sing, falling=fall)))
-    if args.format == "json":
-        doc = {"command": "ks", "lambda": args.partition, "k": args.k}
-        doc.update({k.lower(): v for k, v in pairs})
-        _emit(json_text(doc), args.out)
+        parts = {"Reg": ks.reg_part, "Sing": ks.sing_part}
+        names = ("Reg", "Sing") if args.part is None else (args.part.capitalize(),)
+        fields = {name: render_bipoly(parts[name](lam, k), falling=args.falling)
+                  for name in names}
+    doc = {"command": "ks", "lambda": args.partition, "k": args.k}
+    doc.update((name.lower(), value) for name, value in fields.items())
+    if args.part is None:
+        text = "".join(f"{name} = {value}\n" for name, value in fields.items())
     else:
-        if args.part in ("reg", "sing"):
-            _emit(pairs[0][1] + "\n", args.out)
-        else:
-            _emit(_kv_lines(pairs), args.out)
+        text = fields[names[0]] + "\n"
+    _write(args, doc, text)
     return 0
 
 
@@ -221,36 +213,27 @@ def cmd_eig(args, cfg) -> int:
     lam = _partition(args, cfg)
     k = _k(args, cfg)
     cls = classify(lam, k)
+    doc = {"command": "eig", "lambda": args.partition, "k": k, "class": cls.value}
     if args.route == "all":
         routes = ep.applicable_routes(lam, k)
-        bodies = [ep.eigen(lam, k, r) for r in routes]
-        agree = all(b == bodies[0] for b in bodies)
-        rendered = render_bipoly(bodies[0], falling=args.falling)
-        if args.format == "json":
-            doc = {
-                "command": "eig", "lambda": args.partition, "k": k,
-                "class": cls.value,
-                "routes": [r.value for r in routes],
-                "f": rendered,
-                "routes_agree": agree,
-            }
-            _emit(json_text(doc), args.out)
-        else:
-            _emit(f"{rendered}\nroutes agree: {'yes' if agree else 'NO'}\n", args.out)
-        return 0 if agree else FAIL_EXIT
-    route = ep.Route(args.route)
-    if route not in ep.ROUTES[cls]:
-        need = next(c for c, routes in ep.ROUTES.items() if route in routes)
-        raise UsageError(f"lambda is {k}-{cls.value}; route {args.route} requires {need.value}")
-    body = ep.eigen(lam, k, route)
-    rendered = render_bipoly(body, falling=args.falling)
-    if args.format == "json":
-        doc = {"command": "eig", "lambda": args.partition, "k": k,
-               "class": cls.value, "route": args.route, "f": rendered}
-        _emit(json_text(doc), args.out)
+        doc["routes"] = [r.value for r in routes]
     else:
-        _emit(rendered + "\n", args.out)
-    return 0
+        route = ep.Route(args.route)
+        if route not in ep.ROUTES[cls]:
+            need = next(c for c, routes in ep.ROUTES.items() if route in routes)
+            raise UsageError(f"lambda is {k}-{cls.value}; route {args.route} requires {need.value}")
+        routes = [route]
+        doc["route"] = args.route
+    bodies = [ep.eigen(lam, k, r) for r in routes]
+    agree = all(b == bodies[0] for b in bodies)
+    rendered = render_bipoly(bodies[0], falling=args.falling)
+    doc["f"] = rendered
+    text = rendered + "\n"
+    if args.route == "all":
+        doc["routes_agree"] = agree
+        text += f"routes agree: {'yes' if agree else 'NO'}\n"
+    _write(args, doc, text)
+    return 0 if agree else FAIL_EXIT
 
 
 def cmd_deligne(args, cfg) -> int:
@@ -263,22 +246,19 @@ def cmd_deligne(args, cfg) -> int:
     for m in range(size(lam) + 1):
         row = ", ".join(f"({b.lam[0]},{b.lam[1]})x{b.mult}" for b in dl.blocks(m, t))
         block_rows.append((m, row))
-    mp = dl.min_poly(size(lam), t)
-    if args.format == "json":
-        doc = {
-            "command": "deligne", "lambda": args.partition, "t": render_frac(t),
-            "f": rendered,
-            "blocks": {str(m): row for m, row in block_rows},
-            "min_poly": render_unipoly(mp, "x"),
-            "routes_agree": consistent,
-        }
-        _emit(json_text(doc), args.out)
-    else:
-        lines = [f"f = {rendered}"]
-        lines += [f"blocks size {m}: {row}" for m, row in block_rows]
-        lines.append(f"min_poly = {render_unipoly(mp, 'x')}")
-        lines.append(f"routes agree: {'yes' if consistent else 'NO'}")
-        _emit("\n".join(lines) + "\n", args.out)
+    mp = render_unipoly(dl.min_poly(size(lam), t), "x")
+    doc = {
+        "command": "deligne", "lambda": args.partition, "t": render_frac(t),
+        "f": rendered,
+        "blocks": {str(m): row for m, row in block_rows},
+        "min_poly": mp,
+        "routes_agree": consistent,
+    }
+    lines = [f"f = {rendered}"]
+    lines += [f"blocks size {m}: {row}" for m, row in block_rows]
+    lines.append(f"min_poly = {mp}")
+    lines.append(f"routes agree: {'yes' if consistent else 'NO'}")
+    _write(args, doc, "\n".join(lines) + "\n")
     return 0 if consistent else FAIL_EXIT
 
 
@@ -303,19 +283,18 @@ def cmd_table(args, cfg) -> int:
             render_frac(c_super(lam, k)),
             render_frac(c_cat(lam, Fraction(-2 * k))),
         ])
-    if args.format == "json":
-        doc = {
-            "command": "table", "k": k, "size_max": args.size_max,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(json_text(doc), args.out)
-    elif args.format == "csv":
-        _emit(csv_text(header, rows), args.out)
+    doc = {
+        "command": "table", "k": k, "size_max": args.size_max,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    if args.format == "csv":
+        text = csv_text(header, rows)
     else:
         widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
         lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _write(args, doc, text)
     return 0
 
 
@@ -325,10 +304,7 @@ def cmd_verify(args, cfg) -> int:
     if args.t_list is not None:
         overrides["t_list"] = parse_t_list(args.t_list)
     bounds = Bounds(**overrides)
-    try:
-        bounds.validate(cfg)
-    except BoundsError as exc:
-        raise UsageError(str(exc))
+    bounds.validate(cfg)
     jobs = args.jobs if args.jobs is not None else cfg.effective_jobs()
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
@@ -338,8 +314,7 @@ def cmd_verify(args, cfg) -> int:
         ("t_list", ",".join(render_frac(t) for t in bounds.t_list)),
     )
     report = run_suite(args.suite, bounds, params=params, jobs=jobs, cfg=cfg)
-    render = {"json": report.to_json, "csv": report.to_csv, "pretty": report.to_pretty}
-    _emit(render[args.format](), args.out)
+    _write(args, report.to_obj(), report.to_csv() if args.format == "csv" else report.to_pretty())
     print(report.summary_line(), file=sys.stderr)
     return 0 if report.all_passed else FAIL_EXIT
 
@@ -359,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, BoundsError) as exc:
         print(f"capelli: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -49,6 +49,7 @@ from .partitions import (
 )
 from .ratfunc import PoleError, RatFunc, UniPoly
 
+S = UniPoly.x()  # the deformation parameter s
 HALF_NEG_S = UniPoly((0, Fraction(-1, 2)))  # the substitution kappa := -s/2
 
 
@@ -74,12 +75,6 @@ class Block:
     lam: Pair2
     t: Fraction
     mult: int
-
-
-def c_cat_poly(lam: Pair2) -> UniPoly:
-    """The Casimir eigenvalue a(a + s - 2), a = l1 - l2, as a polynomial in s."""
-    a = lam[0] - lam[1]
-    return UniPoly((a * (a - 2), a))
 
 
 # -- block decomposition -------------------------------------------------------------
@@ -149,11 +144,11 @@ def l_op(lam: Pair2) -> BiPoly:
     d = size(lam)
     num = BiPoly({(0, j): UniPoly.const(c) for j, c in enumerate(falling_coeffs(d))})
     den = UniPoly.const(math.factorial(d))
-    c_lam = c_cat_poly(lam)
+    c_lam = c_cat(lam, S)
     for nu_ in of_size(d):
         if nu_ == lam:
             continue
-        c_nu = c_cat_poly(nu_)
+        c_nu = c_cat(nu_, S)
         num = num * BiPoly({(1, 0): UniPoly.one(), (0, 0): -c_nu})
         diff = c_lam - c_nu
         if not diff:
@@ -177,7 +172,7 @@ def d_op(lam: Pair2, t: Fraction) -> BiPoly:
     cls = classify_at(lam, kb)
     if cls is PClass.SINGULAR:
         lamd = paired(lam, int(kb), cls)
-        op = l_op(lamd).scale(RatFunc(c_cat_poly(lamd) - c_cat_poly(lam)))
+        op = l_op(lamd).scale(RatFunc(c_cat(lamd, S) - c_cat(lam, S)))
     elif cls is PClass.QUASIREGULAR:
         op = l_op(lam) + l_op(paired(lam, int(kb), cls))
     else:
@@ -258,7 +253,7 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
         return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)
     lamd = paired(lam, int(kb), cls)
     if cls is PClass.SINGULAR:
-        scaled = [(lamd, c_cat_poly(lamd) - c_cat_poly(lam))]
+        scaled = [(lamd, c_cat(lamd, S) - c_cat(lam, S))]
     else:
         scaled = [(lam, UniPoly.one()), (lamd, UniPoly.one())]
     body_s = BiPoly.zero()
@@ -279,7 +274,7 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
     Returns both sides, exactly.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
-    ratio = RatFunc(c_cat_poly(lamd) - c_cat_poly(lam), h_poly(lamd).compose(HALF_NEG_S))
+    ratio = RatFunc(c_cat(lamd, S) - c_cat(lam, S), h_poly(lamd).compose(HALF_NEG_S))
     lhs = ratio.eval(Fraction(-2 * k))
     rhs = Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
     return lhs, rhs

@@ -13,7 +13,6 @@ which is valid verbatim for non-negative integers b, c, d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,18 +74,8 @@ def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> F
     return total
 
 
-@dataclass(frozen=True)
-class DougallResult:
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def dougall_check(a, b: int, c: int, d: int) -> DougallResult:
-    """Both sides of Dougall's 5F4 summation at unit argument.
+def dougall_check(a, b: int, c: int, d: int) -> tuple[Fraction, Fraction]:
+    """Both sides (lhs, rhs) of Dougall's 5F4 summation at unit argument.
 
     lhs = 5F4(a/2+1, a, -b, -c, -d; a/2, a+b+1, a+c+1, a+d+1; 1), summed
     exactly; rhs is the Pochhammer form of the Gamma quotient.  Requires
@@ -105,4 +94,4 @@ def dougall_check(a, b: int, c: int, d: int) -> DougallResult:
     rhs = (rising(a + 1, b) * rising(a + b + c + 1, d)) / (
         rising(a + c + 1, d) * rising(a + d + 1, b)
     )
-    return DougallResult(lhs=lhs, rhs=rhs)
+    return lhs, rhs

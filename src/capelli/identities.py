@@ -228,7 +228,7 @@ def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
 
 def psi_l(n: int, d: int, j: int) -> RatFunc:
     """x_(d) / ((x-N+1) ... (x-N+j)) as a rational function of x."""
-    return RatFunc(UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j))
+    return RatFunc(UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j)[-1])
 
 
 def chain_bound(i: int, j: int, n: int) -> int:

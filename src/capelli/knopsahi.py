@@ -66,7 +66,8 @@ def ks_poly(lam: Pair2) -> KsPoly:
     """Construct P_lam by expanding the defining double sum."""
     l1, l2 = check_partition(lam)
     r = l1 - l2
-    den = UniPoly.falling(KAPPA + 1, r)
+    fall = UniPoly.falling(KAPPA + 1, r)
+    den = fall[r]
     cleared: list[tuple[UniPoly, int, int]] = []
     for i in range(r + 1):
         for j in range(r + 1 - i):
@@ -74,10 +75,7 @@ def ks_poly(lam: Pair2) -> KsPoly:
                 math.factorial(r),
                 math.factorial(i) * math.factorial(j) * math.factorial(r - i - j),
             )
-            num = (
-                UniPoly.falling(KAPPA + 1, r - i)
-                * UniPoly.falling(KAPPA + 1, r - j)
-            ).scale(scale)
+            num = (fall[r - i] * fall[r - j]).scale(scale)
             cleared.append((num, l2 + i, l2 + j))
     body = from_falling(cleared).map_coeffs(lambda num: RatFunc(num, den))
     return KsPoly(lam=lam, den=den, cleared=tuple(cleared), body=body)
@@ -93,11 +91,7 @@ def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:
     p = ks_poly(lam)
     m1, m2 = check_partition(mu)
     xarg = UniPoly((m1 - 1, -1))
-    # falling powers of the x-argument, built incrementally
-    max_m = max(m for _, m, _ in p.cleared)
-    xfall = [UniPoly.one()]
-    for t in range(max_m):
-        xfall.append(xfall[-1] * (xarg - t))
+    xfall = UniPoly.falling(xarg, max(m for _, m, _ in p.cleared))
     acc = UniPoly.zero()
     for num, m, n in p.cleared:
         yv = falling(m2, n)

@@ -102,7 +102,7 @@ def h_poly(lam: Pair2) -> UniPoly:
     """
     l1, l2 = check_partition(lam)
     scale = math.factorial(l1 - l2) * math.factorial(l2)
-    return UniPoly.falling(UniPoly((l1 - 1, -1)), l2).scale(scale)
+    return UniPoly.falling(UniPoly((l1 - 1, -1)), l2)[-1].scale(scale)
 
 
 def c_super(lam: Pair2, k: int) -> Fraction:
@@ -111,11 +111,13 @@ def c_super(lam: Pair2, k: int) -> Fraction:
     return Fraction((l2 - l1) * (2 * k + 2 + l2 - l1))
 
 
-def c_cat(lam: Pair2, t: Fraction) -> Fraction:
-    """Categorical Casimir eigenvalue (l1 - l2) (l1 - l2 + t - 2)."""
+def c_cat(lam: Pair2, t: Fraction | UniPoly) -> Fraction | UniPoly:
+    """Categorical Casimir eigenvalue a (a + t - 2), a = l1 - l2, the one
+    definition: at a rational dimension t, or as a polynomial in the
+    deformation parameter s when t is ``UniPoly.x()``."""
     l1, l2 = check_partition(lam)
-    d = l1 - l2
-    return d * (d + Fraction(t) - 2)
+    a = l1 - l2
+    return a * (a - 2 + t)
 
 
 def ell(lam: Pair2, k: int) -> int:

@@ -88,11 +88,13 @@ class UniPoly:
         return cls((0, 1))
 
     @classmethod
-    def falling(cls, base: "UniPoly", steps: int) -> "UniPoly":
-        """base * (base - 1) * ... * (base - steps + 1); empty product is 1."""
-        out = cls.one()
-        for t in range(steps):
-            out = out * (base - cls.const(t))
+    def falling(cls, base: "UniPoly", n: int) -> list["UniPoly"]:
+        """[(base)_(0), ..., (base)_(n)] with (base)_(m) = base (base - 1) ...
+        (base - m + 1), each built from the one before.  The one builder of
+        falling products in a polynomial argument; (base)_(n) is the last entry."""
+        out = [cls.one()]
+        for t in range(n):
+            out.append(out[-1] * (base - t))
         return out
 
     # -- basic queries -------------------------------------------------

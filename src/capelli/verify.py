@@ -272,8 +272,8 @@ def check_h_function(j: int, s: int) -> Outcome:
 
 @_family("dougall", "a", "b", "c", "d")
 def check_dougall(a: int, b: int, c: int, d: int) -> Outcome:
-    res = hg.dougall_check(a, b, c, d)
-    return res.equal, render_frac(res.lhs), render_frac(res.rhs)
+    lhs, rhs = hg.dougall_check(a, b, c, d)
+    return lhs == rhs, render_frac(lhs), render_frac(rhs)
 
 
 # -- deligne suite ---------------------------------------------------------------------------

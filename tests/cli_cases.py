@@ -21,6 +21,12 @@ STDOUT_CASES = [
     ("deligne_1_1_t0_json.txt", ["deligne", "1,1", "--t", "0", "--format", "json"]),
     ("table_k1_s3_json.txt", ["table", "--k", "1", "--size-max", "3", "--format", "json"]),
     ("eig_2_2_k1_oracle_json.txt", ["eig", "2,2", "--k", "1", "--route", "oracle", "--format", "json"]),
+    ("ks_2_0_falling.txt", ["ks", "2,0", "--falling"]),
+    ("eig_2_1_k1_falling.txt", ["eig", "2,1", "--k", "1", "--falling"]),
+    ("deligne_2_1_tm2_falling.txt", ["deligne", "2,1", "--t", "-2", "--falling"]),
+    ("ks_2_0_json.txt", ["ks", "2,0", "--format", "json"]),
+    ("ks_3_0_k1_reg_falling_json.txt",
+     ["ks", "3,0", "--k", "1", "--part", "reg", "--falling", "--format", "json"]),
 ]
 
 REPORT_CASES = [

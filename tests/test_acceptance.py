@@ -5,9 +5,11 @@ with ``pytest -s tests/test_acceptance.py`` to watch them); any failure is a
 hard assert with the offending parameters.
 """
 
+import hashlib
 import json
 import os
 import pathlib
+import tempfile
 import time
 from fractions import Fraction as Q
 
@@ -18,7 +20,7 @@ from capelli import identities as idn
 from capelli import knopsahi as ks
 from capelli.bipoly import BiPoly
 from capelli.partitions import PClass, classify, dagger, size, upto
-from capelli.verify import Bounds, DEFAULT_T_LIST, run_suite
+from capelli.verify import DEFAULT_T_LIST
 
 from cli_cases import REPORT_CASES, STDOUT_CASES
 from test_cli import run_cli
@@ -121,13 +123,14 @@ def test_c6_two_variable_chain():
 def test_c7_dougall():
     """Dougall's summation for a in 1..5 and b, c, d in 0..4, with the
     15/16 anchor."""
-    anchor = hg.dougall_check(2, 1, 1, 1)
-    assert anchor.lhs == anchor.rhs == Q(15, 16)
+    lhs, rhs = hg.dougall_check(2, 1, 1, 1)
+    assert lhs == rhs == Q(15, 16)
     for a in range(1, 6):
         for b in range(5):
             for c in range(5):
                 for d in range(5):
-                    assert hg.dougall_check(a, b, c, d).equal, (a, b, c, d)
+                    lhs, rhs = hg.dougall_check(a, b, c, d)
+                    assert lhs == rhs, (a, b, c, d)
     _done(7, "Dougall 5F4 summation sweep incl. the 15/16 anchor")
 
 
@@ -173,15 +176,19 @@ def test_c8_deligne_degeneration():
     _done(8, "block model = closed forms over the t-list, incl. vanishing suite")
 
 
+# sha256 of `capelli verify all --format json` at default bounds; the report
+# is byte-identical for every --jobs
+VERIFY_ALL_SHA256 = "7502efea60cdd8fac1a32eca82d25bc56337ca554e5c5161383e5aceaf058aa8"
+
+
 def test_c9_cli_contract():
     """Golden-file byte equality for the documented invocations, the exit
-    code contract, and a full default-bounds verify run ending green."""
+    code contract, and a full default-bounds `verify all` through the CLI
+    whose JSON report is green and byte-pinned."""
     for name, argv in STDOUT_CASES:
         code, out, _ = run_cli(argv)
         assert code == 0, argv
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), argv
-    import tempfile
-
     for name, argv in REPORT_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             target = pathlib.Path(tmp) / name
@@ -197,7 +204,14 @@ def test_c9_cli_contract():
     code, _, err = run_cli(["eig", "3,0", "--k", "1", "--route", "a"])
     assert code == 2 and "singular" in err
     start = time.monotonic()
-    report = run_suite("all", Bounds(), jobs=os.cpu_count() or 1)
-    assert report.all_passed, [c for c in report.checks if not c.passed][:3]
+    with tempfile.TemporaryDirectory() as tmp:
+        target = pathlib.Path(tmp) / "verify_all.json"
+        code, _, err = run_cli(["verify", "all", "--format", "json", "--out", str(target),
+                                "--jobs", str(os.cpu_count() or 1)])
+        assert code in (0, 1), err
+        data = target.read_bytes()
+    doc = json.loads(data)
+    assert code == 0, [c for c in doc["checks"] if c["status"] != "pass"][:3]
+    assert hashlib.sha256(data).hexdigest() == VERIFY_ALL_SHA256, err
     assert time.monotonic() - start < 900
-    _done(9, f"CLI goldens, exit codes, verify all green ({report.total} checks)")
+    _done(9, f"CLI goldens, exit codes, verify all green ({doc['summary']['total']} checks)")

@@ -8,10 +8,11 @@ the local expansion, rebuilds an eigenvalue polynomial per block,
 specializes a block-model operator per block instead of once per check,
 normalizes the derivative identity per term, recomputes a psi-chain factor
 per sample point that depends on x or y alone, builds x_(m) other than from
-the cached ``falling_coeffs`` table, renders a passing identity check,
-squares a polynomial power's base after its last bit, or builds the
-interpolation oracle's matrix from bivariate polynomials instead of 1-D
-falling tables.
+the cached ``falling_coeffs`` table, builds the falling products of
+``ks_poly`` or ``shifted_eval`` other than from one ``UniPoly.falling``
+table, renders a passing identity check, squares a polynomial power's base
+after its last bit, or builds the interpolation oracle's matrix from
+bivariate polynomials instead of 1-D falling tables.
 """
 
 from fractions import Fraction as Q
@@ -52,6 +53,16 @@ def test_singular_and_finite_parts_make_no_gcd(monkeypatch, k):
         ks.sing_part(lam, k)
         ks.reg_part(lam, k)
     assert gcd == []
+
+
+@pytest.mark.parametrize("lam", [(0, 0), (3, 0), (4, 2), (6, 1)])
+def test_ks_poly_and_shifted_eval_take_one_falling_table(monkeypatch, lam):
+    ks.ks_poly(lam)
+    tables = _counter(monkeypatch, UniPoly, "falling")
+    ks.ks_poly.__wrapped__(lam)  # bypass the cache so the body is built
+    ks.shifted_eval(lam, (2, 1))
+    # (kappa+1)_(m) for m <= r, then the x-argument 1 - kappa up to x_(l1)
+    assert tables == [(ks.KAPPA + 1, lam[0] - lam[1]), (UniPoly((1, -1)), lam[0])]
 
 
 def test_ks_poly_normalizes_once_per_monomial(monkeypatch):

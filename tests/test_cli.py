@@ -225,6 +225,15 @@ class TestArgparseErrors:
         assert err.startswith("capelli eig: error: argument --route: invalid choice: 'z'")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["ks", "2,0"], ["ks", "2,0", "--k", "0"]])
+    def test_part_poly_is_a_bad_choice(self, argv):
+        # --part takes reg|sing only.  Newer Pythons print the choices
+        # unquoted; either way the whole line is pinned.
+        code, out, err = run_cli(argv + ["--part", "poly"])
+        assert code == 2 and out == ""
+        line = "capelli ks: error: argument --part: invalid choice: 'poly' (choose from {})\n"
+        assert err in (line.format("'reg', 'sing'"), line.format("reg, sing"))
+
     @pytest.mark.parametrize("t", ["-4/3", "-2", "-5/3"])
     def test_negative_t_parses_like_equals_form(self, t):
         spaced = run_cli(["deligne", "1,0", "--t", t])
@@ -277,7 +286,7 @@ _OPTIONS = {
     "--t": ["-4", "-2", "0", "1/2", "-4/3", "3", "-5/3"],
     "--t-list": ["-5/3,1", "0,-2", "1/2", "-4/3"],
     "--route": ["a", "b", "c", "d", "oracle", "all", "z"],
-    "--part": ["poly", "reg", "sing"],
+    "--part": ["poly", "reg", "sing"],  # poly exercises the invalid-choice exit
     "--format": ["pretty", "json", "csv"],
     "--size-max": ["0", "2", "4", "6", "15", "-1"],
     "--k-max": ["0", "2", "7"],

@@ -116,11 +116,11 @@ def _l_op_per_factor(lam):
     for i in range(d):
         op = op * BiPoly({(0, 1): RatFunc(1), (0, 0): RatFunc(-i)})
     denom = RatFunc(math.factorial(d))
-    c_lam = dl.c_cat_poly(lam)
+    c_lam = c_cat(lam, dl.S)
     for nu in of_size(d):
         if nu == lam:
             continue
-        c_nu = dl.c_cat_poly(nu)
+        c_nu = c_cat(nu, dl.S)
         op = op * BiPoly({(1, 0): RatFunc(1), (0, 0): -RatFunc(c_nu)})
         denom = denom * RatFunc(c_lam - c_nu)
     return op.scale(RatFunc(denom.den, denom.num))
@@ -148,7 +148,7 @@ class TestOperators:
 
     def test_d_case_singular(self):
         got = dl.d_op((2, 0), Q(0))
-        gap = RatFunc(dl.c_cat_poly((1, 1)) - dl.c_cat_poly((2, 0)))
+        gap = RatFunc(c_cat((1, 1), dl.S) - c_cat((2, 0), dl.S))
         assert got == _at(dl.l_op((1, 1)).scale(gap), Q(0))
 
     def test_d_case_quasiregular_pole_free(self):

@@ -63,8 +63,9 @@ def rhs_per_term(i: int, j: int, n: int) -> RatFunc:
             )
             if not const:
                 continue
-            num = UniPoly.falling(X, p - i) * UniPoly.falling(X, p - j) * UniPoly((-(p - q), 1))
-            den = UniPoly.falling(X, p + 1) * UniPoly.falling(X - (n - q), q)
+            num = (UniPoly.falling(X, p - i)[-1] * UniPoly.falling(X, p - j)[-1]
+                   * UniPoly((-(p - q), 1)))
+            den = UniPoly.falling(X, p + 1)[-1] * UniPoly.falling(X - (n - q), q)[-1]
             num, den = num.scale(const), den.scale((n - p) * math.factorial(q))
             total = total + RatFunc(num, den)
     return total
@@ -121,7 +122,7 @@ def psi2_pointwise(x, y, d: int, j: int) -> Q:
             raise idn.SamplePoleError(f"y+{t}")
         prod *= y + t
     harm = sum(Q(1) / (y + t) for t in range(1, j + 1))
-    dfall = UniPoly.falling(X, d).derivative()
+    dfall = UniPoly.falling(X, d)[-1].derivative()
     return -falling(x, d) / prod * harm + Q(dfall(x)) / prod
 
 
@@ -268,4 +269,5 @@ def test_psi_l_denominator_is_the_product():
                 den = UniPoly.one()
                 for t in range(1, j + 1):
                     den = den * UniPoly((t - n, 1))
-                assert idn.psi_l(n, n - i, j) == RatFunc(UniPoly.falling(UniPoly((0, 1)), n - i), den)
+                x_d = UniPoly.falling(UniPoly((0, 1)), n - i)[-1]
+                assert idn.psi_l(n, n - i, j) == RatFunc(x_d, den)

@@ -54,8 +54,8 @@ class TestUniPoly:
         assert p.multiplicity(5) == 0
 
     def test_falling(self):
-        assert UniPoly.falling(K, 3) == P(0, 2, -3, 1)
-        assert UniPoly.falling(K, 0) == P(1)
+        assert UniPoly.falling(K, 3) == [P(1), P(0, 1), P(0, -1, 1), P(0, 2, -3, 1)]
+        assert UniPoly.falling(K, 0) == [P(1)]
 
 
 class TestNormalization:
