@@ -1,8 +1,14 @@
 """Sparse bivariate polynomials over a generic exact coefficient field.
 
 Coefficients may be ``Fraction`` or ``RatFunc`` (anything with exact ring
-arithmetic and a truthiness test for zero).  The canonical internal form is
-the ordinary monomial basis; the falling-factorial basis
+arithmetic and a truthiness test for zero) for arithmetic, the basis
+changes and ``square_op``.  Evaluation (``eval2``) is rational only: it
+takes ``Fraction`` or ``int`` coefficients and points and runs on integer
+numerators over one common denominator; a ``RatFunc`` coefficient must be
+specialized first.
+
+The canonical internal form is the ordinary monomial basis; the
+falling-factorial basis
 
     x_(m) = x (x-1) ... (x-m+1)
 
@@ -24,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .ratfunc import RatFunc, render_frac, render_ratfunc
+from .ratfunc import RatFunc, as_ratio, common_denominator, render_frac, render_ratfunc
 
 Key = Tuple[int, int]
 
@@ -124,19 +130,20 @@ class BiPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval2(self, a, b):
-        """Exact substitution x = a, y = b (arguments in any exact ring)."""
-        if not self.terms:
-            return Fraction(0)
-        imax = max(i for i, _ in self.terms)
-        jmax = max(j for _, j in self.terms)
-        apow = _powers(a, imax)
-        bpow = _powers(b, jmax)
-        acc = None
-        for (i, j), c in self.terms.items():
-            t = c * apow[i] * bpow[j]
-            acc = t if acc is None else acc + t
-        return acc
+    def eval2(self, a, b) -> Fraction:
+        """f(a, b) for rational coefficients and rational ``a``, ``b`` (``int``
+        or ``Fraction``); anything else, a ``RatFunc`` coefficient say, raises
+        ``TypeError``.  With a = p/q and b = r/s the sum runs over integers:
+        the coefficient numerators over their common denominator d times
+        p^i q^(I-i) r^j s^(J-j), I and J the largest exponents, and one
+        ``Fraction`` divides it by d q^I s^J."""
+        nums, d = common_denominator(self.terms.values())
+        xs = _homogenized_powers(*as_ratio(a), max((i for i, _ in self.terms), default=0))
+        ys = _homogenized_powers(*as_ratio(b), max((j for _, j in self.terms), default=0))
+        acc = 0
+        for (i, j), c in zip(self.terms, nums):
+            acc += c * xs[i] * ys[j]
+        return Fraction(acc, d * xs[0] * ys[0])
 
     def map_coeffs(self, transform: Callable) -> "BiPoly":
         """Apply ``transform`` to every coefficient, dropping resulting zeros."""
@@ -159,10 +166,15 @@ class BiPoly:
         return render_bipoly(self)
 
 
-def _powers(a, n: int) -> list:
-    out = [Fraction(1)]
+def _homogenized_powers(p: int, q: int, n: int) -> list[int]:
+    """[p^i q^(n-i) for i = 0..n], the powers of p/q over q^n."""
+    out = [1]
     for _ in range(n):
-        out.append(out[-1] * a)
+        out.append(out[-1] * p)
+    qk = 1
+    for i in range(n - 1, -1, -1):
+        qk *= q
+        out[i] *= qk
     return out
 
 

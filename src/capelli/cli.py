@@ -30,7 +30,7 @@ from . import deligne as dl
 from . import eigenpoly as ep
 from . import knopsahi as ks
 from .bipoly import render_bipoly
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, shown
 from .partitions import PClass, Pair2, classify, dagger, ell, h_poly, c_super, c_cat, size, upto
 from .ratfunc import render_frac, render_unipoly
 from .report import csv_text, json_text
@@ -61,30 +61,37 @@ class _Parser(argparse.ArgumentParser):
 def parse_partition(text: str) -> Pair2:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"partition must be 'a,b', got {text!r}")
+        raise UsageError(f"partition must be 'a,b', got {shown(text)}")
     try:
         l1, l2 = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"partition must be a pair of integers, got {text!r}")
+        raise UsageError(f"partition must be a pair of integers, got {shown(text)}")
     if not l1 >= l2 >= 0:
-        raise UsageError(f"need a >= b >= 0 in partition '{text}'")
+        raise UsageError(f"need a >= b >= 0 in partition {shown(text)}")
     return (l1, l2)
 
 
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")
+
+
 def parse_rational(text: str) -> Fraction:
+    parts = text.split("/", 1)
     try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"expected an integer or p/q rational, got {text!r}")
+        return Fraction(*(int(part) for part in parts))
+    except ZeroDivisionError:
+        pass
+    except ValueError:
+        # int() refuses a well-formed integer only past Python's digit limit
+        if all(_INTEGER.fullmatch(part) for part in parts):
+            raise UsageError(f"integer with more than {sys.get_int_max_str_digits()} "
+                             f"digits, got {shown(text)}")
+    raise UsageError(f"expected an integer or p/q rational, got {shown(text)}")
 
 
 def parse_t_list(text: str) -> tuple[Fraction, ...]:
     tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
-        raise UsageError(f"--t-list has an empty entry: {text!r}")
+        raise UsageError(f"--t-list has an empty entry: {shown(text)}")
     return tuple(parse_rational(tok) for tok in tokens)
 
 

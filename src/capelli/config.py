@@ -37,6 +37,17 @@ class ConfigError(ValueError):
     pass
 
 
+SHOWN_CHARS = 32  # how much of a rejected value an error message echoes
+
+
+def shown(text: str) -> str:
+    """``repr(text)`` for a one-line error message; a longer value is cut to
+    its first SHOWN_CHARS characters and followed by its length."""
+    if len(text) <= SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
 def _checked(cfg: Config) -> Config:
     for name in _CAPS + ("jobs",):
         if getattr(cfg, name) < 0:
@@ -58,15 +69,15 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {shown(raw)}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {shown(key)}")
         try:
             updates[key] = int(value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key} needs an integer, got {value!r}") from exc
+            raise ConfigError(f"line {lineno}: {key} needs an integer, got {shown(value)}") from exc
     return _checked(replace(cfg, **updates))
 
 
@@ -86,5 +97,5 @@ def load_config(path: str | None = None, environ: dict | None = None) -> Config:
             try:
                 updates[name] = int(raw)
             except ValueError as exc:
-                raise ConfigError(f"{ENV_PREFIX}{name.upper()} needs an integer, got {raw!r}") from exc
+                raise ConfigError(f"{ENV_PREFIX}{name.upper()} needs an integer, got {shown(raw)}") from exc
     return _checked(replace(cfg, **updates))

@@ -85,16 +85,18 @@ def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:
     """P_lam(m1 - kappa - 1, m2) as an element of Q(kappa).
 
     The x-argument is linear in kappa and the y-argument is the integer m2,
-    so each falling factorial is a small polynomial product; everything is
-    accumulated over the shared denominator and normalized once.
+    so each falling factorial is a small polynomial product or an integer,
+    read from one table per argument; everything is accumulated over the
+    shared denominator and normalized once.
     """
     p = ks_poly(lam)
     m1, m2 = check_partition(mu)
     xarg = UniPoly((m1 - 1, -1))
     xfall = UniPoly.falling(xarg, max(m for _, m, _ in p.cleared))
+    yfall = [falling(m2, n) for n in range(max(n for _, _, n in p.cleared) + 1)]
     acc = UniPoly.zero()
     for num, m, n in p.cleared:
-        yv = falling(m2, n)
+        yv = yfall[n]
         if not yv:
             continue
         acc = acc + (num * xfall[m]).scale(yv)
@@ -205,13 +207,12 @@ def gen_eval(f: BiPoly, mu: Pair2, k) -> Fraction:
     square_op value there when mu is k-singular (``classify_at``, so at a
     parameter that is not a non-negative integer the plain branch applies).
 
-    Takes rational-coefficient polynomials only; parameter-dependent input
-    must be specialized first.
+    Takes rational-coefficient polynomials only (``eval2`` raises
+    ``TypeError`` otherwise); parameter-dependent input must be specialized
+    first.
     """
     if not f.is_symmetric():
         raise ValueError("generalized evaluation requires a symmetric polynomial")
-    if any(not isinstance(c, Fraction) for c in f.terms.values()):
-        raise TypeError("generalized evaluation needs rational coefficients; specialize first")
     a, b = eval_point(mu, k)
     if classify_at(mu, k) is PClass.SINGULAR:
         return square_op(f).eval2(a, b)

@@ -20,14 +20,21 @@ evaluated at ``a``
     regular value = (num'(a) - residue * d1'(a)) / d1(a),
 
 while at a regular point the value and the derivative come from one Horner
-pass over ``num`` and ``den``.  None of this normalizes, so it costs no gcd.
-Poles of order two or more are treated as hard errors (``PoleError``); the
-objects this package builds are guaranteed to have simple poles only, so a
-higher-order pole always signals a bug upstream.
+pass over ``num`` and ``den``.  None of this normalizes, so it costs no
+polynomial gcd.  Poles of order two or more are treated as hard errors
+(``PoleError``); the objects this package builds are guaranteed to have
+simple poles only, so a higher-order pole always signals a bug upstream.
+
+Evaluation (``UniPoly.__call__`` and ``value_and_slope``, and
+``BiPoly.eval2``) takes ``int`` or ``Fraction`` points and coefficients and
+reads each as numerator and denominator (``as_ratio``,
+``common_denominator``): the work runs on integers over one common
+denominator, and one ``Fraction`` is built per result.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -194,20 +201,31 @@ class UniPoly:
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, a: Scalar) -> Fraction:
-        a = Fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        """p(a) for a rational ``a`` (``int`` or ``Fraction``): Horner's rule
+        on the integer numerators over one common denominator, with a = p/q
+        homogenized, and one ``Fraction`` built at the end.  Any other
+        argument, or a coefficient that is not rational, raises ``TypeError``."""
+        nums, d = common_denominator(self.coeffs)
+        p, q = as_ratio(a)
+        it = reversed(nums)
+        acc, qk = next(it, 0), 1
+        for c in it:
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, d * qk)
 
     def value_and_slope(self, a: Scalar) -> tuple[Fraction, Fraction]:
-        """The pair (p(a), p'(a)) from one Horner pass."""
-        a = Fraction(a)
-        val = slope = Fraction(0)
-        for c in reversed(self.coeffs):
-            slope = slope * a + val
-            val = val * a + c
-        return val, slope
+        """The pair (p(a), p'(a)) from one integer Horner pass, as ``__call__``."""
+        nums, d = common_denominator(self.coeffs)
+        p, q = as_ratio(a)
+        it = reversed(nums)
+        val, slope, qk = next(it, 0), 0, 1
+        for c in it:
+            qk *= q
+            slope = slope * p + val
+            val = val * p + c * qk
+        # val is over d q^deg and slope over d q^(deg - 1)
+        return Fraction(val, d * qk), Fraction(slope * q, d * qk)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute ``inner`` for the variable."""
@@ -245,6 +263,28 @@ class UniPoly:
 
     def __str__(self) -> str:
         return render_unipoly(self)
+
+
+def common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: ``(nums, d)`` with
+    ``coeffs[i] == nums[i] / d`` and ``d`` the lcm of the denominators.
+    Reads only ``.numerator`` and ``.denominator``; a coefficient without
+    them (a ``RatFunc``, say) raises ``TypeError``."""
+    try:
+        d = 1
+        for c in coeffs:
+            d = math.lcm(d, c.denominator)
+        return [c.numerator * (d // c.denominator) for c in coeffs], d
+    except AttributeError:
+        raise TypeError("evaluation needs rational coefficients") from None
+
+
+def as_ratio(a: Scalar) -> tuple[int, int]:
+    """The point ``a`` as (p, q) with a = p / q and q > 0."""
+    try:
+        return a.numerator, a.denominator
+    except AttributeError:
+        raise TypeError(f"cannot evaluate at a {type(a).__name__}; need int or Fraction") from None
 
 
 def _as_poly(v: "UniPoly | Scalar") -> UniPoly:

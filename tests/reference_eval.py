@@ -1,0 +1,44 @@
+"""Reference evaluators: the plain ``Fraction`` Horner loops and the generic
+bivariate substitution that ``UniPoly.__call__``, ``value_and_slope`` and
+``BiPoly.eval2`` replace with integer arithmetic over one common denominator.
+
+They work in any exact ring, so they also evaluate ``RatFunc`` coefficients
+at ``RatFunc`` points, which the package's evaluators reject.
+"""
+
+from fractions import Fraction
+
+
+def horner(coeffs, a):
+    """p(a) for coefficients lowest degree first, one ring operation at a time."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
+
+
+def horner_with_slope(coeffs, a):
+    """(p(a), p'(a)) from one Horner pass in the ring of ``a``."""
+    val = slope = Fraction(0)
+    for c in reversed(coeffs):
+        slope = slope * a + val
+        val = val * a + c
+    return val, slope
+
+
+def eval2(f, a, b):
+    """f(a, b) for a ``BiPoly`` over any exact ring, by power tables."""
+    if not f.terms:
+        return Fraction(0)
+    imax = max(i for i, _ in f.terms)
+    jmax = max(j for _, j in f.terms)
+    apow, bpow = [Fraction(1)], [Fraction(1)]
+    for _ in range(imax):
+        apow.append(apow[-1] * a)
+    for _ in range(jmax):
+        bpow.append(bpow[-1] * b)
+    acc = None
+    for (i, j), c in f.terms.items():
+        t = c * apow[i] * bpow[j]
+        acc = t if acc is None else acc + t
+    return acc

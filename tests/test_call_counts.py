@@ -10,15 +10,18 @@ normalizes the derivative identity per term, recomputes a psi-chain factor
 per sample point that depends on x or y alone, builds x_(m) other than from
 the cached ``falling_coeffs`` table, builds the falling products of
 ``ks_poly`` or ``shifted_eval`` other than from one ``UniPoly.falling``
-table, renders a passing identity check, squares a polynomial power's base
-after its last bit, or builds the interpolation oracle's matrix from
-bivariate polynomials instead of 1-D falling tables.
+table, computes a y-value of ``shifted_eval`` more than once, renders a
+passing identity check, squares a polynomial power's base after its last
+bit, builds the interpolation oracle's matrix from bivariate polynomials
+instead of 1-D falling tables, or evaluates a polynomial at a rational
+point with ``Fraction`` arithmetic instead of on integer numerators.
 """
 
 from fractions import Fraction as Q
 
 import pytest
 
+import reference_eval
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli import identities as idn
@@ -63,6 +66,15 @@ def test_ks_poly_and_shifted_eval_take_one_falling_table(monkeypatch, lam):
     ks.shifted_eval(lam, (2, 1))
     # (kappa+1)_(m) for m <= r, then the x-argument 1 - kappa up to x_(l1)
     assert tables == [(ks.KAPPA + 1, lam[0] - lam[1]), (UniPoly((1, -1)), lam[0])]
+
+
+@pytest.mark.parametrize("lam", [(0, 0), (3, 0), (4, 2), (6, 1)])
+def test_shifted_eval_takes_each_y_value_once(monkeypatch, lam):
+    ks.ks_poly(lam)
+    ys = _counter(monkeypatch, ks, "falling")
+    ks.shifted_eval(lam, (2, 1))
+    # (m2)_(n) at m2 = 1 for n up to l1, the largest y-exponent of P_lam
+    assert ys == [(1, n) for n in range(lam[0] + 1)]
 
 
 def test_ks_poly_normalizes_once_per_monomial(monkeypatch):
@@ -199,3 +211,31 @@ def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     # on the chain grid every x exceeds every integer the constants use
     assert len([a for a in falls if a[0] in xs]) <= len(xs) * (d + 1)
 
+
+class _Opaque(Q):
+    """A Fraction whose arithmetic raises, so an evaluator that gets one as a
+    coefficient or a point may read only its numerator and denominator."""
+
+    def _refuse(self, *args):
+        raise AssertionError("Fraction arithmetic in an evaluation kernel")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _refuse
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refuse
+
+
+@pytest.mark.parametrize("coeffs, a", [
+    ((), Q(1, 3)),
+    ((Q(2, 3),), Q(-5, 7)),
+    ((Q(1, 2), Q(-3, 7), Q(5, 3), 4), Q(-2, 5)),
+    ((Q(10**30 + 1, 3), Q(-7, 10**20), Q(1, 6)), 3),
+])
+def test_evaluation_does_no_fraction_arithmetic(coeffs, a):
+    p = UniPoly()
+    # UniPoly() would convert the coefficients to plain Fractions
+    object.__setattr__(p, "coeffs", tuple(_Opaque(c) for c in coeffs))
+    f = BiPoly({(i, len(coeffs) - i): _Opaque(c) for i, c in enumerate(coeffs)})
+    a_, b_ = _Opaque(a), _Opaque(Q(a) + 2)
+    assert p(a_) == reference_eval.horner(coeffs, Q(a))
+    assert p.value_and_slope(a_) == reference_eval.horner_with_slope(coeffs, Q(a))
+    assert f.eval2(a_, b_) == reference_eval.eval2(
+        BiPoly({k: Q(c) for k, c in f.terms.items()}), Q(a), Q(a) + 2)

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import string
+import sys
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -98,6 +99,20 @@ class TestExitCodes:
         code, out, err = run_cli(["verify", "deligne", flag, "-1"])
         assert code == 2 and out == ""
         assert err == f"capelli: error: {label} = -1 must be non-negative\n"
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ("7" * 5000, f"integer with more than {sys.get_int_max_str_digits()} digits, "
+                         "got '{}'... (5000 characters)"),
+            ("x" * 5000, "expected an integer or p/q rational, got '{}'... (5000 characters)"),
+        ],
+        ids=["over-digit-limit", "not-a-number"],
+    )
+    def test_long_t_is_one_short_line(self, t, message):
+        code, out, err = run_cli(["deligne", "1,0", "--t", t])
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {message.format(t[:32])}\n"
 
     @pytest.mark.parametrize("flag, label", [("--a-max", "a-max"), ("--bcd-max", "bcd-max")])
     def test_dougall_bound_above_cap_is_one_line(self, monkeypatch, flag, label):
@@ -469,6 +484,26 @@ class TestConfig:
         cfg.write_text("nonsense = 3\n")
         code, _, _ = run_cli(["table", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("#" + "x" * 4999, None),  # a comment, however long, is fine
+            ("x" * 5000, "line 1: expected key=value, got '{}'... (5000 characters)"),
+            ("jobs = " + "9" * 4993, "line 1: jobs needs an integer, got '{}'... (4993 characters)"),
+        ],
+        ids=["comment", "no-equals", "long-value"],
+    )
+    def test_long_config_line_is_one_short_line(self, tmp_path, line, message):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(["table", "--size-max", "1", "--config", str(cfg)])
+        if message is None:
+            assert (code, err) == (0, "")
+            return
+        value = line.partition("=")[2].strip() if "=" in line else line
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {message.format(value[:32])}\n"
 
     def test_invalid_utf8_config_is_one_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

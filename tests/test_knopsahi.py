@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import reference_eval
 from capelli import knopsahi as ks
 from capelli.bipoly import BiPoly, falling_expansion, from_falling
 from capelli.partitions import PClass, classify, dagger, h_poly, size, upto
@@ -50,7 +51,9 @@ class TestCharacterization:
         for mu in upto(4):
             x = RatFunc(UniPoly((mu[0] - 1, -1)))
             y = RatFunc(mu[1])
-            assert ks.shifted_eval(lam, mu) == ks.ks_poly(lam).body.eval2(x, y)
+            # RatFunc coefficients at RatFunc points: only the generic
+            # reference evaluates there
+            assert ks.shifted_eval(lam, mu) == reference_eval.eval2(ks.ks_poly(lam).body, x, y)
 
 
 class TestPoleSet:
@@ -152,6 +155,11 @@ class TestGenEval:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             ks.gen_eval(BiPoly({(1, 0): Q(1)}), (0, 0), 0)
+
+    @pytest.mark.parametrize("mu", [(2, 0), (1, 0)])  # 0-singular, regular
+    def test_rejects_parameter_coefficients(self, mu):
+        with pytest.raises(TypeError):
+            ks.gen_eval(ks.ks_poly((2, 0)).body, mu, 0)
 
 
 class TestTCheck:
