@@ -107,8 +107,16 @@ def blocks(d: int, t: Fraction) -> list[Block]:
     return out
 
 
-def block_eval(op_t: BiPoly, block: Block) -> DualScalar:
-    """Evaluate an operator p(C, E), already specialized at s = t, on one block.
+def c_partial(op_t: BiPoly, blks: list[Block]) -> BiPoly | None:
+    """dp/dC for the operator p(C, E) = ``op_t``, built once for all of
+    ``blks``; None when none of them has multiplicity 2, the only blocks on
+    which ``block_eval`` reads it."""
+    return op_t.partials()[0] if any(b.mult == 2 for b in blks) else None
+
+
+def block_eval(op_t: BiPoly, dc_t: BiPoly | None, block: Block) -> DualScalar:
+    """Evaluate an operator p(C, E), already specialized at s = t, on one
+    block, given ``dc_t`` = dp/dC from ``c_partial``.
 
     C acts as c_cat(lam, t) + eps on multiplicity-2 blocks and as the plain
     scalar otherwise; E acts as |lam|.  So the value is p(c, e) and, on a
@@ -121,7 +129,7 @@ def block_eval(op_t: BiPoly, block: Block) -> DualScalar:
         return DualScalar(value)
     if block.mult != 2:
         raise AssertionError(f"block {block.lam} has multiplicity {block.mult}, not 1 or 2")
-    return DualScalar(value, op_t.partials()[0].eval2(c, e))
+    return DualScalar(value, dc_t.eval2(c, e))
 
 
 # -- the deformed operators ------------------------------------------------------------
@@ -208,16 +216,17 @@ def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
     check_partition(lam)
     d = size(lam)
     op_t = d_op(lam, t)
+    blks = [b for m in range(d + 1) for b in blocks(m, t)]
+    dc_t = c_partial(op_t, blks)
     kb = kbar(t)
     values: dict[Pair2, Fraction] = {}
     duals: list[tuple[Block, DualScalar]] = []
-    for m in range(d + 1):
-        for b in blocks(m, t):
-            dv = block_eval(op_t, b)
-            duals.append((b, dv))
-            values[b.lam] = dv.value
-            if b.mult == 2:
-                values[paired(b.lam, int(kb), PClass.QUASIREGULAR)] = dv.nil
+    for b in blks:
+        dv = block_eval(op_t, dc_t, b)
+        duals.append((b, dv))
+        values[b.lam] = dv.value
+        if b.mult == 2:
+            values[paired(b.lam, int(kb), PClass.QUASIREGULAR)] = dv.nil
     f = interpolate_ev(values, d, kb)
     sq = square_op(f)
     for b, dv in duals:
@@ -292,7 +301,8 @@ def min_poly_is_minimal(d: int, t: Fraction) -> bool:
 
     def annihilated(poly: UniPoly) -> bool:
         op = BiPoly({(i, 0): c for i, c in enumerate(poly.coeffs)})
-        return all(block_eval(op, b).is_zero() for b in blks)
+        dc = c_partial(op, blks)
+        return all(block_eval(op, dc, b).is_zero() for b in blks)
 
     if not annihilated(p):
         return False

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bipoly import BiPoly, falling_expansion, from_falling, square_op
+from .bipoly import BiPoly, falling_expansion, from_falling
 from .hypergeom import falling
 from .partitions import (
     PClass, Pair2, check_partition, classify_at, h_poly, paired, size, upto,
@@ -200,8 +200,9 @@ def eval_point(mu: Pair2, k) -> tuple[Fraction, Fraction]:
     return (Fraction(m1) - Fraction(k) - 1, Fraction(m2))
 
 
-def gen_eval(f: BiPoly, mu: Pair2, k) -> Fraction:
-    """Generalized value of a symmetric polynomial at mu.
+def gen_eval(f: BiPoly, sq: BiPoly, mu: Pair2, k) -> Fraction:
+    """Generalized value at mu of a symmetric polynomial ``f``, given ``sq``
+    = square_op(f), which the caller builds once for all its points.
 
     Plain evaluation at the shifted point for regular/quasiregular mu; the
     square_op value there when mu is k-singular (``classify_at``, so at a
@@ -211,11 +212,9 @@ def gen_eval(f: BiPoly, mu: Pair2, k) -> Fraction:
     ``TypeError`` otherwise); parameter-dependent input must be specialized
     first.
     """
-    if not f.is_symmetric():
-        raise ValueError("generalized evaluation requires a symmetric polynomial")
     a, b = eval_point(mu, k)
     if classify_at(mu, k) is PClass.SINGULAR:
-        return square_op(f).eval2(a, b)
+        return sq.eval2(a, b)
     return f.eval2(a, b)
 
 

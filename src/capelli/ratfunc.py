@@ -4,10 +4,17 @@ Everything in this package is computed over Q or over the rational function
 field Q(kappa) in one formal parameter; there is no floating point anywhere.
 This module provides the two scalar-level building blocks:
 
-* ``UniPoly``  -- dense univariate polynomial with ``Fraction`` coefficients,
+* ``UniPoly``  -- dense univariate polynomial stored as integer numerators
+  over one positive denominator coprime to their content,
 * ``RatFunc``  -- quotient of two ``UniPoly`` kept in a canonical form
   (gcd-reduced, monic denominator), so that structural equality is semantic
   equality.
+
+Both forms are canonical, and all the work runs on integers: sums and
+products on the numerators, division as integer pseudo-division, and the
+gcd as the primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2,
+section 4.6.1), made monic at the end.  ``Fraction`` coefficients
+(``UniPoly.coeffs``) are built only at the boundary, for rendering.
 
 ``RatFunc`` knows about its local behaviour at a rational point: its
 simple-pole residue, regular value and the value of the derivative.  These
@@ -26,10 +33,12 @@ polynomial gcd.  Poles of order two or more are treated as hard errors
 simple poles only, so a higher-order pole always signals a bug upstream.
 
 Evaluation (``UniPoly.__call__`` and ``value_and_slope``, and
-``BiPoly.eval2``) takes ``int`` or ``Fraction`` points and coefficients and
-reads each as numerator and denominator (``as_ratio``,
-``common_denominator``): the work runs on integers over one common
-denominator, and one ``Fraction`` is built per result.
+``BiPoly.eval2``) takes ``int`` or ``Fraction`` points and reads each as
+numerator and denominator (``as_ratio``; ``BiPoly`` brings its coefficients
+to one denominator with ``common_denominator``), and one ``Fraction`` is
+built per result.  A polynomial is built from ``int`` or ``Fraction``
+coefficients only, and the local analysis of ``RatFunc`` takes the same
+points: anything else, a ``float`` or a string, raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -47,31 +56,34 @@ class PoleError(ArithmeticError):
     ``order`` is the pole order at ``point`` (positive integer).
     """
 
-    def __init__(self, point: Fraction, order: int, message: str | None = None):
+    def __init__(self, point: Scalar, order: int, message: str | None = None):
         self.point = point
         self.order = order
         super().__init__(message or f"pole of order {order} at {point}")
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class UniPoly:
-    """Univariate polynomial over Q, coefficients stored lowest degree first.
+    """Univariate polynomial over Q: integer numerators over one denominator.
 
-    The zero polynomial is the empty tuple; otherwise the trailing
-    coefficient is nonzero.  Instances are immutable and hashable.
+    ``nums`` holds the integer numerators, lowest degree first, and ``den``
+    the positive common denominator, so coefficient i is ``nums[i] / den``.
+    The form is canonical: the last numerator is nonzero (the zero
+    polynomial is ``()`` over 1) and ``den`` is coprime to the content, the
+    gcd of the numerators.  So ``==`` and ``hash`` on the pair decide
+    equality.  Arithmetic, division and gcds run on the integers; ``coeffs``
+    is a ``Fraction`` view for rendering and other boundaries.  Instances
+    are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        # Fraction(c) on a Fraction costs as much as building one; keep it as is
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        nums, den = common_denominator(list(coeffs))
+        while nums and not nums[-1]:
+            nums.pop()
+        # the lcm of reduced denominators is already coprime to the content
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
@@ -107,74 +119,78 @@ class UniPoly:
     # -- basic queries -------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1 by convention."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction``s, lowest degree first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "UniPoly | Scalar") -> "UniPoly":
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[i] + other[i] for i in range(n)])
+        a, b, den = self.nums, other.nums, self.den
+        if not b:
+            return self
+        if not a:
+            return other
+        if den != other.den:
+            g = math.gcd(den, other.den)
+            ma, mb = other.den // g, den // g
+            a, b, den = [c * ma for c in a], [c * mb for c in b], den * ma
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return _canonical(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
         return self + (-_as_poly(other))
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.nums, other.nums
+        if not a or not b:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly([a * c for a in self.coeffs])
+        p, q = as_ratio(c)
+        return _reduced([n * p for n in self.nums], self.den * q)
 
     # -- division ------------------------------------------------------
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if not other.coeffs:
+        """(q, r) with self = q * other + r and deg r < deg other, from one
+        integer pseudo-division of the numerators: with self = A / a and
+        other = B / b, s A = Q B + R gives q = b Q / (a s) and r = R / (a s)."""
+        if not other.nums:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.leading()
-        dn = len(other.coeffs)
-        while len(rem) >= dn and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) < dn:
-                break
-            q = rem[-1] / dlead
-            shift = len(rem) - dn
-            quot[shift] = q
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] -= q * b
-            rem.pop()
-        return UniPoly(quot), UniPoly(rem)
+        quot, rem, s = _pseudo_divmod(self.nums, other.nums)
+        if other.den != 1:
+            quot = [c * other.den for c in quot]
+        return _reduced(quot, self.den * s), _reduced(rem, self.den * s)
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -183,62 +199,62 @@ class UniPoly:
         return q
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd via the Euclidean algorithm (gcd(0, 0) = 0)."""
-        a, b = self, other
+        """Monic gcd (gcd(0, 0) = 0) by the primitive pseudo-remainder
+        sequence over Z: each remainder is divided by its content, so the
+        numerators stay as small as the gcd's own."""
+        a, b = _primitive(self.nums), _primitive(other.nums)
+        if len(a) < len(b):
+            a, b = b, a
         while b:
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if a else a
-
-    def monic(self) -> "UniPoly":
-        if not self.coeffs:
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self.leading()
-        return self if lead == 1 else self.scale(Fraction(1) / lead)
+            if len(b) == 1:  # a nonzero constant divides everything
+                return UniPoly.one()
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        if not a:
+            return UniPoly.zero()
+        # primitive, so its content is coprime to the leading coefficient
+        return _canonical(a, a[-1]) if a[-1] > 0 else _canonical(tuple(-c for c in a), -a[-1])
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _reduced([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def __call__(self, a: Scalar) -> Fraction:
         """p(a) for a rational ``a`` (``int`` or ``Fraction``): Horner's rule
-        on the integer numerators over one common denominator, with a = p/q
-        homogenized, and one ``Fraction`` built at the end.  Any other
-        argument, or a coefficient that is not rational, raises ``TypeError``."""
-        nums, d = common_denominator(self.coeffs)
+        on the integer numerators, with a = p/q homogenized, and one
+        ``Fraction`` built at the end.  Any other argument raises
+        ``TypeError``."""
         p, q = as_ratio(a)
-        it = reversed(nums)
+        it = reversed(self.nums)
         acc, qk = next(it, 0), 1
         for c in it:
             qk *= q
             acc = acc * p + c * qk
-        return Fraction(acc, d * qk)
+        return Fraction(acc, self.den * qk)
 
     def value_and_slope(self, a: Scalar) -> tuple[Fraction, Fraction]:
         """The pair (p(a), p'(a)) from one integer Horner pass, as ``__call__``."""
-        nums, d = common_denominator(self.coeffs)
         p, q = as_ratio(a)
-        it = reversed(nums)
+        it = reversed(self.nums)
         val, slope, qk = next(it, 0), 0, 1
         for c in it:
             qk *= q
             slope = slope * p + val
             val = val * p + c * qk
-        # val is over d q^deg and slope over d q^(deg - 1)
-        return Fraction(val, d * qk), Fraction(slope * q, d * qk)
+        # val is over den q^deg and slope over den q^(deg - 1)
+        return Fraction(val, self.den * qk), Fraction(slope * q, self.den * qk)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute ``inner`` for the variable."""
         acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.const(c)
-        return acc
+        for c in reversed(self.nums):
+            acc = acc * inner + c
+        return _reduced(list(acc.nums), acc.den * self.den)
 
     def multiplicity(self, a: Scalar) -> int:
         """Order of vanishing at the point ``a`` (0 if p(a) != 0)."""
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("multiplicity undefined for the zero polynomial")
-        a = Fraction(a)
         m, p = 0, self
         factor = UniPoly((-a, 1))
         while not p(a):
@@ -250,13 +266,13 @@ class UniPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == UniPoly.const(other)
+            return self == _as_poly(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
@@ -265,18 +281,74 @@ class UniPoly:
         return render_unipoly(self)
 
 
+def _canonical(nums: tuple[int, ...], den: int) -> UniPoly:
+    """A ``UniPoly`` from numerators and a denominator already in canonical form."""
+    p = object.__new__(UniPoly)
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _reduced(nums: list[int], den: int) -> UniPoly:
+    """``nums / den`` for a nonzero ``den``, brought to canonical form."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _canonical((), 1)
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return _canonical(tuple(nums), den)
+
+
+def _primitive(nums: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The numerators divided by their content (the gcd, taken positive)."""
+    g = math.gcd(*nums)
+    return tuple(nums) if g == 1 else tuple(c // g for c in nums)
+
+
+def _pseudo_divmod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division with a running scale: (q, r, s) with
+    s a = q b + r, deg r < deg b and s > 0.  At each step the partial
+    remainder and quotient are multiplied by the least positive integer that
+    makes the next quotient coefficient integral, so s is 1 whenever the
+    division is exact over Z.  ``b`` is nonzero and trimmed."""
+    rem, quot, s = list(a), [0] * max(len(a) - len(b) + 1, 0), 1
+    lead, top = b[-1], len(b) - 1
+    for shift in range(len(quot) - 1, -1, -1):
+        r = rem[shift + top]
+        if not r:
+            continue
+        m = abs(lead) // math.gcd(r, lead)
+        if m != 1:
+            rem = [c * m for c in rem[:shift + top + 1]]
+            quot = [c * m for c in quot]
+            s *= m
+            r *= m
+        c = quot[shift] = r // lead
+        for i, y in enumerate(b, shift):
+            rem[i] -= c * y
+    del rem[top:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, s
+
+
 def common_denominator(coeffs) -> tuple[list[int], int]:
     """Integer numerators over one common denominator: ``(nums, d)`` with
     ``coeffs[i] == nums[i] / d`` and ``d`` the lcm of the denominators.
     Reads only ``.numerator`` and ``.denominator``; a coefficient without
-    them (a ``RatFunc``, say) raises ``TypeError``."""
+    them (a ``float`` or a ``RatFunc``, say) raises ``TypeError``."""
     try:
         d = 1
         for c in coeffs:
             d = math.lcm(d, c.denominator)
         return [c.numerator * (d // c.denominator) for c in coeffs], d
     except AttributeError:
-        raise TypeError("evaluation needs rational coefficients") from None
+        raise TypeError("need int or Fraction coefficients") from None
 
 
 def as_ratio(a: Scalar) -> tuple[int, int]:
@@ -291,7 +363,7 @@ def _as_poly(v: "UniPoly | Scalar") -> UniPoly:
     if isinstance(v, UniPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return UniPoly.const(v)
+        return _reduced([v.numerator], v.denominator)
     raise TypeError(f"cannot coerce {type(v).__name__} to UniPoly")
 
 
@@ -316,10 +388,10 @@ class RatFunc:
             g = num.gcd(den)
             if g.degree() > 0:
                 num, den = num.divexact(g), den.divexact(g)
-            lead = den.leading()
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num, den = num.scale(inv), den.scale(inv)
+            lead, d = den.nums[-1], den.den
+            if lead != d:  # divide both by the leading coefficient lead / d
+                num = _reduced([c * d for c in num.nums], num.den * lead)
+                den = _reduced(list(den.nums), lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -354,13 +426,12 @@ class RatFunc:
 
     def eval(self, a: Scalar) -> Fraction:
         """Exact value at ``a``; raises ``PoleError`` (with the order) at a pole."""
-        a = Fraction(a)
         d = self.den(a)
         if d:
             return self.num(a) / d
         raise PoleError(a, self.den.multiplicity(a))
 
-    def _pole_cofactor(self, a: Fraction) -> UniPoly | None:
+    def _pole_cofactor(self, a: Scalar) -> UniPoly | None:
         """``d1`` with den = (x - a) * d1 when ``a`` is a simple pole, None
         when f is regular at ``a``; a pole of order two or more raises."""
         if self.den(a):
@@ -375,7 +446,6 @@ class RatFunc:
 
         Requires the pole (if any) to be simple; a double pole raises.
         """
-        a = Fraction(a)
         cof = self._pole_cofactor(a)
         if cof is None:
             return Fraction(0)
@@ -383,7 +453,6 @@ class RatFunc:
 
     def regular_value(self, a: Scalar) -> Fraction:
         """lim (f - residue/(x - a)); plain evaluation at regular points."""
-        a = Fraction(a)
         cof = self._pole_cofactor(a)
         if cof is None:
             return self.eval(a)
@@ -393,7 +462,6 @@ class RatFunc:
 
     def derivative_at(self, a: Scalar) -> Fraction:
         """f'(a) at a regular point ``a``; raises ``PoleError`` at a pole."""
-        a = Fraction(a)
         d0, d1 = self.den.value_and_slope(a)
         if not d0:
             raise PoleError(a, self.den.multiplicity(a))

@@ -163,13 +163,14 @@ def check_q_values(lam: Pair2, k: int) -> Outcome:
     q = ks.q_poly(lam, k)  # asserts the two routes agree
     t1, t2 = ks.tcheck_values(lam, k)
     lamd = dagger(lam, k)
+    sq = square_op(q)
     for mu in upto(size(lam)):
         want = Fraction(0)
         if mu == lamd:
             want += t1
         if mu == lam:
             want += t2
-        got = ks.gen_eval(q, mu, k)
+        got = ks.gen_eval(q, sq, mu, k)
         if got != want:
             return False, f"ev(Q, {_plam(mu)}) = {render_frac(got)}", render_frac(want)
     return True, f"t1={render_frac(t1)}", f"t2={render_frac(t2)}"
@@ -197,9 +198,10 @@ def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
     f = oracle
     if f.total_degree() != size(lam) or not f.is_symmetric():
         return False, f"degree {f.total_degree()}", f"expected {size(lam)}"
+    sq = square_op(f)
     for mu in upto(size(lam)):
         want = Fraction(int(mu == lam))
-        if ks.gen_eval(f, mu, k) != want:
+        if ks.gen_eval(f, sq, mu, k) != want:
             return False, f"ev(f, {_plam(mu)})", render_frac(want)
     return True, render_bipoly(closed), render_bipoly(oracle)
 
@@ -306,21 +308,22 @@ def check_vanishing_suite(lam: Pair2, t: Fraction) -> Outcome:
     block itself, (0,0) everywhere else.  Includes the idempotent limit (the
     nil part on a quasiregular lam's own block is exactly zero)."""
     op_t = dl.d_op(lam, t)
+    blks = [blk for m in range(size(lam) + 1) for blk in dl.blocks(m, t)]
+    dc_t = dl.c_partial(op_t, blks)
     kb = dl.kbar(t)
     singular_partner = None
     if classify_at(lam, kb) is PClass.SINGULAR:
         singular_partner = paired(lam, int(kb), PClass.SINGULAR)
-    for m in range(size(lam) + 1):
-        for blk in dl.blocks(m, t):
-            got = dl.block_eval(op_t, blk)
-            if singular_partner is not None:
-                want = dl.DualScalar(Fraction(0), Fraction(int(blk.lam == singular_partner)))
-            else:
-                want = dl.DualScalar(Fraction(int(blk.lam == lam)), Fraction(0))
-            if got != want:
-                return (False,
-                        f"on {_plam(blk.lam)}: ({render_frac(got.value)},{render_frac(got.nil)})",
-                        f"({render_frac(want.value)},{render_frac(want.nil)})")
+    for blk in blks:
+        got = dl.block_eval(op_t, dc_t, blk)
+        if singular_partner is not None:
+            want = dl.DualScalar(Fraction(0), Fraction(int(blk.lam == singular_partner)))
+        else:
+            want = dl.DualScalar(Fraction(int(blk.lam == lam)), Fraction(0))
+        if got != want:
+            return (False,
+                    f"on {_plam(blk.lam)}: ({render_frac(got.value)},{render_frac(got.nil)})",
+                    f"({render_frac(want.value)},{render_frac(want.nil)})")
     return True, "dual action on blocks", "identity/nilpotent pattern"
 
 

@@ -1,0 +1,180 @@
+"""Reference scalar layer: the plain ``Fraction`` polynomial and rational
+function that ``capelli.ratfunc`` replaces with integer numerators over one
+denominator.
+
+``UniPoly`` keeps a tuple of ``Fraction`` coefficients, divides by long
+division over Q and takes gcds by the Euclidean algorithm; ``RatFunc``
+normalizes with that gcd to a coprime pair with a monic denominator.  Both
+evaluate by the ``Fraction`` Horner loops of ``reference_eval``.  Only the
+tests use them, to check every operation of the package's classes.
+"""
+
+from fractions import Fraction
+
+import reference_eval
+
+
+class UniPoly:
+    """Univariate polynomial over Q, ``Fraction`` coefficients lowest degree first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = [Fraction(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def falling(cls, base, n):
+        out = [cls((1,))]
+        for t in range(n):
+            out.append(out[-1] * (base - t))
+        return out
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        other = _as_poly(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly([self[i] + other[i] for i in range(n)])
+
+    def __neg__(self):
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-_as_poly(other))
+
+    def __mul__(self, other):
+        other = _as_poly(other)
+        if not self.coeffs or not other.coeffs:
+            return UniPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
+
+    def scale(self, c):
+        return UniPoly([a * c for a in self.coeffs])
+
+    def divmod(self, other):
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn = len(other.coeffs)
+        quot = [Fraction(0)] * max(len(rem) - dn + 1, 0)
+        for shift in range(len(quot) - 1, -1, -1):
+            q = rem[shift + dn - 1] / other.coeffs[-1]
+            quot[shift] = q
+            for i, b in enumerate(other.coeffs):
+                rem[shift + i] -= q * b
+        return UniPoly(quot), UniPoly(rem)
+
+    def divexact(self, other):
+        q, r = self.divmod(other)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
+    def gcd(self, other):
+        """Monic gcd by the Euclidean algorithm over Q (gcd(0, 0) = 0)."""
+        a, b = self, other
+        while b:
+            a, b = b, a.divmod(b)[1]
+        return a.scale(1 / a.coeffs[-1]) if a else a
+
+    def derivative(self):
+        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, a):
+        return reference_eval.horner(self.coeffs, Fraction(a))
+
+    def value_and_slope(self, a):
+        return reference_eval.horner_with_slope(self.coeffs, Fraction(a))
+
+    def compose(self, inner):
+        acc = UniPoly()
+        for c in reversed(self.coeffs):
+            acc = acc * inner + c
+        return acc
+
+    def multiplicity(self, a):
+        m, p, factor = 0, self, UniPoly((-Fraction(a), 1))
+        while not p(a):
+            p = p.divexact(factor)
+            m += 1
+        return m
+
+    def __eq__(self, other):
+        return self.coeffs == _as_poly(other).coeffs
+
+
+def _as_poly(v):
+    return v if isinstance(v, UniPoly) else UniPoly((v,))
+
+
+class RatFunc:
+    """Quotient of two reference ``UniPoly``: coprime, monic denominator, 0 as 0/1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        num, den = _as_poly(num), _as_poly(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            den = UniPoly((1,))
+        else:
+            g = num.gcd(den)
+            num, den = num.divexact(g), den.divexact(g)
+            lead = den.coeffs[-1]
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return RatFunc(-self.num, self.den)
+
+    def __mul__(self, other):
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    def eval(self, a):
+        return self.num(a) / self.den(a)
+
+    def _laurent(self, a):
+        """(residue, regular value) at ``a`` from den = (x - a) * cofactor;
+        None when ``a`` is no pole."""
+        if self.den(a):
+            return None
+        cof = self.den.divexact(UniPoly((-Fraction(a), 1)))
+        n0, n1 = self.num.value_and_slope(a)
+        c0, c1 = cof.value_and_slope(a)
+        return n0 / c0, (n1 - n0 / c0 * c1) / c0
+
+    def residue(self, a):
+        parts = self._laurent(a)
+        return Fraction(0) if parts is None else parts[0]
+
+    def regular_value(self, a):
+        parts = self._laurent(a)
+        return self.eval(a) if parts is None else parts[1]
+
+    def derivative_at(self, a):
+        return self.derivative().eval(a)
+
+    def derivative(self):
+        return RatFunc(self.num.derivative() * self.den - self.num * self.den.derivative(),
+                       self.den * self.den)
+
+    def substitute(self, inner):
+        return RatFunc(self.num.compose(inner), self.den.compose(inner))

@@ -18,7 +18,7 @@ from capelli import eigenpoly as ep
 from capelli import hypergeom as hg
 from capelli import identities as idn
 from capelli import knopsahi as ks
-from capelli.bipoly import BiPoly
+from capelli.bipoly import BiPoly, square_op
 from capelli.partitions import PClass, classify, dagger, size, upto
 from capelli.verify import DEFAULT_T_LIST
 
@@ -84,8 +84,9 @@ def test_c4_eigen_route_agreement():
             assert all(b == bodies[0] for b in bodies), (lam, k)
             f = bodies[0]
             assert f.total_degree() == size(lam), (lam, k)
+            sq = square_op(f)
             for mu in upto(size(lam)):
-                assert ks.gen_eval(f, mu, k) == Q(int(mu == lam)), (lam, k, mu)
+                assert ks.gen_eval(f, sq, mu, k) == Q(int(mu == lam)), (lam, k, mu)
     assert time.monotonic() - start < 300
     _done(4, "route agreement A/B/C/D/oracle + delta property, k <= 3, |lambda| <= 8")
 
@@ -154,6 +155,7 @@ def test_c8_deligne_degeneration():
     for t in (Q(0), Q(-2), Q(-4), Q(-6), Q(7), Q(1, 2)):
         for lam in upto(6):
             op_t = dl.d_op(lam, t)
+            dc_t = op_t.partials()[0]
             partner = None
             if t.denominator == 1 and t <= 0 and t % 2 == 0:
                 kk = int(dl.kbar(t))
@@ -161,7 +163,7 @@ def test_c8_deligne_degeneration():
                     partner = dagger(lam, kk)
             for m in range(size(lam) + 1):
                 for blk in dl.blocks(m, t):
-                    got = dl.block_eval(op_t, blk)
+                    got = dl.block_eval(op_t, dc_t, blk)
                     if partner is not None:
                         want = dl.DualScalar(Q(0), Q(int(blk.lam == partner)))
                     else:

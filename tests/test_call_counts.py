@@ -13,8 +13,11 @@ the cached ``falling_coeffs`` table, builds the falling products of
 table, computes a y-value of ``shifted_eval`` more than once, renders a
 passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
-instead of 1-D falling tables, or evaluates a polynomial at a rational
-point with ``Fraction`` arithmetic instead of on integer numerators.
+instead of 1-D falling tables, rebuilds square_op(f) per point of a
+generalized-value check or an operator's C-partial per block, evaluates a
+polynomial at a rational point with ``Fraction`` arithmetic instead of on
+integer numerators, or does ``Fraction`` arithmetic in the sum, product,
+scaling or gcd of ``UniPoly``s.
 """
 
 from fractions import Fraction as Q
@@ -22,6 +25,7 @@ from fractions import Fraction as Q
 import pytest
 
 import reference_eval
+import reference_poly
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli import identities as idn
@@ -29,7 +33,7 @@ from capelli import knopsahi as ks
 from capelli import bipoly, ratfunc
 from capelli import verify as vf
 from capelli.bipoly import BiPoly, falling_coeffs
-from capelli.partitions import PClass, classify, classify_at, paired, size, upto
+from capelli.partitions import PClass, classify, classify_at, of_size, paired, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 
 
@@ -136,10 +140,48 @@ def test_block_eval_makes_no_ratfunc_work(monkeypatch):
     evals = _counter(monkeypatch, RatFunc, "eval")
     inits = _counter(monkeypatch, RatFunc, "__init__")
     for lam, op_t in ops.items():
+        dc_t = op_t.partials()[0]
         for m in range(size(lam) + 1):
             for blk in dl.blocks(m, t):
-                dl.block_eval(op_t, blk)
+                dl.block_eval(op_t, dc_t, blk)
     assert (evals, inits) == ([], [])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_generalized_value_checks_build_square_op_once(monkeypatch, k):
+    owners = [m for m in (bipoly, ks, vf) if hasattr(m, "square_op")]
+    for lam in upto(5):
+        for check in ([vf.check_q_values] if classify(lam, k) is PClass.SINGULAR else []) + [
+                vf.check_eigen_routes]:
+            squares = [_counter(monkeypatch, m, "square_op") for m in owners]
+            assert check(lam, k).status == "pass"
+            assert sum(map(len, squares)) == 1, (check.__name__, lam)
+            monkeypatch.undo()
+
+
+def _partials_once_per_operator(calls) -> bool:
+    return len(calls) == len({id(args[0]) for args in calls})
+
+
+@pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
+def test_block_model_takes_partials_once_per_operator(monkeypatch, t):
+    for lam in upto(4):
+        # the operator's C-partial only when a multiplicity-2 block reads it
+        thick = int(any(b.mult == 2 for m in range(size(lam) + 1) for b in dl.blocks(m, t)))
+        partials = _counter(monkeypatch, BiPoly, "partials")
+        dl.cat_eig_from_blocks(lam, t)
+        # plus f's, inside square_op for the re-check
+        assert len(partials) == thick + 1 and _partials_once_per_operator(partials), lam
+        partials.clear()
+        assert vf.check_vanishing_suite(lam, t).status == "pass"
+        assert len(partials) == thick, lam
+        monkeypatch.undo()
+    for d in range(7):
+        partials = _counter(monkeypatch, BiPoly, "partials")
+        assert dl.min_poly_is_minimal(d, t)
+        assert _partials_once_per_operator(partials)
+        assert len(partials) <= 1 + len({dl.c_cat(lam, t) for lam in of_size(d)}), d
+        monkeypatch.undo()
 
 
 def _d_op_monomials(lam, t) -> int:
@@ -212,30 +254,58 @@ def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     assert len([a for a in falls if a[0] in xs]) <= len(xs) * (d + 1)
 
 
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__")
+
+
+def _refuse(self, *args):
+    raise AssertionError("Fraction arithmetic in an integer kernel")
+
+
 class _Opaque(Q):
     """A Fraction whose arithmetic raises, so an evaluator that gets one as a
     coefficient or a point may read only its numerator and denominator."""
 
-    def _refuse(self, *args):
-        raise AssertionError("Fraction arithmetic in an evaluation kernel")
-
     __add__ = __radd__ = __sub__ = __rsub__ = _refuse
-    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refuse
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = __neg__ = _refuse
 
 
-@pytest.mark.parametrize("coeffs, a", [
+def _refuse_fraction_arithmetic(monkeypatch):
+    """Make every Fraction refuse arithmetic until ``monkeypatch.undo()``."""
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Q, name, _refuse)
+
+
+CASES = [
     ((), Q(1, 3)),
     ((Q(2, 3),), Q(-5, 7)),
     ((Q(1, 2), Q(-3, 7), Q(5, 3), 4), Q(-2, 5)),
     ((Q(10**30 + 1, 3), Q(-7, 10**20), Q(1, 6)), 3),
-])
-def test_evaluation_does_no_fraction_arithmetic(coeffs, a):
-    p = UniPoly()
-    # UniPoly() would convert the coefficients to plain Fractions
-    object.__setattr__(p, "coeffs", tuple(_Opaque(c) for c in coeffs))
+]
+
+
+@pytest.mark.parametrize("coeffs, a", CASES)
+def test_evaluation_does_no_fraction_arithmetic(monkeypatch, coeffs, a):
+    p = UniPoly(coeffs)  # stored as integer numerators over one denominator
+    assert all(type(c) is int for c in (*p.nums, p.den))
     f = BiPoly({(i, len(coeffs) - i): _Opaque(c) for i, c in enumerate(coeffs)})
+    want = (reference_eval.horner(coeffs, Q(a)), reference_eval.horner_with_slope(coeffs, Q(a)),
+            reference_eval.eval2(BiPoly({k: Q(c) for k, c in f.terms.items()}), Q(a), Q(a) + 2))
     a_, b_ = _Opaque(a), _Opaque(Q(a) + 2)
-    assert p(a_) == reference_eval.horner(coeffs, Q(a))
-    assert p.value_and_slope(a_) == reference_eval.horner_with_slope(coeffs, Q(a))
-    assert f.eval2(a_, b_) == reference_eval.eval2(
-        BiPoly({k: Q(c) for k, c in f.terms.items()}), Q(a), Q(a) + 2)
+    _refuse_fraction_arithmetic(monkeypatch)
+    got = (p(a_), p.value_and_slope(a_), f.eval2(a_, b_))
+    monkeypatch.undo()
+    assert got == want
+
+
+@pytest.mark.parametrize("coeffs, a", CASES)
+def test_ring_operations_and_gcd_do_no_fraction_arithmetic(monkeypatch, coeffs, a):
+    p, q = UniPoly(coeffs), UniPoly((Q(-3, 5), 1, Q(7, 2)))
+    common = UniPoly((Q(a), -2))
+    rp, rq, rcommon = (reference_poly.UniPoly(c.coeffs) for c in (p, q, common))
+    c_ = _Opaque(Q(a) - 1)
+    _refuse_fraction_arithmetic(monkeypatch)
+    got = (p + q, p * q, p.scale(c_), (p * common).gcd(q * common))
+    monkeypatch.undo()
+    want = (rp + rq, rp * rq, rp.scale(Q(a) - 1), (rp * rcommon).gcd(rq * rcommon))
+    assert [g.coeffs for g in got] == [w.coeffs for w in want]

@@ -250,3 +250,16 @@ def test_local_expansion_against_sympy(num, den, a):
     assert f.regular_value(a) == Q(str(sp.limit(g - res / (x - pt), x, pt)))
     if den(a):
         assert f.derivative_at(a) == Q(str(sp.diff(g, x).subs(x, pt)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e-3, "1/3", None])
+def test_inexact_or_foreign_input_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        UniPoly([Q(1, 2), bad])
+    p, f = P(-1, 0, 1), RatFunc(P(2, 2), P(0, 1))
+    calls = (lambda: UniPoly.const(bad), lambda: RatFunc(bad), lambda: p + bad, lambda: p.scale(bad),
+             lambda: p.multiplicity(bad), lambda: f.eval(bad), lambda: f.residue(bad),
+             lambda: f.regular_value(bad), lambda: f.derivative_at(bad))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -44,11 +44,9 @@ def _coeffs(expr) -> tuple:
     return tuple(Q(str(c)) for c in reversed(sympy.Poly(expr, X).all_coeffs()))
 
 
-@settings(max_examples=80, deadline=None)
-@given(unipolys, unipolys.filter(bool), unipolys.filter(bool))
-def test_ratfunc_canonical_form_matches_cancel(num, den, common):
+def _check_canonical_form(num: UniPoly, den: UniPoly) -> None:
     """Coprime numerator and monic denominator, as sympy.cancel reduces them."""
-    f = RatFunc(num * common, den * common)
+    f = RatFunc(num, den)
     n, d = sympy.fraction(sympy.cancel(_uni_expr(num) / _uni_expr(den)))
     lead = sympy.Poly(d, X).LC()
     want_num, want_den = _coeffs(sympy.expand(n / lead)), _coeffs(sympy.expand(d / lead))
@@ -56,15 +54,63 @@ def test_ratfunc_canonical_form_matches_cancel(num, den, common):
     assert f.den.coeffs == (want_den if num else (Q(1),))
 
 
-@settings(max_examples=60, deadline=None)
-@given(unipolys, unipolys, unipolys)
-def test_gcd_matches_sympy_gcd(a, b, common):
-    got = (a * common).gcd(b * common)
-    want = sympy.Poly(sympy.gcd(_uni_expr(a * common), _uni_expr(b * common)), X)
+def _check_gcd(a: UniPoly, b: UniPoly) -> None:
+    got = a.gcd(b)
+    want = sympy.Poly(sympy.gcd(_uni_expr(a), _uni_expr(b)), X)
     if want.is_zero:
         assert not got
     else:
         assert got.coeffs == _coeffs(want.monic().as_expr())
+
+
+@settings(max_examples=80, deadline=None)
+@given(unipolys, unipolys.filter(bool), unipolys.filter(bool))
+def test_ratfunc_canonical_form_matches_cancel(num, den, common):
+    _check_canonical_form(num * common, den * common)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unipolys, unipolys, unipolys)
+def test_gcd_matches_sympy_gcd(a, b, common):
+    _check_gcd(a * common, b * common)
+
+
+# integer content up to 10^30 of either sign, above or below the line
+contents = st.builds(Q, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30))
+wide_unipolys = st.builds(lambda p, c: p.scale(c), st.lists(small, max_size=7).map(UniPoly), contents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_unipolys, wide_unipolys.filter(bool), st.lists(small, min_size=2, max_size=4)
+       .map(UniPoly).filter(lambda p: p.degree() > 0), contents)
+def test_primitive_prs_with_large_content_matches_sympy(a, b, common, c):
+    _check_gcd(a * common, (b * common).scale(c))
+    _check_canonical_form(a * common, (b * common).scale(c))
+
+
+def _roots(*roots, lead=1):
+    """lead * prod (x - r) over ``roots``, repeated roots listed again."""
+    out = UniPoly.const(lead)
+    for r in roots:
+        out = out * UniPoly((-Q(r), 1))
+    return out
+
+
+GCD_CASES = {
+    "large-content": (_roots(1, -2, lead=10**25), _roots(1, 5, lead=Q(-3, 10**20))),
+    "negative-leading": (_roots(Q(1, 2), -3, lead=-7), _roots(-3, 4, 4, lead=Q(-5, 6))),
+    "repeated-roots": (_roots(2, 2, 2, -1), _roots(2, 2, -1, -1)),
+    "shared-roots": (_roots(1, 3, -4), _roots(3, -4, -4, Q(7, 2), lead=12)),
+    "coprime": (_roots(0, 1, lead=-10**30), _roots(Q(-1, 3), lead=10**30 + 1)),
+    "constant": (UniPoly.const(Q(-9, 4)), _roots(6, 6)),
+}
+
+
+@pytest.mark.parametrize("num, den", GCD_CASES.values(), ids=GCD_CASES)
+def test_gcd_and_canonical_form_cases_match_sympy(num, den):
+    _check_gcd(num, den)
+    _check_canonical_form(num, den)
+    _check_canonical_form(den, num)
 
 
 @settings(max_examples=60, deadline=None)
