@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .ratfunc import RatFunc, as_ratio, common_denominator, render_frac, render_ratfunc
+from .ratfunc import RatFunc, UniPoly, as_ratio, common_denominator, render_frac, render_ratfunc
 
 Key = Tuple[int, int]
 
@@ -182,22 +182,13 @@ def _homogenized_powers(p: int, q: int, n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def falling_coeffs(m: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of x_(m), lowest degree first.
-
-    These are the signed Stirling numbers of the first kind; computed by the
-    product recurrence x_(m) = x_(m-1) * (x - m + 1).
-    """
+def falling_coeffs(m: int) -> tuple[int, ...]:
+    """Monomial coefficients of x_(m), lowest degree first: the signed
+    Stirling numbers of the first kind, read as integers off
+    ``UniPoly.falling``, the one builder of falling products."""
     if m < 0:
         raise ValueError("falling factorial needs a non-negative exponent")
-    coeffs = [Fraction(1)]
-    for t in range(m):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * t
-        coeffs = nxt
-    return tuple(coeffs)
+    return UniPoly.falling(UniPoly.x(), m)[m].nums
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ it acts faithfully on the generalized eigenblocks of C, and on each block
 the action is a dual number value + nil*eps with eps^2 = 0.  That block
 model is all this module keeps: operators are ``BiPoly`` polynomials in
 (C, E) with coefficients in Q(s), blocks are labelled by partitions with
-multiplicity 1 or 2 (``Block``), and evaluating an operator on a block
-gives a dual number (``DualScalar``).
+multiplicity 1 or 2 and carry their Casimir value (``Block``), and
+evaluating an operator on a block gives a dual number (``DualScalar``).
 
 * every case split reads the class of a partition at kb = -t/2 through
   ``classify_at``, so every partition is regular unless t is a non-positive
@@ -19,7 +19,8 @@ gives a dual number (``DualScalar``).
 * ``d_op`` combines one or two of these per the class of the partition and
   returns the combination at s = t, where its coefficients provably have no
   pole (asserted there); ``block_eval`` reads that rational polynomial
-  p(C, E) and its C-derivative off each block;
+  p(C, E) off a list of blocks, and its C-derivative, built once per call,
+  off the multiplicity-2 ones;
 * ``cat_eig_from_blocks`` reads generalized values off the blocks and
   interpolates the eigenvalue polynomial; ``cat_eig_formula`` evaluates the
   closed forms obtained from the interpolation polynomials under the
@@ -47,14 +48,16 @@ from .partitions import (
     paired,
     size,
 )
-from .ratfunc import PoleError, RatFunc, UniPoly
+from .ratfunc import PoleError, RatFunc, UniPoly, as_ratio
 
 S = UniPoly.x()  # the deformation parameter s
 HALF_NEG_S = UniPoly((0, Fraction(-1, 2)))  # the substitution kappa := -s/2
 
 
 def kbar(t: Fraction) -> Fraction:
-    return -Fraction(t) / 2
+    """kb = -t/2 for an ``int`` or ``Fraction`` t; anything else raises ``TypeError``."""
+    p, q = as_ratio(t)
+    return Fraction(-p, 2 * q)
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,11 @@ class DualScalar:
 
 @dataclass(frozen=True)
 class Block:
-    """One indecomposable summand: partition label, parameter, multiplicity."""
+    """One indecomposable summand: partition label, the Casimir value
+    c_cat(lam, t) by which C acts on it, and multiplicity."""
 
     lam: Pair2
-    t: Fraction
+    c: Fraction
     mult: int
 
 
@@ -98,38 +102,36 @@ def min_poly(d: int, t: Fraction) -> UniPoly:
 
 def blocks(d: int, t: Fraction) -> list[Block]:
     """Indecomposable blocks of the degree-d symmetric power, graded-lex order."""
-    t = Fraction(t)
+    kb = kbar(t)
     out = []
     for lam in of_size(d):
-        cls = classify_at(lam, kbar(t))
+        cls = classify_at(lam, kb)
         if cls is not PClass.SINGULAR:
-            out.append(Block(lam=lam, t=t, mult=2 if cls is PClass.QUASIREGULAR else 1))
+            out.append(Block(lam=lam, c=c_cat(lam, t), mult=2 if cls is PClass.QUASIREGULAR else 1))
     return out
 
 
-def c_partial(op_t: BiPoly, blks: list[Block]) -> BiPoly | None:
-    """dp/dC for the operator p(C, E) = ``op_t``, built once for all of
-    ``blks``; None when none of them has multiplicity 2, the only blocks on
-    which ``block_eval`` reads it."""
-    return op_t.partials()[0] if any(b.mult == 2 for b in blks) else None
+def block_eval(op_t: BiPoly, blks: list[Block]) -> list[DualScalar]:
+    """Evaluate an operator p(C, E), already specialized at s = t, on each
+    of ``blks``, in order.
 
-
-def block_eval(op_t: BiPoly, dc_t: BiPoly | None, block: Block) -> DualScalar:
-    """Evaluate an operator p(C, E), already specialized at s = t, on one
-    block, given ``dc_t`` = dp/dC from ``c_partial``.
-
-    C acts as c_cat(lam, t) + eps on multiplicity-2 blocks and as the plain
-    scalar otherwise; E acts as |lam|.  So the value is p(c, e) and, on a
-    multiplicity-2 block, the nil part is dp/dC (c, e).
+    C acts as c + eps on multiplicity-2 blocks and as the plain scalar c
+    otherwise; E acts as |lam|.  So the value is p(c, e) and, on a
+    multiplicity-2 block, the nil part is dp/dC (c, e); dp/dC is built once
+    per call, and only when some block has multiplicity 2.
     """
-    c = c_cat(block.lam, block.t)
-    e = Fraction(size(block.lam))
-    value = op_t.eval2(c, e)
-    if block.mult == 1:
-        return DualScalar(value)
-    if block.mult != 2:
-        raise AssertionError(f"block {block.lam} has multiplicity {block.mult}, not 1 or 2")
-    return DualScalar(value, dc_t.eval2(c, e))
+    dc_t = op_t.partials()[0] if any(b.mult == 2 for b in blks) else None
+    out = []
+    for b in blks:
+        e = size(b.lam)
+        value = op_t.eval2(b.c, e)
+        if b.mult == 1:
+            out.append(DualScalar(value))
+        elif b.mult == 2:
+            out.append(DualScalar(value, dc_t.eval2(b.c, e)))
+        else:
+            raise AssertionError(f"block {b.lam} has multiplicity {b.mult}, not 1 or 2")
+    return out
 
 
 # -- the deformed operators ------------------------------------------------------------
@@ -175,7 +177,6 @@ def d_op(lam: Pair2, t: Fraction) -> BiPoly:
     Each combined Q(s) coefficient is evaluated once at s = t; a pole there
     would be a defect in the model and raises ``AssertionError``.
     """
-    t = Fraction(t)
     kb = kbar(t)
     cls = classify_at(lam, kb)
     if cls is PClass.SINGULAR:
@@ -212,18 +213,14 @@ def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
     singular partner -- and interpolates.  The interpolant is then
     re-checked against every block.
     """
-    t = Fraction(t)
     check_partition(lam)
     d = size(lam)
     op_t = d_op(lam, t)
     blks = [b for m in range(d + 1) for b in blocks(m, t)]
-    dc_t = c_partial(op_t, blks)
+    duals = list(zip(blks, block_eval(op_t, blks)))
     kb = kbar(t)
     values: dict[Pair2, Fraction] = {}
-    duals: list[tuple[Block, DualScalar]] = []
-    for b in blks:
-        dv = block_eval(op_t, dc_t, b)
-        duals.append((b, dv))
+    for b, dv in duals:
         values[b.lam] = dv.value
         if b.mult == 2:
             values[paired(b.lam, int(kb), PClass.QUASIREGULAR)] = dv.nil
@@ -252,7 +249,6 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
     exact regular values; double poles cannot survive the combination and
     would raise.
     """
-    t = Fraction(t)
     kb = kbar(t)
     cls = classify_at(lam, kb)
     if cls is PClass.REGULAR:
@@ -295,14 +291,12 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
 def min_poly_is_minimal(d: int, t: Fraction) -> bool:
     """The displayed product annihilates every size-d block and no proper
     monic divisor does (checked by dropping one root multiplicity at a time)."""
-    t = Fraction(t)
     p = min_poly(d, t)
     blks = blocks(d, t)
 
     def annihilated(poly: UniPoly) -> bool:
         op = BiPoly({(i, 0): c for i, c in enumerate(poly.coeffs)})
-        dc = c_partial(op, blks)
-        return all(block_eval(op, dc, b).is_zero() for b in blks)
+        return all(dv.is_zero() for dv in block_eval(op, blks))
 
     if not annihilated(p):
         return False

@@ -28,9 +28,9 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .bipoly import BiPoly, falling_term
+from .bipoly import BiPoly, falling_term, square_op
 from .knopsahi import (
     eval_point,
     h_jump,
@@ -51,7 +51,7 @@ from .partitions import (
     size,
     upto,
 )
-from .ratfunc import PoleError, RatFunc
+from .ratfunc import PoleError, RatFunc, common_denominator
 
 
 class Route(enum.Enum):
@@ -77,7 +77,7 @@ class SingularSystemError(ArithmeticError):
 # -- exact linear algebra -------------------------------------------------------
 
 
-def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def gauss_solve(matrix: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square exact system by Bareiss fraction-free elimination.
 
     Each row of the augmented matrix is scaled by the lcm of its denominators
@@ -89,11 +89,7 @@ def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     once, as x_i = (D x_i) / D.  A rank drop raises ``SingularSystemError``.
     """
     n = len(matrix)
-    a = []
-    for row, b in zip(matrix, rhs):
-        row = [*row, b]
-        scale = math.lcm(*(v.denominator for v in row))
-        a.append([v.numerator * (scale // v.denominator) for v in row])
+    a = [common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
     prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
@@ -208,7 +204,7 @@ def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
     """
     parts = upto(d)
     rhs = [Fraction(values.get(mu, Fraction(0))) for mu in parts]
-    coeffs = gauss_solve([list(row) for row in _ev_matrix(k, d)], rhs)
+    coeffs = gauss_solve(_ev_matrix(k, d), rhs)
     body = BiPoly.zero()
     for c, (a, b) in zip(coeffs, parts):
         if c:
@@ -345,15 +341,20 @@ def eigen(lam: Pair2, k: int, route: Route | None = None) -> BiPoly:
     return _ROUTE_FN[route](lam, k)
 
 
-def restriction_pair(f: BiPoly, sq: BiPoly, mu: Pair2, k: int) -> tuple[Fraction, Fraction]:
-    """Jordan pair (semisimple, nilpotent) on block mu of the operator whose
-    eigenvalue polynomial is ``f``, given ``sq`` = square_op(f).
+def restriction_pair(f: BiPoly, mus: Iterable[Pair2], k: int) -> list[tuple[Fraction, Fraction]]:
+    """Jordan pairs (semisimple, nilpotent), in order, on the blocks ``mus``
+    of the operator whose eigenvalue polynomial is ``f``; square_op(f) is
+    built once for all of them.
 
     The semisimple part is f at the shifted point of mu, the nilpotent
     coefficient is square_op(f) there.  Only regular/quasiregular mu index a
     block.
     """
-    if classify(mu, k) is PClass.SINGULAR:
-        raise ValueError(f"no block exists for {k}-singular {mu}")
-    pt = eval_point(mu, k)
-    return f.eval2(*pt), sq.eval2(*pt)
+    sq = square_op(f)
+    out = []
+    for mu in mus:
+        if classify(mu, k) is PClass.SINGULAR:
+            raise ValueError(f"no block exists for {k}-singular {mu}")
+        pt = eval_point(mu, k)
+        out.append((f.eval2(*pt), sq.eval2(*pt)))
+    return out

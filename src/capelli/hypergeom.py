@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .ratfunc import as_ratio
+
 
 def rising(a, n: int) -> Fraction:
     """Pochhammer a (a+1) ... (a+n-1); empty product is 1."""
@@ -29,10 +31,9 @@ def falling(a, n: int) -> Fraction:
 
 def _pochhammer(a, n: int, step: int) -> Fraction:
     """prod_{t<n} (a + step*t) for a = p/q: the integer numerators p + step*t*q
-    are multiplied and the product is normalized once over q**n."""
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    p, q = a.numerator, a.denominator
+    are multiplied and the product is normalized once over q**n.  ``a`` is an
+    ``int`` or a ``Fraction``; anything else raises ``TypeError``."""
+    p, q = as_ratio(a)
     num = 1
     for t in range(n):
         num *= p + step * t * q
@@ -51,9 +52,9 @@ def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> F
     The sum stops at the smallest |a| over non-positive-integer numerator
     parameters; a denominator parameter that vanishes before then is an error.
     """
-    numerator = [Fraction(a) for a in numerator]
-    denominator = [Fraction(b) for b in denominator]
-    argument = Fraction(argument)
+    numerator = [Fraction(*as_ratio(a)) for a in numerator]
+    denominator = [Fraction(*as_ratio(b)) for b in denominator]
+    argument = Fraction(*as_ratio(argument))
     stops = [-int(a) for a in numerator if _is_nonpositive_int(a)]
     if not stops:
         raise ValueError("series does not terminate: no non-positive integer upstairs")
@@ -81,7 +82,7 @@ def dougall_check(a, b: int, c: int, d: int) -> tuple[Fraction, Fraction]:
     exactly; rhs is the Pochhammer form of the Gamma quotient.  Requires
     a + b + c + d + 1 > 0, a != 0, and non-negative integers b, c, d.
     """
-    a = Fraction(a)
+    a = Fraction(*as_ratio(a))
     if min(b, c, d) < 0:
         raise ValueError("b, c, d must be non-negative integers")
     if a + b + c + d + 1 <= 0:

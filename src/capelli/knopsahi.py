@@ -26,13 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
-from .bipoly import BiPoly, falling_expansion, from_falling
+from .bipoly import BiPoly, falling_expansion, from_falling, square_op
 from .hypergeom import falling
 from .partitions import (
     PClass, Pair2, check_partition, classify_at, h_poly, paired, size, upto,
 )
-from .ratfunc import PoleError, RatFunc, UniPoly
+from .ratfunc import PoleError, RatFunc, UniPoly, as_ratio
 
 KAPPA = UniPoly.x()
 
@@ -195,14 +196,16 @@ def q_poly(lam: Pair2, k: int) -> BiPoly:
 
 
 def eval_point(mu: Pair2, k) -> tuple[Fraction, Fraction]:
-    """The shifted evaluation point (m1 - k - 1, m2)."""
+    """The shifted evaluation point (m1 - k - 1, m2); k is an ``int`` or a
+    ``Fraction``, anything else raises ``TypeError``."""
     m1, m2 = check_partition(mu)
-    return (Fraction(m1) - Fraction(k) - 1, Fraction(m2))
+    p, q = as_ratio(k)
+    return (Fraction((m1 - 1) * q - p, q), Fraction(m2))
 
 
-def gen_eval(f: BiPoly, sq: BiPoly, mu: Pair2, k) -> Fraction:
-    """Generalized value at mu of a symmetric polynomial ``f``, given ``sq``
-    = square_op(f), which the caller builds once for all its points.
+def gen_eval(f: BiPoly, mus: Iterable[Pair2], k) -> list[Fraction]:
+    """Generalized values of a symmetric polynomial ``f`` at the partitions
+    ``mus``, in order; square_op(f) is built once for all of them.
 
     Plain evaluation at the shifted point for regular/quasiregular mu; the
     square_op value there when mu is k-singular (``classify_at``, so at a
@@ -212,10 +215,9 @@ def gen_eval(f: BiPoly, sq: BiPoly, mu: Pair2, k) -> Fraction:
     ``TypeError`` otherwise); parameter-dependent input must be specialized
     first.
     """
-    a, b = eval_point(mu, k)
-    if classify_at(mu, k) is PClass.SINGULAR:
-        return sq.eval2(a, b)
-    return f.eval2(a, b)
+    sq = square_op(f)
+    return [(sq if classify_at(mu, k) is PClass.SINGULAR else f).eval2(*eval_point(mu, k))
+            for mu in mus]
 
 
 def h_jump(lam: Pair2, k: int) -> Fraction:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratfunc import UniPoly
+from .ratfunc import UniPoly, as_ratio
 
 Pair2 = tuple[int, int]
 
@@ -62,11 +62,12 @@ def classify_at(lam: Pair2, k) -> PClass:
     """The class of lam at a rational parameter k.
 
     The trichotomy exists only at a non-negative integer k; at any other
-    rational parameter every partition behaves as regular.
+    rational parameter every partition behaves as regular.  k is an ``int``
+    or a ``Fraction``; anything else raises ``TypeError``.
     """
-    k = Fraction(k)
-    if k.denominator == 1 and k >= 0:
-        return classify(lam, int(k))
+    p, q = as_ratio(k)
+    if q == 1 and p >= 0:
+        return classify(lam, p)
     check_partition(lam)
     return PClass.REGULAR
 

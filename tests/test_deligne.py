@@ -13,10 +13,6 @@ from capelli.ratfunc import RatFunc, UniPoly
 from capelli.verify import DEFAULT_T_LIST
 
 
-def _block_eval(op: BiPoly, blk: Block) -> DualScalar:
-    return dl.block_eval(op, dl.c_partial(op, [blk]), blk)
-
-
 def _at(op: BiPoly, t: Q) -> BiPoly:
     """Specialize an operator with Q(s) coefficients at s = t."""
     return op.map_coeffs(lambda c: c.eval(t))
@@ -50,33 +46,49 @@ class TestBlocks:
     def test_trivial(self):
         assert [(b.lam, b.mult) for b in dl.blocks(0, Q(-4))] == [((0, 0), 1)]
 
+    @pytest.mark.parametrize("bad", [0.5, 0.0, "0", None])
+    def test_rejects_inexact_dimension(self, bad):
+        calls = (lambda: dl.blocks(2, bad), lambda: dl.d_op((1, 1), bad),
+                 lambda: dl.cat_eig_from_blocks((1, 1), bad),
+                 lambda: dl.cat_eig_formula((1, 1), bad), lambda: dl.min_poly_is_minimal(2, bad))
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
 
 class TestBlockEval:
     def test_casimir_on_thick_block(self):
         op = BiPoly({(1, 0): Q(1)})
-        b = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert _block_eval(op, b) == DualScalar(Q(0), Q(1))
+        b = Block(lam=(1, 1), c=Q(0), mult=2)
+        assert dl.block_eval(op, [b]) == [DualScalar(Q(0), Q(1))]
 
     def test_euler_square(self):
         op = BiPoly({(0, 2): Q(1)})
-        b = Block(lam=(2, 0), t=Q(7), mult=1)
-        assert _block_eval(op, b) == DualScalar(Q(4), Q(0))
+        b = Block(lam=(2, 0), c=c_cat((2, 0), Q(7)), mult=1)
+        assert dl.block_eval(op, [b]) == [DualScalar(Q(4), Q(0))]
 
     def test_casimir_square_chain_rule(self):
         op = BiPoly({(2, 0): Q(1)})
-        b = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert _block_eval(op, b) == DualScalar(Q(0), Q(0))
+        b = Block(lam=(1, 1), c=Q(0), mult=2)
+        assert dl.block_eval(op, [b]) == [DualScalar(Q(0), Q(0))]
 
     def test_multiplicity_beyond_two_rejected(self):
-        b = Block(lam=(1, 1), t=Q(0), mult=3)
+        b = Block(lam=(1, 1), c=Q(0), mult=3)
         with pytest.raises(AssertionError, match="multiplicity 3"):
-            _block_eval(BiPoly({(1, 0): Q(1)}), b)
+            dl.block_eval(BiPoly({(1, 0): Q(1)}), [b])
+
+    def test_values_in_block_order(self):
+        op = BiPoly({(1, 0): Q(1), (0, 1): Q(1, 2)})  # C + E/2
+        blks = [Block(lam=(1, 1), c=Q(0), mult=2), Block(lam=(2, 0), c=Q(14), mult=1),
+                Block(lam=(0, 0), c=Q(0), mult=1)]
+        assert dl.block_eval(op, blks) == [DualScalar(Q(1), Q(1)), DualScalar(Q(15), Q(0)),
+                                           DualScalar(Q(0), Q(0))]
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 keys = st.tuples(st.integers(0, 4), st.integers(0, 3))
 ops = st.dictionaries(keys, coeffs, max_size=6).map(BiPoly)
-block_list = [Block(lam=lam, t=t, mult=m) for lam in upto(4)
+block_list = [Block(lam=lam, c=c_cat(lam, t), mult=m) for lam in upto(4)
               for t in (Q(0), Q(-2), Q(3), Q(1, 2)) for m in (1, 2)]
 
 
@@ -84,26 +96,28 @@ block_list = [Block(lam=lam, t=t, mult=m) for lam in upto(4)
 @given(ops, st.sampled_from(block_list))
 def test_block_eval_is_dual_number_substitution(op, blk):
     # C -> c + nil*eps with eps^2 = 0: C^i -> c^i + i c^(i-1) nil*eps
-    c, nil = c_cat(blk.lam, blk.t), Q(1 if blk.mult == 2 else 0)
+    c, nil = blk.c, Q(1 if blk.mult == 2 else 0)
     e = Q(size(blk.lam))
     terms = op.terms.items()
     value = sum((a * c**i * e**j for (i, j), a in terms), Q(0))
     dc = sum((a * i * c ** (i - 1) * nil * e**j for (i, j), a in terms if i), Q(0))
-    assert _block_eval(op, blk) == DualScalar(value, dc)
+    assert dl.block_eval(op, [blk]) == [DualScalar(value, dc)]
 
 
 def _blocks_two_branch(d, t):
     """Blocks of size d built with separate generic and even-t branches,
-    each with its own class rule: the reference ``blocks`` must reproduce."""
+    each with its own class rule and each block's Casimir value from
+    ``c_cat``: the reference ``blocks`` must reproduce."""
     if t.denominator == 1 and t <= 0 and t % 2 == 0:
         k = int(-t / 2)
         out = []
         for lam in of_size(d):
             cls = classify(lam, k)
             if cls is not PClass.SINGULAR:
-                out.append(Block(lam=lam, t=t, mult=2 if cls is PClass.QUASIREGULAR else 1))
+                mult = 2 if cls is PClass.QUASIREGULAR else 1
+                out.append(Block(lam=lam, c=c_cat(lam, t), mult=mult))
         return out
-    return [Block(lam=lam, t=t, mult=1) for lam in of_size(d)]
+    return [Block(lam=lam, c=c_cat(lam, t), mult=1) for lam in of_size(d)]
 
 
 @pytest.mark.parametrize("t", DEFAULT_T_LIST + (Q(-8), Q(2), Q(1, 3)), ids=str)
@@ -214,16 +228,15 @@ class TestScalarLimit:
 class TestVanishingPattern:
     def test_identity_on_own_block(self):
         op = dl.d_op((1, 1), Q(0))
-        blk = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert _block_eval(op, blk) == DualScalar(Q(1), Q(0))
+        blk = Block(lam=(1, 1), c=Q(0), mult=2)
+        assert dl.block_eval(op, [blk]) == [DualScalar(Q(1), Q(0))]
 
     def test_nilpotent_on_dagger_block(self):
         op = dl.d_op((2, 0), Q(0))
-        blk = Block(lam=(1, 1), t=Q(0), mult=2)
-        assert _block_eval(op, blk) == DualScalar(Q(0), Q(1))
+        blk = Block(lam=(1, 1), c=Q(0), mult=2)
+        assert dl.block_eval(op, [blk]) == [DualScalar(Q(0), Q(1))]
 
     def test_zero_on_smaller_blocks(self):
         op = dl.d_op((1, 1), Q(0))
-        for m in range(2):
-            for blk in dl.blocks(m, Q(0)):
-                assert _block_eval(op, blk) == DualScalar(Q(0), Q(0))
+        blks = dl.blocks(0, Q(0)) + dl.blocks(1, Q(0))
+        assert dl.block_eval(op, blks) == [DualScalar(Q(0), Q(0))] * len(blks)

@@ -15,10 +15,6 @@ HALF_SQUARE = BiPoly(
 )
 
 
-def _gen_eval(f, mu, k):
-    return gen_eval(f, square_op(f), mu, k)
-
-
 ORACLE_KS = [*range(7), Q(-5, 6), Q(1, 3)]
 
 
@@ -159,11 +155,11 @@ class TestSingularRoute:
 
     def test_delta_on_self(self):
         f = ep.eig_singular((3, 0), 1)
-        assert _gen_eval(f, (3, 0), 1) == 1
+        assert gen_eval(f, [(3, 0)], 1) == [1]
 
     def test_vanishes_on_dagger(self):
         f = ep.eig_singular((3, 0), 1)
-        assert _gen_eval(f, (2, 1), 1) == 0
+        assert gen_eval(f, [(2, 1)], 1) == [0]
 
     def test_wrong_class(self):
         with pytest.raises(ValueError):
@@ -235,9 +231,8 @@ class TestDispatch:
     def test_delta_property(self):
         for k in range(2):
             for lam in upto(5):
-                f = ep.eigen(lam, k)
-                for mu in upto(size(lam)):
-                    assert _gen_eval(f, mu, k) == Q(int(mu == lam))
+                mus = upto(size(lam))
+                assert gen_eval(ep.eigen(lam, k), mus, k) == [int(mu == lam) for mu in mus]
 
 
 class TestVariationAssembly:
@@ -256,21 +251,20 @@ class TestVariationAssembly:
             ep.qreg_variation_body((1, 0), 0)
 
 
-def _pair(lam, mu, k):
-    f = ep.eigen(lam, k)
-    return ep.restriction_pair(f, square_op(f), mu, k)
-
-
 class TestRestrictionPair:
     def test_identity_on_own_block(self):
-        assert _pair((1, 0), (1, 0), 1) == (Q(1), Q(0))
+        assert ep.restriction_pair(ep.eigen((1, 0), 1), [(1, 0)], 1) == [(1, 0)]
 
     def test_pure_nilpotent_on_dagger(self):
-        assert _pair((2, 0), (1, 1), 0) == (Q(0), Q(1))
+        assert ep.restriction_pair(ep.eigen((2, 0), 0), [(1, 1)], 0) == [(0, 1)]
 
     def test_order_exceeds_degree(self):
-        assert _pair((1, 0), (0, 0), 1) == (Q(0), Q(0))
+        assert ep.restriction_pair(ep.eigen((1, 0), 1), [(0, 0)], 1) == [(0, 0)]
+
+    def test_pairs_in_point_order(self):
+        f = ep.eigen((1, 0), 0)
+        assert ep.restriction_pair(f, [(2, 1), (0, 0), (1, 1)], 0) == [(3, 0), (0, 0), (2, 0)]
 
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError):
-            _pair((1, 0), (3, 0), 1)
+            ep.restriction_pair(ep.eigen((1, 0), 1), [(1, 0), (3, 0)], 1)

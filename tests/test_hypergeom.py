@@ -45,6 +45,16 @@ def test_factorials_match_naive_product(a, n):
         assert rising(int(a), n) == rising(a, n)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1e-3, "1/3", None])
+def test_inexact_or_foreign_input_raises_type_error(bad):
+    calls = (lambda: falling(bad, 2), lambda: rising(bad, 2), lambda: dougall_check(bad, 1, 1, 1),
+             lambda: pfq_terminating((bad, -1), (1,)), lambda: pfq_terminating((-1,), (bad,)),
+             lambda: pfq_terminating((-1,), (1,), bad))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")

@@ -4,13 +4,9 @@ import pytest
 
 import reference_eval
 from capelli import knopsahi as ks
-from capelli.bipoly import BiPoly, falling_expansion, from_falling, square_op
+from capelli.bipoly import BiPoly, falling_expansion, from_falling
 from capelli.partitions import PClass, classify, dagger, h_poly, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
-
-
-def _gen_eval(f, mu, k):
-    return ks.gen_eval(f, square_op(f), mu, k)
 
 
 def RF(num, den=(1,)):
@@ -144,26 +140,33 @@ class TestQPoly:
 
 
 class TestGenEval:
+    @pytest.mark.parametrize("bad", [0.5, 0.0, "0", None])
+    def test_rejects_inexact_parameter(self, bad):
+        with pytest.raises(TypeError):
+            ks.eval_point((2, 0), bad)
+        with pytest.raises(TypeError):
+            ks.gen_eval(BiPoly({(1, 1): Q(-4)}), [(2, 0)], bad)
+
     def test_normalized_row(self):
         for k in range(3):
             f = BiPoly({(1, 0): Q(1), (0, 1): Q(1), (0, 0): Q(k + 1)})
-            assert _gen_eval(f, (1, 0), k) == 1
+            assert ks.gen_eval(f, [(1, 0)], k) == [1]
 
     def test_singular_branch(self):
-        assert _gen_eval(BiPoly({(1, 1): Q(-4)}), (2, 0), 0) == 1
+        assert ks.gen_eval(BiPoly({(1, 1): Q(-4)}), [(2, 0)], 0) == [1]
 
     def test_square_kills_sum_functions(self):
         f = BiPoly({(2, 0): Q(1, 2), (0, 2): Q(1, 2), (1, 1): Q(1), (1, 0): Q(1, 2), (0, 1): Q(1, 2)})
-        assert _gen_eval(f, (2, 0), 0) == 0
+        assert ks.gen_eval(f, [(2, 0)], 0) == [0]
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            _gen_eval(BiPoly({(1, 0): Q(1)}), (0, 0), 0)
+            ks.gen_eval(BiPoly({(1, 0): Q(1)}), [(0, 0)], 0)
 
     @pytest.mark.parametrize("mu", [(2, 0), (1, 0)])  # 0-singular, regular
     def test_rejects_parameter_coefficients(self, mu):
         with pytest.raises(TypeError):
-            _gen_eval(ks.ks_poly((2, 0)).body, mu, 0)
+            ks.gen_eval(ks.ks_poly((2, 0)).body, [mu], 0)
 
 
 class TestTCheck:
@@ -174,22 +177,22 @@ class TestTCheck:
     def test_value_at_dagger(self):
         t1, _ = ks.tcheck_values((2, 0), 0)
         q = ks.q_poly((2, 0), 0)
-        assert _gen_eval(q, (1, 1), 0) == t1
+        assert ks.gen_eval(q, [(1, 1)], 0) == [t1]
 
     def test_value_at_self(self):
         lam, k = (3, 0), 1
         _, t2 = ks.tcheck_values(lam, k)
         q = ks.q_poly(lam, k)
-        assert _gen_eval(q, lam, k) == t2
+        assert ks.gen_eval(q, [lam], k) == [t2]
 
     def test_delta_pattern(self):
         for lam, k in [((2, 0), 0), ((3, 0), 1), ((3, 1), 0), ((4, 0), 1)]:
             t1, t2 = ks.tcheck_values(lam, k)
             q = ks.q_poly(lam, k)
             lamd = dagger(lam, k)
-            for mu in upto(size(lam)):
-                want = t1 * (mu == lamd) + t2 * (mu == lam)
-                assert _gen_eval(q, mu, k) == want
+            mus = upto(size(lam))
+            want = [t1 * (mu == lamd) + t2 * (mu == lam) for mu in mus]
+            assert ks.gen_eval(q, mus, k) == want
 
 
 def test_h_jump_equals_inline_expression():

@@ -65,6 +65,11 @@ class TestClassifyAt:
         with pytest.raises(ValueError):
             pt.classify_at((1, 2), k)
 
+    @pytest.mark.parametrize("bad", [0.5, 0.0, "0", None])
+    def test_rejects_inexact_parameter(self, bad):
+        with pytest.raises(TypeError):
+            pt.classify_at((2, 0), bad)
+
 
 class TestDagger:
     def test_singular_to_quasiregular(self):
@@ -188,8 +193,8 @@ class TestCasimir:
         assert pt.c_cat((3, 0), Q(-2)) == -3
 
     def test_categorical_specializes(self):
-        for k in range(5):
-            for lam in pt.upto(8):
+        for k in range(7):
+            for lam in pt.upto(14):
                 assert pt.c_cat(lam, Q(-2 * k)) == pt.c_super(lam, k)
 
 
