@@ -8,42 +8,35 @@ quotient
 
     (a+1)_(b) (a+b+c+1)_(d) / ( (a+c+1)_(d) (a+d+1)_(b) )    (rising factorials)
 
-which is valid verbatim for non-negative integers b, c, d.
+which is valid verbatim for non-negative integers b, c, d.  Evaluation
+runs on integers: a = p/q is read with ``ratfunc.as_ratio``, and each result
+is one ``Fraction``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .ratfunc import as_ratio
-
-
-def rising(a, n: int) -> Fraction:
-    """Pochhammer a (a+1) ... (a+n-1); empty product is 1."""
-    return _pochhammer(a, n, 1)
+from .ratfunc import as_ratio, common_denominator
 
 
 def falling(a, n: int) -> Fraction:
-    """a (a-1) ... (a-n+1); empty product is 1."""
-    return _pochhammer(a, n, -1)
-
-
-def _pochhammer(a, n: int, step: int) -> Fraction:
-    """prod_{t<n} (a + step*t) for a = p/q: the integer numerators p + step*t*q
-    are multiplied and the product is normalized once over q**n.  ``a`` is an
-    ``int`` or a ``Fraction``; anything else raises ``TypeError``."""
+    """a (a-1) ... (a-n+1); empty product is 1.  ``a`` is an ``int`` or a
+    ``Fraction``; anything else raises ``TypeError``."""
     p, q = as_ratio(a)
+    return Fraction(pochhammer_num(p, q, n, -1), q**n) if n > 0 else Fraction(1)
+
+
+def pochhammer_num(p: int, q: int, n: int, step: int) -> int:
+    """prod_{t<n} (p + step*t*q), the Pochhammer product at p/q times q**n."""
     num = 1
     for t in range(n):
         num *= p + step * t * q
         if not num:
-            return Fraction(0)
-    return Fraction(num, q**n) if n > 0 else Fraction(1)
-
-
-def _is_nonpositive_int(a: Fraction) -> bool:
-    return a.denominator == 1 and a <= 0
+            return 0
+    return num
 
 
 def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> Fraction:
@@ -51,48 +44,75 @@ def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> F
 
     The sum stops at the smallest |a| over non-positive-integer numerator
     parameters; a denominator parameter that vanishes before then is an error.
+    1 + r_0 (1 + r_1 (1 + ...)), r_n the term ratio, is summed inside out.
     """
-    numerator = [Fraction(*as_ratio(a)) for a in numerator]
-    denominator = [Fraction(*as_ratio(b)) for b in denominator]
-    argument = Fraction(*as_ratio(argument))
-    stops = [-int(a) for a in numerator if _is_nonpositive_int(a)]
+    numerator = [as_ratio(a) for a in numerator]
+    denominator = [as_ratio(b) for b in denominator]
+    zp, zq = as_ratio(argument)
+    stops = [-p for p, q in numerator if q == 1 and p <= 0]
     if not stops:
         raise ValueError("series does not terminate: no non-positive integer upstairs")
     n_max = min(stops)
-    for b in denominator:
-        if _is_nonpositive_int(b) and -int(b) < n_max:
-            raise ValueError(f"denominator parameter {b} vanishes within the summation range")
-    total = Fraction(1)
-    term = Fraction(1)
-    for n in range(n_max):
-        for a in numerator:
-            term *= a + n
-        for b in denominator:
-            term /= b + n
-        term *= argument
-        term /= n + 1
-        total += term
-    return total
+    for p, q in denominator:
+        if q == 1 and p <= 0 and -p < n_max:
+            raise ValueError(f"denominator parameter {p} vanishes within the summation range")
+    num = den = 1
+    for n in range(n_max - 1, -1, -1):
+        u, v = zp, zq * (n + 1)
+        for p, q in numerator:
+            u, v = u * (p + n * q), v * q
+        for p, q in denominator:
+            u, v = u * q, v * (p + n * q)
+        num, den = v * den + u * num, v * den
+    return Fraction(num, den)
+
+
+def _falling_basis_at(points, x_rows, y_rows, shift: int) -> list[Fraction]:
+    """sum_q (x-y-shift)_(q) <X_q, Y_q> at each point (x, y).  The rows are
+    built at the first point with a given x = p/q, as integers over one
+    denominator by ``x_rows(p, q)``, or y, by ``y_rows(y)`` then put over
+    one denominator; per point Horner's rule runs on integers."""
+    xs, ys, out = {}, {}, []
+    for x, y in points:
+        kx, ky = as_ratio(x), as_ratio(y)
+        if kx not in xs:
+            xs[kx] = x_rows(*kx)
+        if ky not in ys:
+            rows = y_rows(Fraction(*ky))
+            nums, den = common_denominator([c for row in rows for c in row])
+            it = iter(nums)
+            ys[ky] = [[next(it) for _ in row] for row in rows], den
+        (px, qx), (py, qy), (xrows, xden), (yrows, yden) = kx, ky, xs[kx], ys[ky]
+        den = qx * qy
+        w, acc, scale = px * qy - py * qx - shift * den, 0, 1
+        for q in range(len(yrows) - 1, -1, -1):
+            acc = acc * (w - q * den) + scale * sum(map(operator.mul, yrows[q], xrows[q]))
+            scale *= den
+        out.append(Fraction(acc, xden * yden * scale // den))
+    return out
 
 
 def dougall_check(a, b: int, c: int, d: int) -> tuple[Fraction, Fraction]:
     """Both sides (lhs, rhs) of Dougall's 5F4 summation at unit argument.
 
     lhs = 5F4(a/2+1, a, -b, -c, -d; a/2, a+b+1, a+c+1, a+d+1; 1), summed
-    exactly; rhs is the Pochhammer form of the Gamma quotient.  Requires
-    a + b + c + d + 1 > 0, a != 0, and non-negative integers b, c, d.
+    exactly; rhs is the Pochhammer form of the Gamma quotient (the powers
+    of q in a = p/q cancel).  Requires a + b + c + d + 1 > 0, a != 0, and
+    non-negative integers b, c, d.
     """
-    a = Fraction(*as_ratio(a))
+    p, q = as_ratio(a)
     if min(b, c, d) < 0:
         raise ValueError("b, c, d must be non-negative integers")
-    if a + b + c + d + 1 <= 0:
+    if p + (b + c + d + 1) * q <= 0:
         raise ValueError("requires a + b + c + d + 1 > 0")
-    if not a:
+    if not p:
         raise ValueError("a = 0 puts a zero in the denominator parameters")
+    a = Fraction(p, q)
     lhs = pfq_terminating(
         (a / 2 + 1, a, -b, -c, -d), (a / 2, a + b + 1, a + c + 1, a + d + 1)
     )
-    rhs = (rising(a + 1, b) * rising(a + b + c + 1, d)) / (
-        rising(a + c + 1, d) * rising(a + d + 1, b)
+    rhs = Fraction(
+        pochhammer_num(p + q, q, b, 1) * pochhammer_num(p + (b + c + 1) * q, q, d, 1),
+        pochhammer_num(p + (c + 1) * q, q, d, 1) * pochhammer_num(p + (d + 1) * q, q, b, 1),
     )
     return lhs, rhs

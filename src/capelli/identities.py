@@ -5,22 +5,20 @@ The headline identity expresses
 
     d/dx ( x_(N-i) x_(N-j) / x_(N) )
 
-as an explicit double sum of rational functions; it is checked here as an
-equality of canonical rational functions, no sampling involved.  The
-left side is the quotient-rule derivative; the right side sums its
-numerators over the shared denominator x_(N)^2 and is normalized once.
-Each x_(m) is ``UniPoly(falling_coeffs(m))``, the cached table of
-``bipoly``, and a check renders its two sides only when it fails.
+as an explicit double sum of rational functions; it is checked as an
+equality of canonical rational functions, no sampling involved.  The left
+side is the quotient-rule derivative; the right side sums its numerators
+over x_(N)^2 and is normalized once.  Each x_(m) is
+``UniPoly(falling_coeffs(m))``, and a check renders its sides only when it
+fails.
 
-The supporting chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two
-variables; those identities are verified by exact evaluation on
-deterministic tensor grids whose sizes exceed the degree bounds obtained by
-clearing the (explicit, y-only or small) denominators, which suffices for a
-polynomial identity.  psi_1 and psi_2 are evaluated only over a whole point
-list at once (``psi1_at``, ``psi2_at``), each from its own tables: the
-factors that depend on x alone are computed once per distinct x, those that
-depend on y alone (with their pole checks) once per distinct y, and only the
-mixed factor per point.
+The chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two variables;
+it is verified by exact evaluation on tensor grids larger than the degree
+bounds left after clearing the denominators.  psi_1, psi_2 and F(s) take a
+whole point list and read each point with ``as_ratio``: the factors of x
+alone and of y alone (with their pole checks) are built once per distinct
+coordinate as integer numerators over one denominator, and each point
+costs integer arithmetic and one ``Fraction``.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -29,13 +27,13 @@ load-bearing at the q = 0, j = 0 and s = 0 boundaries.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .bipoly import falling_coeffs
-from .hypergeom import falling, pfq_terminating
-from .ratfunc import RatFunc, UniPoly, render_frac, render_ratfunc, render_unipoly
+from .hypergeom import _falling_basis_at, falling, pfq_terminating, pochhammer_num
+from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, render_frac,
+                      render_ratfunc, render_unipoly)
 from .report import Check
 
 X = UniPoly.x()
@@ -169,60 +167,48 @@ def e_term(q: int, r: int, x: Fraction, y: Fraction, d: int, j: int) -> Fraction
 
 
 def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
-    """psi_1 = sum of E(q, r) at each point, from per-call tables.
-
-    E(q, r) factors as K(q, r) * x_(d-r) * Y(q, r, y) * (x-y-d)_(q), with K
-    constant, x_(d-r) computed once per distinct x and the y-only quotient
-    Y (pole checks included, in the order e_term makes them) once per
-    distinct y; only (x-y-d)_(q) is formed per point, by Horner's rule in
-    the falling basis.
-    """
+    """psi_1 = sum of E(q, r) at each point.  E(q, r) factors as
+    K(q, r) x_(d-r) Y(q, r, y) (x-y-d)_(q): K constant, x_(d-r) per x, Y
+    per y (with the pole checks of e_term, in its order)."""
     spans = [range(max(1, q), d - j + q + 1) for q in range(j + 1)]
     consts = [
         [Fraction((-1) ** (r + q + 1)) * falling(r, q) * falling(j, q) * falling(d - j, r - q)
          / (r * math.factorial(q)) for r in rs]
         for q, rs in enumerate(spans)
     ]
-    # x_(d-r) at index r - 1
-    xs = {x: [falling(x, d - r) for r in range(1, d + 1)] for x in dict.fromkeys(x for x, _ in points)}
-    ys = {}
-    for y in dict.fromkeys(y for _, y in points):
-        ys[y] = rows = []
-        for q, (rs, ks) in enumerate(zip(spans, consts)):
-            row = []
-            for r, k in zip(rs, ks):
-                den = (_nonzero(falling(y + r + j, j + r), f"(y+{r}+{j})_({j + r})")
-                       * _nonzero(y + q, f"y+{q}"))
-                row.append(k * (y + r + q) * falling(y + r - 1, r - q) / den)
-            rows.append(row)
-    out = []
-    for x, y in points:
-        xrow, rows = xs[x], ys[y]
-        w = x - y - d
-        total = Fraction(0)
-        for q in range(j, -1, -1):
-            rs = spans[q]
-            total = total * (w - q) + sum(map(operator.mul, rows[q], xrow[rs.start - 1:rs.stop - 1]))
-        out.append(total)
-    return out
+
+    def x_rows(p, q):
+        # x_(d-r) over q**d, at index r - 1
+        fall = [pochhammer_num(p, q, d - r, -1) * q**r for r in range(1, d + 1)]
+        return [fall[rs.start - 1:rs.stop - 1] for rs in spans], q**d
+
+    def y_rows(y):
+        return [[k * (y + r + q) * falling(y + r - 1, r - q)
+                 / _nonzero(falling(y + r + j, j + r), f"(y+{r}+{j})_({j + r})")
+                 / _nonzero(y + q, f"y+{q}") for r, k in zip(rs, ks)]
+                for q, (rs, ks) in enumerate(zip(spans, consts))]
+
+    return _falling_basis_at(points, x_rows, y_rows, d)
 
 
 def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
     """psi_2, the Leibniz expansion of d/dx psi_L with the pole variable
-    renamed to y, at each point: x_(d) and its derivative once per distinct
-    x, 1 / prod (y+t) and sum 1/(y+t) once per distinct y."""
-    dfall = UniPoly(falling_coeffs(d)).derivative()
-    xs = {x: (falling(x, d), Fraction(dfall(x))) for x in dict.fromkeys(x for x, _ in points)}
-    ys = {}
-    for y in dict.fromkeys(y for _, y in points):
-        prod = Fraction(1)
-        for t in range(1, j + 1):
-            prod *= _nonzero(y + t, f"y+{t}")
-        ys[y] = (1 / prod, sum(Fraction(1) / (y + t) for t in range(1, j + 1)))
-    out = []
+    renamed to y: x_(d) and its slope per x, from one ``value_and_slope``;
+    prod (y+t) and sum 1/(y+t) per y."""
+    x_d = UniPoly(falling_coeffs(d))
+    xs, ys, out = {}, {}, []
     for x, y in points:
-        (fx, dfx), (inv_prod, harm) = xs[x], ys[y]
-        out.append((dfx - fx * harm) * inv_prod)
+        kx, (p, q) = as_ratio(x), as_ratio(y)
+        if kx not in xs:
+            xs[kx] = common_denominator(x_d.value_and_slope(Fraction(*kx)))
+        if (p, q) not in ys:
+            prod = pochhammer_num(p + q, q, j, 1)  # q**j prod (y+t)
+            if not prod:  # so q = 1 and y = -t
+                raise SamplePoleError(f"y+{-p}")
+            harm = sum(prod // (p + t * q) for t in range(1, j + 1))  # prod/q sum 1/(y+t)
+            ys[p, q] = prod * q**j, harm * q ** (j + 1), prod * prod
+        ((fall, slope), xden), (u, v, yden) = xs[kx], ys[p, q]
+        out.append(Fraction(slope * u - fall * v, xden * yden))
     return out
 
 
@@ -292,21 +278,25 @@ def psi_chain_check(
 # -- F(s) and H(s) ---------------------------------------------------------------------
 
 
-def f_sum(s: int, j: int, l: int, x: Fraction, y: Fraction) -> Fraction:
-    """Defining sum for F(s); the q = 0 term exists only for s >= 1."""
-    total = Fraction(0)
-    for q in range(1 if s == 0 else 0, j + 1):
-        total += (
-            (y + 2 * q + s)
-            * math.comb(j, q)
-            * math.comb(l, s)
-            * Fraction(math.factorial(q + s - 1), math.factorial(j + l))
-            * falling(y + j, j - q)
-            / _nonzero(falling(y + q + s + j, j + 1), f"(y+{q + s + j})_({j + 1})")
-            * falling(x - y, q)
-            * falling(x + j + l, j + l - q - s)
-        )
-    return total
+def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int) -> list[Fraction]:
+    """The defining sum of F(s) at each point; the q = 0 term exists only
+    for s >= 1.  Term q is K(q) X_q(x) Y_q(y) (x-y)_(q), X_q = (x+j+l)_(j+l-q-s)."""
+    qs = range(j + 1)
+
+    def x_rows(p, q):
+        return [[pochhammer_num(p + (j + l) * q, q, j + l - t - s, -1) * q ** (t + s)]
+                for t in qs], q ** (j + l)
+
+    def y_rows(y):
+        # no q = 0 term at s = 0
+        return [[] if t < (s == 0) else
+                [(y + 2 * t + s) * math.comb(j, t) * math.comb(l, s)
+                 * Fraction(math.factorial(t + s - 1), math.factorial(j + l))
+                 * falling(y + j, j - t)
+                 / _nonzero(falling(y + t + s + j, j + 1), f"(y+{t + s + j})_({j + 1})")]
+                for t in qs]
+
+    return _falling_basis_at(points, x_rows, y_rows, 0)
 
 
 def f_closed(s: int, j: int, l: int, x: Fraction, y: Fraction) -> Fraction:
@@ -345,15 +335,15 @@ def f_closed_form_check(
     gx, gy = f_grid(j, l)
     xs = list(sample_x) if sample_x is not None else gx
     ys = list(sample_y) if sample_y is not None else gy
-    params = (("j", j), ("l", l), ("points", len(xs) * len(ys)))
-    for s in range(0, l + 1):
-        for x in xs:
-            for y in ys:
-                a, b = f_sum(s, j, l, x, y), f_closed(s, j, l, x, y)
-                if a != b:
-                    return _report("f-closed-form", params, False,
-                                   f"s={s},({render_frac(x)},{render_frac(y)})",
-                                   render_frac(a), render_frac(b))
+    pts = [(x, y) for x in xs for y in ys]
+    params = (("j", j), ("l", l), ("points", len(pts)))
+    for s in range(l + 1):
+        for (x, y), a in zip(pts, f_sum_at(pts, s, j, l)):
+            b = f_closed(s, j, l, x, y)
+            if a != b:
+                return _report("f-closed-form", params, False,
+                               f"s={s},({render_frac(x)},{render_frac(y)})",
+                               render_frac(a), render_frac(b))
     return _report("f-closed-form", params, True)
 
 
@@ -388,7 +378,7 @@ def h_hypergeometric(s: int, j: int, x: Fraction, y: Fraction) -> Fraction:
 def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> Check:
     """H(s) = 1/s for integer s >= 1 (also matching the 5F4 route), and
     H(0) = sum 1/(y+t) - sum 1/(x+t); requires x, y, x - y - j > 0."""
-    x, y = Fraction(x), Fraction(y)
+    x, y = Fraction(*as_ratio(x)), Fraction(*as_ratio(y))
     if not (x > 0 and y > 0 and x - y - j > 0):
         raise ValueError("need x > 0, y > 0 and x - y - j > 0")
     params = (("j", j), ("s", s), ("x", render_frac(x)), ("y", render_frac(y)))

@@ -1,6 +1,8 @@
 """Reference evaluators: the plain ``Fraction`` Horner loops and the generic
 bivariate substitution that ``UniPoly.__call__``, ``value_and_slope`` and
-``BiPoly.eval2`` replace with integer arithmetic over one common denominator.
+``BiPoly.eval2`` replace with integer arithmetic over one common denominator,
+and the term-by-term ``Fraction`` sum that ``hypergeom.pfq_terminating``
+replaces with an inside-out sum on integers.
 
 They work in any exact ring, so they also evaluate ``RatFunc`` coefficients
 at ``RatFunc`` points, which the package's evaluators reject.
@@ -42,3 +44,18 @@ def eval2(f, a, b):
         t = c * apow[i] * bpow[j]
         acc = t if acc is None else acc + t
     return acc
+
+
+def pfq_terminating(numerator, denominator, argument):
+    """The terminating pFq summed term by term, one ``Fraction`` operation at
+    a time, up to the smallest |a| over non-positive integer upstairs."""
+    n_max = min(-int(a) for a in numerator if Fraction(a).denominator == 1 and a <= 0)
+    total = term = Fraction(1)
+    for n in range(n_max):
+        for a in numerator:
+            term *= a + n
+        for b in denominator:
+            term /= b + n
+        term = term * argument / (n + 1)
+        total += term
+    return total

@@ -17,8 +17,10 @@ instead of 1-D falling tables, rebuilds square_op(f) per point of a
 generalized-value check or an operator's C-partial per block, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
 polynomial at a rational point with ``Fraction`` arithmetic instead of on
-integer numerators, or does ``Fraction`` arithmetic in the sum, product,
-scaling or gcd of ``UniPoly``s.
+integer numerators, does ``Fraction`` arithmetic in the sum, product,
+scaling or gcd of ``UniPoly``s or in a terminating pFq, or builds more
+than one ``Fraction`` per point in psi_1, psi_2 or F(s) beyond their
+per-x and per-y tables.
 """
 
 from fractions import Fraction as Q
@@ -29,6 +31,7 @@ import reference_eval
 import reference_poly
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
+from capelli import hypergeom as hg
 from capelli import identities as idn
 from capelli import knopsahi as ks
 from capelli import bipoly, ratfunc
@@ -254,9 +257,61 @@ def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     pts, d = idn.chain_grid(i, j, n), n - i
     xs = {x for x, _ in pts}
     falls = _counter(monkeypatch, idn, "falling")
+    kernels = _counter(monkeypatch, idn, "pochhammer_num")
     idn.psi1_at(pts, d, j)
     # on the chain grid every x exceeds every integer the constants use
-    assert len([a for a in falls if a[0] in xs]) <= len(xs) * (d + 1)
+    assert [a for a in falls if a[0] in xs] == []
+    # x_(d-r) for r = 1..d, on the integer numerator of each distinct x
+    assert sorted(kernels) == sorted((x.numerator, 1, d - r, -1) for x in xs for r in range(1, d + 1))
+
+
+def _fraction_count(monkeypatch, call) -> int:
+    """How many ``Fraction`` objects ``call()`` constructs, arithmetic
+    results included (each is built through ``Fraction.__new__``)."""
+    made = []
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counted)
+    call()
+    monkeypatch.undo()
+    return len(made)
+
+
+CHAIN_EVALUATORS = {
+    "psi1": lambda pts: idn.psi1_at(pts, 4, 2),
+    "psi2": lambda pts: idn.psi2_at(pts, 4, 2),
+    "f_sum_s0": lambda pts: idn.f_sum_at(pts, 0, 2, 2),
+    "f_sum_s2": lambda pts: idn.f_sum_at(pts, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_EVALUATORS)
+def test_chain_evaluators_build_one_fraction_per_point(monkeypatch, name):
+    """Fraction constructions are one per point plus a table cost per
+    distinct x and per distinct y.  With cx and cy read off two-point lists,
+    a list with repeats counts exactly
+    points + cx (|xs| - 1) + cy (|ys| - 1) + (the one-point count - 1)."""
+    evaluate = CHAIN_EVALUATORS[name]
+    xs = [Q(10), Q(23, 2), Q(13), Q(40, 3)]
+    ys = [Q(1, 3), Q(7, 5), Q(-5, 2)]
+
+    def count(pts):
+        return _fraction_count(monkeypatch, lambda: evaluate(pts))
+
+    one = count([(xs[0], ys[0])])
+    cx = count([(xs[0], ys[0]), (xs[1], ys[0])]) - one - 1
+    cy = count([(xs[0], ys[0]), (xs[0], ys[1])]) - one - 1
+    # the x-only factors of psi_1 and F(s) are integers; psi_2's are
+    # value_and_slope's pair and the point it reads
+    assert cx == (3 if name == "psi2" else 0)
+    for pts in ([(x, y) for x in xs for y in ys] * 2,
+                [(xs[a], ys[b]) for a, b in [(0, 0), (3, 2), (0, 2), (3, 2), (1, 0), (1, 2)]]):
+        nx, ny = len({x for x, _ in pts}), len({y for _, y in pts})
+        assert count(pts) == len(pts) + cx * (nx - 1) + cy * (ny - 1) + one - 1
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -299,6 +354,24 @@ def test_evaluation_does_no_fraction_arithmetic(monkeypatch, coeffs, a):
     a_, b_ = _Opaque(a), _Opaque(Q(a) + 2)
     _refuse_fraction_arithmetic(monkeypatch)
     got = (p(a_), p.value_and_slope(a_), f.eval2(a_, b_))
+    monkeypatch.undo()
+    assert got == want
+
+
+PFQ_CASES = [
+    ((Q(-3), Q(1, 2), Q(7, 3)), (Q(5, 2), Q(-4)), Q(2, 3)),
+    ((Q(-4), Q(-2), Q(3)), (Q(-6), Q(1, 9)), Q(-5, 7)),
+    ((Q(9, 2) / 2 + 1, Q(9, 2), Q(-3), Q(-2), Q(-4)), (Q(9, 4), Q(17, 2), Q(15, 2), Q(19, 2)), Q(1)),
+    ((Q(0), Q(7)), (Q(2),), Q(9)),
+]
+
+
+@pytest.mark.parametrize("num, den, z", PFQ_CASES)
+def test_pfq_terminating_does_no_fraction_arithmetic(monkeypatch, num, den, z):
+    want = reference_eval.pfq_terminating(num, den, z)
+    args = ([_Opaque(a) for a in num], [_Opaque(b) for b in den], _Opaque(z))
+    _refuse_fraction_arithmetic(monkeypatch)
+    got = hg.pfq_terminating(*args)
     monkeypatch.undo()
     assert got == want
 

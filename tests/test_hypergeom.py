@@ -3,7 +3,14 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from capelli.hypergeom import dougall_check, falling, pfq_terminating, rising
+from capelli.hypergeom import dougall_check, falling, pfq_terminating, pochhammer_num
+
+
+def rising(a, n: int) -> Q:
+    """(a)_n = a (a+1) ... (a+n-1) from the integer kernel at a = p/q, as
+    the right side of Dougall's summation reads it."""
+    a = Q(a)
+    return Q(pochhammer_num(a.numerator, a.denominator, n, 1), a.denominator ** max(n, 0))
 
 
 class TestFactorials:
@@ -47,7 +54,7 @@ def test_factorials_match_naive_product(a, n):
 
 @pytest.mark.parametrize("bad", [0.5, 1e-3, "1/3", None])
 def test_inexact_or_foreign_input_raises_type_error(bad):
-    calls = (lambda: falling(bad, 2), lambda: rising(bad, 2), lambda: dougall_check(bad, 1, 1, 1),
+    calls = (lambda: falling(bad, 2), lambda: dougall_check(bad, 1, 1, 1),
              lambda: pfq_terminating((bad, -1), (1,)), lambda: pfq_terminating((-1,), (bad,)),
              lambda: pfq_terminating((-1,), (1,), bad))
     for call in calls:
@@ -70,27 +77,34 @@ class TestAgainstSympy:
         assert falling(a, n) == Q(str(sympy.ff(sa, n)))
         assert rising(a, n) == Q(str(sympy.rf(sa, n)))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        stop=st.integers(min_value=0, max_value=6),
+        stops=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=2),
         upper=st.lists(rationals, max_size=3),
         lower=st.lists(st.fractions(min_value=Q(1, 7), max_value=9, max_denominator=7), max_size=3),
-        z=rationals,
+        past=st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+        z=st.one_of(st.just(Q(0)), rationals),
     )
-    def test_pfq_terminating(self, sympy, stop, upper, lower, z):
-        num = [Q(-stop)] + upper
+    @example(stops=[3, 5], upper=[], lower=[Q(2)], past=[0], z=Q(2, 3))  # -b = n_max
+    @example(stops=[4, 0], upper=[Q(1, 2)], lower=[], past=[0, 2], z=Q(-5))  # n_max = 0
+    @example(stops=[6], upper=[Q(-2)], lower=[Q(1, 3)], past=[1], z=Q(0))
+    def test_pfq_terminating(self, sympy, stops, upper, lower, past, z):
+        """Up to two non-positive integers upstairs; non-positive integers
+        downstairs with -b >= n_max, the boundary -b = n_max included."""
+        num = [Q(-stop) for stop in stops] + upper
         n_max = min(-int(a) for a in num if a.denominator == 1 and a <= 0)
+        den = lower + [Q(-n_max - k) for k in past]
         rat = lambda v: sympy.Rational(v.numerator, v.denominator)  # noqa: E731
         expected = sum(
             (
                 sympy.Mul(*(sympy.rf(rat(a), n) for a in num))
-                / sympy.Mul(*(sympy.rf(rat(b), n) for b in lower))
+                / sympy.Mul(*(sympy.rf(rat(b), n) for b in den))
                 * rat(z) ** n / sympy.factorial(n)
                 for n in range(n_max + 1)
             ),
             sympy.Integer(0),
         )
-        assert pfq_terminating(num, lower, z) == Q(str(expected))
+        assert pfq_terminating(num, den, z) == Q(str(expected))
 
 
 class TestTerminatingSeries:

@@ -175,6 +175,73 @@ def test_pole_factor_text_is_kept(y, factor):
     assert err.value.factor == factor and reference == ("pole", factor)
 
 
+def f_sum_pointwise(s: int, j: int, l: int, x, y) -> Q:
+    """The defining sum for F(s) at one point, term by term in ``Fraction``
+    arithmetic; the q = 0 term exists only for s >= 1."""
+    total = Q(0)
+    for q in range(1 if s == 0 else 0, j + 1):
+        den = falling(y + q + s + j, j + 1)
+        if not den:
+            raise idn.SamplePoleError(f"(y+{q + s + j})_({j + 1})")
+        total += (
+            (y + 2 * q + s)
+            * math.comb(j, q)
+            * math.comb(l, s)
+            * Q(math.factorial(q + s - 1), math.factorial(j + l))
+            * falling(y + j, j - q)
+            / den
+            * falling(x - y, q)
+            * falling(x + j + l, j + l - q - s)
+        )
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(pts=point_lists(), j=st.integers(0, 3), l=st.integers(0, 3), data=st.data())
+def test_f_sum_batch_matches_pointwise(pts, j, l, data):
+    s = data.draw(st.integers(0, l))
+    assert _outcome(lambda: idn.f_sum_at(pts, s, j, l)) == _outcome(
+        lambda: [f_sum_pointwise(s, j, l, x, y) for x, y in pts])
+
+
+@pytest.mark.parametrize(
+    "s, y, factor", [(0, Q(-2), "(y+3)_(3)"), (1, Q(-2), "(y+3)_(3)"), (2, Q(-5), "(y+5)_(3)")]
+)
+def test_f_sum_pole_factor_text_is_kept(s, y, factor):
+    pts = [(Q(10), Q(1, 3)), (Q(11), y), (Q(10), y)]
+    with pytest.raises(idn.SamplePoleError) as err:
+        idn.f_sum_at(pts, s, 2, 2)
+    reference = _outcome(lambda: [f_sum_pointwise(s, 2, 2, x, y) for x, y in pts])
+    assert err.value.factor == factor and reference == ("pole", factor)
+
+
+@pytest.mark.parametrize("bad", [0.25, 8.0, "8", "1/3", None])
+def test_inexact_or_foreign_input_raises_type_error(bad):
+    """Every point of the chain is read with ``as_ratio``."""
+    calls = (
+        lambda: idn.psi1_at([(Q(7), bad)], 0, 0), lambda: idn.psi1_at([(bad, Q(1, 3))], 2, 1),
+        lambda: idn.psi2_at([(Q(7), bad)], 2, 1), lambda: idn.psi2_at([(bad, Q(1, 3))], 2, 1),
+        lambda: idn.f_sum_at([(Q(9), bad)], 1, 1, 1), lambda: idn.f_sum_at([(bad, Q(4))], 0, 1, 1),
+        lambda: idn.f_closed_form_check(1, 1, [Q(7)], [bad]),
+        lambda: idn.f_closed_form_check(1, 1, [bad], [Q(5)]),
+        lambda: idn.h_function_check(1, 1, bad, Q(3)), lambda: idn.h_function_check(1, 1, Q(8), bad),
+        lambda: idn.psi_chain_check(1, 1, 3, [(Q(10), bad)]),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("evaluate", [idn.psi1_at, idn.psi2_at,
+                                      lambda pts, d, j: idn.f_sum_at(pts, 1, j, d)])
+def test_float_equal_to_an_exact_point_is_refused(evaluate):
+    """A float equal to a point read before it is refused, not looked up in
+    that point's tables."""
+    for pts in ([(Q(7), Q(1, 4)), (Q(7), 0.25)], [(Q(7, 2), Q(1, 3)), (3.5, Q(1, 3))]):
+        with pytest.raises(TypeError):
+            evaluate(pts, 2, 1)
+
+
 class TestFClosedForm:
     def test_single_point(self):
         rep = idn.f_closed_form_check(1, 1, [Q(7)], [Q(5)])
@@ -186,7 +253,7 @@ class TestFClosedForm:
 
     def test_no_numerator_terms(self):
         # j = 0 makes F(0) an empty harmonic sum on both sides
-        assert idn.f_sum(0, 0, 2, Q(9), Q(4)) == 0
+        assert idn.f_sum_at([(Q(9), Q(4))], 0, 0, 2) == [0] == [f_sum_pointwise(0, 0, 2, Q(9), Q(4))]
         assert idn.f_closed(0, 0, 2, Q(9), Q(4)) == 0
         assert idn.f_closed_form_check(0, 2).passed
 
