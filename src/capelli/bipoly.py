@@ -80,14 +80,7 @@ class BiPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            out[k] = c if s is None else s + c
         return BiPoly(out)
 
     def __neg__(self) -> "BiPoly":
@@ -103,11 +96,7 @@ class BiPoly:
                 k = (i1 + i2, j1 + j2)
                 p = c1 * c2
                 s = out.get(k)
-                s = p if s is None else s + p
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                out[k] = p if s is None else s + p
         return BiPoly(out)
 
     def scale(self, c) -> "BiPoly":
@@ -207,12 +196,17 @@ def falling_term(m: int, n: int) -> BiPoly:
 
 
 def from_falling(terms: Iterable[tuple[object, int, int]]) -> BiPoly:
-    """Sum of coeff * x_(m) * y_(n) terms, in canonical monomial form."""
-    acc = BiPoly.zero()
+    """Sum of coeff * x_(m) * y_(n) terms, in canonical monomial form.
+
+    The terms accumulate into one dict; ``BiPoly`` drops the keys that
+    cancel to zero."""
+    acc: dict[Key, object] = {}
     for coeff, m, n in terms:
         if coeff:
-            acc = acc + falling_term(m, n).scale(coeff)
-    return acc
+            for k, v in falling_term(m, n).terms.items():
+                s = acc.get(k)
+                acc[k] = v * coeff if s is None else s + v * coeff
+    return BiPoly(acc)
 
 
 def falling_expansion(f: BiPoly) -> dict[Key, object]:

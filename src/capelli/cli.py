@@ -14,7 +14,7 @@ Each command builds its result as a JSON document and as text, and
 ``_write`` writes the one ``--format`` asks for to ``--out`` or stdout.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage,
-configuration or bound error (one line on stderr).  Output is
+configuration, bound or write error (one line on stderr).  Output is
 byte-deterministic for fixed inputs.
 """
 
@@ -73,11 +73,17 @@ def parse_partition(text: str) -> Pair2:
 
 _INTEGER = re.compile(r"\s*[+-]?\d+\s*")
 
+# Largest |numerator| and denominator of a t value in lowest terms.  The
+# oracle's integer entries grow with the height of t: at this cap
+# ``deligne 14,0`` takes at most about 5x as long as at ``--t 7``.
+T_HEIGHT_MAX = 100
+
 
 def parse_rational(text: str) -> Fraction:
+    """A t value: an integer or p/q rational, its height held to ``T_HEIGHT_MAX``."""
     parts = text.split("/", 1)
     try:
-        return Fraction(*(int(part) for part in parts))
+        t = Fraction(*(int(part) for part in parts))
     except ZeroDivisionError:
         pass
     except ValueError:
@@ -85,6 +91,11 @@ def parse_rational(text: str) -> Fraction:
         if all(_INTEGER.fullmatch(part) for part in parts):
             raise UsageError(f"integer with more than {sys.get_int_max_str_digits()} "
                              f"digits, got {shown(text)}")
+    else:
+        if max(abs(t.numerator), t.denominator) <= T_HEIGHT_MAX:
+            return t
+        raise UsageError(f"t needs numerator and denominator of at most {T_HEIGHT_MAX} "
+                         f"in absolute value, got {shown(text)}")
     raise UsageError(f"expected an integer or p/q rational, got {shown(text)}")
 
 
@@ -159,17 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(args, doc: dict, text: str) -> None:
     """Write ``doc`` as JSON under ``--format json``, else ``text`` (pretty or
-    CSV), to ``--out`` or stdout."""
+    CSV), to ``--out`` or stdout; a failed write is a usage error."""
     if args.format == "json":
         text = json_text(doc)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out or 'stdout'}: {exc}")
 
 
 # -- subcommand implementations ------------------------------------------------------

@@ -21,10 +21,12 @@ evaluating an operator on a block gives a dual number (``DualScalar``).
   pole (asserted there); ``block_eval`` reads that rational polynomial
   p(C, E) off a list of blocks, and its C-derivative, built once per call,
   off the multiplicity-2 ones;
-* ``cat_eig_from_blocks`` reads generalized values off the blocks and
-  interpolates the eigenvalue polynomial; ``cat_eig_formula`` evaluates the
-  closed forms obtained from the interpolation polynomials under the
-  substitution kappa := -s/2.  The two must agree exactly.
+* ``block_values`` reads generalized values off the blocks (the nil part of
+  a multiplicity-2 block is the value at its missing singular partner);
+  ``cat_eig_from_blocks`` interpolates them and re-checks the result with
+  ``gen_eval``; ``cat_eig_formula`` evaluates the closed forms obtained from
+  the interpolation polynomials under the substitution kappa := -s/2.  The
+  two must agree exactly.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bipoly import BiPoly, falling_coeffs, square_op
+from .bipoly import BiPoly, falling_coeffs
 from .eigenpoly import interpolate_ev
-from .knopsahi import eval_point, ks_poly
+from .knopsahi import gen_eval, ks_poly
 from .partitions import (
     PClass,
     Pair2,
@@ -203,35 +205,36 @@ class InterpolationMismatch(AssertionError):
     """Block data disagreed with the interpolated polynomial."""
 
 
-def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
-    """Eigenvalue polynomial read off the block model.
-
-    Evaluates d_op, which is already at s = t, on every block of size <= |lam|
-    (the projection onto operators of order <= |lam| is invisible there),
-    assembles the generalized values -- multiplicity-2 blocks
-    contribute their nilpotent coefficient as the value at the missing
-    singular partner -- and interpolates.  The interpolant is then
-    re-checked against every block.
-    """
+def block_values(lam: Pair2, t: Fraction) -> dict[Pair2, Fraction]:
+    """Generalized values of d_op(lam, t) at every partition of size <= |lam|,
+    read by one ``block_eval`` call off the blocks of those sizes: the value
+    part at the block's partition and, on a multiplicity-2 block, the nil
+    part at its missing singular partner.  Each singular partition is such a
+    partner, so every partition gets exactly one value."""
     check_partition(lam)
-    d = size(lam)
-    op_t = d_op(lam, t)
-    blks = [b for m in range(d + 1) for b in blocks(m, t)]
-    duals = list(zip(blks, block_eval(op_t, blks)))
+    blks = [b for m in range(size(lam) + 1) for b in blocks(m, t)]
     kb = kbar(t)
     values: dict[Pair2, Fraction] = {}
-    for b, dv in duals:
+    for b, dv in zip(blks, block_eval(d_op(lam, t), blks)):
         values[b.lam] = dv.value
         if b.mult == 2:
             values[paired(b.lam, int(kb), PClass.QUASIREGULAR)] = dv.nil
-    f = interpolate_ev(values, d, kb)
-    sq = square_op(f)
-    for b, dv in duals:
-        pt = eval_point(b.lam, kb)
-        if f.eval2(*pt) != dv.value:
-            raise InterpolationMismatch(f"value mismatch on block {b.lam} at t={t}")
-        if b.mult == 2 and sq.eval2(*pt) != dv.nil:
-            raise InterpolationMismatch(f"nil mismatch on block {b.lam} at t={t}")
+    return values
+
+
+def cat_eig_from_blocks(lam: Pair2, t: Fraction) -> BiPoly:
+    """Eigenvalue polynomial read off the block model: interpolates
+    ``block_values`` (the projection onto operators of order <= |lam| is
+    invisible on blocks of size <= |lam|) and re-checks the interpolant with
+    ``gen_eval``.  That is the per-block check, since the shifted point of a
+    quasiregular mu is the coordinate swap of its singular partner's and
+    square_op(f) is symmetric."""
+    values = block_values(lam, t)
+    kb = kbar(t)
+    f = interpolate_ev(values, size(lam), kb)
+    for (mu, want), got in zip(values.items(), gen_eval(f, values, kb)):
+        if got != want:
+            raise InterpolationMismatch(f"generalized value mismatch at {mu} for t={t}")
     return f
 
 

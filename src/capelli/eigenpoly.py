@@ -14,8 +14,9 @@ a closed form:
 Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
 ORACLE).  Its matrix is built from the values and slopes of the 1-D falling
-factorials x_(m) at each row's shifted point, and the system is solved by
-Bareiss fraction-free integer elimination.  The oracle rests only on unique
+factorials x_(m) at each row's shifted point, the system is solved by
+Bareiss fraction-free integer elimination, and ``from_falling`` expands the
+solution into the monomial basis.  The oracle rests only on unique
 solvability and reads no closed form, so when a closed form disagrees it is
 the closed form that is reported as wrong.
 
@@ -30,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .bipoly import BiPoly, falling_term, square_op
+from .bipoly import BiPoly, from_falling, square_op
 from .knopsahi import (
     eval_point,
     h_jump,
@@ -121,19 +122,6 @@ def gauss_solve(matrix: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> li
 # -- the interpolation oracle -----------------------------------------------------
 
 
-def _basis_poly(a: int, b: int) -> BiPoly:
-    """The symmetric falling-basis element of the exponent pair (a, b), a >= b.
-
-    The oracle's basis of degree <= d is ``upto(d)``, in graded-lex order:
-    (a, b) stands for x_(a) y_(b) + x_(b) y_(a) when a > b and for
-    x_(a) y_(a) when a = b; falling factorials keep the evaluation matrix
-    integral at the shifted integer points.
-    """
-    if a == b:
-        return falling_term(a, a)
-    return falling_term(a, b) + falling_term(b, a)
-
-
 def _falling_table(p: Fraction, d: int) -> list[tuple[Fraction, Fraction]]:
     """The pairs (x_(m)(p), x_(m)'(p)) for m = 0..d.
 
@@ -154,7 +142,8 @@ _SYSTEMS: dict[tuple[Fraction, int], tuple[tuple[Fraction, ...], ...]] = {}
 
 def _ev_matrix(k, d: int) -> tuple[tuple[Fraction, ...], ...]:
     """The oracle's matrix: entry (mu, (a, b)) is the generalized value at mu
-    of the basis element g = ``_basis_poly(a, b)``; cached in ``_SYSTEMS``.
+    of the basis element g = x_(a) y_(b) + x_(b) y_(a) (x_(a) y_(a) when
+    a = b) of the pair (a, b) in ``upto(d)``; cached in ``_SYSTEMS``.
 
     Row mu reads the falling tables at its shifted point (p, q) =
     ``eval_point(mu, k)``.  On a regular or quasiregular row the entry is
@@ -205,11 +194,12 @@ def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
     parts = upto(d)
     rhs = [Fraction(values.get(mu, Fraction(0))) for mu in parts]
     coeffs = gauss_solve(_ev_matrix(k, d), rhs)
-    body = BiPoly.zero()
+    terms = []
     for c, (a, b) in zip(coeffs, parts):
-        if c:
-            body = body + _basis_poly(a, b).scale(c)
-    return body
+        terms.append((c, a, b))
+        if a != b:
+            terms.append((c, b, a))
+    return from_falling(terms)
 
 
 def eig_oracle(lam: Pair2, k: int) -> BiPoly:

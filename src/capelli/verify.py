@@ -27,7 +27,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 from . import deligne as dl
 from . import eigenpoly as ep
@@ -36,7 +36,7 @@ from . import identities as idn
 from . import knopsahi as ks
 from .bipoly import render_bipoly
 from .config import Config
-from .partitions import PClass, Pair2, classify, classify_at, dagger, paired, size, upto
+from .partitions import PClass, Pair2, classify, dagger, paired, size, upto
 from .ratfunc import render_frac
 from .report import Check, RunReport
 
@@ -96,6 +96,18 @@ class Bounds:
 
 def _plam(lam: Pair2) -> str:
     return f"{lam[0]},{lam[1]}"
+
+
+def _value_mismatch(poly: str, got: Iterable[tuple[Pair2, Fraction]],
+                    want: Mapping[Pair2, Fraction]) -> Outcome | None:
+    """The first generalized value in ``got`` that differs from ``want``
+    (zero off its keys), as a failing outcome ``ev(poly, mu) = value``
+    against the expected value; None when all agree."""
+    for mu, value in got:
+        expected = want.get(mu, Fraction(0))
+        if value != expected:
+            return False, f"ev({poly}, {_plam(mu)}) = {render_frac(value)}", render_frac(expected)
+    return None
 
 
 _TASKS: dict[str, Callable[..., Check]] = {}
@@ -162,17 +174,10 @@ def check_q_values(lam: Pair2, k: int) -> Outcome:
     """Q_lam route agreement plus its generalized values t1/t2 pattern."""
     q = ks.q_poly(lam, k)  # asserts the two routes agree
     t1, t2 = ks.tcheck_values(lam, k)
-    lamd = dagger(lam, k)
     mus = upto(size(lam))
-    for mu, got in zip(mus, ks.gen_eval(q, mus, k)):
-        want = Fraction(0)
-        if mu == lamd:
-            want += t1
-        if mu == lam:
-            want += t2
-        if got != want:
-            return False, f"ev(Q, {_plam(mu)}) = {render_frac(got)}", render_frac(want)
-    return True, f"t1={render_frac(t1)}", f"t2={render_frac(t2)}"
+    got = zip(mus, ks.gen_eval(q, mus, k))
+    return _value_mismatch("Q", got, {dagger(lam, k): t1, lam: t2}) or (
+        True, f"t1={render_frac(t1)}", f"t2={render_frac(t2)}")
 
 
 @_family("reg-basis-triangular", "k", "d")
@@ -198,11 +203,9 @@ def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
     if f.total_degree() != size(lam) or not f.is_symmetric():
         return False, f"degree {f.total_degree()}", f"expected {size(lam)}"
     mus = upto(size(lam))
-    for mu, got in zip(mus, ks.gen_eval(f, mus, k)):
-        want = Fraction(int(mu == lam))
-        if got != want:
-            return False, f"ev(f, {_plam(mu)})", render_frac(want)
-    return True, render_bipoly(closed), render_bipoly(oracle)
+    got = zip(mus, ks.gen_eval(f, mus, k))
+    return _value_mismatch("f", got, {lam: Fraction(1)}) or (
+        True, render_bipoly(closed), render_bipoly(oracle))
 
 
 @_family("jordan-restrictions", "lambda", "k")
@@ -210,18 +213,16 @@ def check_restrictions(lam: Pair2, k: int) -> Outcome:
     """Jordan data on the quasiregular blocks of size <= |lambda|.
 
     Only quasiregular blocks carry data (regular blocks have no nilpotent
-    direction at all): the nilpotent coefficient must be the delta on the
-    dagger block of a singular lambda, and f must agree across each
-    quasiregular/singular shifted-point pair."""
-    cls = classify(lam, k)
-    lamd = dagger(lam, k)
+    direction at all): the nilpotent coefficient must be 1 on the block
+    whose singular partner is lambda and 0 on the others, and f must agree
+    across each quasiregular/singular shifted-point pair."""
     f = ep.eigen(lam, k)
     mus = [mu for mu in upto(size(lam)) if classify(mu, k) is PClass.QUASIREGULAR]
     for mu, (a, d_nil) in zip(mus, ep.restriction_pair(f, mus, k)):  # a = f at mu's point
-        want_nil = Fraction(int(cls is PClass.SINGULAR and mu == lamd))
+        mud = paired(mu, k, PClass.QUASIREGULAR)
+        want_nil = Fraction(int(mud == lam))
         if d_nil != want_nil:
             return False, f"nil on {_plam(mu)} = {render_frac(d_nil)}", render_frac(want_nil)
-        mud = paired(mu, k, PClass.QUASIREGULAR)
         b = f.eval2(*ks.eval_point(mud, k))
         if a != b:
             return (False, f"f at {_plam(mu)} = {render_frac(a)}",
@@ -299,26 +300,15 @@ def check_super_cat(lam: Pair2, k: int) -> Outcome:
 
 @_family("block-vanishing", "lambda", "t")
 def check_vanishing_suite(lam: Pair2, t: Fraction) -> Outcome:
-    """Dual-number pattern of d_op at s = t over all blocks of size <= |lam|:
-    (1,0) on the lam block, (0,1) on the dagger block when lam indexes no
-    block itself, (0,0) everywhere else.  Includes the idempotent limit (the
-    nil part on a quasiregular lam's own block is exactly zero)."""
-    op_t = dl.d_op(lam, t)
-    blks = [blk for m in range(size(lam) + 1) for blk in dl.blocks(m, t)]
-    kb = dl.kbar(t)
-    singular_partner = None
-    if classify_at(lam, kb) is PClass.SINGULAR:
-        singular_partner = paired(lam, int(kb), PClass.SINGULAR)
-    for blk, got in zip(blks, dl.block_eval(op_t, blks)):
-        if singular_partner is not None:
-            want = dl.DualScalar(Fraction(0), Fraction(int(blk.lam == singular_partner)))
-        else:
-            want = dl.DualScalar(Fraction(int(blk.lam == lam)), Fraction(0))
-        if got != want:
-            return (False,
-                    f"on {_plam(blk.lam)}: ({render_frac(got.value)},{render_frac(got.nil)})",
-                    f"({render_frac(want.value)},{render_frac(want.nil)})")
-    return True, "dual action on blocks", "identity/nilpotent pattern"
+    """Generalized values of d_op at s = t on all partitions of size <= |lam|
+    are delta_lam: on blocks, the dual number is (1,0) on the lam block,
+    (0,1) on the dagger block when lam indexes no block itself, (0,0)
+    everywhere else.  Includes the idempotent limit (the nil part on a
+    quasiregular lam's own block is exactly zero)."""
+    values = dl.block_values(lam, t)
+    got = ((mu, values[mu]) for mu in upto(size(lam)))  # a missing value raises
+    return _value_mismatch("D", got, {lam: Fraction(1)}) or (
+        True, "dual action on blocks", "identity/nilpotent pattern")
 
 
 @_family("singular-scale-limit", "lambda", "k")

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import io
 import json
 import os
 import pathlib
 import string
+import subprocess
 import sys
 from fractions import Fraction as Q
 from unittest import mock
@@ -168,6 +170,56 @@ class TestExitCodes:
         code, out, err = run_cli(["verify", "deligne", "--t-list", t_list])
         assert code == 2 and out == ""
         assert err == f"capelli: error: {message}\n"
+
+    @pytest.mark.parametrize("t", ["101", "-101/3", "1/101", "-100/101", "202/2"])
+    def test_t_above_height_cap_is_one_line(self, monkeypatch, t):
+        def never(*args, **kwargs):
+            raise AssertionError("the computation must not start")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.setattr(cli.dl, "cat_eig_formula", never)
+        line = ("capelli: error: t needs numerator and denominator of at most 100 "
+                f"in absolute value, got '{t}'\n")
+        for argv in (["deligne", "1,0", f"--t={t}"], ["verify", "deligne", f"--t-list=1,{t}"]):
+            assert run_cli(argv) == (2, "", line), argv
+
+    @pytest.mark.parametrize("t", ["100", "-100/99", "1/100", "-99/100", "200/2"])
+    def test_t_at_height_cap_is_accepted(self, t):
+        assert cli.T_HEIGHT_MAX == 100
+        code, out, err = run_cli(["deligne", "1,0", f"--t={t}"])
+        assert code == 0 and out.startswith("f = ") and err == ""
+
+
+class TestStdoutFailure:
+    """A failed stdout write is a one-line usage error, with no second
+    message when the interpreter flushes stdout at exit."""
+
+    @staticmethod
+    def _table(stdout):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "capelli.cli", "table", "--size-max", "3"],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+
+    @staticmethod
+    def _line(code: int) -> bytes:
+        return f"capelli: error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n".encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            proc = self._table(full)
+        assert (proc.returncode, proc.stderr) == (2, self._line(errno.ENOSPC))
+
+    def test_pipe_with_closed_read_end(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._table(write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, self._line(errno.EPIPE))
 
 
 class TestArgparseErrors:

@@ -208,6 +208,24 @@ class TestEigenvaluePolynomials:
         for lam in upto(4):
             assert dl.cat_eig_from_blocks(lam, t) == dl.cat_eig_formula(lam, t), (lam, t)
 
+    @pytest.mark.parametrize(
+        "lam, t, mu",
+        [((1, 0), Q(7), (1, 0)), ((2, 0), Q(0), (2, 0)), ((1, 1), Q(0), (2, 0)),
+         ((2, 1), Q(-5, 3), (0, 0))],
+        ids=["value", "nil-of-singular", "nil-of-quasiregular", "fractional-t"],
+    )
+    def test_perturbed_interpolant_names_mu_and_t(self, monkeypatch, lam, t, mu):
+        solve = dl.interpolate_ev
+
+        def perturbed(values, d, kb):
+            # off by the oracle's own delta at mu: one generalized value moves
+            return solve(values, d, kb) + solve({mu: Q(1)}, d, kb)
+
+        monkeypatch.setattr(dl, "interpolate_ev", perturbed)
+        with pytest.raises(dl.InterpolationMismatch,
+                           match=rf"^generalized value mismatch at \({mu[0]}, {mu[1]}\) for t={t}$"):
+            dl.cat_eig_from_blocks(lam, t)
+
     def test_degenerates_to_plain_parameter(self):
         for k in range(3):
             for lam in upto(4):
@@ -240,3 +258,9 @@ class TestVanishingPattern:
         op = dl.d_op((1, 1), Q(0))
         blks = dl.blocks(0, Q(0)) + dl.blocks(1, Q(0))
         assert dl.block_eval(op, blks) == [DualScalar(Q(0), Q(0))] * len(blks)
+
+
+@pytest.mark.parametrize("t", DEFAULT_T_LIST)
+def test_block_values_cover_each_partition_once(t):
+    for lam in upto(6):
+        assert dl.block_values(lam, t).keys() == set(upto(size(lam))), lam

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capelli import eigenpoly as ep
-from capelli.bipoly import BiPoly, falling_coeffs, square_op
+from capelli.bipoly import BiPoly, falling_coeffs, from_falling, square_op
 from capelli.eigenpoly import Route, SingularSystemError, gauss_solve
 from capelli.knopsahi import eval_point, gen_eval
 from capelli.partitions import PClass, classify, classify_at, size, upto
@@ -44,7 +44,7 @@ def ev_matrix_by_eval2(k, d):
     parts = upto(d)
     columns = []
     for a, b in parts:
-        g = ep._basis_poly(a, b)
+        g = from_falling({(Q(1), a, b), (Q(1), b, a)})  # one term when a == b
         sq = square_op(g)
         col = []
         for mu in parts:

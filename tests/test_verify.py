@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from capelli import deligne as dl
+from capelli import eigenpoly as ep
 from capelli import hypergeom as hg
 from capelli import identities as idn
 from capelli import knopsahi as ks
@@ -91,6 +92,16 @@ def _raise_boom(*args):
 
 _BOOM_LINE = _raise_boom.__code__.co_firstlineno + 1
 _H_SUM = idn.h_sum
+_BLOCK_EVAL = dl.block_eval
+_RESTRICTION_PAIR = ep.restriction_pair
+
+
+def _half_on_every_nil(op_t, blks):
+    return [dl.DualScalar(d.value, d.nil + Q(1, 2)) for d in _BLOCK_EVAL(op_t, blks)]
+
+
+def _one_on_every_nil(f, mus, k):
+    return [(a, d_nil + 1) for a, d_nil in _RESTRICTION_PAIR(f, mus, k)]
 
 
 @pytest.mark.parametrize(
@@ -107,8 +118,21 @@ _H_SUM = idn.h_sum
         (idn, "h_sum", lambda s, j, x, y: _H_SUM(s, j, x, y) + 1, ("h-function", (2, 1)),
          Check("h-function", (("j", "2"), ("s", "1"), ("x", "17/3"), ("y", "5/3")), "fail",
                "2 at s=1", "1 (5F4: 1)")),
+        (ks, "gen_eval", lambda f, mus, k: [Q(1, 2)] * len(mus), ("eigen-routes", ((2, 1), 1)),
+         Check("eigen-routes", (("lambda", "2,1"), ("k", "1")), "fail", "ev(f, 0,0) = 1/2", "0")),
+        # t1 = H_(3,0)(1) = 6 at the dagger (2,1), which precedes (3,0)
+        (ks, "tcheck_values", lambda lam, k: (Q(1), Q(2)), ("q-depolarized", ((3, 0), 1)),
+         Check("q-depolarized", (("lambda", "3,0"), ("k", "1")), "fail", "ev(Q, 2,1) = 6", "1")),
+        # the nil part on the (1,1) block is the value at its singular partner (2,0)
+        (dl, "block_eval", _half_on_every_nil, ("block-vanishing", ((2, 0), Q(0))),
+         Check("block-vanishing", (("lambda", "2,0"), ("t", "0")), "fail",
+               "ev(D, 2,0) = 3/2", "1")),
+        (ep, "restriction_pair", _one_on_every_nil, ("jordan-restrictions", ((3, 0), 1)),
+         Check("jordan-restrictions", (("lambda", "3,0"), ("k", "1")), "fail",
+               "nil on 2,1 = 2", "1")),
     ],
-    ids=["pole-set", "min-poly", "raising-dougall", "h-function-point"],
+    ids=["pole-set", "min-poly", "raising-dougall", "h-function-point", "eigen-routes",
+         "q-depolarized", "block-vanishing-nil", "jordan-restrictions-nil"],
 )
 def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
     monkeypatch.setattr(owner, attr, stub)
