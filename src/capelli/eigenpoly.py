@@ -13,12 +13,13 @@ a closed form:
 
 Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
-ORACLE).  Its matrix is built from the values and slopes of the 1-D falling
-factorials x_(m) at each row's shifted point, the system is solved by
-Bareiss fraction-free integer elimination, and ``from_falling`` expands the
-solution into the monomial basis.  The oracle rests only on unique
-solvability and reads no closed form, so when a closed form disagrees it is
-the closed form that is reported as wrong.
+ORACLE).  Its matrix is built as integer rows, each with its scale, from the
+integer values and slopes of the 1-D falling factorials x_(m) at each row's
+shifted point.  Bareiss fraction-free elimination factors it once per
+(k, d); each solve replays that elimination on its right-hand side alone,
+and ``from_falling`` expands the solution into the monomial basis.  The
+oracle rests only on unique solvability and reads no closed form, so when a
+closed form disagrees it is the closed form that is reported as wrong.
 
 Every route returns f_lam itself, a ``BiPoly`` with rational coefficients.
 Which routes apply to which class is known here only, in ``ROUTES``.
@@ -52,7 +53,7 @@ from .partitions import (
     size,
     upto,
 )
-from .ratfunc import PoleError, RatFunc, common_denominator
+from .ratfunc import PoleError, RatFunc, as_ratio, common_denominator
 
 
 class Route(enum.Enum):
@@ -78,122 +79,141 @@ class SingularSystemError(ArithmeticError):
 # -- exact linear algebra -------------------------------------------------------
 
 
-def gauss_solve(matrix: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact system by Bareiss fraction-free elimination.
+def bareiss_factor(rows: list[list[int]], scales: list[int]) -> tuple:
+    """Factor the square system with rows ``rows[i] / scales[i]`` once, for
+    any number of right-hand sides (``gauss_solve``); ``rows`` is consumed.
 
-    Each row of the augmented matrix is scaled by the lcm of its denominators
-    to integers.  Bareiss elimination with row pivoting (Bareiss, Math. Comp.
+    Bareiss fraction-free elimination with row pivoting (Bareiss, Math. Comp.
     22, 1968) keeps every entry an integer minor: each update divides exactly
-    by the previous pivot.  The last pivot D is then the determinant of the
-    row-permuted integer matrix, so by Cramer's rule D * x is integral and
-    back substitution runs in integers too; each component is normalized
-    once, as x_i = (D x_i) / D.  A rank drop raises ``SingularSystemError``.
+    by the previous pivot.  The record, in the LU form of Nakos, Turner and
+    Williams (ACM SIGSAM Bull. 31(3), 1997), holds the row scales, each
+    step's pivot row and multipliers (its column below the pivot), and the
+    eliminated upper rows.  Upper row i starts at column i, so its head is
+    step i's pivot, and the last one is the determinant of the row-permuted
+    integer matrix.  A rank drop raises ``SingularSystemError``.
     """
-    n = len(matrix)
-    a = [common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
-    prev = 1
+    n, steps, prev = len(rows), [], 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
+        piv = next((r for r in range(col, n) if rows[r][0]), None)
         if piv is None:
             raise SingularSystemError(f"no pivot in column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        top = a[col]
-        p = top[col]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        p = top[0]
+        steps.append((piv, [row[0] for row in rows[col + 1:]]))
         for r in range(col + 1, n):
-            row = a[r]
-            f = row[col]
-            if f:
-                a[r] = [0] * (col + 1) + [
-                    (p * v - f * w) // prev for v, w in zip(row[col + 1:], top[col + 1:])
-                ]
-            elif p != prev:
-                a[r] = [0] * (col + 1) + [p * v // prev for v in row[col + 1:]]
+            f = rows[r][0]
+            rows[r] = [(p * v - f * w) // prev for v, w in zip(rows[r][1:], top[1:])]
         prev = p
-    det = prev
-    dx = [0] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        acc = det * row[n] - sum(row[j] * dx[j] for j in range(i + 1, n))
-        dx[i] = acc // row[i]
-    return [Fraction(v, det) for v in dx]
+    return scales, steps, rows
+
+
+def gauss_solve(system: tuple, rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a system factored by ``bareiss_factor`` for one right-hand side
+    in O(n^2) integer operations.
+
+    The rhs is read over one common denominator, a ``float`` or a ``str``
+    raising ``TypeError``, and scaled as its rows were.  The elimination is
+    replayed on it, each row swap at its own step.  With D the determinant,
+    D x is integral by Cramer's rule, so back substitution runs in integers
+    too, and each component is normalized once, as x_i = (D x_i) / (D den).
+    """
+    scales, steps, upper = system
+    nums, den = common_denominator(rhs)
+    b = [s * v for s, v in zip(scales, nums)]
+    prev = 1
+    for col, ((piv, mults), top) in enumerate(zip(steps, upper)):
+        b[col], b[piv] = b[piv], b[col]
+        p, v = top[0], b[col]
+        for r, f in enumerate(mults, col + 1):
+            b[r] = (p * b[r] - f * v) // prev
+        prev = p
+    dx = [0] * len(b)
+    for i in reversed(range(len(b))):
+        row = upper[i]
+        dx[i] = (prev * b[i] - sum(c * x for c, x in zip(row[1:], dx[i + 1:]))) // row[0]
+    return [Fraction(v, prev * den) for v in dx]
 
 
 # -- the interpolation oracle -----------------------------------------------------
 
 
-def _falling_table(p: Fraction, d: int) -> list[tuple[Fraction, Fraction]]:
-    """The pairs (x_(m)(p), x_(m)'(p)) for m = 0..d.
+def _falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:
+    """The integer pairs q^m (x_(m)(p/q), x_(m)'(p/q)) for m = 0..d.
 
     By the recurrence x_(m) = x_(m-1) * (x - m + 1) and its product rule.
     """
-    val, slope = Fraction(1), Fraction(0)
+    val, slope = 1, 0
     out = [(val, slope)]
-    for m in range(1, d + 1):
-        shift = p - (m - 1)
-        val, slope = val * shift, slope * shift + val
+    for m in range(d):
+        shift = p - m * q
+        val, slope = val * shift, slope * shift + q * val
         out.append((val, slope))
     return out
 
 
-# (k, d) -> the evaluation matrix: row mu, column (a, b), both over upto(d)
-_SYSTEMS: dict[tuple[Fraction, int], tuple[tuple[Fraction, ...], ...]] = {}
+# (k, d) -> the oracle's system factored by ``bareiss_factor``
+_SYSTEMS: dict[tuple[Fraction, int], tuple] = {}
 
 
-def _ev_matrix(k, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The oracle's matrix: entry (mu, (a, b)) is the generalized value at mu
-    of the basis element g = x_(a) y_(b) + x_(b) y_(a) (x_(a) y_(a) when
-    a = b) of the pair (a, b) in ``upto(d)``; cached in ``_SYSTEMS``.
+def _ev_rows(k, d: int) -> tuple[list[list[int]], list[int]]:
+    """The oracle's matrix as integer rows and their scales.  Entry
+    (mu, (a, b)), both over ``upto(d)``, is ``rows[mu][(a, b)] / scales[mu]``,
+    the generalized value at mu of the basis element g = x_(a) y_(b) +
+    x_(b) y_(a) (x_(a) y_(a) when a = b).
 
     Row mu reads the falling tables at its shifted point (p, q) =
-    ``eval_point(mu, k)``.  On a regular or quasiregular row the entry is
-    g(p, q) = x_(a)(p) x_(b)(q) + x_(b)(p) x_(a)(q) (one product when a = b).
-    On a k-singular row it is square_op(g)(p, q) = (g_x - g_y) / (4 (p - q)),
-    with the partials taken from the slopes; there p - q = m1 - m2 - k - 1
-    >= 1, so the quotient is defined.
+    ``eval_point(mu, k)``; q = m2 is an integer, and the table of p = pn / pd
+    is lifted to the one denominator pd^d.  On a regular or quasiregular row
+    the entry is g(p, q) = x_(a)(p) x_(b)(q) + x_(b)(p) x_(a)(q) (one
+    product when a = b) and the scale is pd^d.  On a k-singular row it is
+    square_op(g)(p, q) = (g_x - g_y) / (4 (p - q)), with the partials taken
+    from the slopes; there k and p are integers, the scale is 4 (p - q), and
+    p - q = m1 - m2 - k - 1 >= 1.
     """
-    key = (Fraction(k), d)
-    cached = _SYSTEMS.get(key)
-    if cached is not None:
-        return cached
     parts = upto(d)
-    rows = []
+    rows, scales = [], []
     for mu in parts:
         p, q = eval_point(mu, k)
-        xp, xq = _falling_table(p, d), _falling_table(q, d)
-        row = []
+        (pn, pd), qn = as_ratio(p), int(q)
+        xp = [(v * pd ** (d - m), s * pd ** (d - m))
+              for m, (v, s) in enumerate(_falling_table(pn, pd, d))]
+        xq = _falling_table(qn, 1, d)
         if classify_at(mu, k) is PClass.SINGULAR:
-            inv = 1 / (4 * (p - q))
-            for a, b in parts:
-                (pa, dpa), (pb, dpb) = xp[a], xp[b]
-                (qa, dqa), (qb, dqb) = xq[a], xq[b]
-                if a == b:
-                    diff = dpa * qa - pa * dqa
-                else:
-                    diff = dpa * qb + dpb * qa - pa * dqb - pb * dqa
-                row.append(diff * inv)
+            scales.append(4 * (pn - qn))
+            term = lambda a, b: xp[a][1] * xq[b][0] - xp[a][0] * xq[b][1]
         else:
-            for a, b in parts:
-                if a == b:
-                    row.append(xp[a][0] * xq[a][0])
-                else:
-                    row.append(xp[a][0] * xq[b][0] + xp[b][0] * xq[a][0])
-        rows.append(tuple(row))
-    matrix = tuple(rows)
-    _SYSTEMS[key] = matrix
-    return matrix
+            scales.append(pd ** d)
+            term = lambda a, b: xp[a][0] * xq[b][0]
+        rows.append([term(a, b) + term(b, a) if a != b else term(a, a) for a, b in parts])
+    return rows, scales
+
+
+def _ev_matrix(k, d: int) -> tuple:
+    """The oracle's system for (k, d): ``_ev_rows`` factored once by
+    ``bareiss_factor`` on a cache miss and kept in ``_SYSTEMS``, so each
+    solve replays the elimination on its rhs alone."""
+    key = (Fraction(k), d)
+    system = _SYSTEMS.get(key)
+    if system is None:
+        system = _SYSTEMS[key] = bareiss_factor(*_ev_rows(k, d))
+    return system
 
 
 def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
     """Unique symmetric polynomial of degree <= d with the given generalized
-    values on all partitions of size <= d.
+    values on all partitions of size <= d (a missing one is 0).
 
-    Solves the exact linear system in the symmetric falling basis; a rank
-    drop raises ``SingularSystemError`` (it cannot happen legitimately).
+    Solves the exact linear system in the symmetric falling basis.  A value
+    keyed outside ``upto(d)`` raises ``ValueError``, an inexact one
+    ``TypeError``; a rank drop raises ``SingularSystemError`` (it cannot
+    happen legitimately).
     """
     parts = upto(d)
-    rhs = [Fraction(values.get(mu, Fraction(0))) for mu in parts]
-    coeffs = gauss_solve(_ev_matrix(k, d), rhs)
+    stray = set(values).difference(parts)
+    if stray:
+        raise ValueError(f"values keyed outside the partitions of size <= {d}: {sorted(stray)}")
+    coeffs = gauss_solve(_ev_matrix(k, d), [values.get(mu, 0) for mu in parts])
     terms = []
     for c, (a, b) in zip(coeffs, parts):
         terms.append((c, a, b))

@@ -13,7 +13,8 @@ the cached ``falling_coeffs`` table, builds the falling products of
 table, computes a y-value of ``shifted_eval`` more than once, renders a
 passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
-instead of 1-D falling tables, rebuilds square_op(f) per point of a
+instead of 1-D falling tables, factors an oracle system more than once
+per (k, d), rebuilds square_op(f) per point of a
 generalized-value check or an operator's C-partial per block, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
 polynomial at a rational point with ``Fraction`` arithmetic instead of on
@@ -119,6 +120,21 @@ def test_cold_oracle_solves_once_without_bivariate_evaluation(monkeypatch, k, la
     ep.interpolate_ev({lam: Q(1)}, size(lam), k)
     assert (squares, evals, len(solves)) == ([[]] * len(owners), [], 1)
     assert routes == [[], []]  # the oracle reads no closed form
+
+
+def test_cat_eigen_sweep_factors_each_oracle_system_once(monkeypatch):
+    monkeypatch.setattr(ep, "_SYSTEMS", {})
+    builds = _counter(monkeypatch, ep, "_ev_rows")
+    factors = _counter(monkeypatch, ep, "bareiss_factor")
+    solves = _counter(monkeypatch, ep, "gauss_solve")
+    ts = [Q(-4), Q(0), Q(3), Q(1, 2), Q(-5, 3)]
+    for t in ts:
+        for lam in upto(5):
+            check = vf.check_cat_routes(lam, t)
+            assert check.status == "pass", check
+    systems = {(dl.kbar(t), d) for t in ts for d in range(6)}
+    assert (len(builds), len(factors), set(ep._SYSTEMS)) == (len(systems), len(systems), systems)
+    assert len(solves) == len(ts) * len(upto(5))  # one solve per check
 
 
 def test_l_op_normalizes_once_per_monomial(monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from capelli import eigenpoly as ep
 from capelli.bipoly import BiPoly, falling_coeffs, from_falling, square_op
 from capelli.eigenpoly import Route, SingularSystemError, gauss_solve
+from capelli.hypergeom import pochhammer_num
 from capelli.knopsahi import eval_point, gen_eval
 from capelli.partitions import PClass, classify, classify_at, size, upto
-from capelli.ratfunc import UniPoly
+from capelli.ratfunc import UniPoly, common_denominator
 
 HALF_SQUARE = BiPoly(
     {(2, 0): Q(1, 2), (0, 2): Q(1, 2), (1, 1): Q(1), (1, 0): Q(1, 2), (0, 1): Q(1, 2)}
@@ -35,6 +36,23 @@ def gauss_jordan(matrix, rhs):
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def factor(matrix):
+    """Factor a rational matrix, each row over its own common denominator."""
+    rows, scales = zip(*(common_denominator(row) for row in matrix))
+    return ep.bareiss_factor(list(rows), list(scales))
+
+
+def ev_rational_matrix(k, d):
+    """The oracle's matrix in Fractions: each integer row over its scale."""
+    rows, scales = ep._ev_rows(k, d)
+    return [[Q(v, s) for v in row] for row, s in zip(rows, scales)]
+
+
+def has_row_swap(system) -> bool:
+    _, steps, _ = system
+    return any(piv != col for col, (piv, _) in enumerate(steps))
 
 
 def ev_matrix_by_eval2(k, d):
@@ -69,16 +87,29 @@ def systems(draw):
 class TestGauss:
     def test_solves(self):
         a = [[Q(2), Q(1)], [Q(1), Q(3)]]
-        assert gauss_solve(a, [Q(5), Q(10)]) == [Q(1), Q(3)]
+        assert gauss_solve(factor(a), [Q(5), Q(10)]) == [Q(1), Q(3)]
 
     def test_singular_raises(self):
         with pytest.raises(SingularSystemError):
-            gauss_solve([[Q(1), Q(2)], [Q(2), Q(4)]], [Q(0), Q(0)])
+            gauss_solve(factor([[Q(1), Q(2)], [Q(2), Q(4)]]), [Q(0), Q(0)])
 
     def test_rank_deficient_rationals_raise(self):
         a = [[Q(1, 2), Q(1, 3), Q(2, 7)], [Q(1, 4), Q(1, 6), Q(1, 7)], [Q(3), Q(-1, 5), Q(1)]]
         with pytest.raises(SingularSystemError):
-            gauss_solve(a, [Q(1, 3), Q(1, 6), Q(2)])
+            gauss_solve(factor(a), [Q(1, 3), Q(1, 6), Q(2)])
+
+    def test_one_factorization_solves_many_right_hand_sides(self):
+        # step 0 zeroes the pivot of row 1, so step 1 swaps rows 1 and 2
+        a = [[Q(1), Q(1), Q(0)], [Q(1), Q(1), Q(1, 2)], [Q(0), Q(2, 3), Q(1)]]
+        system = factor(a)
+        assert has_row_swap(system)
+        for rhs in ([Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(1), Q(-1, 3), Q(5, 2)]):
+            assert gauss_solve(system, rhs) == gauss_jordan(a, rhs)
+
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_inexact_rhs_raises(self, value):
+        with pytest.raises(TypeError):
+            gauss_solve(factor([[Q(2)]]), [value])
 
     @settings(max_examples=100, deadline=None)
     @given(systems())
@@ -90,28 +121,46 @@ class TestGauss:
             want = gauss_jordan(matrix, rhs)
         except SingularSystemError:
             with pytest.raises(SingularSystemError):
-                gauss_solve(matrix, rhs)
+                gauss_solve(factor(matrix), rhs)
         else:
-            assert gauss_solve(matrix, rhs) == want
+            assert gauss_solve(factor(matrix), rhs) == want
 
     @pytest.mark.parametrize("k", ORACLE_KS)
     def test_matches_sympy_lusolve_on_oracle_systems(self, k):
         sympy = pytest.importorskip("sympy")
         for d in range(7):
-            matrix = [list(row) for row in ep._ev_matrix(k, d)]
-            n = len(matrix)
+            rows, scales = ep._ev_rows(k, d)
+            n = len(rows)
             rhs = [Q(i + 1, 2 * i + 3) for i in range(n)]
             rat = lambda v: sympy.Rational(v.numerator, v.denominator)
-            want = sympy.Matrix([[rat(v) for v in row] for row in matrix]).LUsolve(
-                sympy.Matrix([rat(v) for v in rhs]))
-            assert gauss_solve(matrix, rhs) == [Q(str(v)) for v in want], (k, d)
+            # row i of the system is rows[i] / scales[i], so its rhs is scaled alike
+            want = sympy.Matrix(rows).LUsolve(sympy.Matrix([rat(s * v) for s, v in zip(scales, rhs)]))
+            assert gauss_solve(ep._ev_matrix(k, d), rhs) == [Q(str(v)) for v in want], (k, d)
 
 
 class TestOracleMatrix:
     @pytest.mark.parametrize("k", ORACLE_KS)
     def test_matches_eval2_build(self, k):
         for d in range(9):
-            assert ep._ev_matrix(k, d) == ev_matrix_by_eval2(k, d), (k, d)
+            rows, scales = ep._ev_rows(k, d)
+            assert all(type(v) is int for row in rows for v in row), (k, d)
+            assert all(type(s) is int and s > 0 for s in scales), (k, d)
+            want = [[s * v for v in row] for s, row in zip(scales, ev_matrix_by_eval2(k, d))]
+            assert rows == want, (k, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(0, 6).map(Q), st.integers(-9, 9).map(lambda n: Q(n, 2)),
+                     st.integers(-9, 9).map(lambda n: Q(n, 3))),
+           st.integers(0, 10), st.lists(fracs, min_size=36, max_size=36))
+    @example(Q(0), 2, [Q(i - 3, i + 2) for i in range(36)])  # the first system with a row swap
+    @example(Q(3), 10, [Q(2 * i - 5, 3) for i in range(36)])
+    def test_factored_solve_matches_gauss_jordan(self, k, d, values):
+        rhs = values[:len(upto(d))]  # |upto(10)| = 36
+        assert gauss_solve(ep._ev_matrix(k, d), rhs) == gauss_jordan(ev_rational_matrix(k, d), rhs)
+
+    def test_property_covers_row_swaps(self):
+        assert has_row_swap(ep._ev_matrix(0, 2))
+        assert has_row_swap(ep._ev_matrix(3, 10))
 
     def test_singular_rows_have_distinct_coordinates(self):
         for k in range(7):
@@ -124,8 +173,12 @@ class TestOracleMatrix:
     @given(st.one_of(st.integers(-20, 20).map(Q),
                      st.fractions(min_value=-20, max_value=20, max_denominator=7)))
     def test_falling_table_matches_falling_coeffs(self, p):
-        table = ep._falling_table(p, 14)
-        assert table == [UniPoly(falling_coeffs(m)).value_and_slope(p) for m in range(15)]
+        pn, pd = p.numerator, p.denominator
+        table = ep._falling_table(pn, pd, 14)
+        assert all(type(v) is int for pair in table for v in pair)
+        want = [UniPoly(falling_coeffs(m)).value_and_slope(p) for m in range(15)]
+        assert table == [(pd ** m * v, pd ** m * s) for m, (v, s) in enumerate(want)]
+        assert [v for v, _ in table] == [pochhammer_num(pn, pd, m, -1) for m in range(15)]
 
 
 class TestRegularRoute:
@@ -213,6 +266,22 @@ class TestOracle:
 
     def test_matches_quasiregular_routes(self):
         assert ep.eig_oracle((1, 1), 0) == HALF_SQUARE
+
+    def test_interpolates_rational_values(self):
+        # the value 1/2 at (1, 0), 0 at (0, 0): f = (x + y + 1) / 2 at k = 1
+        got = ep.interpolate_ev({(1, 0): Q(1, 2)}, 1, 1)
+        assert got == BiPoly({(1, 0): Q(1, 2), (0, 1): Q(1, 2), (0, 0): Q(1)})
+        assert gen_eval(got, upto(1), 1) == [0, Q(1, 2)]
+
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_inexact_value_raises(self, value):
+        with pytest.raises(TypeError):
+            ep.interpolate_ev({(1, 0): value}, 1, 0)
+
+    @pytest.mark.parametrize("mu", [(2, 0), (1, 1)])
+    def test_value_outside_upto_d_raises(self, mu):
+        with pytest.raises(ValueError, match="outside"):
+            ep.interpolate_ev({(1, 0): Q(1), mu: Q(1)}, 1, 0)
 
 
 class TestDispatch:
