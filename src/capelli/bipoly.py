@@ -17,11 +17,12 @@ against the monomial basis makes both directions cheap and exact.
 
 The module also houses the first-order symmetry operator
 
-    sq(f) = (df/dx - df/dy) / (4 (x - y)),
+    sq(f) = (df/dx - df/dy) / (4 (x - y)).
 
-computed by exact polynomial division: for symmetric ``f`` the numerator is
-antisymmetric, hence exactly divisible by ``x - y``.  A nonzero remainder is
-an internal error, never truncated away.
+For symmetric ``f`` the numerator is antisymmetric, and the quotient of each
+antisymmetric pair of its terms by ``x - y`` has a closed form, so no
+polynomial division runs.  A term whose mirror is not its negative is an
+internal error (``ArithmeticError``), never dropped.
 """
 
 from __future__ import annotations
@@ -229,42 +230,26 @@ def falling_expansion(f: BiPoly) -> dict[Key, object]:
 # -- the symmetry operator ----------------------------------------------------
 
 
-def divide_x_minus_y(g: BiPoly) -> BiPoly:
-    """Exact quotient g / (x - y); raises if the division leaves a remainder."""
-    quot: dict[Key, object] = {}
-    rem = dict(g.terms)
-
-    def _sub(k: Key, c) -> None:
-        s = rem.get(k)
-        s = -c if s is None else s - c
-        if s:
-            rem[k] = s
-        elif k in rem:
-            del rem[k]
-
-    while rem:
-        i, j = max(rem, key=lambda k: (k[0], k[1]))
-        if i == 0:
-            raise ArithmeticError("polynomial is not divisible by x - y")
-        c = rem[(i, j)]
-        quot[(i - 1, j)] = quot.get((i - 1, j), Fraction(0)) + c
-        # subtract c * (x - y) * x^(i-1) y^j
-        _sub((i, j), c)
-        _sub((i - 1, j + 1), -c)
-    return BiPoly(quot)
-
-
 def square_op(f: BiPoly) -> BiPoly:
     """(df/dx - df/dy) / (4 (x - y)) for symmetric ``f``.
 
-    The divisibility is exact for symmetric input; asserting it doubles as a
-    free correctness check on the caller.
+    The numerator g is antisymmetric, a sum of c (x^i y^j - x^j y^i) over
+    i > j, and each such pair is c (x - y) times the sum of x^(j+t)
+    y^(i-1-t) over t < i - j: the quotient is read off g term by term.
     """
     if not f.is_symmetric():
         raise ValueError("square_op requires a symmetric polynomial")
     fx, fy = f.partials()
-    quot = divide_x_minus_y(fx - fy)
-    return quot.map_coeffs(lambda c: c * Fraction(1, 4))
+    g = (fx - fy).terms
+    quot: dict[Key, object] = {}
+    for (i, j), c in g.items():
+        if g.get((j, i)) != -c:
+            raise ArithmeticError("df/dx - df/dy is not antisymmetric")
+        for t in range(i - j):
+            k = (j + t, i - 1 - t)
+            s = quot.get(k)
+            quot[k] = c if s is None else s + c
+    return BiPoly(quot).map_coeffs(lambda c: c * Fraction(1, 4))
 
 
 # -- rendering ------------------------------------------------------------------

@@ -75,7 +75,7 @@ _INTEGER = re.compile(r"\s*[+-]?\d+\s*")
 
 # Largest |numerator| and denominator of a t value in lowest terms.  The
 # oracle's integer entries grow with the height of t: at this cap
-# ``deligne 14,0`` takes at most about 5x as long as at ``--t 7``.
+# ``deligne 14,0`` takes up to about four times as long as at ``--t 7``.
 T_HEIGHT_MAX = 100
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import BiPoly, falling_coeffs
-from .eigenpoly import interpolate_ev
+from .eigenpoly import interpolate_ev, singular_scale
 from .knopsahi import gen_eval, ks_poly
 from .partitions import (
     PClass,
@@ -279,13 +279,12 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
         lim_{s -> -2k} (c_{lam+}(s) - c_lam(s)) / H_{lam+}(-s/2)
             = 4 (l1 - l2 - k - 1) / H'_{lam+}(k).
 
-    Returns both sides, exactly.
+    Returns both sides, exactly; the right one is route B's
+    ``singular_scale``.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
     ratio = RatFunc(c_cat(lamd, S) - c_cat(lam, S), h_poly(lamd).compose(HALF_NEG_S))
-    lhs = ratio.eval(Fraction(-2 * k))
-    rhs = Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
-    return lhs, rhs
+    return ratio.eval(Fraction(-2 * k)), singular_scale(lam, k)
 
 
 # -- verification helpers ----------------------------------------------------------------

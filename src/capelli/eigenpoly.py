@@ -15,11 +15,12 @@ Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
 ORACLE).  Its matrix is built as integer rows, each with its scale, from the
 integer values and slopes of the 1-D falling factorials x_(m) at each row's
-shifted point.  Bareiss fraction-free elimination factors it once per
-(k, d); each solve replays that elimination on its right-hand side alone,
-and ``from_falling`` expands the solution into the monomial basis.  The
-oracle rests only on unique solvability and reads no closed form, so when a
-closed form disagrees it is the closed form that is reported as wrong.
+shifted point, read off ``hypergeom.falling_table``.  Bareiss fraction-free
+elimination factors it once per (k, d); each solve replays that elimination
+on its right-hand side alone, and ``from_falling`` expands the solution into
+the monomial basis.  The oracle rests only on unique solvability and reads
+no closed form, so when a closed form disagrees it is the closed form that
+is reported as wrong.
 
 Every route returns f_lam itself, a ``BiPoly`` with rational coefficients.
 Which routes apply to which class is known here only, in ``ROUTES``.
@@ -33,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .bipoly import BiPoly, from_falling, square_op
+from .hypergeom import falling_table
 from .knopsahi import (
     eval_point,
     h_jump,
@@ -138,20 +140,6 @@ def gauss_solve(system: tuple, rhs: Sequence[Fraction]) -> list[Fraction]:
 # -- the interpolation oracle -----------------------------------------------------
 
 
-def _falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:
-    """The integer pairs q^m (x_(m)(p/q), x_(m)'(p/q)) for m = 0..d.
-
-    By the recurrence x_(m) = x_(m-1) * (x - m + 1) and its product rule.
-    """
-    val, slope = 1, 0
-    out = [(val, slope)]
-    for m in range(d):
-        shift = p - m * q
-        val, slope = val * shift, slope * shift + q * val
-        out.append((val, slope))
-    return out
-
-
 # (k, d) -> the oracle's system factored by ``bareiss_factor``
 _SYSTEMS: dict[tuple[Fraction, int], tuple] = {}
 
@@ -162,11 +150,11 @@ def _ev_rows(k, d: int) -> tuple[list[list[int]], list[int]]:
     the generalized value at mu of the basis element g = x_(a) y_(b) +
     x_(b) y_(a) (x_(a) y_(a) when a = b).
 
-    Row mu reads the falling tables at its shifted point (p, q) =
-    ``eval_point(mu, k)``; q = m2 is an integer, and the table of p = pn / pd
-    is lifted to the one denominator pd^d.  On a regular or quasiregular row
-    the entry is g(p, q) = x_(a)(p) x_(b)(q) + x_(b)(p) x_(a)(q) (one
-    product when a = b) and the scale is pd^d.  On a k-singular row it is
+    Row mu reads ``falling_table`` at both coordinates of its shifted point
+    (p, q) = ``eval_point(mu, k)``; q = m2 is an integer, and the table of
+    p = pn / pd is lifted to the one denominator pd^d.  On a regular or
+    quasiregular row the entry is g(p, q) = x_(a)(p) x_(b)(q) + x_(b)(p)
+    x_(a)(q) (one product when a = b) and the scale is pd^d.  On a k-singular row it is
     square_op(g)(p, q) = (g_x - g_y) / (4 (p - q)), with the partials taken
     from the slopes; there k and p are integers, the scale is 4 (p - q), and
     p - q = m1 - m2 - k - 1 >= 1.
@@ -177,8 +165,8 @@ def _ev_rows(k, d: int) -> tuple[list[list[int]], list[int]]:
         p, q = eval_point(mu, k)
         (pn, pd), qn = as_ratio(p), int(q)
         xp = [(v * pd ** (d - m), s * pd ** (d - m))
-              for m, (v, s) in enumerate(_falling_table(pn, pd, d))]
-        xq = _falling_table(qn, 1, d)
+              for m, (v, s) in enumerate(falling_table(pn, pd, d))]
+        xq = falling_table(qn, 1, d)
         if classify_at(mu, k) is PClass.SINGULAR:
             scales.append(4 * (pn - qn))
             term = lambda a, b: xp[a][1] * xq[b][0] - xp[a][0] * xq[b][1]
@@ -241,11 +229,15 @@ def eig_regular(lam: Pair2, k: int) -> BiPoly:
     return reg_part(lam, k).scale(1 / h)
 
 
+def singular_scale(lam: Pair2, k: int) -> Fraction:
+    """Route B's scale 4 (l1 - l2 - k - 1) / H'_{lam+}(k) for k-singular lam."""
+    lamd = paired(lam, k, PClass.SINGULAR)
+    return Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
+
+
 def eig_singular(lam: Pair2, k: int) -> BiPoly:
     """Route B (k-singular lam): rescaled specialization of P at the dagger."""
-    lamd = paired(lam, k, PClass.SINGULAR)
-    scale = Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
-    return reg_part(lamd, k).scale(scale)
+    return reg_part(paired(lam, k, PClass.SINGULAR), k).scale(singular_scale(lam, k))
 
 
 def eig_qreg_limit(lam: Pair2, k: int) -> BiPoly:

@@ -39,6 +39,20 @@ def pochhammer_num(p: int, q: int, n: int, step: int) -> int:
     return num
 
 
+def falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:
+    """The integer pairs q^m (x_(m)(p/q), x_(m)'(p/q)) for m = 0..d.
+
+    By the recurrence x_(m) = x_(m-1) * (x - m + 1) and its product rule.
+    """
+    val, slope = 1, 0
+    out = [(val, slope)]
+    for m in range(d):
+        shift = p - m * q
+        val, slope = val * shift, slope * shift + q * val
+        out.append((val, slope))
+    return out
+
+
 def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> Fraction:
     """Exact finite sum of the terminating pFq(numerator; denominator; argument).
 

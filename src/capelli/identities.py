@@ -18,7 +18,8 @@ bounds left after clearing the denominators.  psi_1, psi_2 and F(s) take a
 whole point list and read each point with ``as_ratio``: the factors of x
 alone and of y alone (with their pole checks) are built once per distinct
 coordinate as integer numerators over one denominator, and each point
-costs integer arithmetic and one ``Fraction``.
+costs integer arithmetic and one ``Fraction``.  psi_1 and F(s) read x_(m)
+off ``falling_table``; psi_2 keeps the monomial x_(d) as a cross-check.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bipoly import falling_coeffs
-from .hypergeom import _falling_basis_at, falling, pfq_terminating, pochhammer_num
+from .hypergeom import _falling_basis_at, falling, falling_table, pfq_terminating, pochhammer_num
 from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, render_frac,
                       render_ratfunc, render_unipoly)
 from .report import Check
@@ -179,7 +180,8 @@ def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
 
     def x_rows(p, q):
         # x_(d-r) over q**d, at index r - 1
-        fall = [pochhammer_num(p, q, d - r, -1) * q**r for r in range(1, d + 1)]
+        table = falling_table(p, q, d)
+        fall = [table[d - r][0] * q**r for r in range(1, d + 1)]
         return [fall[rs.start - 1:rs.stop - 1] for rs in spans], q**d
 
     def y_rows(y):
@@ -239,23 +241,17 @@ def chain_grid(i: int, j: int, n: int) -> list[tuple[Fraction, Fraction]]:
     return [(xv, yv) for xv in xs for yv in ys]
 
 
-def psi_chain_check(
-    i: int, j: int, n: int, sample_points: Sequence[tuple[Fraction, Fraction]] | None = None
-) -> Check:
-    """The full chain at exact sample points:
+def psi_chain_check(i: int, j: int, n: int) -> Check:
+    """The full chain on ``chain_grid``:
 
     psi_1 = psi_2 on the two-variable grid, and on the diagonal y = x - N,
     psi_R(x) = psi_1(x, x-N) and d/dx psi_L(x) = psi_2(x, x-N).
     """
     _check_ijn(i, j, n)
     d = n - i
-    if sample_points is None:
-        pts = chain_grid(i, j, n)
-        params = (("i", i), ("j", j), ("N", n), ("points", len(pts)),
-                  ("degree_bound", chain_bound(i, j, n)))
-    else:
-        pts = list(sample_points)
-        params = (("i", i), ("j", j), ("N", n), ("points", len(pts)))
+    pts = chain_grid(i, j, n)
+    params = (("i", i), ("j", j), ("N", n), ("points", len(pts)),
+              ("degree_bound", chain_bound(i, j, n)))
     for (x, y), a, b in zip(pts, psi1_at(pts, d, j), psi2_at(pts, d, j)):
         if a != b:
             return _report("psi-chain", params, False, f"({render_frac(x)},{render_frac(y)})",
@@ -284,8 +280,8 @@ def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int
     qs = range(j + 1)
 
     def x_rows(p, q):
-        return [[pochhammer_num(p + (j + l) * q, q, j + l - t - s, -1) * q ** (t + s)]
-                for t in qs], q ** (j + l)
+        table = falling_table(p + (j + l) * q, q, j + l - s)
+        return [[table[j + l - t - s][0] * q ** (t + s)] for t in qs], q ** (j + l)
 
     def y_rows(y):
         # no q = 0 term at s = 0
@@ -326,15 +322,11 @@ def f_grid(j: int, l: int) -> tuple[list[Fraction], list[Fraction]]:
     return xs, ys
 
 
-def f_closed_form_check(
-    j: int, l: int, sample_x: Sequence[Fraction] | None = None, sample_y: Sequence[Fraction] | None = None
-) -> Check:
-    """Defining sum vs closed form for every integer s in [0, l]."""
+def f_closed_form_check(j: int, l: int) -> Check:
+    """Defining sum vs closed form on ``f_grid`` for every integer s in [0, l]."""
     if j < 0 or l < 0:
         raise ValueError("j and l must be non-negative")
-    gx, gy = f_grid(j, l)
-    xs = list(sample_x) if sample_x is not None else gx
-    ys = list(sample_y) if sample_y is not None else gy
+    xs, ys = f_grid(j, l)
     pts = [(x, y) for x in xs for y in ys]
     params = (("j", j), ("l", l), ("points", len(pts)))
     for s in range(l + 1):

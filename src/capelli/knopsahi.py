@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
-from .hypergeom import falling
+from .hypergeom import falling_table
 from .partitions import (
     PClass, Pair2, check_partition, classify_at, h_poly, paired, size, upto,
 )
@@ -87,17 +87,18 @@ def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:
 
     The x-argument is linear in kappa and the y-argument is the integer m2,
     so each falling factorial is a small polynomial product or an integer,
-    read from one table per argument; everything is accumulated over the
-    shared denominator and normalized once.
+    read from one table per argument (``UniPoly.falling`` and
+    ``falling_table``); everything is accumulated over the shared
+    denominator and normalized once.
     """
     p = ks_poly(lam)
     m1, m2 = check_partition(mu)
     xarg = UniPoly((m1 - 1, -1))
     xfall = UniPoly.falling(xarg, max(m for _, m, _ in p.cleared))
-    yfall = [falling(m2, n) for n in range(max(n for _, _, n in p.cleared) + 1)]
+    yfall = falling_table(m2, 1, max(n for _, _, n in p.cleared))
     acc = UniPoly.zero()
     for num, m, n in p.cleared:
-        yv = yfall[n]
+        yv = yfall[n][0]
         if not yv:
             continue
         acc = acc + (num * xfall[m]).scale(yv)

@@ -43,8 +43,6 @@ from .report import Check, RunReport
 # What a check body returns: ``(ok, lhs, rhs)``, or a record the library built.
 Outcome = tuple[bool, str, str] | Check
 
-SUITES = ("knop-sahi", "capelli", "identity-e", "dougall", "deligne", "all")
-
 DEFAULT_T_LIST: tuple[Fraction, ...] = tuple(Fraction(v) for v in range(-6, 8)) + (
     Fraction(1, 2),
     Fraction(-5, 3),
@@ -403,16 +401,15 @@ _SUITE_TASKS = {
     "dougall": tasks_dougall,
     "deligne": tasks_deligne,
 }
+# The suite names in report order, then "all", which runs them all in that order.
+SUITES = (*_SUITE_TASKS, "all")
 
 
 def suite_tasks(suite: str, bounds: Bounds, cfg: Config = Config()) -> list[Task]:
     """The suite's tasks; the pole-set sweep runs to ``cfg.k_cap`` and the
     log-derivative sweep to ``cfg.n_cap``."""
     if suite == "all":
-        out: list[Task] = []
-        for name in ("knop-sahi", "capelli", "identity-e", "dougall", "deligne"):
-            out += _SUITE_TASKS[name](bounds, cfg)
-        return out
+        return [task for tasks in _SUITE_TASKS.values() for task in tasks(bounds, cfg)]
     try:
         return _SUITE_TASKS[suite](bounds, cfg)
     except KeyError:

@@ -7,6 +7,9 @@ division over Q and takes gcds by the Euclidean algorithm; ``RatFunc``
 normalizes with that gcd to a coprime pair with a monic denominator.  Both
 evaluate by the ``Fraction`` Horner loops of ``reference_eval``.  Only the
 tests use them, to check every operation of the package's classes.
+
+``square_op`` is the reference for ``capelli.bipoly.square_op``: it divides
+f_x - f_y by x - y with a general peeling loop instead of the closed form.
 """
 
 from fractions import Fraction
@@ -178,3 +181,41 @@ class RatFunc:
 
     def substitute(self, inner):
         return RatFunc(self.num.compose(inner), self.den.compose(inner))
+
+
+def divide_x_minus_y(terms):
+    """Exact quotient of {(i, j): c} by x - y, peeling the largest monomial;
+    a nonzero remainder raises ``ArithmeticError``."""
+    quot, rem = {}, dict(terms)
+
+    def sub(k, c):
+        s = rem.get(k)
+        s = -c if s is None else s + -c
+        if s:
+            rem[k] = s
+        elif k in rem:
+            del rem[k]
+
+    while rem:
+        i, j = max(rem)
+        if i == 0:
+            raise ArithmeticError("polynomial is not divisible by x - y")
+        c = rem[(i, j)]
+        quot[(i - 1, j)] = quot.get((i - 1, j), Fraction(0)) + c
+        # subtract c * (x - y) * x^(i-1) y^j
+        sub((i, j), c)
+        sub((i - 1, j + 1), -c)
+    return quot
+
+
+def square_op(f):
+    """(f_x - f_y) / (4 (x - y)) of a ``capelli.bipoly.BiPoly`` as a term
+    dict, through ``divide_x_minus_y``; zero coefficients are dropped."""
+    g = {}
+    for (i, j), c in f.terms.items():
+        if i:
+            g[(i - 1, j)] = g.get((i - 1, j), 0) + i * c
+        if j:
+            g[(i, j - 1)] = g.get((i, j - 1), 0) + -j * c
+    quot = divide_x_minus_y({k: c for k, c in g.items() if c})
+    return {k: c * Fraction(1, 4) for k, c in quot.items() if c}

@@ -1,8 +1,9 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_poly
 from capelli.bipoly import (
     BiPoly,
     falling_coeffs,
@@ -100,6 +101,12 @@ class TestSquareOp:
         with pytest.raises(ValueError):
             square_op(X)
 
+    def test_non_antisymmetric_numerator_is_an_internal_error(self, monkeypatch):
+        # past the symmetry check, x gives the numerator 1, its own mirror
+        monkeypatch.setattr(BiPoly, "is_symmetric", lambda self: True)
+        with pytest.raises(ArithmeticError):
+            square_op(X)
+
 
 class TestPartials:
     def test_product(self):
@@ -158,6 +165,30 @@ def test_square_op_clears_division(f):
     fx, fy = sym.partials()
     xmy = X - Y
     assert xmy * quot.scale(Q(4)) == fx - fy
+
+
+ratfuncs = st.builds(
+    lambda num, den: RatFunc(UniPoly(num), UniPoly(den)),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+)
+wide_keys = st.tuples(st.integers(0, 14), st.integers(0, 14))
+
+
+def _symmetrized(terms) -> BiPoly:
+    f = BiPoly(terms)
+    return f + BiPoly({(j, i): c for (i, j), c in f.terms.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.dictionaries(wide_keys, coeffs, max_size=8),
+                 st.dictionaries(keys, ratfuncs, max_size=4)).map(_symmetrized))
+@example(BiPoly())
+@example(BiPoly({(0, 0): Q(3)}))
+@example(_symmetrized({(13, 0): Q(1), (12, 1): Q(-2, 3), (7, 5): Q(5)}))
+@example(_symmetrized({(2, 1): RatFunc(UniPoly((1, 1)), UniPoly((0, 1)))}))
+def test_square_op_matches_peeling_division(f):
+    assert square_op(f).terms == reference_poly.square_op(f)
 
 
 @settings(max_examples=50, deadline=None)

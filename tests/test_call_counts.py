@@ -10,7 +10,9 @@ normalizes the derivative identity per term, recomputes a psi-chain factor
 per sample point that depends on x or y alone, builds x_(m) other than from
 the cached ``falling_coeffs`` table, builds the falling products of
 ``ks_poly`` or ``shifted_eval`` other than from one ``UniPoly.falling``
-table, computes a y-value of ``shifted_eval`` more than once, renders a
+table, computes the y-values of ``shifted_eval`` other than from one
+``falling_table``, multiplies out an x-factor of psi_1 or F(s) per table
+entry instead of reading one ``falling_table`` per x, renders a
 passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
 instead of 1-D falling tables, factors an oracle system more than once
@@ -80,10 +82,10 @@ def test_ks_poly_and_shifted_eval_take_one_falling_table(monkeypatch, lam):
 @pytest.mark.parametrize("lam", [(0, 0), (3, 0), (4, 2), (6, 1)])
 def test_shifted_eval_takes_each_y_value_once(monkeypatch, lam):
     ks.ks_poly(lam)
-    ys = _counter(monkeypatch, ks, "falling")
+    ys = _counter(monkeypatch, ks, "falling_table")
     ks.shifted_eval(lam, (2, 1))
-    # (m2)_(n) at m2 = 1 for n up to l1, the largest y-exponent of P_lam
-    assert ys == [(1, n) for n in range(lam[0] + 1)]
+    # one table of (m2)_(n) at m2 = 1 for n up to l1, the largest y-exponent of P_lam
+    assert ys == [(1, 1, lam[0])]
 
 
 def test_ks_poly_normalizes_once_per_monomial(monkeypatch):
@@ -242,19 +244,16 @@ def test_rhs_derivative_identity_normalizes_once(monkeypatch):
 
 @pytest.mark.parametrize("i, j, n", [(0, 0, 2), (1, 1, 3), (0, 2, 4), (2, 1, 5)])
 def test_psi_chain_builds_each_falling_polynomial_once(monkeypatch, i, j, n):
-    wide = [(Q(n + 1 + u), Q(1, 3) + v) for u in range(30) for v in range(3)]
-    for pts in (None, wide):
-        falling_coeffs.cache_clear()
-        builds = _counter(monkeypatch, UniPoly, "falling")
-        assert idn.psi_chain_check(i, j, n, pts).passed
-        misses = falling_coeffs.cache_info().misses
-        assert misses <= n + 2
-        # x_(m) comes from falling_coeffs only, one UniPoly.falling of x per
-        # cache miss; otherwise UniPoly.falling builds just psi_L's
-        # denominator (x-N+j)_(j)
-        others = [base for base, _ in builds if base != UniPoly.x()]
-        assert (len(builds) - len(others), others) == (misses, [UniPoly((j - n, 1))])
-        monkeypatch.undo()
+    falling_coeffs.cache_clear()
+    builds = _counter(monkeypatch, UniPoly, "falling")
+    assert idn.psi_chain_check(i, j, n).passed
+    misses = falling_coeffs.cache_info().misses
+    assert misses <= n + 2
+    # x_(m) comes from falling_coeffs only, one UniPoly.falling of x per
+    # cache miss; otherwise UniPoly.falling builds just psi_L's
+    # denominator (x-N+j)_(j)
+    others = [base for base, _ in builds if base != UniPoly.x()]
+    assert (len(builds) - len(others), others) == (misses, [UniPoly((j - n, 1))])
 
 
 def test_passing_identity_checks_render_nothing(monkeypatch):
@@ -274,11 +273,30 @@ def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     xs = {x for x, _ in pts}
     falls = _counter(monkeypatch, idn, "falling")
     kernels = _counter(monkeypatch, idn, "pochhammer_num")
+    tables = _counter(monkeypatch, idn, "falling_table")
     idn.psi1_at(pts, d, j)
     # on the chain grid every x exceeds every integer the constants use
     assert [a for a in falls if a[0] in xs] == []
-    # x_(d-r) for r = 1..d, on the integer numerator of each distinct x
-    assert sorted(kernels) == sorted((x.numerator, 1, d - r, -1) for x in xs for r in range(1, d + 1))
+    # x_(d-r) for r = 1..d read off one table per distinct x, on its integer
+    # numerator; no product multiplied out one entry at a time
+    assert kernels == []
+    assert sorted(tables) == sorted((x.numerator, 1, d) for x in xs)
+
+
+@pytest.mark.parametrize("s, j, l", [(0, 0, 2), (0, 2, 1), (1, 1, 1), (2, 2, 3)])
+def test_f_sum_computes_x_factors_once_per_x(monkeypatch, s, j, l):
+    xs, ys = idn.f_grid(j, l)
+    xs = xs + [Q(29, 2), Q(-7, 3)]
+    pts = [(x, y) for x in xs for y in ys]
+    falls = _counter(monkeypatch, idn, "falling")
+    kernels = _counter(monkeypatch, idn, "pochhammer_num")
+    tables = _counter(monkeypatch, idn, "falling_table")
+    idn.f_sum_at(pts, s, j, l)
+    assert [a for a in falls if a[0] in xs] == [] and kernels == []
+    # (x+j+l)_(j+l-q-s) for q = 0..j read off one table per distinct x = p/q
+    # at base x + j + l, as integers over q
+    assert sorted(tables) == sorted(
+        (x.numerator + (j + l) * x.denominator, x.denominator, j + l - s) for x in xs)
 
 
 def _fraction_count(monkeypatch, call) -> int:

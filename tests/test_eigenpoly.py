@@ -4,12 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capelli import eigenpoly as ep
-from capelli.bipoly import BiPoly, falling_coeffs, from_falling, square_op
+from capelli.bipoly import BiPoly, from_falling, square_op
 from capelli.eigenpoly import Route, SingularSystemError, gauss_solve
-from capelli.hypergeom import pochhammer_num
 from capelli.knopsahi import eval_point, gen_eval
 from capelli.partitions import PClass, classify, classify_at, size, upto
-from capelli.ratfunc import UniPoly, common_denominator
+from capelli.ratfunc import common_denominator
 
 HALF_SQUARE = BiPoly(
     {(2, 0): Q(1, 2), (0, 2): Q(1, 2), (1, 1): Q(1), (1, 0): Q(1, 2), (0, 1): Q(1, 2)}
@@ -168,17 +167,6 @@ class TestOracleMatrix:
                 if classify(mu, k) is PClass.SINGULAR:
                     p, q = eval_point(mu, k)
                     assert p - q >= 1, (mu, k)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(st.integers(-20, 20).map(Q),
-                     st.fractions(min_value=-20, max_value=20, max_denominator=7)))
-    def test_falling_table_matches_falling_coeffs(self, p):
-        pn, pd = p.numerator, p.denominator
-        table = ep._falling_table(pn, pd, 14)
-        assert all(type(v) is int for pair in table for v in pair)
-        want = [UniPoly(falling_coeffs(m)).value_and_slope(p) for m in range(15)]
-        assert table == [(pd ** m * v, pd ** m * s) for m, (v, s) in enumerate(want)]
-        assert [v for v, _ in table] == [pochhammer_num(pn, pd, m, -1) for m in range(15)]
 
 
 class TestRegularRoute:

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from capelli.hypergeom import dougall_check, falling, pfq_terminating, pochhammer_num
+from capelli.bipoly import falling_coeffs
+from capelli.hypergeom import dougall_check, falling, falling_table, pfq_terminating, pochhammer_num
+from capelli.ratfunc import UniPoly
 
 
 def rising(a, n: int) -> Q:
@@ -50,6 +52,18 @@ def test_factorials_match_naive_product(a, n):
     if a.denominator == 1:
         assert falling(int(a), n) == falling(a, n)
         assert rising(int(a), n) == rising(a, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-20, 20).map(Q),
+                 st.fractions(min_value=-20, max_value=20, max_denominator=7)))
+def test_falling_table_matches_falling_coeffs(p):
+    pn, pd = p.numerator, p.denominator
+    table = falling_table(pn, pd, 14)
+    assert all(type(v) is int for pair in table for v in pair)
+    want = [UniPoly(falling_coeffs(m)).value_and_slope(p) for m in range(15)]
+    assert table == [(pd ** m * v, pd ** m * s) for m, (v, s) in enumerate(want)]
+    assert [v for v, _ in table] == [pochhammer_num(pn, pd, m, -1) for m in range(15)]
 
 
 @pytest.mark.parametrize("bad", [0.5, 1e-3, "1/3", None])

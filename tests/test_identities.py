@@ -91,8 +91,11 @@ class TestSweeps:
 
 class TestPsiChain:
     def test_spec_point(self):
-        rep = idn.psi_chain_check(1, 1, 3, [(Q(10), Q(1, 3))])
-        assert rep.passed
+        # i, j, N = 1, 1, 3 at (10, 1/3), and on the diagonal y = x - N
+        pts = [(Q(10), Q(1, 3)), (Q(10), Q(7))]
+        assert idn.psi1_at(pts, 2, 1) == idn.psi2_at(pts, 2, 1)
+        assert idn.psi1_at(pts[1:], 2, 1) == [idn.rhs_derivative_identity(1, 1, 3).eval(Q(10))]
+        assert idn.psi2_at(pts[1:], 2, 1) == [idn.psi_l(3, 2, 1).derivative().eval(Q(10))]
 
     def test_grid(self):
         assert idn.psi_chain_check(2, 1, 4).passed
@@ -222,10 +225,7 @@ def test_inexact_or_foreign_input_raises_type_error(bad):
         lambda: idn.psi1_at([(Q(7), bad)], 0, 0), lambda: idn.psi1_at([(bad, Q(1, 3))], 2, 1),
         lambda: idn.psi2_at([(Q(7), bad)], 2, 1), lambda: idn.psi2_at([(bad, Q(1, 3))], 2, 1),
         lambda: idn.f_sum_at([(Q(9), bad)], 1, 1, 1), lambda: idn.f_sum_at([(bad, Q(4))], 0, 1, 1),
-        lambda: idn.f_closed_form_check(1, 1, [Q(7)], [bad]),
-        lambda: idn.f_closed_form_check(1, 1, [bad], [Q(5)]),
         lambda: idn.h_function_check(1, 1, bad, Q(3)), lambda: idn.h_function_check(1, 1, Q(8), bad),
-        lambda: idn.psi_chain_check(1, 1, 3, [(Q(10), bad)]),
     )
     for call in calls:
         with pytest.raises(TypeError):
@@ -244,12 +244,12 @@ def test_float_equal_to_an_exact_point_is_refused(evaluate):
 
 class TestFClosedForm:
     def test_single_point(self):
-        rep = idn.f_closed_form_check(1, 1, [Q(7)], [Q(5)])
-        assert rep.passed
+        for s in range(2):
+            assert idn.f_sum_at([(Q(7), Q(5))], s, 1, 1) == [idn.f_closed(s, 1, 1, Q(7), Q(5))]
 
     def test_harmonic_case(self):
-        rep = idn.f_closed_form_check(2, 1, [Q(9)], [Q(4)])
-        assert rep.passed
+        for s in range(2):
+            assert idn.f_sum_at([(Q(9), Q(4))], s, 2, 1) == [idn.f_closed(s, 2, 1, Q(9), Q(4))]
 
     def test_no_numerator_terms(self):
         # j = 0 makes F(0) an empty harmonic sum on both sides
