@@ -2,10 +2,11 @@
 
 Coefficients may be ``Fraction`` or ``RatFunc`` (anything with exact ring
 arithmetic and a truthiness test for zero) for arithmetic, the basis
-changes and ``square_op``.  Evaluation (``eval2``) is rational only: it
-takes ``Fraction`` or ``int`` coefficients and points and runs on integer
-numerators over one common denominator; a ``RatFunc`` coefficient must be
-specialized first.
+changes and ``square_op``.  Evaluation is rational only: ``eval_at`` takes
+``Fraction`` or ``int`` coefficients and a list of points, brings the
+coefficients to one common denominator once per call and sums each point
+on integer numerators; ``eval2`` is its one-point case.  A ``RatFunc``
+coefficient must be specialized first.
 
 The canonical internal form is the ordinary monomial basis; the
 falling-factorial basis
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 from .ratfunc import RatFunc, UniPoly, as_ratio, common_denominator, render_frac, render_ratfunc
 
@@ -120,20 +121,34 @@ class BiPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval2(self, a, b) -> Fraction:
-        """f(a, b) for rational coefficients and rational ``a``, ``b`` (``int``
-        or ``Fraction``); anything else, a ``RatFunc`` coefficient say, raises
-        ``TypeError``.  With a = p/q and b = r/s the sum runs over integers:
-        the coefficient numerators over their common denominator d times
-        p^i q^(I-i) r^j s^(J-j), I and J the largest exponents, and one
-        ``Fraction`` divides it by d q^I s^J."""
+    def eval_at(self, points: Sequence[tuple]) -> list[Fraction]:
+        """f at each (a, b) of ``points``, in order, for rational coefficients
+        and rational points (``int`` or ``Fraction``); anything else, a
+        ``RatFunc`` coefficient or a ``float`` coordinate say, raises
+        ``TypeError``.  The coefficients go to integer numerators over their
+        common denominator d once per call (not at all for an empty list).
+        With a = p/q and b = r/s the sum at a point runs over integers, the
+        numerators times p^i q^(I-i) r^j s^(J-j), I and J the largest
+        exponents, and one ``Fraction`` divides it by d q^I s^J."""
+        if not points:
+            return []
         nums, d = common_denominator(self.terms.values())
-        xs = _homogenized_powers(*as_ratio(a), max((i for i, _ in self.terms), default=0))
-        ys = _homogenized_powers(*as_ratio(b), max((j for _, j in self.terms), default=0))
-        acc = 0
-        for (i, j), c in zip(self.terms, nums):
-            acc += c * xs[i] * ys[j]
-        return Fraction(acc, d * xs[0] * ys[0])
+        top_i = max((i for i, _ in self.terms), default=0)
+        top_j = max((j for _, j in self.terms), default=0)
+        keyed = list(zip(self.terms, nums))
+        out = []
+        for a, b in points:
+            xs = _homogenized_powers(*as_ratio(a), top_i)
+            ys = _homogenized_powers(*as_ratio(b), top_j)
+            acc = 0
+            for (i, j), c in keyed:
+                acc += c * xs[i] * ys[j]
+            out.append(Fraction(acc, d * xs[0] * ys[0]))
+        return out
+
+    def eval2(self, a, b) -> Fraction:
+        """f(a, b): ``eval_at`` at the one point (a, b)."""
+        return self.eval_at([(a, b)])[0]
 
     def map_coeffs(self, transform: Callable) -> "BiPoly":
         """Apply ``transform`` to every coefficient, dropping resulting zeros."""

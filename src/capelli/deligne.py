@@ -20,7 +20,7 @@ evaluating an operator on a block gives a dual number (``DualScalar``).
   returns the combination at s = t, where its coefficients provably have no
   pole (asserted there); ``block_eval`` reads that rational polynomial
   p(C, E) off a list of blocks, and its C-derivative, built once per call,
-  off the multiplicity-2 ones;
+  off the multiplicity-2 ones, one ``BiPoly.eval_at`` call per polynomial;
 * ``block_values`` reads generalized values off the blocks (the nil part of
   a multiplicity-2 block is the value at its missing singular partner);
   ``cat_eig_from_blocks`` interpolates them and re-checks the result with
@@ -119,21 +119,18 @@ def block_eval(op_t: BiPoly, blks: list[Block]) -> list[DualScalar]:
 
     C acts as c + eps on multiplicity-2 blocks and as the plain scalar c
     otherwise; E acts as |lam|.  So the value is p(c, e) and, on a
-    multiplicity-2 block, the nil part is dp/dC (c, e); dp/dC is built once
-    per call, and only when some block has multiplicity 2.
+    multiplicity-2 block, the nil part is dp/dC (c, e).  p is evaluated by
+    one ``eval_at`` call over all the blocks; dp/dC is built only when some
+    block has multiplicity 2, and evaluated by one call over those blocks.
     """
-    dc_t = op_t.partials()[0] if any(b.mult == 2 for b in blks) else None
-    out = []
     for b in blks:
-        e = size(b.lam)
-        value = op_t.eval2(b.c, e)
-        if b.mult == 1:
-            out.append(DualScalar(value))
-        elif b.mult == 2:
-            out.append(DualScalar(value, dc_t.eval2(b.c, e)))
-        else:
+        if b.mult not in (1, 2):
             raise AssertionError(f"block {b.lam} has multiplicity {b.mult}, not 1 or 2")
-    return out
+    pts = [(b.c, size(b.lam)) for b in blks]
+    double = [pt for pt, b in zip(pts, blks) if b.mult == 2]
+    nils = iter(op_t.partials()[0].eval_at(double) if double else ())
+    return [DualScalar(v, next(nils)) if b.mult == 2 else DualScalar(v)
+            for b, v in zip(blks, op_t.eval_at(pts))]
 
 
 # -- the deformed operators ------------------------------------------------------------

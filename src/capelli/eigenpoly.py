@@ -349,14 +349,14 @@ def restriction_pair(f: BiPoly, mus: Iterable[Pair2], k: int) -> list[tuple[Frac
     built once for all of them.
 
     The semisimple part is f at the shifted point of mu, the nilpotent
-    coefficient is square_op(f) there.  Only regular/quasiregular mu index a
-    block.
+    coefficient is square_op(f) there; each of the two is evaluated by one
+    ``eval_at`` call over all the points.  Only regular/quasiregular mu
+    index a block: a k-singular one raises ``ValueError`` before anything
+    is evaluated.
     """
-    sq = square_op(f)
-    out = []
+    pts = []
     for mu in mus:
         if classify(mu, k) is PClass.SINGULAR:
             raise ValueError(f"no block exists for {k}-singular {mu}")
-        pt = eval_point(mu, k)
-        out.append((f.eval2(*pt), sq.eval2(*pt)))
-    return out
+        pts.append(eval_point(mu, k))
+    return list(zip(f.eval_at(pts), square_op(f).eval_at(pts)))

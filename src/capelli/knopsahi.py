@@ -211,14 +211,22 @@ def gen_eval(f: BiPoly, mus: Iterable[Pair2], k) -> list[Fraction]:
     Plain evaluation at the shifted point for regular/quasiregular mu; the
     square_op value there when mu is k-singular (``classify_at``, so at a
     parameter that is not a non-negative integer the plain branch applies).
+    Each of f and square_op(f) is evaluated by one ``eval_at`` call over
+    its points.
 
-    Takes rational-coefficient polynomials only (``eval2`` raises
+    Takes rational-coefficient polynomials only (``eval_at`` raises
     ``TypeError`` otherwise); parameter-dependent input must be specialized
     first.
     """
     sq = square_op(f)
-    return [(sq if classify_at(mu, k) is PClass.SINGULAR else f).eval2(*eval_point(mu, k))
-            for mu in mus]
+    singular = []
+    pts = ([], [])  # regular/quasiregular, singular
+    for mu in mus:
+        s = classify_at(mu, k) is PClass.SINGULAR
+        singular.append(s)
+        pts[s].append(eval_point(mu, k))
+    values = (iter(f.eval_at(pts[0])), iter(sq.eval_at(pts[1])))
+    return [next(values[s]) for s in singular]
 
 
 def h_jump(lam: Pair2, k: int) -> Fraction:

@@ -33,10 +33,10 @@ polynomial gcd.  Poles of order two or more are treated as hard errors
 simple poles only, so a higher-order pole always signals a bug upstream.
 
 Evaluation (``UniPoly.__call__`` and ``value_and_slope``, and
-``BiPoly.eval2``) takes ``int`` or ``Fraction`` points and reads each as
-numerator and denominator (``as_ratio``; ``BiPoly`` brings its coefficients
-to one denominator with ``common_denominator``), and one ``Fraction`` is
-built per result.  A polynomial is built from ``int`` or ``Fraction``
+``BiPoly.eval_at`` / ``eval2``) takes ``int`` or ``Fraction`` points and
+reads each as numerator and denominator (``as_ratio``; ``BiPoly`` brings
+its coefficients to one denominator with ``common_denominator`` once per
+point list), and one ``Fraction`` is built per result.  A polynomial is built from ``int`` or ``Fraction``
 coefficients only, and the local analysis of ``RatFunc`` takes the same
 points: anything else, a ``float`` or a string, raises ``TypeError``.
 """

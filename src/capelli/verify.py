@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -422,6 +421,8 @@ def run_suite(suite: str, bounds: Bounds, params: tuple[tuple[str, str], ...] = 
     tasks = suite_tasks(suite, bounds, cfg)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial sweeps skip its import
+
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             checks = list(pool.map(run_task, tasks, chunksize=chunk))

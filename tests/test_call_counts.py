@@ -12,12 +12,15 @@ the cached ``falling_coeffs`` table, builds the falling products of
 ``ks_poly`` or ``shifted_eval`` other than from one ``UniPoly.falling``
 table, computes the y-values of ``shifted_eval`` other than from one
 ``falling_table``, multiplies out an x-factor of psi_1 or F(s) per table
-entry instead of reading one ``falling_table`` per x, renders a
+entry instead of reading one ``falling_table`` per x, evaluates the
+closed form of F(s) per point at s >= 1 instead of per x, renders a
 passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
 instead of 1-D falling tables, factors an oracle system more than once
 per (k, d), rebuilds square_op(f) per point of a
-generalized-value check or an operator's C-partial per block, recomputes a
+generalized-value check or an operator's C-partial per block, brings a
+polynomial's coefficients to a common denominator more than once per
+point-list evaluation, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
 polynomial at a rational point with ``Fraction`` arithmetic instead of on
 integer numerators, does ``Fraction`` arithmetic in the sum, product,
@@ -116,11 +119,11 @@ def test_cold_oracle_solves_once_without_bivariate_evaluation(monkeypatch, k, la
     # square_op counted wherever a module of the oracle's path binds the name
     owners = [m for m in (bipoly, ep) if hasattr(m, "square_op")]
     squares = [_counter(monkeypatch, m, "square_op") for m in owners]
-    evals = _counter(monkeypatch, BiPoly, "eval2")
+    evals = [_counter(monkeypatch, BiPoly, name) for name in ("eval2", "eval_at")]
     solves = _counter(monkeypatch, ep, "gauss_solve")
     routes = [_counter(monkeypatch, ep, name) for name in ("ks_poly", "reg_part")]
     ep.interpolate_ev({lam: Q(1)}, size(lam), k)
-    assert (squares, evals, len(solves)) == ([[]] * len(owners), [], 1)
+    assert (squares, evals, len(solves)) == ([[]] * len(owners), [[], []], 1)
     assert routes == [[], []]  # the oracle reads no closed form
 
 
@@ -180,6 +183,38 @@ def test_generalized_value_checks_build_square_op_once(monkeypatch, k):
             assert check(lam, k).status == "pass"
             assert sum(map(len, squares)) == 1, (check.__name__, lam)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_point_evaluators_take_one_common_denominator_per_polynomial(monkeypatch, k):
+    f = ep.eigen((3, 1), k)
+    mus = upto(6)
+    regular = [mu for mu in mus if classify(mu, k) is not PClass.SINGULAR]
+    assert 1 < len(regular) < len(mus)  # both k-singular and other mu
+    # (evaluator, points, polynomials evaluated): f, and square_op(f) when it is read
+    cases = [(ks.gen_eval, mus, 2), (ks.gen_eval, mus * 3, 2), (ks.gen_eval, regular, 1),
+             (ks.gen_eval, regular[:1], 1), (ep.restriction_pair, regular, 2),
+             (ep.restriction_pair, regular[:1], 2)]
+    for evaluate, pts, polys in cases:
+        denominators = _counter(monkeypatch, bipoly, "common_denominator")
+        evaluate(f, pts, k)
+        assert len(denominators) == polys, (evaluate.__name__, len(pts))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("t, lam", [(Q(-2), (3, 1)), (Q(-4), (3, 1)), (Q(1, 2), (4, 2))])
+def test_block_eval_takes_one_common_denominator_per_polynomial(monkeypatch, t, lam):
+    op_t = dl.d_op(lam, t)
+    blks = [b for m in range(size(lam) + 1) for b in dl.blocks(m, t)]
+    thick = [b for b in blks if b.mult == 2]
+    assert len(blks) > len(thick) + 1 and bool(thick) == (t.denominator == 1)
+    # op_t over every block, and its C-partial over the multiplicity-2 ones
+    for chosen in (blks, blks * 2, blks[:1], thick):
+        denominators = _counter(monkeypatch, bipoly, "common_denominator")
+        dl.block_eval(op_t, chosen)
+        want = 1 + any(b.mult == 2 for b in chosen) if chosen else 0
+        assert len(denominators) == want, len(chosen)
+        monkeypatch.undo()
 
 
 def _partials_once_per_operator(calls) -> bool:
@@ -299,6 +334,16 @@ def test_f_sum_computes_x_factors_once_per_x(monkeypatch, s, j, l):
         (x.numerator + (j + l) * x.denominator, x.denominator, j + l - s) for x in xs)
 
 
+@pytest.mark.parametrize("j, l", [(0, 2), (1, 1), (2, 3)])
+def test_f_closed_form_check_takes_positive_s_once_per_x(monkeypatch, j, l):
+    xs, ys = idn.f_grid(j, l)
+    closed = _counter(monkeypatch, idn, "f_closed")
+    assert idn.f_closed_form_check(j, l).passed
+    # s = 0 at every point, each s >= 1 once per x
+    assert [args[0] for args in closed] == [0] * len(xs) * len(ys) + [
+        s for s in range(1, l + 1) for _ in xs]
+
+
 def _fraction_count(monkeypatch, call) -> int:
     """How many ``Fraction`` objects ``call()`` constructs, arithmetic
     results included (each is built through ``Fraction.__new__``)."""
@@ -385,11 +430,16 @@ def test_evaluation_does_no_fraction_arithmetic(monkeypatch, coeffs, a):
     f = BiPoly({(i, len(coeffs) - i): _Opaque(c) for i, c in enumerate(coeffs)})
     want = (reference_eval.horner(coeffs, Q(a)), reference_eval.horner_with_slope(coeffs, Q(a)),
             reference_eval.eval2(BiPoly({k: Q(c) for k, c in f.terms.items()}), Q(a), Q(a) + 2))
+    pts = [(Q(a), Q(a) + 2), (Q(a) - 1, Q(1, 3)), (Q(a), Q(a) + 2), (Q(-7, 2), Q(a))]
+    want_at = [reference_eval.eval2(BiPoly({k: Q(c) for k, c in f.terms.items()}), x, y)
+               for x, y in pts]
     a_, b_ = _Opaque(a), _Opaque(Q(a) + 2)
+    pts_ = [(_Opaque(x), _Opaque(y)) for x, y in pts]
     _refuse_fraction_arithmetic(monkeypatch)
     got = (p(a_), p.value_and_slope(a_), f.eval2(a_, b_))
+    got_at = f.eval_at(pts_)
     monkeypatch.undo()
-    assert got == want
+    assert (got, got_at) == (want, want_at)
 
 
 PFQ_CASES = [

@@ -65,6 +65,30 @@ def test_eval2_matches_power_tables(f, a, b):
     assert got == reference_eval.eval2(f, Q(a), Q(b))
 
 
+@settings(max_examples=200, deadline=None)
+@given(bipolys, st.lists(st.tuples(points, points), max_size=6).flatmap(
+    lambda pts: st.permutations(pts + pts[:2])))
+@example(BiPoly({(2, 1): Q(5, 3)}), [])
+@example(BiPoly({(3, 0): Q(BIG + 1, 7), (0, 2): -BIG}), [(Q(1, 3), 2), (Q(1, 3), 2), (BIG, Q(-BIG, 11))])
+def test_eval_at_matches_pointwise_evaluation(f, pts):
+    """Empty lists, repeated points, mixed ``int`` and ``Fraction``
+    coordinates and 30-digit numerators, in the order given."""
+    got = f.eval_at(pts)
+    assert all(type(v) is Q for v in got)
+    assert got == [reference_eval.eval2(f, Q(a), Q(b)) for a, b in pts]
+    assert got == [f.eval2(a, b) for a, b in pts]
+
+
+@pytest.mark.parametrize("where", [0, 2, 5])
+@pytest.mark.parametrize("point", [RatFunc(1), UniPoly.x(), 0.5])
+def test_eval_at_rejects_a_non_rational_point_anywhere(where, point):
+    f = BiPoly({(1, 1): Q(1), (0, 2): Q(-2, 3)})
+    pts = [(Q(k, 3), k) for k in range(5)]
+    for bad in ((point, 1), (1, point)):
+        with pytest.raises(TypeError):
+            f.eval_at(pts[:where] + [bad] + pts[where:])
+
+
 def test_eval2_rejects_ratfunc_coefficients():
     f = BiPoly({(1, 0): RatFunc(UniPoly((1, 1))), (0, 0): Q(1)})
     with pytest.raises(TypeError):

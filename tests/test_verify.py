@@ -1,6 +1,11 @@
+import concurrent.futures
 import dataclasses
 import hashlib
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -230,8 +235,21 @@ def test_pool_is_capped_by_tasks_and_cpus(monkeypatch, jobs, cpus, workers):
     bounds = vf.Bounds(a_max=4, bcd_max=0)
     assert len(vf.suite_tasks("dougall", bounds)) == 4
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(vf, "ProcessPoolExecutor", _RecordingPool)
+    # run_suite imports the pool class only on its workers > 1 branch
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(vf.os, "cpu_count", lambda: cpus)
     report = vf.run_suite("dougall", bounds, jobs=jobs)
     assert _RecordingPool.sizes == ([] if workers is None else [workers])
     assert report.to_json() == vf.run_suite("dougall", bounds, jobs=1).to_json()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """A serial sweep needs no process pool, so importing the CLI and the
+    sweeps must not pull in ``multiprocessing``."""
+    src = str(pathlib.Path(vf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, capelli.cli, capelli.verify; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
