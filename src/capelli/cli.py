@@ -11,7 +11,8 @@ output on ``table`` and ``verify`` only, ``--jobs`` on ``verify`` only (the
 one command that starts workers), and flags spelled in full, never abbreviated.
 
 Each command builds its result as a JSON document and as text, and
-``_write`` writes the one ``--format`` asks for to ``--out`` or stdout.
+``_write`` writes the one ``--format`` asks for to ``--out`` or stdout;
+``verify`` hands ``_emit`` the report's own JSON, CSV or pretty text.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage,
 configuration, bound or write error (one line on stderr).  Output is
@@ -169,10 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(args, doc: dict, text: str) -> None:
-    """Write ``doc`` as JSON under ``--format json``, else ``text`` (pretty or
-    CSV), to ``--out`` or stdout; a failed write is a usage error."""
-    if args.format == "json":
-        text = json_text(doc)
+    """``_emit`` ``doc`` as JSON under ``--format json``, else ``text`` (pretty or CSV)."""
+    _emit(args, json_text(doc) if args.format == "json" else text)
+
+
+def _emit(args, text: str) -> None:
+    """Write ``text`` to ``--out`` or stdout; a failed write is a usage error."""
     try:
         if args.out is None:
             sys.stdout.write(text)
@@ -333,7 +336,7 @@ def cmd_verify(args, cfg) -> int:
         ("t_list", ",".join(render_frac(t) for t in bounds.t_list)),
     )
     report = run_suite(args.suite, bounds, params=params, jobs=jobs, cfg=cfg)
-    _write(args, report.to_obj(), report.to_csv() if args.format == "csv" else report.to_pretty())
+    _emit(args, {"json": report.to_json, "csv": report.to_csv}.get(args.format, report.to_pretty)())
     print(report.summary_line(), file=sys.stderr)
     return 0 if report.all_passed else FAIL_EXIT
 

@@ -10,13 +10,12 @@ a cap but never raise it above its built-in default.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 ENV_PREFIX = "CAPELLI_"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     size_cap: int = 14   # largest |lambda| any sweep may request
     n_cap: int = 10      # largest N for the derivative identity; also caps the
                          # dougall sweep's a-max and bcd-max, and is the last
@@ -29,7 +28,6 @@ class Config:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
-_FIELDS = ("size_cap", "n_cap", "k_cap", "default_k", "jobs")
 _CAPS = ("size_cap", "n_cap", "k_cap")
 
 
@@ -53,7 +51,7 @@ def _checked(cfg: Config) -> Config:
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} = {getattr(cfg, name)} must be non-negative")
     for name in _CAPS:
-        value, ceiling = getattr(cfg, name), getattr(Config, name)
+        value, ceiling = getattr(cfg, name), Config._field_defaults[name]
         if value > ceiling:
             raise ConfigError(f"{name} = {value} exceeds its built-in ceiling {ceiling}")
     if not 0 <= cfg.default_k <= cfg.k_cap:
@@ -72,13 +70,13 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
             raise ConfigError(f"line {lineno}: expected key=value, got {shown(raw)}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELDS:
+        if key not in Config._fields:
             raise ConfigError(f"line {lineno}: unknown key {shown(key)}")
         try:
             updates[key] = int(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key} needs an integer, got {shown(value)}") from exc
-    return _checked(replace(cfg, **updates))
+    return _checked(cfg._replace(**updates))
 
 
 def load_config(path: str | None = None, environ: dict | None = None) -> Config:
@@ -91,11 +89,11 @@ def load_config(path: str | None = None, environ: dict | None = None) -> Config:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     env = os.environ if environ is None else environ
     updates = {}
-    for name in _FIELDS:
+    for name in Config._fields:
         raw = env.get(ENV_PREFIX + name.upper())
         if raw is not None:
             try:
                 updates[name] = int(raw)
             except ValueError as exc:
                 raise ConfigError(f"{ENV_PREFIX}{name.upper()} needs an integer, got {shown(raw)}") from exc
-    return _checked(replace(cfg, **updates))
+    return _checked(cfg._replace(**updates))

@@ -32,9 +32,9 @@ evaluating an operator on a block gives a dual number (``DualScalar``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bipoly import BiPoly, falling_coeffs
 from .eigenpoly import interpolate_ev, singular_scale
@@ -62,8 +62,7 @@ def kbar(t: Fraction) -> Fraction:
     return Fraction(-p, 2 * q)
 
 
-@dataclass(frozen=True)
-class DualScalar:
+class DualScalar(NamedTuple):
     """value + nil * eps with eps^2 = 0, over exact rationals."""
 
     value: Fraction
@@ -73,8 +72,7 @@ class DualScalar:
         return not self.value and not self.nil
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One indecomposable summand: partition label, the Casimir value
     c_cat(lam, t) by which C acts on it, and multiplicity."""
 

@@ -23,10 +23,9 @@ evaluation functional used to characterize eigenvalue polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
 from .hypergeom import falling_table
@@ -38,8 +37,7 @@ from .ratfunc import PoleError, RatFunc, UniPoly, as_ratio
 KAPPA = UniPoly.x()
 
 
-@dataclass(frozen=True)
-class KsPoly:
+class KsPoly(NamedTuple):
     """One interpolation polynomial: falling-basis terms plus monomial form.
 
     ``cleared`` stores (numerator, m, n) with the shared denominator ``den``
@@ -206,26 +204,28 @@ def eval_point(mu: Pair2, k) -> tuple[Fraction, Fraction]:
 
 def gen_eval(f: BiPoly, mus: Iterable[Pair2], k) -> list[Fraction]:
     """Generalized values of a symmetric polynomial ``f`` at the partitions
-    ``mus``, in order; square_op(f) is built once for all of them.
+    ``mus``, in order.
 
     Plain evaluation at the shifted point for regular/quasiregular mu; the
     square_op value there when mu is k-singular (``classify_at``, so at a
     parameter that is not a non-negative integer the plain branch applies).
-    Each of f and square_op(f) is evaluated by one ``eval_at`` call over
-    its points.
+    square_op(f) is built once, and only when some mu is k-singular; each
+    of f and square_op(f) is evaluated by one ``eval_at`` call over its
+    points.  An asymmetric ``f`` raises ``ValueError`` either way.
 
     Takes rational-coefficient polynomials only (``eval_at`` raises
     ``TypeError`` otherwise); parameter-dependent input must be specialized
     first.
     """
-    sq = square_op(f)
+    if not f.is_symmetric():
+        raise ValueError("gen_eval requires a symmetric polynomial")
     singular = []
     pts = ([], [])  # regular/quasiregular, singular
     for mu in mus:
         s = classify_at(mu, k) is PClass.SINGULAR
         singular.append(s)
         pts[s].append(eval_point(mu, k))
-    values = (iter(f.eval_at(pts[0])), iter(sq.eval_at(pts[1])))
+    values = (iter(f.eval_at(pts[0])), iter(square_op(f).eval_at(pts[1]) if pts[1] else ()))
     return [next(values[s]) for s in singular]
 
 

@@ -6,14 +6,17 @@ byte-deterministic for fixed inputs: rationals are rendered as ``p/q``
 strings (never floats), dict key order is fixed at construction, and JSON is
 emitted with a fixed layout.  The JSON shape is described by the schema
 shipped at ``capelli/schemas/report.schema.json``.
+``RunReport.to_json`` lays that out by hand, one check at a time, with the
+C escaper of ``json.dumps``; a property test holds it to ``json_text`` of
+the reference object form in ``tests/test_report_config.py``.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _q
+from typing import NamedTuple
 
 from . import __version__
 
@@ -25,6 +28,8 @@ def json_text(obj) -> str:
 
 def csv_text(header: list[str], rows) -> str:
     """The fixed CSV layout: a header row, then one line per row."""
+    import csv  # only the CSV format needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -32,8 +37,13 @@ def csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class Check:
+def _json_map(pairs, pad: str) -> str:
+    """String ``pairs`` as a ``json_text`` object closed at indent ``pad``; a later key wins."""
+    body = f",\n{pad}  ".join(f"{_q(k)}: {_q(v)}" for k, v in dict(pairs).items())
+    return f"{{\n{pad}  {body}\n{pad}}}" if body else "{}"
+
+
+class Check(NamedTuple):
     """One verification record; ``params`` keeps insertion order."""
 
     name: str
@@ -50,12 +60,10 @@ class Check:
         return " ".join(f"{k}={v}" for k, v in self.params)
 
 
-@dataclass
 class RunReport:
-    command: str
-    params: tuple[tuple[str, str], ...]
-    checks: list[Check] = field(default_factory=list)
-    version: str = __version__
+    def __init__(self, command: str, params: tuple[tuple[str, str], ...], checks: list[Check],
+                 version: str = __version__):
+        self.command, self.params, self.checks, self.version = command, params, checks, version
 
     @property
     def total(self) -> int:
@@ -73,26 +81,19 @@ class RunReport:
     def all_passed(self) -> bool:
         return self.failed == 0
 
-    def to_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "params": {k: v for k, v in self.params},
-            "checks": [
-                {
-                    "name": c.name,
-                    "params": {k: v for k, v in c.params},
-                    "status": c.status,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                }
-                for c in self.checks
-            ],
-            "summary": {"total": self.total, "passed": self.passed, "failed": self.failed},
-        }
-
     def to_json(self) -> str:
-        return json_text(self.to_obj())
+        """The report in the ``json_text`` layout, laid out one check at a
+        time: version, command, params, the checks, then the summary."""
+        checks = ",\n".join(
+            f'    {{\n      "name": {_q(c.name)},\n'
+            f'      "params": {_json_map(c.params, "      ")},\n      "status": {_q(c.status)},\n'
+            f'      "lhs": {_q(c.lhs)},\n      "rhs": {_q(c.rhs)}\n    }}'
+            for c in self.checks)
+        checks = f"[\n{checks}\n  ]" if self.checks else "[]"
+        return (f'{{\n  "version": {_q(self.version)},\n  "command": {_q(self.command)},\n'
+                f'  "params": {_json_map(self.params, "  ")},\n  "checks": {checks},\n'
+                f'  "summary": {{\n    "total": {self.total},\n    "passed": {self.passed},\n'
+                f'    "failed": {self.failed}\n  }}\n}}\n')
 
     def to_csv(self) -> str:
         return csv_text(["name", "params", "status", "lhs", "rhs"],

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import functools
 import os
-import traceback
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import deligne as dl
 from . import eigenpoly as ep
@@ -54,8 +52,7 @@ class BoundsError(ValueError):
     """Requested sweep bounds exceed the configured hard caps."""
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Sweep bounds; the defaults match the package's acceptance gates."""
 
     k_max: int = 3
@@ -126,8 +123,10 @@ def _family(name: str, *labels: str):
             try:
                 out = body(*args)
             except Exception as exc:  # a defect inside a check is a failing record
-                frame = traceback.extract_tb(exc.__traceback__)[-1]
-                where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+                tb = exc.__traceback__
+                while tb.tb_next:  # the frame that raised
+                    tb = tb.tb_next
+                where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
                 message = f": {exc}" if str(exc) else ""
                 lhs = f"error: {type(exc).__name__} at {where}{message}"
                 return Check(name, params, "fail", lhs)

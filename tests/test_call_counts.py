@@ -18,7 +18,8 @@ passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
 instead of 1-D falling tables, factors an oracle system more than once
 per (k, d), rebuilds square_op(f) per point of a
-generalized-value check or an operator's C-partial per block, brings a
+generalized-value check or builds it when no point reads it, rebuilds an
+operator's C-partial per block, brings a
 polynomial's coefficients to a common denominator more than once per
 point-list evaluation, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
@@ -177,11 +178,13 @@ def test_block_eval_makes_no_ratfunc_work(monkeypatch):
 def test_generalized_value_checks_build_square_op_once(monkeypatch, k):
     owners = [m for m in (bipoly, ks, vf) if hasattr(m, "square_op")]
     for lam in upto(5):
+        # built only when a k-singular mu of size <= |lam| reads it
+        read = int(any(classify(mu, k) is PClass.SINGULAR for mu in upto(size(lam))))
         for check in ([vf.check_q_values] if classify(lam, k) is PClass.SINGULAR else []) + [
                 vf.check_eigen_routes]:
             squares = [_counter(monkeypatch, m, "square_op") for m in owners]
             assert check(lam, k).status == "pass"
-            assert sum(map(len, squares)) == 1, (check.__name__, lam)
+            assert sum(map(len, squares)) == read, (check.__name__, lam)
             monkeypatch.undo()
 
 
@@ -228,8 +231,9 @@ def test_block_model_takes_partials_once_per_operator(monkeypatch, t):
         thick = int(any(b.mult == 2 for m in range(size(lam) + 1) for b in dl.blocks(m, t)))
         partials = _counter(monkeypatch, BiPoly, "partials")
         dl.cat_eig_from_blocks(lam, t)
-        # plus f's, inside square_op for the re-check
-        assert len(partials) == thick + 1 and _partials_once_per_operator(partials), lam
+        # plus f's, inside square_op, when the re-check reads a singular mu
+        read = int(any(classify_at(mu, dl.kbar(t)) is PClass.SINGULAR for mu in upto(size(lam))))
+        assert len(partials) == thick + read and _partials_once_per_operator(partials), lam
         partials.clear()
         assert vf.check_vanishing_suite(lam, t).status == "pass"
         assert len(partials) == thick, lam

@@ -1,11 +1,43 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capelli.config import Config, ConfigError, load_config, parse_config_text
-from capelli.report import Check, RunReport
+from capelli.report import Check, RunReport, json_text
 
 
 def _check(status):
     return Check(name="c", params=(("k", "1"),), status=status)
+
+
+def reference_obj(rep: RunReport) -> dict:
+    """The report as the object ``json_text`` renders; ``to_json`` must lay
+    out the same bytes by hand."""
+    return {
+        "version": rep.version,
+        "command": rep.command,
+        "params": {k: v for k, v in rep.params},
+        "checks": [
+            {
+                "name": c.name,
+                "params": {k: v for k, v in c.params},
+                "status": c.status,
+                "lhs": c.lhs,
+                "rhs": c.rhs,
+            }
+            for c in rep.checks
+        ],
+        "summary": {"total": rep.total, "passed": rep.passed, "failed": rep.failed},
+    }
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_texts = (st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f\xe9\u2028\U0001d538'), max_size=6)
+          | st.text(max_size=6))
+_params = st.lists(st.tuples(_texts, _texts), max_size=3).map(tuple)
+_checks = st.builds(Check, _texts, _params, st.sampled_from(["pass", "fail"]), _texts, _texts)
+_reports = st.builds(RunReport, _texts, _params, st.lists(_checks, max_size=4), _texts)
 
 
 class TestRunReport:
@@ -17,9 +49,15 @@ class TestRunReport:
     def test_json_roundtrip_deterministic(self):
         rep = RunReport(command="verify x", params=(("a", "1"),), checks=[_check("pass")])
         assert rep.to_json() == rep.to_json()
-        obj = rep.to_obj()
+        obj = json.loads(rep.to_json())
         assert obj["summary"] == {"total": 1, "passed": 1, "failed": 0}
         assert obj["checks"][0]["params"] == {"k": "1"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_reports)
+    @example(RunReport("verify x", (), []))  # empty params, zero checks
+    def test_json_matches_the_reference_layout(self, rep):
+        assert rep.to_json() == json_text(reference_obj(rep))
 
     def test_csv_quotes_commas(self):
         rep = RunReport(

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import os
 import pathlib
@@ -196,7 +195,7 @@ def test_built_in_ceilings_bound_the_task_count():
     for field in ("k_max", "size_max", "n_max", "psi_n_max", "deligne_size_max",
                   "minpoly_d_max", "a_max", "bcd_max"):
         with pytest.raises(vf.BoundsError, match="exceeds the hard cap"):
-            dataclasses.replace(top, **{field: getattr(top, field) + 1}).validate(cfg)
+            top._replace(**{field: getattr(top, field) + 1}).validate(cfg)
     counts = {s: len(vf.suite_tasks(s, top, cfg)) for s in vf.SUITES if s != "all"}
     assert counts == {"knop-sahi": 332, "capelli": 686, "identity-e": 693,
                       "dougall": 13310, "deligne": 9486}
@@ -244,12 +243,23 @@ def test_pool_is_capped_by_tasks_and_cpus(monkeypatch, jobs, cpus, workers):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    """A serial sweep needs no process pool, so importing the CLI and the
-    sweeps must not pull in ``multiprocessing``."""
+    """A serial sweep needs no process pool, and the package needs none of the
+    stdlib that only introspection, tracebacks or CSV output use, so neither
+    importing the CLI and the sweeps nor a serial sweep at small bounds may
+    load them: each costs every ``capelli verify`` process start-up time and
+    peak memory."""
     src = str(pathlib.Path(vf.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, capelli.cli, capelli.verify; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    code = ("import sys, capelli.cli, capelli.verify\n"
+            "from fractions import Fraction as Q\n"
+            "unwanted = {'multiprocessing', 'concurrent.futures.process', 'dataclasses', "
+            "'inspect', 'ast', 'traceback', 'csv'}\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "bounds = capelli.verify.Bounds(k_max=1, size_max=2, n_max=2, psi_n_max=2, "
+            "deligne_size_max=2, minpoly_d_max=2, a_max=2, bcd_max=2, "
+            "t_list=(Q(-2), Q(0), Q(1, 2)))\n"
+            "report = capelli.verify.run_suite('all', bounds, jobs=1)\n"
+            "print(report.all_passed, sorted(unwanted & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue []\n", "")
