@@ -24,9 +24,9 @@ evaluating an operator on a block gives a dual number (``DualScalar``).
 * ``block_values`` reads generalized values off the blocks (the nil part of
   a multiplicity-2 block is the value at its missing singular partner);
   ``cat_eig_from_blocks`` interpolates them and re-checks the result with
-  ``gen_eval``; ``cat_eig_formula`` evaluates the closed forms obtained from
-  the interpolation polynomials under the substitution kappa := -s/2.  The
-  two must agree exactly.
+  ``gen_eval``; ``cat_eig_formula`` takes the closed forms' limits in
+  Q(kappa) at kappa = kb, which are those at s = t since kappa = -s/2 is an
+  invertible affine change of variable.  The two must agree exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .partitions import (
 from .ratfunc import PoleError, RatFunc, UniPoly, as_ratio
 
 S = UniPoly.x()  # the deformation parameter s
-HALF_NEG_S = UniPoly((0, Fraction(-1, 2)))  # the substitution kappa := -s/2
+T = UniPoly((0, -2))  # t = -2 kappa as a polynomial in kappa
 
 
 def kbar(t: Fraction) -> Fraction:
@@ -238,14 +238,14 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
 
     A kb-regular lam (every lam unless t is a non-positive even integer)
     gives P_lam / H_lam at kappa = kb = -t/2.  The singular and quasiregular
-    cases are s -> t limits of
+    cases are kappa -> kb limits of
 
-        singular:      (c_{lam+}(s) - c_lam(s)) P_{lam+} / H_{lam+}
+        singular:      (c_{lam+}(-2 kappa) - c_lam(-2 kappa)) P_{lam+} / H_{lam+}
         quasiregular:  P_lam / H_lam + P_{lam+} / H_{lam+}
 
-    computed by substituting kappa := -s/2 into the coefficients and taking
-    exact regular values; double poles cannot survive the combination and
-    would raise.
+    taken coefficient-wise in Q(kappa): s = -2 kappa is an invertible affine
+    change of variable, so they are the s -> t limits, pole orders
+    included.  Double poles cannot survive the combination and would raise.
     """
     kb = kbar(t)
     cls = classify_at(lam, kb)
@@ -256,30 +256,26 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
         return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)
     lamd = paired(lam, int(kb), cls)
     if cls is PClass.SINGULAR:
-        scaled = [(lamd, c_cat(lamd, S) - c_cat(lam, S))]
+        scaled = [(lamd, RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd)))]
     else:
-        scaled = [(lam, UniPoly.one()), (lamd, UniPoly.one())]
-    body_s = BiPoly.zero()
-    for mu, num in scaled:
-        scale = RatFunc(num, h_poly(mu).compose(HALF_NEG_S))
-        body_s = body_s + ks_poly(mu).body.map_coeffs(
-            lambda c: c.substitute(HALF_NEG_S) * scale
-        )
-    return body_s.map_coeffs(lambda c: c.eval(t))
+        scaled = [(mu, RatFunc(1, h_poly(mu))) for mu in (lam, lamd)]
+    body = sum((ks_poly(mu).body.scale(scale) for mu, scale in scaled), BiPoly.zero())
+    return body.map_coeffs(lambda c: c.eval(kb))
 
 
 def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
     """Scalar bridge between the categorical and the plain singular formulas:
 
-        lim_{s -> -2k} (c_{lam+}(s) - c_lam(s)) / H_{lam+}(-s/2)
+        lim_{kappa -> k} (c_{lam+}(-2 kappa) - c_lam(-2 kappa)) / H_{lam+}(kappa)
             = 4 (l1 - l2 - k - 1) / H'_{lam+}(k).
 
-    Returns both sides, exactly; the right one is route B's
+    It is the s -> -2k limit in s = -2 kappa, an invertible affine change of
+    variable.  Returns both sides, exactly; the right one is route B's
     ``singular_scale``.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
-    ratio = RatFunc(c_cat(lamd, S) - c_cat(lam, S), h_poly(lamd).compose(HALF_NEG_S))
-    return ratio.eval(Fraction(-2 * k)), singular_scale(lam, k)
+    ratio = RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd))
+    return ratio.eval(k), singular_scale(lam, k)
 
 
 # -- verification helpers ----------------------------------------------------------------

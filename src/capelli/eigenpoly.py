@@ -354,9 +354,13 @@ def restriction_pair(f: BiPoly, mus: Iterable[Pair2], k: int) -> list[tuple[Frac
     index a block: a k-singular one raises ``ValueError`` before anything
     is evaluated.
     """
+    if not f.is_symmetric():
+        raise ValueError("restriction_pair requires a symmetric polynomial")
     pts = []
     for mu in mus:
         if classify(mu, k) is PClass.SINGULAR:
             raise ValueError(f"no block exists for {k}-singular {mu}")
         pts.append(eval_point(mu, k))
+    if not pts:
+        return []
     return list(zip(f.eval_at(pts), square_op(f).eval_at(pts)))

@@ -54,7 +54,6 @@ class KsPoly(NamedTuple):
     ``derivative_at``); they normalize nothing.
     """
 
-    lam: Pair2
     den: UniPoly
     cleared: tuple[tuple[UniPoly, int, int], ...]
     body: BiPoly
@@ -77,7 +76,7 @@ def ks_poly(lam: Pair2) -> KsPoly:
             num = (fall[r - i] * fall[r - j]).scale(scale)
             cleared.append((num, l2 + i, l2 + j))
     body = from_falling(cleared).map_coeffs(lambda num: RatFunc(num, den))
-    return KsPoly(lam=lam, den=den, cleared=tuple(cleared), body=body)
+    return KsPoly(den=den, cleared=tuple(cleared), body=body)
 
 
 def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:

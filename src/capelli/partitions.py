@@ -114,8 +114,9 @@ def c_super(lam: Pair2, k: int) -> Fraction:
 
 def c_cat(lam: Pair2, t: Fraction | UniPoly) -> Fraction | UniPoly:
     """Categorical Casimir eigenvalue a (a + t - 2), a = l1 - l2, the one
-    definition: at a rational dimension t, or as a polynomial in the
-    deformation parameter s when t is ``UniPoly.x()``."""
+    definition: at a rational dimension t, as a polynomial in the
+    deformation parameter s when t is ``UniPoly.x()``, or in kappa when t
+    is -2 kappa."""
     l1, l2 = check_partition(lam)
     a = l1 - l2
     return a * (a - 2 + t)

@@ -244,13 +244,6 @@ class UniPoly:
         # val is over den q^deg and slope over den q^(deg - 1)
         return Fraction(val, self.den * qk), Fraction(slope * q, self.den * qk)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Substitute ``inner`` for the variable."""
-        acc = UniPoly.zero()
-        for c in reversed(self.nums):
-            acc = acc * inner + c
-        return _reduced(list(acc.nums), acc.den * self.den)
-
     def multiplicity(self, a: Scalar) -> int:
         """Order of vanishing at the point ``a`` (0 if p(a) != 0)."""
         if not self.nums:
@@ -468,20 +461,13 @@ class RatFunc:
         n0, n1 = self.num.value_and_slope(a)
         return (n1 * d0 - n0 * d1) / (d0 * d0)
 
-    # -- calculus and substitution ---------------------------------------------
+    # -- calculus ------------------------------------------------------------
 
     def derivative(self) -> "RatFunc":
         return RatFunc(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def substitute(self, inner: UniPoly) -> "RatFunc":
-        """Substitute the polynomial ``inner`` for the variable."""
-        den = self.den.compose(inner)
-        if not den:
-            raise ZeroDivisionError("substitution annihilates the denominator")
-        return RatFunc(self.num.compose(inner), den)
 
     # -- protocol ------------------------------------------------------------
 

@@ -103,12 +103,6 @@ class UniPoly:
     def value_and_slope(self, a):
         return reference_eval.horner_with_slope(self.coeffs, Fraction(a))
 
-    def compose(self, inner):
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     def multiplicity(self, a):
         m, p, factor = 0, self, UniPoly((-Fraction(a), 1))
         while not p(a):
@@ -178,9 +172,6 @@ class RatFunc:
     def derivative(self):
         return RatFunc(self.num.derivative() * self.den - self.num * self.den.derivative(),
                        self.den * self.den)
-
-    def substitute(self, inner):
-        return RatFunc(self.num.compose(inner), self.den.compose(inner))
 
 
 def divide_x_minus_y(terms):

@@ -131,11 +131,6 @@ class TestMapCoeffs:
         f = BiPoly({(1, 0): RatFunc(UniPoly((1, 1)))})
         assert f.map_coeffs(lambda v: v.eval(1)) == BiPoly({(1, 0): Q(2)})
 
-    def test_substitution(self):
-        f = BiPoly({(0, 0): RatFunc(UniPoly((1, 1)))})
-        got = f.map_coeffs(lambda v: v.substitute(UniPoly((0, Q(-1, 2)))))
-        assert got == BiPoly({(0, 0): RatFunc(UniPoly((1, Q(-1, 2))))})
-
 
 def test_render_deterministic():
     f = BiPoly({(2, 0): Q(1, 2), (1, 1): Q(1), (0, 2): Q(1, 2), (1, 0): Q(-1, 2)})

@@ -6,6 +6,8 @@ Nothing is timed, so the guards are deterministic: they fail when a change
 brings back normalization in Q(kappa) where values at kappa = k are read off
 the local expansion, rebuilds an eigenvalue polynomial per block,
 specializes a block-model operator per block instead of once per check,
+normalizes a categorical closed form's coefficients more than once per
+scaled Knop-Sahi term and shared monomial,
 normalizes the derivative identity per term, recomputes a psi-chain factor
 per sample point that depends on x or y alone, builds x_(m) other than from
 the cached ``falling_coeffs`` table, builds the falling products of
@@ -106,11 +108,13 @@ def test_jordan_check_builds_f_once(monkeypatch, k):
     # square_op counted wherever a module of the check's path binds the name
     owners = [m for m in (bipoly, ep, vf) if hasattr(m, "square_op")]
     for lam in upto(5):
+        # square_op(f) only when a quasiregular block of size <= |lam| reads it
+        read = int(any(classify(mu, k) is PClass.QUASIREGULAR for mu in upto(size(lam))))
         eigen = _counter(monkeypatch, ep, "eigen")
         squares = [_counter(monkeypatch, m, "square_op") for m in owners]
         check = vf.check_restrictions(lam, k)
         assert check.status == "pass", check
-        assert (len(eigen), sum(map(len, squares))) == (1, 1), lam
+        assert (len(eigen), sum(map(len, squares))) == (1, read), lam
         monkeypatch.undo()
 
 
@@ -269,6 +273,29 @@ def test_deligne_checks_specialize_once(monkeypatch, t):
         dl.cat_eig_from_blocks(lam, t)
         assert len(evals) <= monomials, lam
         monkeypatch.undo()
+
+
+def test_cat_eig_formula_normalizes_once_per_scaled_term(monkeypatch):
+    for mu in upto(6):
+        ks.ks_poly(mu)  # build (and normalize) outside the counted region
+    seen = set()
+    for t in [Q(-4), Q(-2), Q(0), Q(3), Q(1, 2)]:
+        kb = dl.kbar(t)
+        for lam in upto(6):
+            cls = classify_at(lam, kb)
+            seen.add(cls)
+            # the Knop-Sahi bodies that the closed form scales and sums
+            mus = [] if cls is PClass.REGULAR else [paired(lam, int(kb), cls)]
+            if cls is PClass.QUASIREGULAR:
+                mus.append(lam)
+            keys = [set(ks.ks_poly(mu).body.terms) for mu in mus]
+            # one scale and one product per term of each body, one sum per shared monomial
+            bound = sum(len(k) + 1 for k in keys) + (len(keys[0] & keys[1]) if mus[1:] else 0)
+            inits = _counter(monkeypatch, RatFunc, "__init__")
+            dl.cat_eig_formula(lam, t)
+            assert len(inits) <= bound, (lam, t, len(inits), bound)
+            monkeypatch.undo()
+    assert seen == set(PClass)
 
 
 def test_rhs_derivative_identity_normalizes_once(monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
+from capelli import knopsahi as ks
 from capelli.bipoly import BiPoly
 from capelli.deligne import Block, DualScalar
-from capelli.partitions import PClass, c_cat, classify, of_size, size, upto
+from capelli.partitions import PClass, c_cat, classify, of_size, paired, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 from capelli.verify import DEFAULT_T_LIST
 
@@ -231,12 +232,29 @@ class TestEigenvaluePolynomials:
             for lam in upto(4):
                 assert dl.cat_eig_formula(lam, Q(-2 * k)) == ep.eigen(lam, k)
 
+    def test_quasiregular_limit_is_route_c(self):
+        # the kappa -> kb limit of P_lam / H_lam + P_lam+ / H_lam+, term for term
+        for k in range(4):
+            for lam in upto(8):
+                if classify(lam, k) is PClass.QUASIREGULAR:
+                    assert dl.cat_eig_formula(lam, Q(-2 * k)) == ep.eig_qreg_limit(lam, k), (lam, k)
+
 
 class TestScalarLimit:
     @pytest.mark.parametrize("lam, k", [((2, 0), 0), ((3, 0), 1), ((3, 1), 0), ((4, 0), 1)])
     def test_bridge(self, lam, k):
         lhs, rhs = dl.singular_scale_limit(lam, k)
         assert lhs == rhs
+
+    def test_singular_formula_is_scaled_body(self):
+        # P_lam+ is regular at kappa = k, so the limit is the scalar bridge times P_lam+(k)
+        for k in range(4):
+            for lam in upto(8):
+                if classify(lam, k) is PClass.SINGULAR:
+                    lamd = paired(lam, k, PClass.SINGULAR)
+                    body = ks.ks_poly(lamd).body.map_coeffs(lambda c: c.eval(k))
+                    lhs, _ = dl.singular_scale_limit(lam, k)
+                    assert dl.cat_eig_formula(lam, Q(-2 * k)) == body.scale(lhs), (lam, k)
 
     def test_wrong_class(self):
         with pytest.raises(ValueError):

@@ -325,3 +325,14 @@ class TestRestrictionPair:
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError):
             ep.restriction_pair(ep.eigen((1, 0), 1), [(1, 0), (3, 0)], 1)
+
+    def test_asymmetric_f_rejected_without_points(self):
+        with pytest.raises(ValueError):
+            ep.restriction_pair(BiPoly({(1, 0): Q(1)}), [], 1)
+
+    def test_no_points_build_no_square(self, monkeypatch):
+        def never(f):
+            raise AssertionError("square_op built for an empty point list")
+
+        monkeypatch.setattr(ep, "square_op", never)
+        assert ep.restriction_pair(ep.eigen((2, 0), 0), [], 0) == []

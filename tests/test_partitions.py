@@ -197,6 +197,12 @@ class TestCasimir:
             for lam in pt.upto(14):
                 assert pt.c_cat(lam, Q(-2 * k)) == pt.c_super(lam, k)
 
+    def test_categorical_in_kappa(self):
+        # t = -2 kappa as a polynomial in kappa, read back at rational kappa
+        for kappa in [Q(0), Q(1), Q(3), Q(-1, 2), Q(5, 3)]:
+            for lam in pt.upto(8):
+                assert pt.c_cat(lam, dl.T)(kappa) == pt.c_cat(lam, -2 * kappa), (lam, kappa)
+
 
 class TestEll:
     @pytest.mark.parametrize("lam, k, expected", [((1, 1), 0, 0), ((2, 1), 1, 0), ((2, 2), 1, 1)])

@@ -42,10 +42,9 @@ class TestUniPoly:
         assert p.derivative() == P(-2, 0, 15)
         assert not P(7).derivative()
 
-    def test_eval_and_compose(self):
+    def test_eval(self):
         p = P(1, 2, 1)  # (k+1)^2
         assert p(Q(1, 2)) == Q(9, 4)
-        assert p.compose(P(-1, 2)) == P(0, 0, 4)
 
     def test_multiplicity(self):
         p = P(-1, 1) * P(-1, 1) * P(3, 1)
@@ -131,18 +130,6 @@ class TestDerivative:
     def test_quotient_rule(self):
         f = RatFunc(P(2, 2), P(0, 1))
         assert f.derivative() == RatFunc(P(-2), P(0, 0, 1))
-
-
-class TestSubstitute:
-    def test_linear_substitution(self):
-        f = RatFunc(P(1, 1))  # k + 1
-        assert f.substitute(P(0, Q(-1, 2))) == RatFunc(P(1, Q(-1, 2)))
-
-    def test_pole_moves(self):
-        f = RatFunc(P(1), P(0, 1))
-        g = f.substitute(P(-2, 1))
-        with pytest.raises(PoleError):
-            g.eval(2)
 
 
 # -- property tests -----------------------------------------------------------

@@ -65,8 +65,6 @@ def test_ring_and_calculus_match_reference(a, b, c, x):
     _same(p * c, rp * c)
     _same(p.scale(c), rp.scale(c))
     _same(p.derivative(), rp.derivative())
-    inner, rinner = _both(b[:3])
-    _same(p.compose(inner), rp.compose(rinner))
     assert p(x) == rp(x)
     assert p.value_and_slope(x) == rp.value_and_slope(x)
     assert (p == q) == (rp == rq) and (p == c) == (rp == c)
@@ -130,20 +128,16 @@ def _same_ratfunc(f: RatFunc, rf: ref.RatFunc) -> None:
 
 
 @settings(max_examples=50, deadline=None)
-@given(ratfunc_pairs(), ratfunc_pairs(), coeff_lists(2).filter(any))
+@given(ratfunc_pairs(), ratfunc_pairs())
 @example((RatFunc(UniPoly((1, 1))), ref.RatFunc(ref.UniPoly((1, 1)))),
-         (RatFunc(UniPoly((0, Q(-4, 3))), UniPoly((0, 1))), ref.RatFunc(ref.UniPoly((Q(-4, 3),)))),
-         [Q(1)])
-def test_ratfunc_matches_reference(fs, gs, inner):
+         (RatFunc(UniPoly((0, Q(-4, 3))), UniPoly((0, 1))), ref.RatFunc(ref.UniPoly((Q(-4, 3),)))))
+def test_ratfunc_matches_reference(fs, gs):
     (f, rf), (g, rg) = fs, gs
     _same_ratfunc(f, rf)
     _same_ratfunc(f + g, rf + rg)
     _same_ratfunc(f * g, rf * rg)
     _same_ratfunc(-f, -rf)
     _same_ratfunc(f.derivative(), rf.derivative())
-    lin, rlin = _both(inner)
-    if lin.degree() == 1:  # a constant inner may annihilate the denominator
-        _same_ratfunc(f.substitute(lin), rf.substitute(rlin))
     assert (f == g) == (rf.num == rg.num and rf.den == rg.den)
 
 
