@@ -10,16 +10,18 @@ quotient
 
 which is valid verbatim for non-negative integers b, c, d.  Evaluation
 runs on integers: a = p/q is read with ``ratfunc.as_ratio``, and each result
-is one ``Fraction``.
+is one ``Fraction``.  The same integer kernels build the x and y tables
+of the identity-e chain.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .ratfunc import as_ratio, common_denominator
+from .ratfunc import as_ratio
 
 
 def falling(a, n: int) -> Fraction:
@@ -37,6 +39,24 @@ def pochhammer_num(p: int, q: int, n: int, step: int) -> int:
         if not num:
             return 0
     return num
+
+
+def harmonic_num(p: int, q: int, n: int) -> tuple[int, int]:
+    """(prod, harm): prod = prod_{t=1..n} (p + t*q), and harm = q times the
+    sum over t of prod without its t-th factor, built by the product rule
+    with no division.  At y = p/q, prod / q**n = prod (y+t) and, when prod
+    is not 0, harm / prod = sum 1/(y+t)."""
+    prod, harm = 1, 0
+    for t in range(1, n + 1):
+        harm, prod = harm * (p + t * q) + q * prod, prod * (p + t * q)
+    return prod, harm
+
+
+def over_lcm(rows) -> tuple[list[list[int]], int]:
+    """Rows of integer pairs (num, den), den != 0, as integer rows over one
+    positive denominator, the lcm of every den."""
+    den = math.lcm(*(d for row in rows for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in rows], den
 
 
 def falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:
@@ -83,19 +103,17 @@ def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> F
 
 def _falling_basis_at(points, x_rows, y_rows, shift: int) -> list[Fraction]:
     """sum_q (x-y-shift)_(q) <X_q, Y_q> at each point (x, y).  The rows are
-    built at the first point with a given x = p/q, as integers over one
-    denominator by ``x_rows(p, q)``, or y, by ``y_rows(y)`` then put over
-    one denominator; per point Horner's rule runs on integers."""
+    built at the first point with a given x = p/q by ``x_rows(p, q)``, or
+    with a given y = p/q by ``y_rows(p, q)``; each returns (integer rows,
+    one denominator), so no ``Fraction`` is built per x or per y.  Per
+    point Horner's rule runs on integers and builds one ``Fraction``."""
     xs, ys, out = {}, {}, []
     for x, y in points:
         kx, ky = as_ratio(x), as_ratio(y)
         if kx not in xs:
             xs[kx] = x_rows(*kx)
         if ky not in ys:
-            rows = y_rows(Fraction(*ky))
-            nums, den = common_denominator([c for row in rows for c in row])
-            it = iter(nums)
-            ys[ky] = [[next(it) for _ in row] for row in rows], den
+            ys[ky] = y_rows(*ky)
         (px, qx), (py, qy), (xrows, xden), (yrows, yden) = kx, ky, xs[kx], ys[ky]
         den = qx * qy
         w, acc, scale = px * qy - py * qx - shift * den, 0, 1

@@ -19,7 +19,10 @@ whole point list and read each point with ``as_ratio``: the factors of x
 alone and of y alone (with their pole checks) are built once per distinct
 coordinate as integer numerators over one denominator, and each point
 costs integer arithmetic and one ``Fraction``.  psi_1 and F(s) read x_(m)
-off ``falling_table``; psi_2 keeps the monomial x_(d) as a cross-check.
+off ``falling_table`` and build each y entry from ``pochhammer_num``
+products as one integer pair, a table over its lcm; psi_2 keeps the
+monomial x_(d) as a cross-check, and it and F(0)'s closed form take
+prod (y+t) and sum 1/(y+t) from ``harmonic_num``.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -32,7 +35,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bipoly import falling_coeffs
-from .hypergeom import _falling_basis_at, falling, falling_table, pfq_terminating, pochhammer_num
+from .hypergeom import (_falling_basis_at, falling, falling_table, harmonic_num, over_lcm,
+                        pfq_terminating, pochhammer_num)
 from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, render_frac,
                       render_ratfunc, render_unipoly)
 from .report import Check
@@ -140,7 +144,7 @@ class SamplePoleError(ArithmeticError):
         super().__init__(f"sample point lies on a pole of {factor}")
 
 
-def _nonzero(value: Fraction, factor: str) -> Fraction:
+def _nonzero(value, factor: str):
     if not value:
         raise SamplePoleError(factor)
     return value
@@ -169,11 +173,13 @@ def e_term(q: int, r: int, x: Fraction, y: Fraction, d: int, j: int) -> Fraction
 
 def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
     """psi_1 = sum of E(q, r) at each point.  E(q, r) factors as
-    K(q, r) x_(d-r) Y(q, r, y) (x-y-d)_(q): K constant, x_(d-r) per x, Y
-    per y (with the pole checks of e_term, in its order)."""
+    K(q, r) x_(d-r) Y(q, r, y) (x-y-d)_(q): K constant, x_(d-r) per x, and
+    K Y per y = p/q as one integer pair.  The pole checks are e_term's, in
+    its order: row by row (q), entry by entry (r), (y+r+j)_(j+r) and then
+    y+q; an empty row checks nothing."""
     spans = [range(max(1, q), d - j + q + 1) for q in range(j + 1)]
     consts = [
-        [Fraction((-1) ** (r + q + 1)) * falling(r, q) * falling(j, q) * falling(d - j, r - q)
+        [(-1) ** (r + q + 1) * falling(r, q) * falling(j, q) * falling(d - j, r - q)
          / (r * math.factorial(q)) for r in rs]
         for q, rs in enumerate(spans)
     ]
@@ -184,11 +190,15 @@ def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
         fall = [table[d - r][0] * q**r for r in range(1, d + 1)]
         return [fall[rs.start - 1:rs.stop - 1] for rs in spans], q**d
 
-    def y_rows(y):
-        return [[k * (y + r + q) * falling(y + r - 1, r - q)
-                 / _nonzero(falling(y + r + j, j + r), f"(y+{r}+{j})_({j + r})")
-                 / _nonzero(y + q, f"y+{q}") for r, k in zip(rs, ks)]
-                for q, (rs, ks) in enumerate(zip(spans, consts))]
+    def y_rows(u, v):
+        # K (y+r+q) (y+r-1)_(r-q) / ((y+r+j)_(j+r) (y+q)) at y = u/v, the powers of v cancelled
+        return over_lcm([[(k.numerator * (u + (r + q) * v)
+                           * pochhammer_num(u + (r - 1) * v, v, r - q, -1) * v ** (j + q),
+                           k.denominator
+                           * _nonzero(pochhammer_num(u + (r + j) * v, v, j + r, -1),
+                                      f"(y+{r}+{j})_({j + r})")
+                           * _nonzero(u + q * v, f"y+{q}")) for r, k in zip(rs, ks)]
+                         for q, (rs, ks) in enumerate(zip(spans, consts))])
 
     return _falling_basis_at(points, x_rows, y_rows, d)
 
@@ -204,11 +214,9 @@ def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
         if kx not in xs:
             xs[kx] = common_denominator(x_d.value_and_slope(Fraction(*kx)))
         if (p, q) not in ys:
-            prod = pochhammer_num(p + q, q, j, 1)  # q**j prod (y+t)
-            if not prod:  # so q = 1 and y = -t
-                raise SamplePoleError(f"y+{-p}")
-            harm = sum(prod // (p + t * q) for t in range(1, j + 1))  # prod/q sum 1/(y+t)
-            ys[p, q] = prod * q**j, harm * q ** (j + 1), prod * prod
+            # q**j prod (y+t), and prod sum 1/(y+t); prod = 0 means q = 1 and y = -t
+            prod, harm = harmonic_num(p, q, j)
+            ys[p, q] = _nonzero(prod, f"y+{-p}") * q**j, harm * q**j, prod * prod
         ((fall, slope), xden), (u, v, yden) = xs[kx], ys[p, q]
         out.append(Fraction(slope * u - fall * v, xden * yden))
     return out
@@ -260,14 +268,10 @@ def psi_chain_check(i: int, j: int, n: int) -> Check:
     dpsi_l = psi_l(n, d, j).derivative()
     diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
     for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
-        lhs_r = psi_r.eval(x)
-        if lhs_r != on_diag:
-            return _report("psi-chain", params, False, f"x={render_frac(x)}",
-                           render_frac(lhs_r), render_frac(on_diag))
-        lhs_d = dpsi_l.eval(x)
-        if lhs_d != rhs_d:
-            return _report("psi-chain", params, False, f"x={render_frac(x)}",
-                           render_frac(lhs_d), render_frac(rhs_d))
+        for lhs, rhs in ((psi_r.eval(x), on_diag), (dpsi_l.eval(x), rhs_d)):
+            if lhs != rhs:
+                return _report("psi-chain", params, False, f"x={render_frac(x)}",
+                               render_frac(lhs), render_frac(rhs))
     return _report("psi-chain", params, True)
 
 
@@ -283,32 +287,38 @@ def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int
         table = falling_table(p + (j + l) * q, q, j + l - s)
         return [[table[j + l - t - s][0] * q ** (t + s)] for t in qs], q ** (j + l)
 
-    def y_rows(y):
-        # no q = 0 term at s = 0
-        return [[] if t < (s == 0) else
-                [(y + 2 * t + s) * math.comb(j, t) * math.comb(l, s)
-                 * Fraction(math.factorial(t + s - 1), math.factorial(j + l))
-                 * falling(y + j, j - t)
-                 / _nonzero(falling(y + t + s + j, j + 1), f"(y+{t + s + j})_({j + 1})")]
-                for t in qs]
+    def y_rows(p, q):
+        # K(t) Y_t(y) at y = p/q, the powers of q cancelled; no q = 0 term at s = 0
+        return over_lcm([[] if t < (s == 0) else
+                         [(math.comb(j, t) * math.comb(l, s) * math.factorial(t + s - 1)
+                           * (p + (2 * t + s) * q) * pochhammer_num(p + j * q, q, j - t, -1) * q**t,
+                           math.factorial(j + l)
+                           * _nonzero(pochhammer_num(p + (t + s + j) * q, q, j + 1, -1),
+                                      f"(y+{t + s + j})_({j + 1})"))]
+                         for t in qs])
 
     return _falling_basis_at(points, x_rows, y_rows, 0)
 
 
 def f_closed(s: int, j: int, l: int, x: Fraction, y: Fraction) -> Fraction:
     """Closed forms: a falling-factorial quotient for 1 <= s <= l, a harmonic
-    difference times x_(j+l)-type product for s = 0."""
+    difference times x_(j+l)-type product for s = 0, summed on integers; at
+    s = 0 a vanishing factor raises, y+t before x+t at each t."""
     if s >= 1:
         return (
             falling(x + j + l, l - s)
             * falling(x + j, j)
             / (s * math.factorial(l - s) * _nonzero(falling(j + l, j), f"({j + l})_({j})"))
         )
-    harm = sum(
-        Fraction(1) / _nonzero(y + t, f"y+{t}") - Fraction(1) / _nonzero(x + t, f"x+{t}")
-        for t in range(1, j + 1)
-    )
-    return falling(x + j + l, j + l) / math.factorial(j + l) * harm
+    (px, qx), (py, qy) = as_ratio(x), as_ratio(y)
+    (uy, hy), (ux, hx) = harmonic_num(py, qy, j), harmonic_num(px, qx, j)
+    # the first vanishing factor, y+t before x+t at each t: y+t at t = -py, x+t at t = -px
+    if not uy and (ux or py >= px):
+        raise SamplePoleError(f"y+{-py}")
+    _nonzero(ux, f"x+{-px}")
+    # sum 1/(y+t) - sum 1/(x+t) = hy/uy - hx/ux
+    return Fraction(pochhammer_num(px + (j + l) * qx, qx, j + l, -1) * (hy * ux - hx * uy),
+                    qx ** (j + l) * math.factorial(j + l) * uy * ux)
 
 
 def f_grid(j: int, l: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -384,8 +394,6 @@ def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> Check:
         ok = got == expected == via_5f4
         return _report("h-function", params, ok, f"s={s}", render_frac(got),
                        f"{render_frac(expected)} (5F4: {render_frac(via_5f4)})")
-    expected = sum(Fraction(1) / (y + t) for t in range(1, j + 1)) - sum(
-        Fraction(1) / (x + t) for t in range(1, j + 1)
-    )
+    expected = sum(1 / (y + t) - 1 / (x + t) for t in range(1, j + 1))
     return _report("h-function", params, got == expected, "s=0",
                    render_frac(got), render_frac(expected))

@@ -1,14 +1,19 @@
 """Reference evaluators: the plain ``Fraction`` Horner loops and the generic
 bivariate substitution that ``UniPoly.__call__``, ``value_and_slope`` and
 ``BiPoly.eval2`` replace with integer arithmetic over one common denominator,
-and the term-by-term ``Fraction`` sum that ``hypergeom.pfq_terminating``
-replaces with an inside-out sum on integers.
+the term-by-term ``Fraction`` sum that ``hypergeom.pfq_terminating``
+replaces with an inside-out sum on integers, and the ``Fraction`` harmonic
+sums of F(0)'s closed form that ``identities.f_closed`` takes on integers.
 
 They work in any exact ring, so they also evaluate ``RatFunc`` coefficients
 at ``RatFunc`` points, which the package's evaluators reject.
 """
 
+import math
 from fractions import Fraction
+
+from capelli.hypergeom import falling
+from capelli.identities import SamplePoleError
 
 
 def horner(coeffs, a):
@@ -59,3 +64,19 @@ def pfq_terminating(numerator, denominator, argument):
         term = term * argument / (n + 1)
         total += term
     return total
+
+
+def _nonzero(value, factor):
+    if not value:
+        raise SamplePoleError(factor)
+    return value
+
+
+def f_closed_s0(j, l, x, y):
+    """F(0)'s closed form, the harmonic difference summed one ``Fraction``
+    at a time; at each t the pole y+t is checked before x+t."""
+    harm = sum(
+        Fraction(1) / _nonzero(y + t, f"y+{t}") - Fraction(1) / _nonzero(x + t, f"x+{t}")
+        for t in range(1, j + 1)
+    )
+    return falling(x + j + l, j + l) / math.factorial(j + l) * harm

@@ -27,9 +27,10 @@ point-list evaluation, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
 polynomial at a rational point with ``Fraction`` arithmetic instead of on
 integer numerators, does ``Fraction`` arithmetic in the sum, product,
-scaling or gcd of ``UniPoly``s or in a terminating pFq, or builds more
-than one ``Fraction`` per point in psi_1, psi_2 or F(s) beyond their
-per-x and per-y tables.
+scaling or gcd of ``UniPoly``s or in a terminating pFq, builds more
+than one ``Fraction`` per point in psi_1, psi_2 or F(s) beyond psi_2's
+per-x table or in F(0)'s closed form, or builds a y row of psi_1 or F(s)
+from an x-derived product or from the harmonic kernel.
 """
 
 from fractions import Fraction as Q
@@ -333,19 +334,30 @@ def test_passing_identity_checks_render_nothing(monkeypatch):
     assert renders == [[], [], [], []]
 
 
+def _x_derived_kernel_calls(kernels, xs, ys) -> list:
+    """The ``pochhammer_num(p, q, n, step)`` calls whose base p/q is not y + c
+    for an integer c; ``xs`` and ``ys`` differ mod 1, so those are the calls
+    on an x-derived argument."""
+    assert not {x % 1 for x in xs} & {y % 1 for y in ys}
+    return [a for a in kernels if Q(a[0], a[1]) % 1 not in {y % 1 for y in ys}]
+
+
 @pytest.mark.parametrize("i, j, n", [(0, 0, 3), (1, 1, 3), (0, 2, 4), (1, 2, 5)])
 def test_psi1_computes_x_factors_once_per_x(monkeypatch, i, j, n):
     pts, d = idn.chain_grid(i, j, n), n - i
-    xs = {x for x, _ in pts}
+    xs, ys = {x for x, _ in pts}, {y for _, y in pts}
     falls = _counter(monkeypatch, idn, "falling")
     kernels = _counter(monkeypatch, idn, "pochhammer_num")
     tables = _counter(monkeypatch, idn, "falling_table")
+    harmonic = _counter(monkeypatch, idn, "harmonic_num")
     idn.psi1_at(pts, d, j)
     # on the chain grid every x exceeds every integer the constants use
     assert [a for a in falls if a[0] in xs] == []
     # x_(d-r) for r = 1..d read off one table per distinct x, on its integer
-    # numerator; no product multiplied out one entry at a time
-    assert kernels == []
+    # numerator; no x product multiplied out one entry at a time (the y rows
+    # take theirs from the kernel), and no harmonic sum, which psi_2 reads
+    assert (_x_derived_kernel_calls(kernels, xs, ys), harmonic) == ([], [])
+    assert kernels or j == d  # d = j leaves only the empty q = 0 row
     assert sorted(tables) == sorted((x.numerator, 1, d) for x in xs)
 
 
@@ -357,8 +369,12 @@ def test_f_sum_computes_x_factors_once_per_x(monkeypatch, s, j, l):
     falls = _counter(monkeypatch, idn, "falling")
     kernels = _counter(monkeypatch, idn, "pochhammer_num")
     tables = _counter(monkeypatch, idn, "falling_table")
+    harmonic = _counter(monkeypatch, idn, "harmonic_num")
     idn.f_sum_at(pts, s, j, l)
-    assert [a for a in falls if a[0] in xs] == [] and kernels == []
+    assert [a for a in falls if a[0] in xs] == [] and harmonic == []
+    # the y rows take their products from the kernel, the x rows never;
+    # s = j = 0 leaves only the empty q = 0 row
+    assert _x_derived_kernel_calls(kernels, xs, ys) == [] and (kernels or s == j == 0)
     # (x+j+l)_(j+l-q-s) for q = 0..j read off one table per distinct x = p/q
     # at base x + j + l, as integers over q
     assert sorted(tables) == sorted(
@@ -416,12 +432,22 @@ def test_chain_evaluators_build_one_fraction_per_point(monkeypatch, name):
     cx = count([(xs[0], ys[0]), (xs[1], ys[0])]) - one - 1
     cy = count([(xs[0], ys[0]), (xs[0], ys[1])]) - one - 1
     # the x-only factors of psi_1 and F(s) are integers; psi_2's are
-    # value_and_slope's pair and the point it reads
-    assert cx == (3 if name == "psi2" else 0)
+    # value_and_slope's pair and the point it reads; every y-only factor
+    # is an integer
+    assert (cx, cy) == (3 if name == "psi2" else 0, 0)
     for pts in ([(x, y) for x in xs for y in ys] * 2,
                 [(xs[a], ys[b]) for a, b in [(0, 0), (3, 2), (0, 2), (3, 2), (1, 0), (1, 2)]]):
         nx, ny = len({x for x, _ in pts}), len({y for _, y in pts})
         assert count(pts) == len(pts) + cx * (nx - 1) + cy * (ny - 1) + one - 1
+
+
+def test_f_closed_at_s0_builds_one_fraction_per_point(monkeypatch):
+    """F(0)'s closed form sums its harmonic difference on integers: one
+    ``Fraction`` per point, whatever j."""
+    for j in range(5):
+        for x, y in [(Q(10), Q(1, 3)), (Q(23, 2), Q(7, 5)), (Q(-7, 3), Q(-5, 2))]:
+            made = _fraction_count(monkeypatch, lambda: idn.f_closed(0, j, 2, x, y))
+            assert made == 1, (j, x, y)
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capelli.bipoly import falling_coeffs
-from capelli.hypergeom import dougall_check, falling, falling_table, pfq_terminating, pochhammer_num
+from capelli.hypergeom import (dougall_check, falling, falling_table, harmonic_num, over_lcm,
+                               pfq_terminating, pochhammer_num)
 from capelli.ratfunc import UniPoly
 
 
@@ -64,6 +66,38 @@ def test_falling_table_matches_falling_coeffs(p):
     want = [UniPoly(falling_coeffs(m)).value_and_slope(p) for m in range(15)]
     assert table == [(pd ** m * v, pd ** m * s) for m, (v, s) in enumerate(want)]
     assert [v for v, _ in table] == [pochhammer_num(pn, pd, m, -1) for m in range(15)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=st.one_of(st.integers(-9, 2).map(Q), rationals), n=st.integers(0, 9))
+@example(y=Q(-3), n=5)  # one factor vanishes: harm is the product of the others
+@example(y=Q(-7, 2), n=0)  # empty product and empty sum
+def test_harmonic_num_matches_its_fraction_definition(y, n):
+    """prod / q**n = prod (y+t), harm / q**n = sum_t prod_{u != t} (y+u),
+    so harm / prod = sum 1/(y+t) wherever no factor vanishes."""
+    p, q = y.numerator, y.denominator
+    prod, harm = harmonic_num(p, q, n)
+    assert type(prod) is int and type(harm) is int
+    factors = [y + t for t in range(1, n + 1)]
+    assert Q(prod, q**n) == _naive(y + 1, n, 1)
+    assert Q(harm, q**n) == sum(math.prod(factors[:t] + factors[t + 1:]) for t in range(n))
+    if prod:
+        assert Q(harm, prod) == sum(1 / f for f in factors)
+
+
+pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-60, 60).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(pairs, max_size=4), max_size=4))
+@example(rows=[])  # no entry: denominator 1
+@example(rows=[[], [(3, -4), (-5, 6)], []])  # negative and shared denominators
+def test_over_lcm_matches_its_fraction_definition(rows):
+    """The rows over one positive denominator, the least one that clears them all."""
+    nums, den = over_lcm(rows)
+    assert type(den) is int and den > 0 and all(type(v) is int for row in nums for v in row)
+    assert [[Q(v, den) for v in row] for row in nums] == [[Q(n, d) for n, d in row] for row in rows]
+    assert den == math.lcm(*(abs(d) for row in rows for _, d in row))
 
 
 @pytest.mark.parametrize("bad", [0.5, 1e-3, "1/3", None])

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_eval
 from capelli import identities as idn
 from capelli.hypergeom import falling
 from capelli.ratfunc import RatFunc, UniPoly
@@ -240,6 +241,22 @@ def test_float_equal_to_an_exact_point_is_refused(evaluate):
     for pts in ([(Q(7), Q(1, 4)), (Q(7), 0.25)], [(Q(7, 2), Q(1, 3)), (3.5, Q(1, 3))]):
         with pytest.raises(TypeError):
             evaluate(pts, 2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
+       y=st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
+       j=st.integers(0, 6), l=st.integers(0, 3))
+@example(x=Q(-2), y=Q(-2), j=3, l=1)  # y+2 and x+2 vanish together: y+2 is named
+@example(x=Q(-1), y=Q(-3), j=4, l=0)  # x+1 vanishes before y+3
+@example(x=Q(-4), y=Q(-1), j=4, l=2)  # y+1 vanishes before x+4
+@example(x=Q(-5), y=Q(1, 3), j=5, l=1)  # only x+5 vanishes, at the last t
+@example(x=Q(-3), y=Q(0), j=2, l=2)  # x+3 lies past t = j: no pole
+def test_f_closed_at_s0_matches_the_fraction_reference(x, y, j, l):
+    """F(0)'s integer harmonic difference has the reference's value, or
+    stops at the same pole factor."""
+    assert _outcome(lambda: idn.f_closed(0, j, l, x, y)) == _outcome(
+        lambda: reference_eval.f_closed_s0(j, l, x, y))
 
 
 class TestFClosedForm:
