@@ -250,7 +250,7 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
     kb = kbar(t)
     cls = classify_at(lam, kb)
     if cls is PClass.REGULAR:
-        h_val = Fraction(h_poly(lam)(kb))
+        h_val = h_poly(lam)(kb)
         if not h_val:
             raise AssertionError(f"H_{lam}({kb}) = 0 outside the quasiregular case")
         return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)

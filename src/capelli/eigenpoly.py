@@ -13,14 +13,16 @@ a closed form:
 
 Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
-ORACLE).  Its matrix is built as integer rows, each with its scale, from the
-integer values and slopes of the 1-D falling factorials x_(m) at each row's
-shifted point, read off ``hypergeom.falling_table``.  Bareiss fraction-free
+ORACLE).  Its matrix is built as integer rows, its columns scaled by powers
+of the denominator of k and each row with its scale, from the integer
+values and slopes of the 1-D falling factorials x_(m) at each row's shifted
+point, read off ``hypergeom.falling_table``.  Bareiss fraction-free
 elimination factors it once per (k, d); each solve replays that elimination
-on its right-hand side alone, and ``from_falling`` expands the solution into
-the monomial basis.  The oracle rests only on unique solvability and reads
-no closed form, so when a closed form disagrees it is the closed form that
-is reported as wrong.
+on its right-hand side alone and hands back integer numerators over one
+denominator, which ``from_falling`` expands into the monomial basis on
+integers before one division per monomial.  The oracle rests only on unique
+solvability and reads no closed form, so when a closed form disagrees it is
+the closed form that is reported as wrong.
 
 Every route returns f_lam itself, a ``BiPoly`` with rational coefficients.
 Which routes apply to which class is known here only, in ``ROUTES``.
@@ -82,8 +84,10 @@ class SingularSystemError(ArithmeticError):
 
 
 def bareiss_factor(rows: list[list[int]], scales: list[int]) -> tuple:
-    """Factor the square system with rows ``rows[i] / scales[i]`` once, for
-    any number of right-hand sides (``gauss_solve``); ``rows`` is consumed.
+    """Factor the square system with integer rows ``rows[i] / scales[i]``
+    once, for any number of right-hand sides (``gauss_solve``); ``rows`` is
+    consumed.  Column scales are the caller's: it solves for the unknowns
+    divided by them, as ``interpolate_ev`` does.
 
     Bareiss fraction-free elimination with row pivoting (Bareiss, Math. Comp.
     22, 1968) keeps every entry an integer minor: each update divides exactly
@@ -110,15 +114,16 @@ def bareiss_factor(rows: list[list[int]], scales: list[int]) -> tuple:
     return scales, steps, rows
 
 
-def gauss_solve(system: tuple, rhs: Sequence[Fraction]) -> list[Fraction]:
+def gauss_solve(system: tuple, rhs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Solve a system factored by ``bareiss_factor`` for one right-hand side
-    in O(n^2) integer operations.
+    in O(n^2) integer operations, as integer numerators over one nonzero
+    denominator: x_i = nums[i] / den.
 
     The rhs is read over one common denominator, a ``float`` or a ``str``
     raising ``TypeError``, and scaled as its rows were.  The elimination is
     replayed on it, each row swap at its own step.  With D the determinant,
     D x is integral by Cramer's rule, so back substitution runs in integers
-    too, and each component is normalized once, as x_i = (D x_i) / (D den).
+    too, and the solution is the pair (D x, D den), left unreduced.
     """
     scales, steps, upper = system
     nums, den = common_denominator(rhs)
@@ -134,56 +139,63 @@ def gauss_solve(system: tuple, rhs: Sequence[Fraction]) -> list[Fraction]:
     for i in reversed(range(len(b))):
         row = upper[i]
         dx[i] = (prev * b[i] - sum(c * x for c, x in zip(row[1:], dx[i + 1:]))) // row[0]
-    return [Fraction(v, prev * den) for v in dx]
+    return dx, prev * den
 
 
 # -- the interpolation oracle -----------------------------------------------------
 
 
-# (k, d) -> the oracle's system factored by ``bareiss_factor``
+# (k, d) -> the oracle's system factored by ``bareiss_factor``; past
+# _SYSTEMS_MAX the oldest goes first.  One t needs at most 15 systems
+# (d <= 14) and the deligne sweep runs t-outer, so it factors none twice.
 _SYSTEMS: dict[tuple[Fraction, int], tuple] = {}
+_SYSTEMS_MAX = 32
 
 
 def _ev_rows(k, d: int) -> tuple[list[list[int]], list[int]]:
-    """The oracle's matrix as integer rows and their scales.  Entry
-    (mu, (a, b)), both over ``upto(d)``, is ``rows[mu][(a, b)] / scales[mu]``,
-    the generalized value at mu of the basis element g = x_(a) y_(b) +
-    x_(b) y_(a) (x_(a) y_(a) when a = b).
+    """The oracle's matrix as integer rows and their scales, its columns
+    scaled by pd^a, pd the denominator of k.  Entry (mu, (a, b)), both over
+    ``upto(d)`` (so a >= b), is ``rows[mu][(a, b)] / scales[mu]``, pd^a
+    times the generalized value at mu of the basis element g = x_(a) y_(b)
+    + x_(b) y_(a) (x_(a) y_(a) when a = b).
 
     Row mu reads ``falling_table`` at both coordinates of its shifted point
-    (p, q) = ``eval_point(mu, k)``; q = m2 is an integer, and the table of
-    p = pn / pd is lifted to the one denominator pd^d.  On a regular or
-    quasiregular row the entry is g(p, q) = x_(a)(p) x_(b)(q) + x_(b)(p)
-    x_(a)(q) (one product when a = b) and the scale is pd^d.  On a k-singular row it is
-    square_op(g)(p, q) = (g_x - g_y) / (4 (p - q)), with the partials taken
-    from the slopes; there k and p are integers, the scale is 4 (p - q), and
-    p - q = m1 - m2 - k - 1 >= 1.
+    (p, q) = ``eval_point(mu, k)``; q = m2 is an integer, and at p = pn / pd
+    the table holds x_(m)(p) over pd^m.  On a regular or quasiregular row the
+    entry is pd^a g(p, q) = pd^a x_(a)(p) x_(b)(q) + pd^a x_(b)(p) x_(a)(q)
+    (one product when a = b), an integer, and the scale is 1.  On a
+    k-singular row it is square_op(g)(p, q) = (g_x - g_y) / (4 (p - q)),
+    with the partials taken from the slopes; such rows exist only at an
+    integer k, where pd = 1, the scale is 4 (p - q), and p - q = m1 - m2 -
+    k - 1 >= 1.
     """
     parts = upto(d)
     rows, scales = [], []
     for mu in parts:
         p, q = eval_point(mu, k)
-        (pn, pd), qn = as_ratio(p), int(q)
-        xp = [(v * pd ** (d - m), s * pd ** (d - m))
-              for m, (v, s) in enumerate(falling_table(pn, pd, d))]
-        xq = falling_table(qn, 1, d)
+        (pn, pd), qn = as_ratio(p), int(q)  # pd is the denominator of k
+        xp, xq = falling_table(pn, pd, d), falling_table(qn, 1, d)
         if classify_at(mu, k) is PClass.SINGULAR:
             scales.append(4 * (pn - qn))
             term = lambda a, b: xp[a][1] * xq[b][0] - xp[a][0] * xq[b][1]
         else:
-            scales.append(pd ** d)
+            scales.append(1)
             term = lambda a, b: xp[a][0] * xq[b][0]
-        rows.append([term(a, b) + term(b, a) if a != b else term(a, a) for a, b in parts])
+        rows.append([term(a, b) + term(b, a) * pd ** (a - b) if a != b else term(a, a)
+                     for a, b in parts])
     return rows, scales
 
 
 def _ev_matrix(k, d: int) -> tuple:
     """The oracle's system for (k, d): ``_ev_rows`` factored once by
     ``bareiss_factor`` on a cache miss and kept in ``_SYSTEMS``, so each
-    solve replays the elimination on its rhs alone."""
+    solve replays the elimination on its rhs alone.  Past ``_SYSTEMS_MAX``
+    systems the oldest is dropped."""
     key = (Fraction(k), d)
     system = _SYSTEMS.get(key)
     if system is None:
+        if len(_SYSTEMS) >= _SYSTEMS_MAX:
+            del _SYSTEMS[next(iter(_SYSTEMS))]
         system = _SYSTEMS[key] = bareiss_factor(*_ev_rows(k, d))
     return system
 
@@ -192,22 +204,27 @@ def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
     """Unique symmetric polynomial of degree <= d with the given generalized
     values on all partitions of size <= d (a missing one is 0).
 
-    Solves the exact linear system in the symmetric falling basis.  A value
-    keyed outside ``upto(d)`` raises ``ValueError``, an inexact one
-    ``TypeError``; a rank drop raises ``SingularSystemError`` (it cannot
-    happen legitimately).
+    Solves the exact linear system in the symmetric falling basis, whose
+    columns ``_ev_rows`` scales by pd^a: the solution c' = c / pd^a comes
+    back as integers over one denominator D, so pd^a c' are the numerators
+    of c over D.  ``from_falling`` sums them on integers and each monomial
+    divides once by D.  A value keyed outside ``upto(d)`` raises
+    ``ValueError``, an inexact one ``TypeError``; a rank drop raises
+    ``SingularSystemError`` (it cannot happen legitimately).
     """
     parts = upto(d)
     stray = set(values).difference(parts)
     if stray:
         raise ValueError(f"values keyed outside the partitions of size <= {d}: {sorted(stray)}")
-    coeffs = gauss_solve(_ev_matrix(k, d), [values.get(mu, 0) for mu in parts])
+    nums, den = gauss_solve(_ev_matrix(k, d), [values.get(mu, 0) for mu in parts])
+    pd = as_ratio(k)[1]
     terms = []
-    for c, (a, b) in zip(coeffs, parts):
+    for c, (a, b) in zip(nums, parts):
+        c *= pd ** a
         terms.append((c, a, b))
         if a != b:
             terms.append((c, b, a))
-    return from_falling(terms)
+    return from_falling(terms).map_coeffs(lambda c: Fraction(c, den))
 
 
 def eig_oracle(lam: Pair2, k: int) -> BiPoly:

@@ -114,12 +114,15 @@ def c_super(lam: Pair2, k: int) -> Fraction:
 
 def c_cat(lam: Pair2, t: Fraction | UniPoly) -> Fraction | UniPoly:
     """Categorical Casimir eigenvalue a (a + t - 2), a = l1 - l2, the one
-    definition: at a rational dimension t, as a polynomial in the
-    deformation parameter s when t is ``UniPoly.x()``, or in kappa when t
-    is -2 kappa."""
+    definition: at a rational dimension t = p/q as the one ``Fraction``
+    a ((a - 2) q + p) / q, and as a polynomial in the deformation parameter
+    s when t is ``UniPoly.x()``, or in kappa when t is -2 kappa."""
     l1, l2 = check_partition(lam)
     a = l1 - l2
-    return a * (a - 2 + t)
+    if isinstance(t, UniPoly):
+        return a * (a - 2 + t)
+    p, q = as_ratio(t)
+    return Fraction(a * ((a - 2) * q + p), q)
 
 
 def ell(lam: Pair2, k: int) -> int:

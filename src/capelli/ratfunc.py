@@ -32,13 +32,15 @@ polynomial gcd.  Poles of order two or more are treated as hard errors
 (``PoleError``); the objects this package builds are guaranteed to have
 simple poles only, so a higher-order pole always signals a bug upstream.
 
-Evaluation (``UniPoly.__call__`` and ``value_and_slope``, and
-``BiPoly.eval_at`` / ``eval2``) takes ``int`` or ``Fraction`` points and
-reads each as numerator and denominator (``as_ratio``; ``BiPoly`` brings
+Evaluation (``UniPoly.__call__`` and ``value_and_slope``, ``RatFunc.eval``,
+and ``BiPoly.eval_at`` / ``eval2``) takes ``int`` or ``Fraction`` points and
+reads each as numerator and denominator (``as_ratio``; ``UniPoly.__call__``
+and ``RatFunc.eval`` share one integer Horner kernel, and ``BiPoly`` brings
 its coefficients to one denominator with ``common_denominator`` once per
-point list), and one ``Fraction`` is built per result.  A polynomial is built from ``int`` or ``Fraction``
-coefficients only, and the local analysis of ``RatFunc`` takes the same
-points: anything else, a ``float`` or a string, raises ``TypeError``.
+point list), and one ``Fraction`` is built per result.  A polynomial is
+built from ``int`` or ``Fraction`` coefficients only, and the local
+analysis of ``RatFunc`` takes the same points: anything else, a ``float``
+or a string, raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -224,13 +226,7 @@ class UniPoly:
         on the integer numerators, with a = p/q homogenized, and one
         ``Fraction`` built at the end.  Any other argument raises
         ``TypeError``."""
-        p, q = as_ratio(a)
-        it = reversed(self.nums)
-        acc, qk = next(it, 0), 1
-        for c in it:
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, self.den * qk)
+        return Fraction(*_horner(self, a))
 
     def value_and_slope(self, a: Scalar) -> tuple[Fraction, Fraction]:
         """The pair (p(a), p'(a)) from one integer Horner pass, as ``__call__``."""
@@ -272,6 +268,19 @@ class UniPoly:
 
     def __str__(self) -> str:
         return render_unipoly(self)
+
+
+def _horner(poly: UniPoly, a: Scalar) -> tuple[int, int]:
+    """``poly`` at a = p/q as the integer pair (value * den, den), den =
+    poly.den q^deg: Horner's rule on the numerators with the point
+    homogenized, the one kernel of ``UniPoly.__call__`` and ``RatFunc.eval``."""
+    p, q = as_ratio(a)
+    it = reversed(poly.nums)
+    acc, qk = next(it, 0), 1
+    for c in it:
+        qk *= q
+        acc = acc * p + c * qk
+    return acc, poly.den * qk
 
 
 def _canonical(nums: tuple[int, ...], den: int) -> UniPoly:
@@ -418,10 +427,13 @@ class RatFunc:
     # -- local analysis at a point ---------------------------------------------
 
     def eval(self, a: Scalar) -> Fraction:
-        """Exact value at ``a``; raises ``PoleError`` (with the order) at a pole."""
-        d = self.den(a)
-        if d:
-            return self.num(a) / d
+        """Exact value at ``a``: num and den read at ``a`` by the integer
+        Horner kernel of ``UniPoly.__call__``, and one ``Fraction`` built of
+        their quotient; raises ``PoleError`` (with the order) at a pole."""
+        dv, dd = _horner(self.den, a)
+        if dv:
+            nv, nd = _horner(self.num, a)
+            return Fraction(nv * dd, nd * dv)
         raise PoleError(a, self.den.multiplicity(a))
 
     def _pole_cofactor(self, a: Scalar) -> UniPoly | None:

@@ -31,7 +31,7 @@ from . import eigenpoly as ep
 from . import hypergeom as hg
 from . import identities as idn
 from . import knopsahi as ks
-from .bipoly import render_bipoly
+from .bipoly import BiPoly, render_bipoly
 from .config import Config
 from .partitions import PClass, Pair2, classify, dagger, paired, size, upto
 from .ratfunc import render_frac
@@ -104,6 +104,12 @@ def _value_mismatch(poly: str, got: Iterable[tuple[Pair2, Fraction]],
     return None
 
 
+def _compare(a: BiPoly, b: BiPoly) -> Outcome:
+    """``(a == b, lhs, rhs)`` with both sides rendered; equal sides render once."""
+    lhs = render_bipoly(a)
+    return (True, lhs, lhs) if a == b else (False, lhs, render_bipoly(b))
+
+
 _TASKS: dict[str, Callable[..., Check]] = {}
 
 
@@ -162,7 +168,7 @@ def check_singular_part(lam: Pair2, k: int) -> Outcome:
     lamd = paired(lam, k, PClass.SINGULAR)
     lhs = ks.sing_part(lam, k)
     rhs = ks.reg_part(lamd, k).scale(ks.r_coeff(lam, k))
-    return lhs == rhs, render_bipoly(lhs), render_bipoly(rhs)
+    return _compare(lhs, rhs)
 
 
 @_family("q-depolarized", "lambda", "k")
@@ -200,8 +206,7 @@ def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
         return False, f"degree {f.total_degree()}", f"expected {size(lam)}"
     mus = upto(size(lam))
     got = zip(mus, ks.gen_eval(f, mus, k))
-    return _value_mismatch("f", got, {lam: Fraction(1)}) or (
-        True, render_bipoly(closed), render_bipoly(oracle))
+    return _value_mismatch("f", got, {lam: Fraction(1)}) or _compare(closed, oracle)
 
 
 @_family("jordan-restrictions", "lambda", "k")
@@ -282,16 +287,12 @@ def check_min_poly(d: int, t: Fraction) -> Outcome:
 
 @_family("cat-eigen", "lambda", "t")
 def check_cat_routes(lam: Pair2, t: Fraction) -> Outcome:
-    a = dl.cat_eig_from_blocks(lam, t)
-    b = dl.cat_eig_formula(lam, t)
-    return a == b, render_bipoly(a), render_bipoly(b)
+    return _compare(dl.cat_eig_from_blocks(lam, t), dl.cat_eig_formula(lam, t))
 
 
 @_family("super-cat-degeneration", "lambda", "k")
 def check_super_cat(lam: Pair2, k: int) -> Outcome:
-    a = dl.cat_eig_formula(lam, Fraction(-2 * k))
-    b = ep.eigen(lam, k)
-    return a == b, render_bipoly(a), render_bipoly(b)
+    return _compare(dl.cat_eig_formula(lam, Fraction(-2 * k)), ep.eigen(lam, k))
 
 
 @_family("block-vanishing", "lambda", "t")

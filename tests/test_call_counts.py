@@ -19,15 +19,18 @@ closed form of F(s) per point at s >= 1 instead of per x, renders a
 passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
 instead of 1-D falling tables, factors an oracle system more than once
-per (k, d), rebuilds square_op(f) per point of a
+per (k, d), expands the oracle's solution with ``Fraction`` arithmetic
+instead of on its integer numerators, renders a passing cross-route
+record's two equal sides twice, rebuilds square_op(f) per point of a
 generalized-value check or builds it when no point reads it, rebuilds an
 operator's C-partial per block, brings a
 polynomial's coefficients to a common denominator more than once per
 point-list evaluation, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
-polynomial at a rational point with ``Fraction`` arithmetic instead of on
-integer numerators, does ``Fraction`` arithmetic in the sum, product,
-scaling or gcd of ``UniPoly``s or in a terminating pFq, builds more
+polynomial, a rational function or the Casimir at a rational point with
+``Fraction`` arithmetic instead of on integer numerators, does
+``Fraction`` arithmetic in the sum, product, scaling or gcd of
+``UniPoly``s or in a terminating pFq, builds more
 than one ``Fraction`` per point in psi_1, psi_2 or F(s) beyond psi_2's
 per-x table or in F(0)'s closed form, or builds a y row of psi_1 or F(s)
 from an x-derived product or from the harmonic kernel.
@@ -36,6 +39,7 @@ from an x-derived product or from the harmonic kernel.
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_eval
 import reference_poly
@@ -47,8 +51,8 @@ from capelli import knopsahi as ks
 from capelli import bipoly, ratfunc
 from capelli import verify as vf
 from capelli.bipoly import BiPoly, falling_coeffs
-from capelli.partitions import PClass, classify, classify_at, of_size, paired, size, upto
-from capelli.ratfunc import RatFunc, UniPoly
+from capelli.partitions import PClass, c_cat, classify, classify_at, of_size, paired, size, upto
+from capelli.ratfunc import PoleError, RatFunc, UniPoly
 
 
 def _counter(monkeypatch, owner, name) -> list:
@@ -146,6 +150,31 @@ def test_cat_eigen_sweep_factors_each_oracle_system_once(monkeypatch):
     systems = {(dl.kbar(t), d) for t in ts for d in range(6)}
     assert (len(builds), len(factors), set(ep._SYSTEMS)) == (len(systems), len(systems), systems)
     assert len(solves) == len(ts) * len(upto(5))  # one solve per check
+
+
+CROSS_ROUTE_CASES = [
+    (vf.check_cat_routes, ((3, 1), Q(1, 2))),
+    (vf.check_cat_routes, ((2, 0), Q(-2))),
+    (vf.check_super_cat, ((3, 1), 1)),
+    (vf.check_eigen_routes, ((3, 1), 1)),
+    (vf.check_singular_part, ((2, 0), 0)),
+]
+
+
+@pytest.mark.parametrize("check, args", CROSS_ROUTE_CASES)
+def test_passing_cross_route_check_renders_once(monkeypatch, check, args):
+    renders = _counter(monkeypatch, vf, "render_bipoly")
+    record = check(*args)
+    assert record.passed and record.lhs == record.rhs, record
+    assert len(renders) == 1
+
+
+def test_failing_cat_eigen_check_renders_both_sides(monkeypatch):
+    formula = dl.cat_eig_formula
+    monkeypatch.setattr(dl, "cat_eig_formula", lambda lam, t: formula(lam, t).scale(Q(2)))
+    renders = _counter(monkeypatch, vf, "render_bipoly")
+    record = vf.check_cat_routes((3, 1), Q(1, 2))
+    assert record.status == "fail" and record.lhs != record.rhs and len(renders) == 2
 
 
 def test_l_op_normalizes_once_per_monomial(monkeypatch):
@@ -528,3 +557,63 @@ def test_ring_operations_and_gcd_do_no_fraction_arithmetic(monkeypatch, coeffs, 
     monkeypatch.undo()
     want = (rp + rq, rp * rq, rp.scale(Q(a) - 1), (rp * rcommon).gcd(rq * rcommon))
     assert [g.coeffs for g in got] == [w.coeffs for w in want]
+
+
+RATFUNC_CASES = [
+    (RatFunc(UniPoly((1, 2, 3)), UniPoly((Q(-1, 2), 1))), Q(5, 3)),
+    (RatFunc(UniPoly((Q(10**20 + 3, 7), 0, Q(-2, 9))),
+             UniPoly((2, -3, 1)) * UniPoly((Q(1, 3), 1))), Q(-7, 4)),
+    (RatFunc(UniPoly((0, 1)), UniPoly((Q(4, 9), 0, 1))), Q(-2, 3)),
+    (RatFunc(5), 3),
+    (RatFunc(0), Q(1, 2)),
+]
+
+
+@pytest.mark.parametrize("f, a", RATFUNC_CASES)
+def test_ratfunc_eval_does_no_fraction_arithmetic(monkeypatch, f, a):
+    want = f.num(a) / f.den(a)
+    a_ = _Opaque(a)
+    _refuse_fraction_arithmetic(monkeypatch)
+    got = f.eval(a_)
+    monkeypatch.undo()
+    assert (got, type(got)) == (want, Q)
+
+
+@pytest.mark.parametrize("den, a, order", [
+    (UniPoly((-2, 1)), 2, 1),
+    (UniPoly((Q(1, 3), 1)) * UniPoly((Q(1, 3), 1)) * UniPoly((1, 1)), Q(-1, 3), 2),
+])
+def test_ratfunc_eval_at_a_pole_raises_its_order(den, a, order):
+    with pytest.raises(PoleError) as info:
+        RatFunc(UniPoly((1, 1)), den).eval(a)
+    assert (info.value.point, info.value.order) == (a, order)
+
+
+@pytest.mark.parametrize("k, lam", [(Q(-5, 6), (4, 1)), (Q(1, 200), (3, 3)), (2, (5, 3))])
+def test_oracle_expands_its_solution_on_integers(monkeypatch, k, lam):
+    expand = ep.from_falling
+    calls = []
+
+    def on_integers(terms):
+        calls.append(terms)
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_fraction_arithmetic(mp)
+            return expand(terms)
+
+    monkeypatch.setattr(ep, "from_falling", on_integers)
+    f = ep.interpolate_ev({lam: Q(1)}, size(lam), k)
+    mus = upto(size(lam))
+    assert len(calls) == 1 and ks.gen_eval(f, mus, k) == [Q(mu == lam) for mu in mus]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14).flatmap(lambda l1: st.tuples(st.just(l1), st.integers(0, l1))),
+       st.one_of(st.integers(-100, 100), st.fractions(-100, 100, max_denominator=100)))
+def test_casimir_at_a_rational_t_is_one_fraction_on_integers(lam, t):
+    a = lam[0] - lam[1]
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_fraction_arithmetic(mp)
+        got = c_cat(lam, _Opaque(t))
+    assert (got, type(got)) == (a * (a - 2 + t), Q)
+    at_s = c_cat(lam, UniPoly.x())  # the polynomial path stays
+    assert type(at_s) is UniPoly and at_s == UniPoly((a * (a - 2), a))

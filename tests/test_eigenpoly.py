@@ -37,6 +37,13 @@ def gauss_jordan(matrix, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def solved(system, rhs):
+    """``gauss_solve``'s integer numerators over one denominator, as Fractions."""
+    nums, den = gauss_solve(system, rhs)
+    assert all(type(v) is int for v in (*nums, den)) and den, (nums, den)
+    return [Q(v, den) for v in nums]
+
+
 def factor(matrix):
     """Factor a rational matrix, each row over its own common denominator."""
     rows, scales = zip(*(common_denominator(row) for row in matrix))
@@ -86,7 +93,7 @@ def systems(draw):
 class TestGauss:
     def test_solves(self):
         a = [[Q(2), Q(1)], [Q(1), Q(3)]]
-        assert gauss_solve(factor(a), [Q(5), Q(10)]) == [Q(1), Q(3)]
+        assert solved(factor(a), [Q(5), Q(10)]) == [Q(1), Q(3)]
 
     def test_singular_raises(self):
         with pytest.raises(SingularSystemError):
@@ -103,7 +110,7 @@ class TestGauss:
         system = factor(a)
         assert has_row_swap(system)
         for rhs in ([Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(1), Q(-1, 3), Q(5, 2)]):
-            assert gauss_solve(system, rhs) == gauss_jordan(a, rhs)
+            assert solved(system, rhs) == gauss_jordan(a, rhs)
 
     @pytest.mark.parametrize("value", [0.5, "1/2"])
     def test_inexact_rhs_raises(self, value):
@@ -122,7 +129,7 @@ class TestGauss:
             with pytest.raises(SingularSystemError):
                 gauss_solve(factor(matrix), rhs)
         else:
-            assert gauss_solve(factor(matrix), rhs) == want
+            assert solved(factor(matrix), rhs) == want
 
     @pytest.mark.parametrize("k", ORACLE_KS)
     def test_matches_sympy_lusolve_on_oracle_systems(self, k):
@@ -134,18 +141,47 @@ class TestGauss:
             rat = lambda v: sympy.Rational(v.numerator, v.denominator)
             # row i of the system is rows[i] / scales[i], so its rhs is scaled alike
             want = sympy.Matrix(rows).LUsolve(sympy.Matrix([rat(s * v) for s, v in zip(scales, rhs)]))
-            assert gauss_solve(ep._ev_matrix(k, d), rhs) == [Q(str(v)) for v in want], (k, d)
+            assert solved(ep._ev_matrix(k, d), rhs) == [Q(str(v)) for v in want], (k, d)
 
 
 class TestOracleMatrix:
     @pytest.mark.parametrize("k", ORACLE_KS)
     def test_matches_eval2_build(self, k):
+        pd = Q(k).denominator
         for d in range(9):
             rows, scales = ep._ev_rows(k, d)
             assert all(type(v) is int for row in rows for v in row), (k, d)
             assert all(type(s) is int and s > 0 for s in scales), (k, d)
-            want = [[s * v for v in row] for s, row in zip(scales, ev_matrix_by_eval2(k, d))]
+            # row scale 1 but on a k-singular row, column (a, b) scaled by pd^max(a, b)
+            assert all(s == 1 for s, mu in zip(scales, upto(d))
+                       if classify_at(mu, k) is not PClass.SINGULAR), (k, d)
+            want = [[s * v * pd ** max(a, b) for v, (a, b) in zip(row, upto(d))]
+                    for s, row in zip(scales, ev_matrix_by_eval2(k, d))]
             assert rows == want, (k, d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(st.integers(-100, 100), st.integers(2, 100)).map(lambda r: Q(*r))
+           .filter(lambda k: k.denominator > 1),
+           st.integers(0, 6), st.lists(fracs, min_size=16, max_size=16))
+    @example(Q(-99, 100), 6, [Q(i - 7, i + 1) for i in range(16)])
+    def test_interpolation_matches_rational_reference_at_fractional_k(self, k, d, values):
+        """The column-scaled integer solve against Gauss-Jordan on the
+        rational matrix, expanded by ``from_falling`` on Fractions."""
+        parts = upto(d)  # |upto(6)| = 16
+        rhs = values[:len(parts)]
+        c = gauss_jordan(ev_matrix_by_eval2(k, d), rhs)
+        want = from_falling([(v, a, b) for v, (a, b) in zip(c, parts)]
+                            + [(v, b, a) for v, (a, b) in zip(c, parts) if a != b])
+        assert ep.interpolate_ev(dict(zip(parts, rhs)), d, k) == want
+
+    def test_systems_past_the_cap_drop_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(ep, "_SYSTEMS", {})
+        keys = [(Q(n, 7), d) for n in range(20) for d in range(2)]
+        assert len(keys) > ep._SYSTEMS_MAX == 32
+        for k, d in keys:
+            ep._ev_matrix(k, d)
+            assert len(ep._SYSTEMS) <= ep._SYSTEMS_MAX
+        assert list(ep._SYSTEMS) == keys[-ep._SYSTEMS_MAX:]
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.integers(0, 6).map(Q), st.integers(-9, 9).map(lambda n: Q(n, 2)),
@@ -155,7 +191,7 @@ class TestOracleMatrix:
     @example(Q(3), 10, [Q(2 * i - 5, 3) for i in range(36)])
     def test_factored_solve_matches_gauss_jordan(self, k, d, values):
         rhs = values[:len(upto(d))]  # |upto(10)| = 36
-        assert gauss_solve(ep._ev_matrix(k, d), rhs) == gauss_jordan(ev_rational_matrix(k, d), rhs)
+        assert solved(ep._ev_matrix(k, d), rhs) == gauss_jordan(ev_rational_matrix(k, d), rhs)
 
     def test_property_covers_row_swaps(self):
         assert has_row_swap(ep._ev_matrix(0, 2))
