@@ -42,10 +42,9 @@ class BiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, object] | Iterable[tuple[Key, object]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[Key, object] = {}):  # the default is only read
         clean = {}
-        for (i, j), c in items:
+        for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair ({i}, {j})")
             if c:

@@ -9,6 +9,9 @@ polynomial, block table, minimal polynomial), ``table`` (partition data),
 ``build_parser`` alone declares what each subcommand accepts: ``csv``
 output on ``table`` and ``verify`` only, ``--jobs`` on ``verify`` only (the
 one command that starts workers), and flags spelled in full, never abbreviated.
+It spells no route or bound: ``eig --route`` takes the names in
+``eigenpoly.ROUTES`` plus ``all``, and the ``verify`` bound flags, overrides
+and report params come from ``verify.BOUND_CAPS``.
 
 Each command builds its result as a JSON document and as text, and
 ``_write`` writes the one ``--format`` asks for to ``--out`` or stdout;
@@ -35,7 +38,7 @@ from .config import ConfigError, load_config, shown
 from .partitions import PClass, Pair2, classify, dagger, ell, h_poly, c_super, c_cat, size, upto
 from .ratfunc import render_frac, render_unipoly
 from .report import csv_text, json_text
-from .verify import Bounds, BoundsError, SUITES, run_suite
+from .verify import BOUND_CAPS, Bounds, BoundsError, SUITES, check_range, run_suite
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -107,12 +110,6 @@ def parse_t_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(tok) for tok in tokens)
 
 
-# The verify sweep bounds in report order, named by their report keys.  The
-# flag is ``--`` plus the key with ``-`` for ``_``; the ``Bounds`` field is
-# the key lower-cased.
-BOUND_KEYS = ("k_max", "size_max", "N_max", "psi_N_max", "deligne_size_max",
-              "minpoly_d_max", "a_max", "bcd_max")
-
 _TEXT_FORMATS = ("pretty", "json")
 _TABLE_FORMATS = _TEXT_FORMATS + ("csv",)
 
@@ -143,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig = subs.add_parser("eig", help="eigenvalue polynomial f_lambda")
     p_eig.add_argument("partition", metavar="LAMBDA")
     p_eig.add_argument("--k", type=int, default=None, metavar="K")
-    p_eig.add_argument("--route", choices=("a", "b", "c", "d", "oracle", "all"), default="all")
+    routes = sorted({r for names in ep.ROUTES.values() for r in names})
+    p_eig.add_argument("--route", choices=(*routes, "all"), default="all")
     p_eig.add_argument("--falling", action="store_true", help="render in the falling basis")
     _common_flags(p_eig)
 
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    for key in BOUND_KEYS:
+    for key in BOUND_CAPS:
         flags = ["--" + key.replace("_", "-")] + (["--n-max"] if key == "N_max" else [])
         p_ver.add_argument(*flags, type=int, default=None, dest=key.lower())
     p_ver.add_argument("--t-list", default=None, dest="t_list", metavar="T1,T2,...")
@@ -193,8 +191,7 @@ def _emit(args, text: str) -> None:
 def _partition(args, cfg) -> Pair2:
     """The LAMBDA argument, parsed and held to the size cap."""
     lam = parse_partition(args.partition)
-    if size(lam) > cfg.size_cap:
-        raise UsageError(f"partition size {size(lam)} exceeds the hard cap {cfg.size_cap}")
+    check_range("partition size", size(lam), cfg.size_cap)
     return lam
 
 
@@ -202,8 +199,7 @@ def _k(args, cfg) -> int:
     """``--k``, range-checked, or the configured ``default_k`` when omitted."""
     if args.k is None:
         return cfg.default_k
-    if not 0 <= args.k <= cfg.k_cap:
-        raise UsageError(f"--k must lie in [0, {cfg.k_cap}]")
+    check_range("k", args.k, cfg.k_cap)
     return args.k
 
 
@@ -236,15 +232,14 @@ def cmd_eig(args, cfg) -> int:
     k = _k(args, cfg)
     cls = classify(lam, k)
     doc = {"command": "eig", "lambda": args.partition, "k": k, "class": cls.value}
+    routes = ep.ROUTES[cls]
     if args.route == "all":
-        routes = ep.applicable_routes(lam, k)
-        doc["routes"] = [r.value for r in routes]
+        doc["routes"] = list(routes)
     else:
-        route = ep.Route(args.route)
-        if route not in ep.ROUTES[cls]:
-            need = next(c for c, routes in ep.ROUTES.items() if route in routes)
+        if args.route not in routes:
+            need = next(c for c, names in ep.ROUTES.items() if args.route in names)
             raise UsageError(f"lambda is {k}-{cls.value}; route {args.route} requires {need.value}")
-        routes = [route]
+        routes = (args.route,)
         doc["route"] = args.route
     bodies = [ep.eigen(lam, k, r) for r in routes]
     agree = all(b == bodies[0] for b in bodies)
@@ -286,8 +281,7 @@ def cmd_deligne(args, cfg) -> int:
 
 def cmd_table(args, cfg) -> int:
     k = _k(args, cfg)
-    if args.size_max < 0 or args.size_max > cfg.size_cap:
-        raise UsageError(f"--size-max must lie in [0, {cfg.size_cap}]")
+    check_range("size-max", args.size_max, cfg.size_cap)
     header = ["lambda", "size", "class", "dagger", "ell", "H(kappa)", "H(k)", "c_super", "c_cat(-2k)"]
     rows = []
     for lam in upto(args.size_max):
@@ -321,7 +315,7 @@ def cmd_table(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    overrides = {name: value for name in map(str.lower, BOUND_KEYS)
+    overrides = {name: value for name in map(str.lower, BOUND_CAPS)
                  if (value := getattr(args, name)) is not None}
     if args.t_list is not None:
         overrides["t_list"] = parse_t_list(args.t_list)
@@ -332,7 +326,7 @@ def cmd_verify(args, cfg) -> int:
         raise UsageError("--jobs must be >= 1")
     params = (
         ("suite", args.suite),
-        *((key, str(getattr(bounds, key.lower()))) for key in BOUND_KEYS),
+        *((key, str(getattr(bounds, key.lower()))) for key in BOUND_CAPS),
         ("t_list", ",".join(render_frac(t) for t in bounds.t_list)),
     )
     report = run_suite(args.suite, bounds, params=params, jobs=jobs, cfg=cfg)

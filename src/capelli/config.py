@@ -59,6 +59,13 @@ def _checked(cfg: Config) -> Config:
     return cfg
 
 
+def _int(where: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where} needs an integer, got {shown(value)}") from exc
+
+
 def parse_config_text(text: str, base: Config | None = None) -> Config:
     cfg = base or Config()
     updates = {}
@@ -72,10 +79,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         key, value = key.strip(), value.strip()
         if key not in Config._fields:
             raise ConfigError(f"line {lineno}: unknown key {shown(key)}")
-        try:
-            updates[key] = int(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key} needs an integer, got {shown(value)}") from exc
+        updates[key] = _int(f"line {lineno}: {key}", value)
     return _checked(cfg._replace(**updates))
 
 
@@ -92,8 +96,5 @@ def load_config(path: str | None = None, environ: dict | None = None) -> Config:
     for name in Config._fields:
         raw = env.get(ENV_PREFIX + name.upper())
         if raw is not None:
-            try:
-                updates[name] = int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{ENV_PREFIX}{name.upper()} needs an integer, got {shown(raw)}") from exc
+            updates[name] = _int(ENV_PREFIX + name.upper(), raw)
     return _checked(cfg._replace(**updates))

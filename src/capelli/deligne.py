@@ -270,7 +270,7 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
             = 4 (l1 - l2 - k - 1) / H'_{lam+}(k).
 
     It is the s -> -2k limit in s = -2 kappa, an invertible affine change of
-    variable.  Returns both sides, exactly; the right one is route B's
+    variable.  Returns both sides, exactly; the right one is route b's
     ``singular_scale``.
     """
     lamd = paired(lam, k, PClass.SINGULAR)

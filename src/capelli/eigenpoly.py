@@ -5,15 +5,15 @@ polynomial f_lam of degree |lam| whose generalized values on all partitions
 of size <= |lam| are Kronecker deltas.  Depending on the class of lam it has
 a closed form:
 
-* regular:       f_lam = P_lam^k / H_lam(k)                         (route A)
-* singular:      f_lam = 4 (l1 - l2 - k - 1) / H'_{lam+}(k) P_{lam+}^k  (route B)
-* quasiregular:  f_lam = lim_{kappa->k} (P_lam/H_lam + P_{lam+}/H_{lam+})   (route C)
+* regular:       f_lam = P_lam^k / H_lam(k)                         (route a)
+* singular:      f_lam = 4 (l1 - l2 - k - 1) / H'_{lam+}(k) P_{lam+}^k  (route b)
+* quasiregular:  f_lam = lim_{kappa->k} (P_lam/H_lam + P_{lam+}/H_{lam+})   (route c)
 * quasiregular:  explicit combination of regularized polynomials with
-  rational coefficients M_{lam,mu}                                  (route D)
+  rational coefficients M_{lam,mu}                                  (route d)
 
 Independently of all of these, the interpolation oracle solves the defining
 linear system exactly in the symmetric falling-factorial basis (route
-ORACLE).  Its matrix is built as integer rows, its columns scaled by powers
+oracle).  Its matrix is built as integer rows, its columns scaled by powers
 of the denominator of k and each row with its scale, from the integer
 values and slopes of the 1-D falling factorials x_(m) at each row's shifted
 point, read off ``hypergeom.falling_table``.  Bareiss fraction-free
@@ -25,12 +25,12 @@ solvability and reads no closed form, so when a closed form disagrees it is
 the closed form that is reported as wrong.
 
 Every route returns f_lam itself, a ``BiPoly`` with rational coefficients.
-Which routes apply to which class is known here only, in ``ROUTES``.
+A route is named once, in ``_ROUTE_FN``; which names apply to which class
+is known here only, in ``ROUTES``, which the CLI's ``--route`` reads.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -58,22 +58,6 @@ from .partitions import (
     upto,
 )
 from .ratfunc import PoleError, RatFunc, as_ratio, common_denominator
-
-
-class Route(enum.Enum):
-    A = "a"
-    B = "b"
-    C = "c"
-    D = "d"
-    ORACLE = "oracle"
-
-
-# The routes that apply to each class, closed form first and the oracle last.
-ROUTES: dict[PClass, tuple[Route, ...]] = {
-    PClass.REGULAR: (Route.A, Route.ORACLE),
-    PClass.SINGULAR: (Route.B, Route.ORACLE),
-    PClass.QUASIREGULAR: (Route.C, Route.D, Route.ORACLE),
-}
 
 
 class SingularSystemError(ArithmeticError):
@@ -228,7 +212,7 @@ def interpolate_ev(values: Mapping[Pair2, Fraction], d: int, k) -> BiPoly:
 
 
 def eig_oracle(lam: Pair2, k: int) -> BiPoly:
-    """Route ORACLE: solve gen_eval(f, mu) = delta_{lam,mu} directly."""
+    """Route oracle: solve gen_eval(f, mu) = delta_{lam,mu} directly."""
     check_partition(lam)
     return interpolate_ev({lam: Fraction(1)}, size(lam), k)
 
@@ -237,7 +221,7 @@ def eig_oracle(lam: Pair2, k: int) -> BiPoly:
 
 
 def eig_regular(lam: Pair2, k: int) -> BiPoly:
-    """Route A (k-regular lam): P_lam^k scaled by 1 / H_lam(k)."""
+    """Route a (k-regular lam): P_lam^k scaled by 1 / H_lam(k)."""
     if classify(lam, k) is not PClass.REGULAR:
         raise ValueError(f"{lam} is not {k}-regular; route a requires regular")
     h = Fraction(h_poly(lam)(k))
@@ -247,18 +231,18 @@ def eig_regular(lam: Pair2, k: int) -> BiPoly:
 
 
 def singular_scale(lam: Pair2, k: int) -> Fraction:
-    """Route B's scale 4 (l1 - l2 - k - 1) / H'_{lam+}(k) for k-singular lam."""
+    """Route b's scale 4 (l1 - l2 - k - 1) / H'_{lam+}(k) for k-singular lam."""
     lamd = paired(lam, k, PClass.SINGULAR)
     return Fraction(4 * (lam[0] - lam[1] - k - 1)) / h_poly(lamd).derivative()(k)
 
 
 def eig_singular(lam: Pair2, k: int) -> BiPoly:
-    """Route B (k-singular lam): rescaled specialization of P at the dagger."""
+    """Route b (k-singular lam): rescaled specialization of P at the dagger."""
     return reg_part(paired(lam, k, PClass.SINGULAR), k).scale(singular_scale(lam, k))
 
 
 def eig_qreg_limit(lam: Pair2, k: int) -> BiPoly:
-    """Route C (k-quasiregular lam): pole-cancelling limit of the H-normalized
+    """Route c (k-quasiregular lam): pole-cancelling limit of the H-normalized
     sum P_lam/H_lam + P_{lam+}/H_{lam+} at kappa = k."""
     lamd = paired(lam, k, PClass.QUASIREGULAR)
     combined = ks_poly(lam).body.scale(RatFunc(1, h_poly(lam))) + ks_poly(lamd).body.scale(
@@ -271,7 +255,7 @@ def eig_qreg_limit(lam: Pair2, k: int) -> BiPoly:
 
 
 def m_coeff(lam: Pair2, mu: Pair2, k: int) -> Fraction:
-    """Expansion coefficient M_{lam,mu} of route D.
+    """Expansion coefficient M_{lam,mu} of route d.
 
     For |mu| > 0:
 
@@ -302,7 +286,7 @@ def m_coeff(lam: Pair2, mu: Pair2, k: int) -> Fraction:
 
 
 def eig_qreg_explicit(lam: Pair2, k: int) -> BiPoly:
-    """Route D (k-quasiregular lam): explicit combination in the regularized
+    """Route d (k-quasiregular lam): explicit combination in the regularized
     basis,
 
         f_lam = (l+1)! / ((l1-k-1)! (l1+l-k)!) *
@@ -340,24 +324,21 @@ def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
 # -- dispatch ---------------------------------------------------------------------
 
 
-def applicable_routes(lam: Pair2, k: int) -> tuple[Route, ...]:
-    return ROUTES[classify(lam, k)]
+# The route functions by name, in one flat dict: perfbench's tracer rewraps its values.
+_ROUTE_FN = {"a": eig_regular, "b": eig_singular, "c": eig_qreg_limit, "d": eig_qreg_explicit,
+             "oracle": eig_oracle}
 
-
-_ROUTE_FN = {
-    Route.A: eig_regular,
-    Route.B: eig_singular,
-    Route.C: eig_qreg_limit,
-    Route.D: eig_qreg_explicit,
-    Route.ORACLE: eig_oracle,
+# The route names that apply to each class, closed form first and the oracle last.
+ROUTES: dict[PClass, tuple[str, ...]] = {
+    PClass.REGULAR: ("a", "oracle"),
+    PClass.SINGULAR: ("b", "oracle"),
+    PClass.QUASIREGULAR: ("c", "d", "oracle"),
 }
 
 
-def eigen(lam: Pair2, k: int, route: Route | None = None) -> BiPoly:
-    """f_lam via the requested route, or the class-appropriate closed form."""
-    if route is None:
-        route = applicable_routes(lam, k)[0]
-    return _ROUTE_FN[route](lam, k)
+def eigen(lam: Pair2, k: int, route: str | None = None) -> BiPoly:
+    """f_lam via the named route, or the class's closed form, first in ``ROUTES``."""
+    return _ROUTE_FN[route or ROUTES[classify(lam, k)][0]](lam, k)
 
 
 def restriction_pair(f: BiPoly, mus: Iterable[Pair2], k: int) -> list[tuple[Fraction, Fraction]]:

@@ -36,8 +36,6 @@ def pochhammer_num(p: int, q: int, n: int, step: int) -> int:
     num = 1
     for t in range(n):
         num *= p + step * t * q
-        if not num:
-            return 0
     return num
 
 

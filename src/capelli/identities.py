@@ -94,8 +94,6 @@ def rhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
                 * falling(n - i - j, n - p - q)
                 / ((n - p) * math.factorial(q))
             )
-            if not const:
-                continue
             if p not in body:
                 body[p] = UniPoly(falling_coeffs(p - i)) * UniPoly(falling_coeffs(p - j)) * tail[p]
             lead = lead + body[p].scale(const)

@@ -132,9 +132,6 @@ class UniPoly:
         """The coefficients as ``Fraction``s, lowest degree first."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "UniPoly | Scalar") -> "UniPoly":
@@ -518,11 +515,10 @@ def render_frac(c: Fraction) -> str:
 
 
 def render_unipoly(p: UniPoly, var: str = "κ") -> str:
-    if not p.coeffs:
+    if not p:
         return "0"
     parts: list[str] = []
-    for i in range(p.degree(), -1, -1):
-        c = p[i]
+    for i, c in reversed(list(enumerate(p.coeffs))):
         if not c:
             continue
         if i == 0:

@@ -49,7 +49,23 @@ T_LIST_MAX = 64
 
 
 class BoundsError(ValueError):
-    """Requested sweep bounds exceed the configured hard caps."""
+    """A sweep bound or other capped integer lies outside [0, its hard cap]."""
+
+
+def check_range(label: str, value: int, cap: int) -> None:
+    """Raise ``BoundsError`` naming ``label`` unless 0 <= value <= cap."""
+    if value < 0:
+        raise BoundsError(f"{label} = {value} must be non-negative")
+    if value > cap:
+        raise BoundsError(f"{label} = {value} exceeds the hard cap {cap}")
+
+
+# The sweep bounds in report order: each report key and the ``Config`` cap
+# that bounds it.  The flag is ``--`` plus the key with ``-`` for ``_``, and
+# the ``Bounds`` field is the key lower-cased.
+BOUND_CAPS = {"k_max": "k_cap", "size_max": "size_cap", "N_max": "n_cap", "psi_N_max": "n_cap",
+              "deligne_size_max": "size_cap", "minpoly_d_max": "size_cap", "a_max": "n_cap",
+              "bcd_max": "n_cap"}
 
 
 class Bounds(NamedTuple):
@@ -69,21 +85,10 @@ class Bounds(NamedTuple):
         return self.size_max + 2
 
     def validate(self, cfg: Config) -> None:
-        for label, value, cap in (
-            ("k-max", self.k_max, cfg.k_cap),
-            ("size-max", self.size_max, cfg.size_cap),
-            ("size-max+2 (pole sweep)", self.pole_size_max(), cfg.size_cap),
-            ("N-max", self.n_max, cfg.n_cap),
-            ("psi N-max", self.psi_n_max, cfg.n_cap),
-            ("deligne size-max", self.deligne_size_max, cfg.size_cap),
-            ("min-poly d-max", self.minpoly_d_max, cfg.size_cap),
-            ("a-max", self.a_max, cfg.n_cap),
-            ("bcd-max", self.bcd_max, cfg.n_cap),
-        ):
-            if value < 0:
-                raise BoundsError(f"{label} = {value} must be non-negative")
-            if value > cap:
-                raise BoundsError(f"{label} = {value} exceeds the hard cap {cap}")
+        for key, cap in BOUND_CAPS.items():
+            check_range(key.replace("_", "-"), getattr(self, key.lower()), getattr(cfg, cap))
+            if key == "size_max":
+                check_range("size-max+2 (pole sweep)", self.pole_size_max(), cfg.size_cap)
         if not 0 < len(self.t_list) <= T_LIST_MAX:
             raise BoundsError(f"t-list has {len(self.t_list)} values; it needs 1 to {T_LIST_MAX}")
 
@@ -193,9 +198,10 @@ def check_basis_triangular(k: int, d: int) -> Outcome:
 
 @_family("eigen-routes", "lambda", "k")
 def check_eigen_routes(lam: Pair2, k: int) -> Outcome:
-    routes = ep.applicable_routes(lam, k)
+    cls = classify(lam, k)
+    routes = ep.ROUTES[cls]
     bodies = [ep.eigen(lam, k, r) for r in routes]
-    if classify(lam, k) is PClass.QUASIREGULAR:
+    if cls is PClass.QUASIREGULAR:
         bodies.append(ep.qreg_variation_body(lam, k))
     oracle = bodies[len(routes) - 1]
     closed = bodies[0]

@@ -80,7 +80,7 @@ def test_c4_eigen_route_agreement():
     )
     for k in range(4):
         for lam in upto(8):
-            bodies = [ep.eigen(lam, k, r) for r in ep.applicable_routes(lam, k)]
+            bodies = [ep.eigen(lam, k, r) for r in ep.ROUTES[classify(lam, k)]]
             assert all(b == bodies[0] for b in bodies), (lam, k)
             f = bodies[0]
             assert f.total_degree() == size(lam), (lam, k)

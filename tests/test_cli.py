@@ -16,12 +16,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from capelli import cli
+from capelli import eigenpoly as ep
 from capelli.cli import main
 from capelli.report import Check, RunReport
 from capelli import verify as vf
 from cli_cases import REPORT_CASES, STDOUT_CASES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Every verify sweep-bound flag, in report order, with its default hard cap.
+SWEEP_BOUND_CAPS = [("--k-max", 6), ("--size-max", 14), ("--N-max", 10), ("--psi-N-max", 10),
+                    ("--deligne-size-max", 14), ("--minpoly-d-max", 14), ("--a-max", 10),
+                    ("--bcd-max", 10)]
+
+
+def _never_sweep(*args, **kwargs):
+    raise AssertionError("the sweep must not start")
 
 
 def run_cli(argv):
@@ -84,23 +94,37 @@ class TestExitCodes:
         assert code == 2
         assert err
 
-    def test_negative_table_size_is_one_line(self):
-        code, out, err = run_cli(["table", "--size-max", "-1"])
-        assert code == 2 and out == ""
-        assert err == "capelli: error: --size-max must lie in [0, 14]\n"
-
     @pytest.mark.parametrize(
-        "flag, label",
+        "argv, message",
         [
-            ("--psi-N-max", "psi N-max"),
-            ("--deligne-size-max", "deligne size-max"),
-            ("--minpoly-d-max", "min-poly d-max"),
+            (["table", "--size-max", "-1"], "size-max = -1 must be non-negative"),
+            (["table", "--size-max", "15"], "size-max = 15 exceeds the hard cap 14"),
+            (["eig", "1,0", "--k", "9"], "k = 9 exceeds the hard cap 6"),
+            (["table", "--k", "-1"], "k = -1 must be non-negative"),
+            (["ks", "8,7"], "partition size = 15 exceeds the hard cap 14"),
+            (["deligne", "8,8", "--t", "0"], "partition size = 16 exceeds the hard cap 14"),
         ],
     )
-    def test_negative_sweep_bound_is_one_line(self, flag, label):
-        code, out, err = run_cli(["verify", "deligne", flag, "-1"])
+    def test_capped_integer_is_one_line(self, monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be built")
+
+        monkeypatch.setattr(cli, "upto", never)
+        code, out, err = run_cli(argv)
         assert code == 2 and out == ""
-        assert err == f"capelli: error: {label} = -1 must be non-negative\n"
+        assert err == f"capelli: error: {message}\n"
+
+    def test_every_sweep_bound_flag_is_listed(self):
+        assert [flag for flag, _ in SWEEP_BOUND_CAPS] == [
+            "--" + key.replace("_", "-") for key in vf.BOUND_CAPS]
+
+    @pytest.mark.parametrize("flag, cap", SWEEP_BOUND_CAPS)
+    @pytest.mark.parametrize("suite", ["deligne", "all"])
+    def test_negative_sweep_bound_is_one_line(self, monkeypatch, suite, flag, cap):
+        monkeypatch.setattr(vf, "suite_tasks", _never_sweep)
+        code, out, err = run_cli(["verify", suite, flag, "-1"])
+        assert code == 2 and out == ""
+        assert err == f"capelli: error: {flag[2:]} = -1 must be non-negative\n"
 
     @pytest.mark.parametrize(
         "t, message",
@@ -116,16 +140,25 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"capelli: error: {message.format(t[:32])}\n"
 
-    @pytest.mark.parametrize("flag, label", [("--a-max", "a-max"), ("--bcd-max", "bcd-max")])
-    def test_dougall_bound_above_cap_is_one_line(self, monkeypatch, flag, label):
-        def never(*args, **kwargs):
-            raise AssertionError("the sweep must not start")
-
-        monkeypatch.setattr(cli, "run_suite", never)
-        monkeypatch.setattr(vf, "suite_tasks", never)
-        code, out, err = run_cli(["verify", "dougall", flag, "11"])
+    @pytest.mark.parametrize("flag, cap", SWEEP_BOUND_CAPS)
+    @pytest.mark.parametrize("suite", ["dougall", "all"])
+    def test_sweep_bound_above_cap_is_one_line(self, monkeypatch, suite, flag, cap):
+        monkeypatch.setattr(cli, "run_suite", _never_sweep)
+        monkeypatch.setattr(vf, "suite_tasks", _never_sweep)
+        code, out, err = run_cli(["verify", suite, flag, str(cap + 1)])
         assert code == 2 and out == ""
-        assert err == f"capelli: error: {label} = 11 exceeds the hard cap 10\n"
+        assert err == f"capelli: error: {flag[2:]} = {cap + 1} exceeds the hard cap {cap}\n"
+
+    def test_route_choices_are_the_route_table(self):
+        names = sorted({r for routes in ep.ROUTES.values() for r in routes})
+        assert names == ["a", "b", "c", "d", "oracle"]
+        for name in names + ["all"]:
+            assert cli.build_parser().parse_args(["eig", "1,0", "--route", name]).route == name
+        for name in ["e", "A", "ORACLE"]:
+            code, out, err = run_cli(["eig", "1,0", "--route", name])
+            assert code == 2 and out == ""
+            assert err == (f"capelli eig: error: argument --route: invalid choice: {name!r} "
+                           "(choose from 'a', 'b', 'c', 'd', 'oracle', 'all')\n")
 
     def test_unknown_suite_is_two(self):
         code, _, _ = run_cli(["verify", "nonsense"])

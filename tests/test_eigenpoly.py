@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from capelli import eigenpoly as ep
 from capelli.bipoly import BiPoly, from_falling, square_op
-from capelli.eigenpoly import Route, SingularSystemError, gauss_solve
+from capelli.eigenpoly import ROUTES, SingularSystemError, gauss_solve
 from capelli.knopsahi import eval_point, gen_eval
 from capelli.partitions import PClass, classify, classify_at, size, upto
 from capelli.ratfunc import common_denominator
@@ -309,15 +309,15 @@ class TestOracle:
 
 
 class TestDispatch:
-    def test_applicable_routes(self):
-        assert ep.applicable_routes((1, 0), 1) == (Route.A, Route.ORACLE)
-        assert ep.applicable_routes((3, 0), 1) == (Route.B, Route.ORACLE)
-        assert ep.applicable_routes((2, 1), 1) == (Route.C, Route.D, Route.ORACLE)
+    def test_routes_by_class(self):
+        assert ROUTES[classify((1, 0), 1)] == ("a", "oracle")
+        assert ROUTES[classify((3, 0), 1)] == ("b", "oracle")
+        assert ROUTES[classify((2, 1), 1)] == ("c", "d", "oracle")
 
     def test_route_agreement_sweep(self):
         for k in range(2):
             for lam in upto(5):
-                bodies = [ep.eigen(lam, k, r) for r in ep.applicable_routes(lam, k)]
+                bodies = [ep.eigen(lam, k, r) for r in ROUTES[classify(lam, k)]]
                 assert all(b == bodies[0] for b in bodies), (lam, k)
                 assert bodies[0].total_degree() == size(lam)
 
@@ -335,7 +335,7 @@ class TestVariationAssembly:
     def test_matches_routes(self):
         for k in range(3):
             for lam in upto(6):
-                if ep.applicable_routes(lam, k)[0] is not Route.C:
+                if ROUTES[classify(lam, k)][0] != "c":
                     continue
                 assert ep.qreg_variation_body(lam, k) == ep.eigen(lam, k), (lam, k)
 

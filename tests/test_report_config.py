@@ -92,6 +92,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("size_cap = big")
 
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            (lambda: parse_config_text("# caps\nsize_cap = big"),
+             "line 2: size_cap needs an integer, got 'big'"),
+            (lambda: load_config(environ={"CAPELLI_JOBS": "1.5"}),
+             "CAPELLI_JOBS needs an integer, got '1.5'"),
+        ],
+        ids=["file", "env"],
+    )
+    def test_non_integer_names_its_source(self, load, message):
+        with pytest.raises(ConfigError) as exc:
+            load()
+        assert str(exc.value) == message
+
     def test_env_overrides_file(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("k_cap = 4\n")
