@@ -79,7 +79,7 @@ _INTEGER = re.compile(r"\s*[+-]?\d+\s*")
 
 # Largest |numerator| and denominator of a t value in lowest terms.  The
 # oracle's integer entries grow with the height of t: at this cap
-# ``deligne 14,0`` takes up to about four times as long as at ``--t 7``.
+# ``deligne 14,0`` takes up to about 1.7 times as long as at ``--t 7``.
 T_HEIGHT_MAX = 100
 
 

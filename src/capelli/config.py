@@ -36,6 +36,7 @@ class ConfigError(ValueError):
 
 
 SHOWN_CHARS = 32  # how much of a rejected value an error message echoes
+CONFIG_BYTES_MAX = 65536  # longest config file read; five keys need well under 1 KiB
 
 
 def shown(text: str) -> str:
@@ -87,10 +88,14 @@ def load_config(path: str | None = None, environ: dict | None = None) -> Config:
     cfg = Config()
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = parse_config_text(fh.read(), cfg)
+            with open(path, "rb") as fh:
+                data = fh.read(CONFIG_BYTES_MAX + 1)
+            if len(data) > CONFIG_BYTES_MAX:
+                raise ConfigError(f"config file {path} is longer than {CONFIG_BYTES_MAX} bytes")
+            text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        cfg = parse_config_text(text, cfg)
     env = os.environ if environ is None else environ
     updates = {}
     for name in Config._fields:

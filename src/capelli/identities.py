@@ -39,17 +39,8 @@ from .hypergeom import (_falling_basis_at, falling, falling_table, harmonic_num,
                         pfq_terminating, pochhammer_num)
 from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, render_frac,
                       render_ratfunc, render_unipoly)
-from .report import Check
 
 X = UniPoly.x()
-
-
-def _report(name: str, params, ok: bool, point: str = "-", lhs: str = "-", rhs: str = "-") -> Check:
-    """The check record; a failing one names its witness point in ``lhs``."""
-    params = tuple((k, str(v)) for k, v in params)
-    if ok:
-        return Check(name, params, "pass")
-    return Check(name, params, "fail", f"{lhs} at {point}", rhs)
 
 
 # -- the derivative identity, in canonical rational-function form -------------------
@@ -108,27 +99,23 @@ def _check_ijn(i: int, j: int, n: int) -> None:
         raise ValueError(f"need 0 <= i, j and i + j <= N; got ({i}, {j}, {n})")
 
 
-def derivative_identity_check(i: int, j: int, n: int) -> Check:
-    lhs = lhs_derivative_identity(i, j, n)
-    rhs = rhs_derivative_identity(i, j, n)
-    params = (("i", i), ("j", j), ("N", n))
-    if lhs == rhs:
-        return _report("derivative-identity", params, True)
-    return _report("derivative-identity", params, False,
-                   lhs=render_ratfunc(lhs, "x"), rhs=render_ratfunc(rhs, "x"))
+def _outcome(lhs, rhs, render) -> tuple[bool, str, str]:
+    """``(True, "-", "-")``, or both sides rendered in x when they differ."""
+    return (True, "-", "-") if lhs == rhs else (False, render(lhs, "x"), render(rhs, "x"))
 
 
-def logderiv_check(n: int) -> Check:
+def derivative_identity_check(i: int, j: int, n: int) -> tuple[bool, str, str]:
+    return _outcome(lhs_derivative_identity(i, j, n), rhs_derivative_identity(i, j, n),
+                    render_ratfunc)
+
+
+def logderiv_check(n: int) -> tuple[bool, str, str]:
     """d/dx x_(N) = sum_{t=1}^{N} (-1)^(t+1)/t * N_(t) x_(N-t), as polynomials."""
-    lhs = UniPoly(falling_coeffs(n)).derivative()
     rhs = UniPoly.zero()
     for t in range(1, n + 1):
         c = Fraction((-1) ** (t + 1), t) * falling(n, t)
         rhs = rhs + UniPoly(falling_coeffs(n - t)).scale(c)
-    if lhs == rhs:
-        return _report("falling-log-derivative", (("N", n),), True)
-    return _report("falling-log-derivative", (("N", n),), False,
-                   lhs=render_unipoly(lhs, "x"), rhs=render_unipoly(rhs, "x"))
+    return _outcome(UniPoly(falling_coeffs(n)).derivative(), rhs, render_unipoly)
 
 
 # -- the two-variable chain -----------------------------------------------------------
@@ -247,30 +234,30 @@ def chain_grid(i: int, j: int, n: int) -> list[tuple[Fraction, Fraction]]:
     return [(xv, yv) for xv in xs for yv in ys]
 
 
-def psi_chain_check(i: int, j: int, n: int) -> Check:
+def psi_chain_check(i: int, j: int, n: int) -> tuple[bool, str, str, int, int]:
     """The full chain on ``chain_grid``:
 
     psi_1 = psi_2 on the two-variable grid, and on the diagonal y = x - N,
-    psi_R(x) = psi_1(x, x-N) and d/dx psi_L(x) = psi_2(x, x-N).
+    psi_R(x) = psi_1(x, x-N) and d/dx psi_L(x) = psi_2(x, x-N).  The outcome
+    ends with the grid's size and degree bound; a failing one names its
+    witness point after the left side.
     """
     _check_ijn(i, j, n)
     d = n - i
     pts = chain_grid(i, j, n)
-    params = (("i", i), ("j", j), ("N", n), ("points", len(pts)),
-              ("degree_bound", chain_bound(i, j, n)))
+    grid = len(pts), chain_bound(i, j, n)
     for (x, y), a, b in zip(pts, psi1_at(pts, d, j), psi2_at(pts, d, j)):
         if a != b:
-            return _report("psi-chain", params, False, f"({render_frac(x)},{render_frac(y)})",
-                           render_frac(a), render_frac(b))
+            return (False, f"{render_frac(a)} at ({render_frac(x)},{render_frac(y)})",
+                    render_frac(b), *grid)
     psi_r = rhs_derivative_identity(i, j, n)
     dpsi_l = psi_l(n, d, j).derivative()
     diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
     for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
         for lhs, rhs in ((psi_r.eval(x), on_diag), (dpsi_l.eval(x), rhs_d)):
             if lhs != rhs:
-                return _report("psi-chain", params, False, f"x={render_frac(x)}",
-                               render_frac(lhs), render_frac(rhs))
-    return _report("psi-chain", params, True)
+                return False, f"{render_frac(lhs)} at x={render_frac(x)}", render_frac(rhs), *grid
+    return True, "-", "-", *grid
 
 
 # -- F(s) and H(s) ---------------------------------------------------------------------
@@ -330,24 +317,23 @@ def f_grid(j: int, l: int) -> tuple[list[Fraction], list[Fraction]]:
     return xs, ys
 
 
-def f_closed_form_check(j: int, l: int) -> Check:
+def f_closed_form_check(j: int, l: int) -> tuple[bool, str, str, int]:
     """Defining sum vs closed form on ``f_grid`` for every integer s in [0, l];
-    for s >= 1 the closed form is evaluated once per x."""
+    for s >= 1 the closed form is evaluated once per x.  The outcome ends
+    with the grid's size."""
     if j < 0 or l < 0:
         raise ValueError("j and l must be non-negative")
     xs, ys = f_grid(j, l)
     pts = [(x, y) for x in xs for y in ys]
-    params = (("j", j), ("l", l), ("points", len(pts)))
     for s in range(l + 1):
         # for s >= 1 the closed form depends on x alone
         by_x = {x: f_closed(s, j, l, x, ys[0]) for x in xs} if s else {}
         for (x, y), a in zip(pts, f_sum_at(pts, s, j, l)):
             b = by_x[x] if s else f_closed(s, j, l, x, y)
             if a != b:
-                return _report("f-closed-form", params, False,
-                               f"s={s},({render_frac(x)},{render_frac(y)})",
-                               render_frac(a), render_frac(b))
-    return _report("f-closed-form", params, True)
+                return (False, f"{render_frac(a)} at s={s},({render_frac(x)},{render_frac(y)})",
+                        render_frac(b), len(pts))
+    return True, "-", "-", len(pts)
 
 
 def e1_term(q: int, s: int, x: Fraction, y: Fraction, j: int) -> Fraction:
@@ -378,20 +364,17 @@ def h_hypergeometric(s: int, j: int, x: Fraction, y: Fraction) -> Fraction:
     )
 
 
-def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> Check:
+def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> tuple[bool, str, str]:
     """H(s) = 1/s for integer s >= 1 (also matching the 5F4 route), and
     H(0) = sum 1/(y+t) - sum 1/(x+t); requires x, y, x - y - j > 0."""
     x, y = Fraction(*as_ratio(x)), Fraction(*as_ratio(y))
     if not (x > 0 and y > 0 and x - y - j > 0):
         raise ValueError("need x > 0, y > 0 and x - y - j > 0")
-    params = (("j", j), ("s", s), ("x", render_frac(x)), ("y", render_frac(y)))
     got = h_sum(s, j, x, y)
     if s >= 1:
         expected = Fraction(1, s)
         via_5f4 = h_hypergeometric(s, j, x, y)
-        ok = got == expected == via_5f4
-        return _report("h-function", params, ok, f"s={s}", render_frac(got),
-                       f"{render_frac(expected)} (5F4: {render_frac(via_5f4)})")
+        return (got == expected == via_5f4, f"{render_frac(got)} at s={s}",
+                f"{render_frac(expected)} (5F4: {render_frac(via_5f4)})")
     expected = sum(1 / (y + t) - 1 / (x + t) for t in range(1, j + 1))
-    return _report("h-function", params, got == expected, "s=0",
-                   render_frac(got), render_frac(expected))
+    return got == expected, f"{render_frac(got)} at s=0", render_frac(expected)

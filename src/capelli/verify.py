@@ -7,10 +7,11 @@ task order either way, so reports are byte-identical for identical
 invocations regardless of worker count.
 
 A check family is registered with the ``_family(name, *labels)`` decorator,
-which files it in ``_TASKS`` under ``name``.  The decorated body takes the
-task args and returns ``(ok, lhs, rhs)``, or a ``Check`` the library already
-built (the identity-e families, whose records carry extra params); the
-decorator renders the args as the record's params, one per label.
+which files it in ``_TASKS`` under ``name``; it is the one place a ``Check``
+record is built.  The decorated body takes the task args and returns the
+outcome ``(ok, lhs, rhs, *values)``; the decorator renders the args, then
+the trailing values, as the record's params, one per label (the identity-e
+families report their grid sizes and witness points this way).
 
 A failed comparison is data (status ``fail`` with both sides rendered), not
 an exception; unexpected exceptions inside a check are also folded into a
@@ -37,8 +38,9 @@ from .partitions import PClass, Pair2, classify, dagger, paired, size, upto
 from .ratfunc import render_frac
 from .report import Check, RunReport
 
-# What a check body returns: ``(ok, lhs, rhs)``, or a record the library built.
-Outcome = tuple[bool, str, str] | Check
+# What a check body returns: ``(ok, lhs, rhs, *values)``, the values named by
+# the family's labels past its args.
+Outcome = tuple
 
 DEFAULT_T_LIST: tuple[Fraction, ...] = tuple(Fraction(v) for v in range(-6, 8)) + (
     Fraction(1, 2),
@@ -121,18 +123,17 @@ _TASKS: dict[str, Callable[..., Check]] = {}
 def _family(name: str, *labels: str):
     """Register a check body as the family ``name`` in ``_TASKS``.
 
-    ``labels`` name the task args; a pair renders as ``a,b``, anything else
-    through ``str``.  The body returns ``(ok, lhs, rhs)``, or a ``Check`` the
-    library already built; an exception it raises becomes a failing record.
+    ``labels`` name the task args, then the values the body returns past
+    ``(ok, lhs, rhs)``; a pair renders as ``a,b``, anything else through
+    ``str``.  An exception the body raises becomes a failing record whose
+    params are the args alone.
     """
 
     def register(body: Callable[..., Outcome]) -> Callable[..., Check]:
         @functools.wraps(body)
         def check(*args) -> Check:
-            params = tuple((k, _plam(v) if isinstance(v, tuple) else str(v))
-                           for k, v in zip(labels, args))
             try:
-                out = body(*args)
+                ok, lhs, rhs, *values = body(*args)
             except Exception as exc:  # a defect inside a check is a failing record
                 tb = exc.__traceback__
                 while tb.tb_next:  # the frame that raised
@@ -140,10 +141,9 @@ def _family(name: str, *labels: str):
                 where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
                 message = f": {exc}" if str(exc) else ""
                 lhs = f"error: {type(exc).__name__} at {where}{message}"
-                return Check(name, params, "fail", lhs)
-            if isinstance(out, Check):
-                return out
-            ok, lhs, rhs = out
+                ok, rhs, values = False, "-", ()
+            params = tuple((k, _plam(v) if isinstance(v, tuple) else str(v))
+                           for k, v in zip(labels, (*args, *values)))
             return Check(name, params, "pass" if ok else "fail", lhs, rhs)
 
         _TASKS[name] = check
@@ -238,8 +238,8 @@ def check_restrictions(lam: Pair2, k: int) -> Outcome:
 
 
 # -- identity-e suite --------------------------------------------------------------------
-# The library builds these records; each body looks its check up on ``idn`` at
-# call time, so that a wrapper installed there (a tracer, a test) is reached.
+# Each body looks its check up on ``idn`` at call time, so that a wrapper
+# installed there (a tracer, a test) is reached.
 
 
 @_family("derivative-identity", "i", "j", "N")
@@ -252,24 +252,25 @@ def check_logderiv(n: int) -> Outcome:
     return idn.logderiv_check(n)
 
 
-@_family("psi-chain", "i", "j", "N")
+@_family("psi-chain", "i", "j", "N", "points", "degree_bound")
 def check_psi_chain(i: int, j: int, n: int) -> Outcome:
     return idn.psi_chain_check(i, j, n)
 
 
-@_family("f-closed-form", "j", "l")
+@_family("f-closed-form", "j", "l", "points")
 def check_f_closed(j: int, l: int) -> Outcome:
     return idn.f_closed_form_check(j, l)
 
 
-@_family("h-function", "j", "s")
+@_family("h-function", "j", "s", "x", "y")
 def check_h_function(j: int, s: int) -> Outcome:
-    """H(s) at two deterministic pole-free points per parameter pair."""
+    """H(s) at four deterministic pole-free points per parameter pair; a
+    failing record names its point as ``x`` and ``y``."""
     for y in (Fraction(5, 3), Fraction(3)):
-        for dx in (2, 5):
-            rep = idn.h_function_check(j, s, y + j + dx, y)
-            if not rep.passed:
-                return rep
+        for x in (y + j + 2, y + j + 5):
+            ok, lhs, rhs = idn.h_function_check(j, s, x, y)
+            if not ok:
+                return ok, lhs, rhs, x, y
     return True, "sum E1(q,s)", ("1/s and 5F4 route" if s else "harmonic difference")
 
 
@@ -298,7 +299,11 @@ def check_cat_routes(lam: Pair2, t: Fraction) -> Outcome:
 
 @_family("super-cat-degeneration", "lambda", "k")
 def check_super_cat(lam: Pair2, k: int) -> Outcome:
-    return _compare(dl.cat_eig_formula(lam, Fraction(-2 * k)), ep.eigen(lam, k))
+    """The categorical closed form at t = -2k against the class's last closed
+    form: route d for quasiregular lambda, whose route c is the same
+    expression as ``cat_eig_formula``'s quasiregular branch."""
+    route = ep.ROUTES[classify(lam, k)][-2]
+    return _compare(dl.cat_eig_formula(lam, Fraction(-2 * k)), ep.eigen(lam, k, route))
 
 
 @_family("block-vanishing", "lambda", "t")

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from capelli import cli
+from capelli import config
 from capelli import eigenpoly as ep
 from capelli.cli import main
 from capelli.report import Check, RunReport
@@ -103,6 +104,8 @@ class TestExitCodes:
             (["table", "--k", "-1"], "k = -1 must be non-negative"),
             (["ks", "8,7"], "partition size = 15 exceeds the hard cap 14"),
             (["deligne", "8,8", "--t", "0"], "partition size = 16 exceeds the hard cap 14"),
+            # the alias is reported under the canonical flag
+            (["verify", "all", "--n-max", "-1"], "N-max = -1 must be non-negative"),
         ],
     )
     def test_capped_integer_is_one_line(self, monkeypatch, argv, message):
@@ -589,6 +592,20 @@ class TestConfig:
         value = line.partition("=")[2].strip() if "=" in line else line
         assert code == 2 and out == ""
         assert err == f"capelli: error: {message.format(value[:32])}\n"
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "one-byte-over"])
+    def test_config_longer_than_the_byte_limit_is_one_line(self, tmp_path, extra):
+        cfg = tmp_path / "long.cfg"
+        # "jobs=1\n", then one comment line that fills the file to the limit
+        cfg.write_bytes(b"jobs=1\n#" + b"#" * (config.CONFIG_BYTES_MAX - 9 + extra) + b"\n")
+        assert cfg.stat().st_size == config.CONFIG_BYTES_MAX + extra
+        code, out, err = run_cli(["table", "--size-max", "1", "--config", str(cfg)])
+        if not extra:
+            assert (code, err) == (0, "")
+            return
+        assert code == 2 and out == ""
+        assert err == (f"capelli: error: config file {cfg} is longer than "
+                       f"{config.CONFIG_BYTES_MAX} bytes\n")
 
     def test_invalid_utf8_config_is_one_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

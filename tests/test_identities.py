@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_eval
 from capelli import identities as idn
+from capelli import verify as vf
 from capelli.hypergeom import falling
 from capelli.ratfunc import RatFunc, UniPoly
 from capelli.report import Check
@@ -17,7 +18,7 @@ def RF(num, den=(1,)):
     return RatFunc(UniPoly(num), UniPoly(den))
 
 
-def verify_derivative_identity(n_max: int) -> list[Check]:
+def verify_derivative_identity(n_max: int) -> list[tuple[bool, str, str]]:
     """All triples 0 <= i + j <= N <= n_max, in deterministic order."""
     out = []
     for n in range(n_max + 1):
@@ -83,11 +84,11 @@ class TestSweeps:
     def test_small_exhaustive(self):
         reports = verify_derivative_identity(4)
         assert len(reports) == sum((n + 1) * (n + 2) // 2 for n in range(5))
-        assert all(r.passed for r in reports)
+        assert all(ok for ok, _, _ in reports)
 
     def test_logderiv(self):
         for n in range(11):
-            assert idn.logderiv_check(n).passed
+            assert idn.logderiv_check(n)[0]
 
 
 class TestPsiChain:
@@ -99,10 +100,10 @@ class TestPsiChain:
         assert idn.psi2_at(pts[1:], 2, 1) == [idn.psi_l(3, 2, 1).derivative().eval(Q(10))]
 
     def test_grid(self):
-        assert idn.psi_chain_check(2, 1, 4).passed
+        assert idn.psi_chain_check(2, 1, 4)[0]
 
     def test_degenerate_products(self):
-        assert idn.psi_chain_check(0, 0, 2).passed
+        assert idn.psi_chain_check(0, 0, 2)[0]
 
     def test_pole_reported_with_factor(self):
         with pytest.raises(idn.SamplePoleError) as err:
@@ -272,25 +273,24 @@ class TestFClosedForm:
         # j = 0 makes F(0) an empty harmonic sum on both sides
         assert idn.f_sum_at([(Q(9), Q(4))], 0, 0, 2) == [0] == [f_sum_pointwise(0, 0, 2, Q(9), Q(4))]
         assert idn.f_closed(0, 0, 2, Q(9), Q(4)) == 0
-        assert idn.f_closed_form_check(0, 2).passed
+        assert idn.f_closed_form_check(0, 2)[0]
 
     def test_default_grids(self):
-        assert idn.f_closed_form_check(1, 2).passed
+        assert idn.f_closed_form_check(1, 2)[0]
 
 
 class TestHFunction:
     def test_unit(self):
-        rep = idn.h_function_check(1, 1, Q(8), Q(3))
-        assert rep.passed and idn.h_sum(1, 1, Q(8), Q(3)) == 1
+        assert idn.h_function_check(1, 1, Q(8), Q(3))[0] and idn.h_sum(1, 1, Q(8), Q(3)) == 1
 
     def test_half(self):
         assert idn.h_sum(2, 2, Q(12), Q(5)) == Q(1, 2)
-        assert idn.h_function_check(2, 2, Q(12), Q(5)).passed
+        assert idn.h_function_check(2, 2, Q(12), Q(5))[0]
 
     def test_harmonic_difference(self):
         got = idn.h_sum(0, 2, Q(12), Q(5))
         assert got == (Q(1, 6) + Q(1, 7)) - (Q(1, 13) + Q(1, 14))
-        assert idn.h_function_check(2, 0, Q(12), Q(5)).passed
+        assert idn.h_function_check(2, 0, Q(12), Q(5))[0]
 
     def test_series_route_agrees(self):
         for s in (1, 2, 3):
@@ -306,7 +306,7 @@ def test_failing_psi_chain_record_names_its_witness(monkeypatch):
     bound among the params, the witness point after the left side."""
     psi2_at = idn.psi2_at
     monkeypatch.setattr(idn, "psi2_at", lambda pts, d, j: [v + 1 for v in psi2_at(pts, d, j)])
-    assert idn.psi_chain_check(1, 2, 4) == Check(
+    assert vf.run_task(("psi-chain", (1, 2, 4))) == Check(
         name="psi-chain",
         params=(("i", "1"), ("j", "2"), ("N", "4"), ("points", "225"), ("degree_bound", "14")),
         status="fail",
@@ -324,25 +324,25 @@ def _plus_one(f):
 
 
 @pytest.mark.parametrize(
-    "attr, wrong, check, want",
+    "attr, wrong, task, want",
     [
-        ("rhs_derivative_identity", _plus_x, lambda: idn.derivative_identity_check(1, 1, 2),
+        ("rhs_derivative_identity", _plus_x, ("derivative-identity", (1, 1, 2)),
          Check("derivative-identity", (("i", "1"), ("j", "1"), ("N", "2")), "fail",
-               "-1/(x^2-2x+1) at -", "(x^3-2x^2+x-1)/(x^2-2x+1)")),
-        ("rhs_derivative_identity", _plus_x, lambda: idn.derivative_identity_check(0, 0, 3),
+               "-1/(x^2-2x+1)", "(x^3-2x^2+x-1)/(x^2-2x+1)")),
+        ("rhs_derivative_identity", _plus_x, ("derivative-identity", (0, 0, 3)),
          Check("derivative-identity", (("i", "0"), ("j", "0"), ("N", "3")), "fail",
-               "3x^2-6x+2 at -", "3x^2-5x+2")),
-        ("falling", _plus_one, lambda: idn.logderiv_check(3),
+               "3x^2-6x+2", "3x^2-5x+2")),
+        ("falling", _plus_one, ("falling-log-derivative", (3,)),
          Check("falling-log-derivative", (("N", "3"),), "fail",
-               "3x^2-6x+2 at -", "4x^2-15/2x+7/3")),
+               "3x^2-6x+2", "4x^2-15/2x+7/3")),
     ],
     ids=["derivative-1-1-2", "derivative-0-0-3", "logderiv-3"],
 )
-def test_failing_identity_records_render_both_sides(monkeypatch, attr, wrong, check, want):
+def test_failing_identity_records_render_both_sides(monkeypatch, attr, wrong, task, want):
     """A wrong right-hand side gives the exact record: both sides rendered
-    in x, the left one followed by the (absent) witness point."""
+    in x, with no witness point, since the sides are whole functions."""
     monkeypatch.setattr(idn, attr, wrong(getattr(idn, attr)))
-    assert check() == want
+    assert vf.run_task(task) == want
 
 
 def test_psi_l_denominator_is_the_product():

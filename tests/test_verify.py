@@ -16,6 +16,7 @@ from capelli import identities as idn
 from capelli import knopsahi as ks
 from capelli import verify as vf
 from capelli.config import Config
+from capelli.partitions import classify
 from capelli.ratfunc import RatFunc, UniPoly
 from capelli.report import Check
 
@@ -74,20 +75,26 @@ def test_run_suite_passes_its_config_on():
 
 
 @pytest.mark.parametrize(
-    "family, attr, args",
+    "family, attr, args, values, params",
     [
-        ("derivative-identity", "derivative_identity_check", (1, 1, 3)),
-        ("falling-log-derivative", "logderiv_check", (4,)),
-        ("psi-chain", "psi_chain_check", (1, 1, 3)),
-        ("f-closed-form", "f_closed_form_check", (1, 1)),
-        ("h-function", "h_function_check", (1, 1)),
+        ("derivative-identity", "derivative_identity_check", (1, 1, 3), (),
+         (("i", "1"), ("j", "1"), ("N", "3"))),
+        ("falling-log-derivative", "logderiv_check", (4,), (), (("N", "4"),)),
+        ("psi-chain", "psi_chain_check", (1, 1, 3), (9, 4),
+         (("i", "1"), ("j", "1"), ("N", "3"), ("points", "9"), ("degree_bound", "4"))),
+        ("f-closed-form", "f_closed_form_check", (1, 1), (12,),
+         (("j", "1"), ("l", "1"), ("points", "12"))),
+        # the family names the first of its points, x = y + j + 2 at y = 5/3
+        ("h-function", "h_function_check", (1, 1), (),
+         (("j", "1"), ("s", "1"), ("x", "14/3"), ("y", "5/3"))),
     ],
 )
-def test_identity_families_look_up_their_check_at_call_time(monkeypatch, family, attr, args):
-    # a wrapper installed on the identities module (a tracer, say) must be reached
-    record = Check(name=family, params=(("seen", "1"),), status="fail", lhs="a at p", rhs="b")
-    monkeypatch.setattr(idn, attr, lambda *a: record)
-    assert vf.run_task((family, args)) is record
+def test_identity_families_look_up_their_check_at_call_time(monkeypatch, family, attr, args,
+                                                             values, params):
+    # a wrapper installed on the identities module (a tracer, say) must be reached;
+    # the labels past the args name the outcome's trailing values
+    monkeypatch.setattr(idn, attr, lambda *a: (False, "a at p", "b", *values))
+    assert vf.run_task((family, args)) == Check(family, params, "fail", "a at p", "b")
 
 
 def _raise_boom(*args):
@@ -96,6 +103,8 @@ def _raise_boom(*args):
 
 _BOOM_LINE = _raise_boom.__code__.co_firstlineno + 1
 _H_SUM = idn.h_sum
+_F_CLOSED = idn.f_closed
+_PSI_L = idn.psi_l
 _BLOCK_EVAL = dl.block_eval
 _RESTRICTION_PAIR = ep.restriction_pair
 
@@ -122,6 +131,13 @@ def _one_on_every_nil(f, mus, k):
         (idn, "h_sum", lambda s, j, x, y: _H_SUM(s, j, x, y) + 1, ("h-function", (2, 1)),
          Check("h-function", (("j", "2"), ("s", "1"), ("x", "17/3"), ("y", "5/3")), "fail",
                "2 at s=1", "1 (5F4: 1)")),
+        (idn, "f_closed", lambda *a: _F_CLOSED(*a) + 1, ("f-closed-form", (1, 1)),
+         Check("f-closed-form", (("j", "1"), ("l", "1"), ("points", "60")), "fail",
+               "245/4 at s=0,(12,1/3)", "249/4")),
+        # psi_L + x: d/dx psi_L is off by one at the first diagonal point
+        (idn, "psi_l", lambda *a: _PSI_L(*a) + RatFunc(UniPoly((0, 1))), ("psi-chain", (1, 1, 3)),
+         Check("psi-chain", (("i", "1"), ("j", "1"), ("N", "3"), ("points", "121"),
+                             ("degree_bound", "10")), "fail", "3/2 at x=4", "1/2")),
         (ks, "gen_eval", lambda f, mus, k: [Q(1, 2)] * len(mus), ("eigen-routes", ((2, 1), 1)),
          Check("eigen-routes", (("lambda", "2,1"), ("k", "1")), "fail", "ev(f, 0,0) = 1/2", "0")),
         # t1 = H_(3,0)(1) = 6 at the dagger (2,1), which precedes (3,0)
@@ -135,12 +151,24 @@ def _one_on_every_nil(f, mus, k):
          Check("jordan-restrictions", (("lambda", "3,0"), ("k", "1")), "fail",
                "nil on 2,1 = 2", "1")),
     ],
-    ids=["pole-set", "min-poly", "raising-dougall", "h-function-point", "eigen-routes",
+    ids=["pole-set", "min-poly", "raising-dougall", "h-function-point", "f-closed-form-point",
+         "psi-chain-diagonal", "eigen-routes",
          "q-depolarized", "block-vanishing-nil", "jordan-restrictions-nil"],
 )
 def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
     monkeypatch.setattr(owner, attr, stub)
     assert vf.run_task(task) == want
+
+
+@pytest.mark.parametrize("lam, k, route", [((2, 1), 1, "d"), ((2, 0), 1, "a"), ((3, 0), 1, "b")])
+def test_super_cat_degeneration_compares_the_last_closed_form(monkeypatch, lam, k, route):
+    """Route c is cat_eig_formula's own quasiregular expression, so the
+    check compares route d there: a wrong route d must fail the record."""
+    assert ep.ROUTES[classify(lam, k)][-2] == route
+    good = ep._ROUTE_FN[route]
+    monkeypatch.setitem(ep._ROUTE_FN, route, lambda lam, k: good(lam, k).scale(Q(2)))
+    record = vf.run_task(("super-cat-degeneration", (lam, k)))
+    assert record.status == "fail" and record.lhs != record.rhs
 
 
 @pytest.mark.parametrize("field", ["psi_n_max", "deligne_size_max", "minpoly_d_max"])
