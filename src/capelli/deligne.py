@@ -4,23 +4,25 @@ The invariant-operator algebra on symmetric powers of the generating object
 of categorical dimension t is generated by two commuting operators C and E;
 it acts faithfully on the generalized eigenblocks of C, and on each block
 the action is a dual number value + nil*eps with eps^2 = 0.  That block
-model is all this module keeps: operators are ``BiPoly`` polynomials in
-(C, E) with coefficients in Q(s), blocks are labelled by partitions with
-multiplicity 1 or 2 and carry their Casimir value (``Block``), and
-evaluating an operator on a block gives a dual number (``DualScalar``).
+model is all this module keeps: on a block of size m, E acts as m, so an
+operator is stored in the form binom(E, d) q(C) as the pair (d, q), blocks
+are labelled by partitions with multiplicity 1 or 2 and carry their Casimir
+value (``Block``), and evaluating an operator on a block gives a dual
+number (``DualScalar``).
 
 * every case split reads the class of a partition at kb = -t/2 through
   ``classify_at``, so every partition is regular unless t is a non-positive
   even integer;
 * blocks of size d exist for the partitions of d that are not kb-singular,
   with multiplicity 2 exactly on the kb-quasiregular ones;
-* ``l_op`` is the spectral projector-like element built from the size-d
-  Casimir spectrum at a deformation parameter s;
+* ``l_op`` is the Lagrange factor over the size-d Casimir spectrum at a
+  deformation parameter s, as its coefficients in Q(s);
 * ``d_op`` combines one or two of these per the class of the partition and
-  returns the combination at s = t, where its coefficients provably have no
-  pole (asserted there); ``block_eval`` reads that rational polynomial
-  p(C, E) off a list of blocks, and its C-derivative, built once per call,
-  off the multiplicity-2 ones, one ``BiPoly.eval_at`` call per polynomial;
+  returns the combination at s = t as (d, q), where its coefficients
+  provably have no pole (asserted there); ``block_eval`` reads binom(m, d)
+  times q and its slope at the block's Casimir value, one
+  ``UniPoly.value_and_slope`` per block, keeping the slope as the nil part
+  on the multiplicity-2 ones;
 * ``block_values`` reads generalized values off the blocks (the nil part of
   a multiplicity-2 block is the value at its missing singular partner);
   ``cat_eig_from_blocks`` interpolates them and re-checks the result with
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bipoly import BiPoly, falling_coeffs
+from .bipoly import BiPoly
 from .eigenpoly import interpolate_ev, singular_scale
 from .knopsahi import gen_eval, ks_poly
 from .partitions import (
@@ -111,86 +113,81 @@ def blocks(d: int, t: Fraction) -> list[Block]:
     return out
 
 
-def block_eval(op_t: BiPoly, blks: list[Block]) -> list[DualScalar]:
-    """Evaluate an operator p(C, E), already specialized at s = t, on each
-    of ``blks``, in order.
+def block_eval(op_t: tuple[int, UniPoly], blks: list[Block]) -> list[DualScalar]:
+    """Evaluate an operator binom(E, d) q(C), already specialized at s = t
+    and given as (d, q), on each of ``blks``, in order.
 
-    C acts as c + eps on multiplicity-2 blocks and as the plain scalar c
-    otherwise; E acts as |lam|.  So the value is p(c, e) and, on a
-    multiplicity-2 block, the nil part is dp/dC (c, e).  p is evaluated by
-    one ``eval_at`` call over all the blocks; dp/dC is built only when some
-    block has multiplicity 2, and evaluated by one call over those blocks.
+    E acts as |lam|, and C as c + eps on multiplicity-2 blocks and as the
+    plain scalar c otherwise.  So the value is binom(|lam|, d) q(c) and, on a
+    multiplicity-2 block, the nil part is binom(|lam|, d) q'(c): one
+    ``value_and_slope`` per block.
     """
+    d, q = op_t
+    out = []
     for b in blks:
         if b.mult not in (1, 2):
             raise AssertionError(f"block {b.lam} has multiplicity {b.mult}, not 1 or 2")
-    pts = [(b.c, size(b.lam)) for b in blks]
-    double = [pt for pt, b in zip(pts, blks) if b.mult == 2]
-    nils = iter(op_t.partials()[0].eval_at(double) if double else ())
-    return [DualScalar(v, next(nils)) if b.mult == 2 else DualScalar(v)
-            for b, v in zip(blks, op_t.eval_at(pts))]
+        n = math.comb(size(b.lam), d)
+        value, slope = q.value_and_slope(b.c)
+        out.append(DualScalar(n * value, n * slope) if b.mult == 2 else DualScalar(n * value))
+    return out
 
 
 # -- the deformed operators ------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def l_op(lam: Pair2) -> BiPoly:
-    """The normalized element
+def l_op(lam: Pair2) -> tuple[RatFunc, ...]:
+    """The Lagrange factor of L_lam = binom(E, d) l_lam(C), d = |lam|:
 
-        prod_{i<d} (E - i) * prod_{|nu|=d, nu != lam} (C - c_nu(s))
-        ---------------------------------------------------------,   d = |lam|,
-        d! * prod_{|nu|=d, nu != lam} (c_lam(s) - c_nu(s))
+        l_lam(C) = prod_{|nu|=d, nu != lam} (C - c_nu(s)) / (c_lam(s) - c_nu(s)),
 
-    as a polynomial in (C, E) with coefficients in Q(s); they are independent
-    of t and have poles only at non-positive even integers.  The numerator
-    has polynomial coefficients and the denominator is one polynomial, so
-    each monomial is normalized once.
+    as its coefficients in Q(s), lowest power of C first; they are
+    independent of t and have poles only at non-positive even integers.  The
+    numerator has polynomial coefficients and the denominator is one
+    polynomial, so each coefficient is normalized once.
     """
     check_partition(lam)
-    d = size(lam)
-    num = BiPoly({(0, j): UniPoly.const(c) for j, c in enumerate(falling_coeffs(d))})
-    den = UniPoly.const(math.factorial(d))
+    num, den = [UniPoly.one()], UniPoly.one()
     c_lam = c_cat(lam, S)
-    for nu_ in of_size(d):
-        if nu_ == lam:
-            continue
-        c_nu = c_cat(nu_, S)
-        num = num * BiPoly({(1, 0): UniPoly.one(), (0, 0): -c_nu})
-        diff = c_lam - c_nu
-        if not diff:
-            raise ArithmeticError(f"identically vanishing spectral gap {lam} vs {nu_}")
-        den = den * diff
-    return num.map_coeffs(lambda c: RatFunc(c, den))
+    for nu_ in of_size(size(lam)):
+        if nu_ != lam:
+            c_nu = c_cat(nu_, S)
+            # times (C - c_nu): coefficient i becomes num[i - 1] - c_nu num[i]
+            num = [a - c_nu * b for a, b in zip([UniPoly.zero(), *num], [*num, UniPoly.zero()])]
+            den = den * (c_lam - c_nu)
+    return tuple(RatFunc(c, den) for c in num)
 
 
-def d_op(lam: Pair2, t: Fraction) -> BiPoly:
+def d_op(lam: Pair2, t: Fraction) -> tuple[int, UniPoly]:
     """The operator at s = t, by case dispatch on the class of lam at kb = -t/2:
 
     (i)   kb-regular lam:        L_lam
     (ii)  kb-singular lam:       (c_{lam+}(s) - c_lam(s)) L_{lam+}
     (iii) kb-quasiregular lam:   L_lam + L_{lam+}
 
-    Each combined Q(s) coefficient is evaluated once at s = t; a pole there
-    would be a defect in the model and raises ``AssertionError``.
+    lam+ has the size d of lam, so the result is binom(E, d) q(C), returned
+    as (d, q).  Each combined Q(s) coefficient of q is evaluated once at
+    s = t; a pole there would be a defect in the model and raises
+    ``AssertionError``.
     """
     kb = kbar(t)
     cls = classify_at(lam, kb)
     if cls is PClass.SINGULAR:
         lamd = paired(lam, int(kb), cls)
-        op = l_op(lamd).scale(RatFunc(c_cat(lamd, S) - c_cat(lam, S)))
+        gap = RatFunc(c_cat(lamd, S) - c_cat(lam, S))
+        coeffs = [gap * c for c in l_op(lamd)]
     elif cls is PClass.QUASIREGULAR:
-        op = l_op(lam) + l_op(paired(lam, int(kb), cls))
+        coeffs = [a + b for a, b in zip(l_op(lam), l_op(paired(lam, int(kb), cls)))]
     else:
-        op = l_op(lam)
-    values = {}
-    for key, coeff in op.terms.items():
+        coeffs = l_op(lam)
+    values = []
+    for i, coeff in enumerate(coeffs):
         try:
-            values[key] = coeff.eval(t)
+            values.append(coeff.eval(t))
         except PoleError:
-            raise AssertionError(
-                f"coefficient of C^{key[0]}E^{key[1]} has a pole at s={t}") from None
-    return BiPoly(values)
+            raise AssertionError(f"coefficient of C^{i} has a pole at s={t}") from None
+    return size(lam), UniPoly(values)
 
 
 # -- eigenvalue polynomials, two ways ---------------------------------------------------
@@ -288,8 +285,7 @@ def min_poly_is_minimal(d: int, t: Fraction) -> bool:
     blks = blocks(d, t)
 
     def annihilated(poly: UniPoly) -> bool:
-        op = BiPoly({(i, 0): c for i, c in enumerate(poly.coeffs)})
-        return all(dv.is_zero() for dv in block_eval(op, blks))
+        return all(dv.is_zero() for dv in block_eval((0, poly), blks))
 
     if not annihilated(p):
         return False

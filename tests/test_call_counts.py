@@ -22,8 +22,8 @@ instead of 1-D falling tables, factors an oracle system more than once
 per (k, d), expands the oracle's solution with ``Fraction`` arithmetic
 instead of on its integer numerators, renders a passing cross-route
 record's two equal sides twice, rebuilds square_op(f) per point of a
-generalized-value check or builds it when no point reads it, rebuilds an
-operator's C-partial per block, brings a
+generalized-value check or builds it when no point reads it, evaluates a
+block-model operator other than by one ``value_and_slope`` per block, brings a
 polynomial's coefficients to a common denominator more than once per
 point-list evaluation, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
@@ -51,7 +51,7 @@ from capelli import knopsahi as ks
 from capelli import bipoly, ratfunc
 from capelli import verify as vf
 from capelli.bipoly import BiPoly, falling_coeffs
-from capelli.partitions import PClass, c_cat, classify, classify_at, of_size, paired, size, upto
+from capelli.partitions import PClass, c_cat, classify, classify_at, paired, size, upto
 from capelli.ratfunc import PoleError, RatFunc, UniPoly
 
 
@@ -177,12 +177,12 @@ def test_failing_cat_eigen_check_renders_both_sides(monkeypatch):
     assert record.status == "fail" and record.lhs != record.rhs and len(renders) == 2
 
 
-def test_l_op_normalizes_once_per_monomial(monkeypatch):
+def test_l_op_normalizes_once_per_coefficient(monkeypatch):
     for lam in upto(6):
         dl.l_op.cache_clear()  # so the counted call builds
         inits = _counter(monkeypatch, RatFunc, "__init__")
-        op = dl.l_op(lam)
-        assert len(inits) <= len(op.terms), lam
+        coeffs = dl.l_op(lam)
+        assert len(inits) <= len(coeffs), lam
         monkeypatch.undo()
 
 
@@ -203,9 +203,15 @@ def test_block_eval_makes_no_ratfunc_work(monkeypatch):
     evals = _counter(monkeypatch, RatFunc, "eval")
     inits = _counter(monkeypatch, RatFunc, "__init__")
     casimirs = _counter(monkeypatch, dl, "c_cat")  # each block carries its value
+    # no bivariate evaluation: one value_and_slope of q per block
+    bivariate = [_counter(monkeypatch, BiPoly, name) for name in ("eval_at", "partials")]
+    denominators = [_counter(monkeypatch, m, "common_denominator") for m in (bipoly, ratfunc)]
+    slopes = _counter(monkeypatch, UniPoly, "value_and_slope")
     for lam, op_t in ops.items():
         dl.block_eval(op_t, blks[lam])
     assert (evals, inits, casimirs) == ([], [], [])
+    assert bivariate == [[], []] and denominators == [[], []]
+    assert len(slopes) == sum(map(len, blks.values()))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -239,21 +245,6 @@ def test_point_evaluators_take_one_common_denominator_per_polynomial(monkeypatch
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("t, lam", [(Q(-2), (3, 1)), (Q(-4), (3, 1)), (Q(1, 2), (4, 2))])
-def test_block_eval_takes_one_common_denominator_per_polynomial(monkeypatch, t, lam):
-    op_t = dl.d_op(lam, t)
-    blks = [b for m in range(size(lam) + 1) for b in dl.blocks(m, t)]
-    thick = [b for b in blks if b.mult == 2]
-    assert len(blks) > len(thick) + 1 and bool(thick) == (t.denominator == 1)
-    # op_t over every block, and its C-partial over the multiplicity-2 ones
-    for chosen in (blks, blks * 2, blks[:1], thick):
-        denominators = _counter(monkeypatch, bipoly, "common_denominator")
-        dl.block_eval(op_t, chosen)
-        want = 1 + any(b.mult == 2 for b in chosen) if chosen else 0
-        assert len(denominators) == want, len(chosen)
-        monkeypatch.undo()
-
-
 def _partials_once_per_operator(calls) -> bool:
     return len(calls) == len({id(args[0]) for args in calls})
 
@@ -261,47 +252,38 @@ def _partials_once_per_operator(calls) -> bool:
 @pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
 def test_block_model_takes_partials_once_per_operator(monkeypatch, t):
     for lam in upto(4):
-        # the operator's C-partial only when a multiplicity-2 block reads it
-        thick = int(any(b.mult == 2 for m in range(size(lam) + 1) for b in dl.blocks(m, t)))
+        # f's, inside square_op, only when the re-check reads a singular mu
+        read = int(any(classify_at(mu, dl.kbar(t)) is PClass.SINGULAR for mu in upto(size(lam))))
         partials = _counter(monkeypatch, BiPoly, "partials")
         dl.cat_eig_from_blocks(lam, t)
-        # plus f's, inside square_op, when the re-check reads a singular mu
-        read = int(any(classify_at(mu, dl.kbar(t)) is PClass.SINGULAR for mu in upto(size(lam))))
-        assert len(partials) == thick + read and _partials_once_per_operator(partials), lam
-        partials.clear()
-        assert vf.check_vanishing_suite(lam, t).status == "pass"
-        assert len(partials) == thick, lam
-        monkeypatch.undo()
-    for d in range(7):
-        partials = _counter(monkeypatch, BiPoly, "partials")
-        assert dl.min_poly_is_minimal(d, t)
-        assert _partials_once_per_operator(partials)
-        assert len(partials) <= 1 + len({dl.c_cat(lam, t) for lam in of_size(d)}), d
+        assert len(partials) == read and _partials_once_per_operator(partials), lam
         monkeypatch.undo()
 
 
-def _d_op_monomials(lam, t) -> int:
-    """How many Q(s) monomials d_op(lam, t) has before it is specialized:
-    those of L_lam, L_{lam+}, or both, per the class of lam at -t/2."""
+def _d_op_coefficients(lam, t) -> int:
+    """How many Q(s) coefficients d_op(lam, t) has before it is specialized:
+    those of l_lam, l_{lam+}, or their sum, per the class of lam at -t/2.
+    lam+ has the size of lam, so each has one per partition of that size."""
     kb = dl.kbar(t)
     cls = classify_at(lam, kb)
-    keys = set() if cls is PClass.SINGULAR else set(dl.l_op(lam).terms)
+    lens = set() if cls is PClass.SINGULAR else {len(dl.l_op(lam))}
     if cls is not PClass.REGULAR:
-        keys |= set(dl.l_op(paired(lam, int(kb), cls)).terms)
-    return len(keys)
+        lens.add(len(dl.l_op(paired(lam, int(kb), cls))))
+    (n,) = lens
+    return n
 
 
 @pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
 def test_deligne_checks_specialize_once(monkeypatch, t):
     for lam in upto(5):
-        monomials = _d_op_monomials(lam, t)
+        coefficients = _d_op_coefficients(lam, t)
         evals = _counter(monkeypatch, RatFunc, "eval")
         check = vf.check_vanishing_suite(lam, t)
         assert check.status == "pass", check
-        assert len(evals) <= monomials, lam
+        assert len(evals) <= coefficients, lam
         evals.clear()
         dl.cat_eig_from_blocks(lam, t)
-        assert len(evals) <= monomials, lam
+        assert len(evals) <= coefficients, lam
         monkeypatch.undo()
 
 

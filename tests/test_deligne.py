@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
 from capelli import knopsahi as ks
-from capelli.bipoly import BiPoly
+from capelli.bipoly import BiPoly, falling_coeffs
+from capelli.config import Config
 from capelli.deligne import Block, DualScalar
 from capelli.partitions import PClass, c_cat, classify, of_size, paired, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
 from capelli.verify import DEFAULT_T_LIST
 
 
-def _at(op: BiPoly, t: Q) -> BiPoly:
-    """Specialize an operator with Q(s) coefficients at s = t."""
-    return op.map_coeffs(lambda c: c.eval(t))
+def _at(coeffs, t: Q) -> UniPoly:
+    """Specialize Q(s) coefficients of a polynomial in C at s = t."""
+    return UniPoly(c.eval(t) for c in coeffs)
 
 
 class TestMinPoly:
@@ -57,38 +58,37 @@ class TestBlocks:
                 call()
 
 
+C = UniPoly.x()  # the Casimir as a polynomial in C
+
+
 class TestBlockEval:
     def test_casimir_on_thick_block(self):
-        op = BiPoly({(1, 0): Q(1)})
         b = Block(lam=(1, 1), c=Q(0), mult=2)
-        assert dl.block_eval(op, [b]) == [DualScalar(Q(0), Q(1))]
+        assert dl.block_eval((0, C), [b]) == [DualScalar(Q(0), Q(1))]
 
-    def test_euler_square(self):
-        op = BiPoly({(0, 2): Q(1)})
-        b = Block(lam=(2, 0), c=c_cat((2, 0), Q(7)), mult=1)
-        assert dl.block_eval(op, [b]) == [DualScalar(Q(4), Q(0))]
+    def test_euler_binomial(self):
+        b = Block(lam=(3, 1), c=c_cat((3, 1), Q(7)), mult=1)
+        assert dl.block_eval((2, UniPoly.one()), [b]) == [DualScalar(Q(6), Q(0))]
 
     def test_casimir_square_chain_rule(self):
-        op = BiPoly({(2, 0): Q(1)})
         b = Block(lam=(1, 1), c=Q(0), mult=2)
-        assert dl.block_eval(op, [b]) == [DualScalar(Q(0), Q(0))]
+        assert dl.block_eval((0, C * C), [b]) == [DualScalar(Q(0), Q(0))]
 
     def test_multiplicity_beyond_two_rejected(self):
         b = Block(lam=(1, 1), c=Q(0), mult=3)
         with pytest.raises(AssertionError, match="multiplicity 3"):
-            dl.block_eval(BiPoly({(1, 0): Q(1)}), [b])
+            dl.block_eval((0, C), [b])
 
     def test_values_in_block_order(self):
-        op = BiPoly({(1, 0): Q(1), (0, 1): Q(1, 2)})  # C + E/2
+        op = (1, C + 1)  # E (C + 1)
         blks = [Block(lam=(1, 1), c=Q(0), mult=2), Block(lam=(2, 0), c=Q(14), mult=1),
                 Block(lam=(0, 0), c=Q(0), mult=1)]
-        assert dl.block_eval(op, blks) == [DualScalar(Q(1), Q(1)), DualScalar(Q(15), Q(0)),
+        assert dl.block_eval(op, blks) == [DualScalar(Q(2), Q(2)), DualScalar(Q(30), Q(0)),
                                            DualScalar(Q(0), Q(0))]
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
-keys = st.tuples(st.integers(0, 4), st.integers(0, 3))
-ops = st.dictionaries(keys, coeffs, max_size=6).map(BiPoly)
+ops = st.tuples(st.integers(0, 4), st.lists(coeffs, max_size=6))
 block_list = [Block(lam=lam, c=c_cat(lam, t), mult=m) for lam in upto(4)
               for t in (Q(0), Q(-2), Q(3), Q(1, 2)) for m in (1, 2)]
 
@@ -96,13 +96,14 @@ block_list = [Block(lam=lam, c=c_cat(lam, t), mult=m) for lam in upto(4)
 @settings(max_examples=60, deadline=None)
 @given(ops, st.sampled_from(block_list))
 def test_block_eval_is_dual_number_substitution(op, blk):
-    # C -> c + nil*eps with eps^2 = 0: C^i -> c^i + i c^(i-1) nil*eps
+    # binom(E, d) q(C) with E -> |lam| and C -> c + nil*eps, eps^2 = 0:
+    # C^i -> c^i + i c^(i-1) nil*eps
+    d, a = op
     c, nil = blk.c, Q(1 if blk.mult == 2 else 0)
-    e = Q(size(blk.lam))
-    terms = op.terms.items()
-    value = sum((a * c**i * e**j for (i, j), a in terms), Q(0))
-    dc = sum((a * i * c ** (i - 1) * nil * e**j for (i, j), a in terms if i), Q(0))
-    assert dl.block_eval(op, [blk]) == [DualScalar(value, dc)]
+    n = math.comb(size(blk.lam), d)
+    value = n * sum((a_i * c**i for i, a_i in enumerate(a)), Q(0))
+    dc = n * sum((a_i * i * c ** (i - 1) * nil for i, a_i in enumerate(a) if i), Q(0))
+    assert dl.block_eval((d, UniPoly(a)), [blk]) == [DualScalar(value, dc)]
 
 
 def _blocks_two_branch(d, t):
@@ -128,8 +129,9 @@ def test_blocks_match_two_branch_build(t):
 
 
 def _l_op_per_factor(lam):
-    """The normalized product built one factor at a time, each product
-    normalized in Q(s): the reference ``l_op`` must reproduce."""
+    """L_lam, the normalized product in (C, E) built one factor at a time,
+    each product normalized in Q(s): the reference that binom(E, d) times
+    ``l_op`` must reproduce."""
     d = size(lam)
     op = BiPoly({(0, 0): RatFunc(1)})
     for i in range(d):
@@ -145,41 +147,61 @@ def _l_op_per_factor(lam):
     return op.scale(RatFunc(denom.den, denom.num))
 
 
+def _binom_times_l(lam) -> BiPoly:
+    """binom(E, d) l_lam(C), d = |lam|, expanded as a polynomial in (C, E)
+    over Q(s): E's falling-factorial coefficients over d!, times l_op's."""
+    d = size(lam)
+    e_coeffs = [Q(e, math.factorial(d)) for e in falling_coeffs(d)]
+    return BiPoly({(i, j): c * e for i, c in enumerate(dl.l_op(lam))
+                   for j, e in enumerate(e_coeffs)})
+
+
 class TestOperators:
-    @pytest.mark.parametrize("lam", upto(6))
-    def test_l_equals_per_factor_product(self, lam):
-        assert dl.l_op(lam) == _l_op_per_factor(lam)
+    @pytest.mark.parametrize("lam", upto(8))
+    def test_binom_times_l_equals_per_factor_product(self, lam):
+        assert _binom_times_l(lam) == _l_op_per_factor(lam)
 
     def test_l_trivial(self):
-        assert dl.l_op((0, 0)) == BiPoly({(0, 0): RatFunc(1)})
+        assert dl.l_op((0, 0)) == (RatFunc(1),)
 
-    def test_l_size_one_is_euler(self):
-        assert dl.l_op((1, 0)) == BiPoly({(0, 1): RatFunc(1)})
+    def test_l_size_one_is_constant(self):
+        # one partition of 1, so l = 1 and L = binom(E, 1) = E
+        assert dl.l_op((1, 0)) == (RatFunc(1),)
 
     def test_l_size_two(self):
-        # E(E-1) C / (2! * 2s) for lam = (2,0)
-        got = dl.l_op((2, 0))
-        s4 = RatFunc(UniPoly((1,)), UniPoly((0, 4)))
-        assert got == BiPoly({(1, 2): s4, (1, 1): -s4})
+        # C / (c_(2,0)(s) - c_(1,1)(s)) = C / (2s) for lam = (2,0)
+        assert dl.l_op((2, 0)) == (RatFunc(0), RatFunc(1, UniPoly((0, 2))))
+
+    @pytest.mark.parametrize("d", range(Config().size_cap + 1))
+    def test_spectral_gaps_are_nonzero(self, d):
+        # c_lam(s) - c_nu(s) = (a_lam - a_nu)(a_lam + a_nu + s - 2), a = l1 - l2, and a
+        # is distinct for distinct partitions of d
+        for lam in of_size(d):
+            for nu in of_size(d):
+                if nu != lam:
+                    a, b = lam[0] - lam[1], nu[0] - nu[1]
+                    gap = c_cat(lam, dl.S) - c_cat(nu, dl.S)
+                    assert isinstance(gap, UniPoly) and gap, (lam, nu)
+                    assert gap == UniPoly((a + b - 2, 1)) * (a - b), (lam, nu)
 
     def test_d_case_generic(self):
-        assert dl.d_op((1, 0), Q(7)) == BiPoly({(0, 1): Q(1)})
+        assert dl.d_op((1, 0), Q(7)) == (1, UniPoly.one())
 
     def test_d_case_singular(self):
         got = dl.d_op((2, 0), Q(0))
         gap = RatFunc(c_cat((1, 1), dl.S) - c_cat((2, 0), dl.S))
-        assert got == _at(dl.l_op((1, 1)).scale(gap), Q(0))
+        assert got == (2, _at([gap * c for c in dl.l_op((1, 1))], Q(0)))
 
     def test_d_case_quasiregular_pole_free(self):
-        op = dl.l_op((1, 1)) + dl.l_op((2, 0))
-        for coeff in op.terms.values():
+        coeffs = [a + b for a, b in zip(dl.l_op((1, 1)), dl.l_op((2, 0)))]
+        for coeff in coeffs:
             assert coeff.den(Q(0)) != 0
-        assert dl.d_op((1, 1), Q(0)) == _at(op, Q(0))
+        assert dl.d_op((1, 1), Q(0)) == (2, _at(coeffs, Q(0)))
 
     def test_d_pole_is_an_assertion(self, monkeypatch):
         pole = RatFunc(UniPoly.one(), UniPoly((0, 1)))  # 1/s
-        monkeypatch.setattr(dl, "l_op", lambda lam: BiPoly({(1, 2): pole}))
-        with pytest.raises(AssertionError, match=r"^coefficient of C\^1E\^2 has a pole at s=0$"):
+        monkeypatch.setattr(dl, "l_op", lambda lam: (RatFunc(0), pole))
+        with pytest.raises(AssertionError, match=r"^coefficient of C\^1 has a pole at s=0$"):
             dl.d_op((1, 0), Q(0))
 
 

@@ -113,6 +113,12 @@ def _half_on_every_nil(op_t, blks):
     return [dl.DualScalar(d.value, d.nil + Q(1, 2)) for d in _BLOCK_EVAL(op_t, blks)]
 
 
+def _value_as_nil(op_t, blks):
+    """binom q in place of binom q' for the nil part of a multiplicity-2 block."""
+    return [dl.DualScalar(d.value, d.value if b.mult == 2 else d.nil)
+            for b, d in zip(blks, _BLOCK_EVAL(op_t, blks))]
+
+
 def _one_on_every_nil(f, mus, k):
     return [(a, d_nil + 1) for a, d_nil in _RESTRICTION_PAIR(f, mus, k)]
 
@@ -147,13 +153,22 @@ def _one_on_every_nil(f, mus, k):
         (dl, "block_eval", _half_on_every_nil, ("block-vanishing", ((2, 0), Q(0))),
          Check("block-vanishing", (("lambda", "2,0"), ("t", "0")), "fail",
                "ev(D, 2,0) = 3/2", "1")),
+        # binom(E, d) dropped: the operator reads nonzero on the smaller blocks
+        (dl, "block_eval", lambda op_t, blks: _BLOCK_EVAL((0, op_t[1]), blks),
+         ("block-vanishing", ((2, 0), Q(0))),
+         Check("block-vanishing", (("lambda", "2,0"), ("t", "0")), "fail",
+               "ev(D, 1,0) = -1", "0")),
+        (dl, "block_eval", _value_as_nil, ("block-vanishing", ((2, 0), Q(0))),
+         Check("block-vanishing", (("lambda", "2,0"), ("t", "0")), "fail",
+               "ev(D, 2,0) = 0", "1")),
         (ep, "restriction_pair", _one_on_every_nil, ("jordan-restrictions", ((3, 0), 1)),
          Check("jordan-restrictions", (("lambda", "3,0"), ("k", "1")), "fail",
                "nil on 2,1 = 2", "1")),
     ],
     ids=["pole-set", "min-poly", "raising-dougall", "h-function-point", "f-closed-form-point",
          "psi-chain-diagonal", "eigen-routes",
-         "q-depolarized", "block-vanishing-nil", "jordan-restrictions-nil"],
+         "q-depolarized", "block-vanishing-nil", "block-vanishing-binom-dropped",
+         "block-vanishing-value-as-nil", "jordan-restrictions-nil"],
 )
 def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
     monkeypatch.setattr(owner, attr, stub)
