@@ -13,8 +13,10 @@ points (m1 - kappa - 1, m2) for every other partition mu = (m1, m2) of size
 <= |lam| and takes the value H_lam(kappa) at lam itself.
 
 Some coefficients have simple poles at non-negative integers kappa = k,
-exactly when lam is k-singular.  This module extracts the residue and
-finite part coefficient-wise (``sing_part`` / ``reg_part``), computes the
+exactly when lam is k-singular.  This module reads the residue, finite part
+and kappa-derivative at k (``sing_part``, ``reg_part`` and route 1 of
+``q_poly``) and the pole set off the monomial numerators over their one
+shared denominator, by one ``ratfunc.local_values`` call each; it computes the
 residue scale r_lam by two independent formulas, builds the depolarized
 polynomial Q_lam by two independent routes, and provides the generalized
 evaluation functional used to characterize eigenvalue polynomials.
@@ -32,7 +34,7 @@ from .hypergeom import falling_table
 from .partitions import (
     PClass, Pair2, check_partition, classify_at, h_poly, paired, size, upto,
 )
-from .ratfunc import PoleError, RatFunc, UniPoly, as_ratio
+from .ratfunc import RatFunc, UniPoly, as_ratio, local_values
 
 KAPPA = UniPoly.x()
 
@@ -40,22 +42,22 @@ KAPPA = UniPoly.x()
 class KsPoly(NamedTuple):
     """One interpolation polynomial: falling-basis terms plus monomial form.
 
-    ``cleared`` stores (numerator, m, n) with the shared denominator ``den``
-    = (kappa+1)_(r); coefficient (m, n) is ``numerator / den`` in lowest
-    terms.  ``body`` is built over the same denominator: the numerators are
-    expanded into the monomial basis as polynomials in kappa and each
-    monomial coefficient is normalized once.  Keeping the cleared form makes
-    evaluation at shifted points a single rational-function normalization
-    instead of one per term.
+    ``cleared`` stores (numerator, m, n) of the falling basis over the shared
+    denominator ``den`` = (kappa+1)_(r), whose roots -1, 0, ..., r-2 are
+    simple.  ``nums`` is the same sum expanded into the monomial basis, a
+    ``BiPoly`` of ``UniPoly`` numerators over ``den``, and ``body`` is
+    ``nums`` with each coefficient normalized once in Q(kappa).  Keeping the
+    cleared form makes evaluation at shifted points a single
+    rational-function normalization instead of one per term.
 
-    Values at kappa = k (``sing_part``, ``reg_part`` and the kappa-derivative
-    of route 1 of ``q_poly``) are read coefficient-wise off the local
-    expansion of ``body`` at k (``RatFunc.residue``, ``regular_value`` and
-    ``derivative_at``); they normalize nothing.
+    Values at kappa = k (``sing_part``, ``reg_part``, ``ks_pole_set`` and the
+    kappa-derivative of route 1 of ``q_poly``) are read off ``nums`` and
+    ``den`` by one ``local_values`` call; they normalize nothing.
     """
 
     den: UniPoly
     cleared: tuple[tuple[UniPoly, int, int], ...]
+    nums: BiPoly
     body: BiPoly
 
 
@@ -75,8 +77,9 @@ def ks_poly(lam: Pair2) -> KsPoly:
             )
             num = (fall[r - i] * fall[r - j]).scale(scale)
             cleared.append((num, l2 + i, l2 + j))
-    body = from_falling(cleared).map_coeffs(lambda num: RatFunc(num, den))
-    return KsPoly(den=den, cleared=tuple(cleared), body=body)
+    nums = from_falling(cleared)
+    body = nums.map_coeffs(lambda num: RatFunc(num, den))
+    return KsPoly(den=den, cleared=tuple(cleared), nums=nums, body=body)
 
 
 def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:
@@ -118,27 +121,27 @@ def characterization_holds(lam: Pair2) -> bool:
 # -- pole structure ----------------------------------------------------------------
 
 
+def _at_kappa(lam: Pair2, k: int, kind: str) -> BiPoly:
+    """Coefficient-wise ``kind`` ("residue", "value" or "slope") of P_lam at
+    kappa = k: one ``local_values`` call over ``nums`` and ``den``."""
+    p = ks_poly(lam)
+    terms = p.nums.terms
+    return BiPoly(dict(zip(terms, local_values(list(terms.values()), p.den, k, kind))))
+
+
 def ks_pole_set(lam: Pair2, k_max: int) -> set[int]:
     """Integer points k <= k_max where some coefficient of ``body`` has a pole.
 
-    Pole orders are read off the canonical denominators; a pole of order two
-    or more raises ``PoleError``.  That the set is the k-singular one is left
-    to the callers that compare them.
+    A pole is a nonzero residue; a pole of order two or more raises
+    ``PoleError``.  That the set is the k-singular one is left to the
+    callers that compare them.
     """
-    poles: set[int] = set()
-    for (m, n), c in ks_poly(lam).body.terms.items():
-        for k0 in range(k_max + 1):
-            mult = c.den.multiplicity(k0)
-            if mult > 1:
-                raise PoleError(Fraction(k0), mult, f"coefficient at ({m},{n}) has a pole of order {mult}")
-            if mult == 1:
-                poles.add(k0)
-    return poles
+    return {k for k in range(k_max + 1) if _at_kappa(lam, k, "residue")}
 
 
 def sing_part(lam: Pair2, k: int) -> BiPoly:
     """Coefficient-wise residue at kappa = k (zero unless lam is k-singular)."""
-    return ks_poly(lam).body.map_coeffs(lambda c: c.residue(k))
+    return _at_kappa(lam, k, "residue")
 
 
 def reg_part(lam: Pair2, k: int) -> BiPoly:
@@ -146,7 +149,7 @@ def reg_part(lam: Pair2, k: int) -> BiPoly:
 
     Equals the plain specialization P_lam^k whenever lam is not k-singular.
     """
-    return ks_poly(lam).body.map_coeffs(lambda c: c.regular_value(k))
+    return _at_kappa(lam, k, "value")
 
 
 def r_coeff(lam: Pair2, k: int) -> Fraction:
@@ -178,11 +181,10 @@ def q_poly(lam: Pair2, k: int) -> BiPoly:
     lamd = paired(lam, k, PClass.SINGULAR)
     r = r_coeff(lam, k)
 
-    dual_body = ks_poly(lamd).body
-    route1 = reg_part(lam, k) - dual_body.map_coeffs(lambda c: c.derivative_at(k)).scale(r)
+    route1 = reg_part(lam, k) - _at_kappa(lamd, k, "slope").scale(r)
 
     pole = RatFunc(UniPoly.const(r), UniPoly((-k, 1)))
-    combo = ks_poly(lam).body - dual_body.scale(pole)
+    combo = ks_poly(lam).body - ks_poly(lamd).body.scale(pole)
     route2 = combo.map_coeffs(lambda c: c.eval(k))
 
     if route1 != route2:

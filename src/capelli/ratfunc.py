@@ -16,21 +16,23 @@ gcd as the primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2,
 section 4.6.1), made monic at the end.  ``Fraction`` coefficients
 (``UniPoly.coeffs``) are built only at the boundary, for rendering.
 
-``RatFunc`` knows about its local behaviour at a rational point: its
-simple-pole residue, regular value and the value of the derivative.  These
-are read off the local expansion instead of being built as new ``RatFunc``
-values: at a simple pole ``a`` the denominator is split once as
-``den = (x - a) * d1``, and with ``num``, ``num'``, ``d1`` and ``d1'``
-evaluated at ``a``
+Local analysis at a rational point has one kernel, ``local_values``.  It
+reads a list of numerators N over one shared denominator D, which need not
+be coprime to them, at a = p/q: one integer Horner pass over D gives D(a),
+D'(a) and D''(a)/2 with the point homogenized (Knuth, TAOCP vol. 2,
+section 4.6.4), one pass per numerator gives N(a), N'(a) and N''(a)/2, and
+at a simple root of D
 
-    residue       = num(a) / d1(a),
-    regular value = (num'(a) - residue * d1'(a)) / d1(a),
+    residue       = N(a) / D'(a),
+    regular value = (N'(a) D'(a) - N(a) D''(a)/2) / D'(a)^2,
+    slope         = (N''(a)/2 D'(a) - N'(a) D''(a)/2) / D'(a)^2   if N(a) = 0,
 
-while at a regular point the value and the derivative come from one Horner
-pass over ``num`` and ``den``.  None of this normalizes, so it costs no
-polynomial gcd.  Poles of order two or more are treated as hard errors
-(``PoleError``); the objects this package builds are guaranteed to have
-simple poles only, so a higher-order pole always signals a bug upstream.
+while at a regular point the residue is 0, the regular value N/D and the
+slope (N' D - N D') / D^2.  Each result is one ``Fraction`` of integers; no
+polynomial division, gcd or ``Fraction`` arithmetic runs.  A root of D of
+order two or more is a hard error (``PoleError``); the objects this package
+builds are guaranteed to have simple poles only, so a higher-order pole
+always signals a bug upstream.
 
 Evaluation (``UniPoly.__call__`` and ``value_and_slope``, ``RatFunc.eval``,
 and ``BiPoly.eval_at`` / ``eval2``) takes ``int`` or ``Fraction`` points and
@@ -38,8 +40,8 @@ reads each as numerator and denominator (``as_ratio``; ``UniPoly.__call__``
 and ``RatFunc.eval`` share one integer Horner kernel, and ``BiPoly`` brings
 its coefficients to one denominator with ``common_denominator`` once per
 point list), and one ``Fraction`` is built per result.  A polynomial is
-built from ``int`` or ``Fraction`` coefficients only, and the local
-analysis of ``RatFunc`` takes the same points: anything else, a ``float``
+built from ``int`` or ``Fraction`` coefficients only, and
+``local_values`` takes the same points: anything else, a ``float``
 or a string, raises ``TypeError``.
 """
 
@@ -280,6 +282,54 @@ def _horner(poly: UniPoly, a: Scalar) -> tuple[int, int]:
     return acc, poly.den * qk
 
 
+def _taylor(poly: UniPoly, p: int, q: int) -> tuple[tuple[int, int, int], int]:
+    """((t0, t1, t2), s) with poly(a) = t0/s, poly'(a) = t1/s and
+    poly''(a)/2 = t2/s at a = p/q, s = poly.den q^deg: one Horner pass on
+    the integer numerators with the point homogenized."""
+    it = reversed(poly.nums)
+    v0, v1, v2, qk = next(it, 0), 0, 0, 1
+    for c in it:
+        qk *= q
+        v2 = v2 * p + v1
+        v1 = v1 * p + v0
+        v0 = v0 * p + c * qk
+    # v1 is over q^(deg - 1) and v2 over q^(deg - 2)
+    return (v0, v1 * q, v2 * q * q), poly.den * qk
+
+
+# the Laurent order each kind reads: h^-1, h^0 and h^1 in h = x - a
+_ORDER = {"residue": -1, "value": 0, "slope": 1}
+
+
+def local_values(nums: list[UniPoly], den: UniPoly, a: Scalar, kind: str) -> list[Fraction]:
+    """The residue, regular value or slope (``kind``) at ``a`` of each
+    num / den, for numerators over one shared ``den`` that need not be
+    coprime to them: the coefficient of h^-1, h^0 or h^1 in h = x - a.
+
+    With Ni and Di the Taylor coefficients at ``a`` and a j-fold root of den
+    there (j = 0 or 1), that coefficient is (Ni Dj - Ni-1 Dj+1) / Dj^2 at
+    i = j - 1, j or j + 1, with Ni = 0 for i < 0.  A slope at a root needs
+    N0 = 0, else it raises ``PoleError`` of order 1; a root of order two or
+    more raises ``PoleError`` with its order."""
+    p, q = as_ratio(a)
+    (d0, d1, d2), sd = _taylor(den, p, q)
+    if d0:
+        i, dj, dk = _ORDER[kind], d0, d1
+    elif d1:
+        i, dj, dk = _ORDER[kind] + 1, d1, d2
+    else:
+        raise PoleError(a, den.multiplicity(a))
+    if i < 0:  # the residue at a regular point
+        return [Fraction(0)] * len(nums)
+    out = []
+    for num in nums:
+        t, sn = _taylor(num, p, q)
+        if i == 2 and t[0]:
+            raise PoleError(a, 1)
+        out.append(Fraction((t[i] * dj - (t[i - 1] * dk if i else 0)) * sd, sn * dj * dj))
+    return out
+
+
 def _canonical(nums: tuple[int, ...], den: int) -> UniPoly:
     """A ``UniPoly`` from numerators and a denominator already in canonical form."""
     p = object.__new__(UniPoly)
@@ -433,42 +483,10 @@ class RatFunc:
             return Fraction(nv * dd, nd * dv)
         raise PoleError(a, self.den.multiplicity(a))
 
-    def _pole_cofactor(self, a: Scalar) -> UniPoly | None:
-        """``d1`` with den = (x - a) * d1 when ``a`` is a simple pole, None
-        when f is regular at ``a``; a pole of order two or more raises."""
-        if self.den(a):
-            return None
-        cof = self.den.divexact(UniPoly((-a, 1)))
-        if cof(a):
-            return cof
-        raise PoleError(a, self.den.multiplicity(a))
-
-    def residue(self, a: Scalar) -> Fraction:
-        """lim (x - a) * f; zero when f is regular at ``a``.
-
-        Requires the pole (if any) to be simple; a double pole raises.
-        """
-        cof = self._pole_cofactor(a)
-        if cof is None:
-            return Fraction(0)
-        return self.num(a) / cof(a)
-
-    def regular_value(self, a: Scalar) -> Fraction:
-        """lim (f - residue/(x - a)); plain evaluation at regular points."""
-        cof = self._pole_cofactor(a)
-        if cof is None:
-            return self.eval(a)
-        n0, n1 = self.num.value_and_slope(a)
-        c0, c1 = cof.value_and_slope(a)
-        return (n1 - n0 / c0 * c1) / c0
-
     def derivative_at(self, a: Scalar) -> Fraction:
-        """f'(a) at a regular point ``a``; raises ``PoleError`` at a pole."""
-        d0, d1 = self.den.value_and_slope(a)
-        if not d0:
-            raise PoleError(a, self.den.multiplicity(a))
-        n0, n1 = self.num.value_and_slope(a)
-        return (n1 * d0 - n0 * d1) / (d0 * d0)
+        """f'(a) at a regular point ``a``: ``local_values`` of the one
+        numerator; raises ``PoleError`` (with the order) at a pole."""
+        return local_values([self.num], self.den, a, "slope")[0]
 
     # -- calculus ------------------------------------------------------------
 

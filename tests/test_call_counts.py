@@ -3,8 +3,10 @@ and deligne sweeps.
 
 Each guard wraps a function with a counter and asserts how often it runs.
 Nothing is timed, so the guards are deterministic: they fail when a change
-brings back normalization in Q(kappa) where values at kappa = k are read off
-the local expansion, rebuilds an eigenvalue polynomial per block,
+brings back normalization, polynomial division or ``Fraction`` arithmetic
+where values at kappa = k are read off the local expansion, or reads the
+shared denominator of a Knop-Sahi polynomial more than once per
+``local_values`` call, rebuilds an eigenvalue polynomial per block,
 specializes a block-model operator per block instead of once per check,
 normalizes a categorical closed form's coefficients more than once per
 scaled Knop-Sahi term and shared monomial,
@@ -67,17 +69,35 @@ def _counter(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _reads_at_k(monkeypatch, reads):
+    """Run each of ``reads`` with every Fraction refusing arithmetic and
+    count its work: (UniPoly divmods, gcds and RatFunc normalizations, the
+    ``local_values`` calls, the Horner passes over their denominators)."""
+    work = [_counter(monkeypatch, UniPoly, "divmod"), _counter(monkeypatch, UniPoly, "gcd"),
+            _counter(monkeypatch, RatFunc, "__init__")]
+    kernels = _counter(monkeypatch, ks, "local_values")
+    passes = _counter(monkeypatch, ratfunc, "_taylor")
+    _refuse_fraction_arithmetic(monkeypatch)
+    for read in reads:
+        read()
+    monkeypatch.undo()
+    dens = {id(args[1]) for args in kernels}
+    return work, kernels, [args for args in passes if id(args[0]) in dens]
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_singular_and_finite_parts_make_no_gcd(monkeypatch, k):
+    # nor any divmod, normalization or Fraction arithmetic: one kernel call
+    # per part, one Horner pass over the shared denominator per kernel call
     singular = [lam for lam in upto(10) if classify(lam, k) is PClass.SINGULAR]
     assert singular
     for lam in singular:
         ks.ks_poly(lam)  # build (and normalize) outside the counted region
-    gcd = _counter(monkeypatch, UniPoly, "gcd")
-    for lam in singular:
-        ks.sing_part(lam, k)
-        ks.reg_part(lam, k)
-    assert gcd == []
+    reads = [lambda lam=lam, part=part: part(lam, k)
+             for lam in singular for part in (ks.sing_part, ks.reg_part)]
+    work, kernels, den_passes = _reads_at_k(monkeypatch, reads)
+    assert work == [[], [], []]
+    assert len(kernels) == len(den_passes) == 2 * len(singular)
 
 
 @pytest.mark.parametrize("lam", [(0, 0), (3, 0), (4, 2), (6, 1)])
@@ -187,13 +207,14 @@ def test_l_op_normalizes_once_per_coefficient(monkeypatch):
 
 
 def test_ks_pole_set_makes_no_gcd(monkeypatch):
+    # nor any divmod, normalization or Fraction arithmetic: one kernel call
+    # per k, one Horner pass over the shared denominator per kernel call
     for lam in upto(10):
         ks.ks_poly(lam)  # build (and normalize) outside the counted region
-    gcd = _counter(monkeypatch, UniPoly, "gcd")
-    inits = _counter(monkeypatch, RatFunc, "__init__")
-    for lam in upto(10):
-        ks.ks_pole_set(lam, 6)
-    assert (gcd, inits) == ([], [])
+    reads = [lambda lam=lam: ks.ks_pole_set(lam, 6) for lam in upto(10)]
+    work, kernels, den_passes = _reads_at_k(monkeypatch, reads)
+    assert work == [[], [], []]
+    assert len(kernels) == len(den_passes) == 7 * len(upto(10))
 
 
 def test_block_eval_makes_no_ratfunc_work(monkeypatch):

@@ -3,10 +3,11 @@ from fractions import Fraction as Q
 import pytest
 
 import reference_eval
+import reference_poly as ref
 from capelli import knopsahi as ks
 from capelli.bipoly import BiPoly, falling_expansion, from_falling
 from capelli.partitions import PClass, classify, dagger, h_poly, size, upto
-from capelli.ratfunc import RatFunc, UniPoly
+from capelli.ratfunc import PoleError, RatFunc, UniPoly
 
 
 def RF(num, den=(1,)):
@@ -96,6 +97,40 @@ class TestSingRegParts:
 
     def test_constant(self):
         assert ks.reg_part((0, 0), 4) == BiPoly({(0, 0): Q(1)})
+
+
+def _reference(c: RatFunc) -> ref.RatFunc:
+    return ref.RatFunc(ref.UniPoly(c.num.coeffs), ref.UniPoly(c.den.coeffs))
+
+
+@pytest.mark.parametrize("lam", upto(8))
+def test_values_at_k_match_the_coefficientwise_reference(lam):
+    """``sing_part``, ``reg_part``, the route-1 kappa-derivative and the pole
+    set, read over the shared denominator, against the reference's local
+    expansion of each canonical coefficient of ``body`` (k <= 6, the k cap)."""
+    refs = {key: _reference(c) for key, c in ks.ks_poly(lam).body.terms.items()}
+    poles = set()
+    for k in range(7):
+        assert ks.sing_part(lam, k) == BiPoly({key: r.residue(k) for key, r in refs.items()})
+        assert ks.reg_part(lam, k) == BiPoly({key: r.regular_value(k) for key, r in refs.items()})
+        orders = {r.den.multiplicity(k) for r in refs.values()}
+        assert orders <= {0, 1}
+        if 1 in orders:
+            poles.add(k)
+            with pytest.raises(PoleError) as info:
+                ks._at_kappa(lam, k, "slope")
+            assert (info.value.point, info.value.order) == (k, 1)
+        else:
+            slopes = {key: r.derivative_at(k) for key, r in refs.items()}
+            assert ks._at_kappa(lam, k, "slope") == BiPoly(slopes)
+    assert ks.ks_pole_set(lam, 6) == poles
+
+
+@pytest.mark.parametrize("lam", upto(14))
+def test_shared_denominator_is_squarefree(lam):
+    # the local expansion over den reads simple roots only, up to the size cap 14
+    den = ks.ks_poly(lam).den
+    assert den.gcd(den.derivative()) == UniPoly.one()
 
 
 class TestResidueScale:

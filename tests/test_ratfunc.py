@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capelli.ratfunc import PoleError, RatFunc, UniPoly
+from capelli.ratfunc import PoleError, RatFunc, UniPoly, local_values
 
 
 def P(*coeffs):
@@ -11,6 +11,11 @@ def P(*coeffs):
 
 
 K = UniPoly.x()
+
+
+def local(f, a, kind):
+    """``local_values`` of the one rational function ``f``."""
+    return local_values([f.num], f.den, a, kind)[0]
 
 
 class TestUniPoly:
@@ -95,29 +100,29 @@ class TestEval:
 
 class TestResidueAndRegularValue:
     def test_simple_pole_residue(self):
-        assert RatFunc(P(2, 2), P(0, 1)).residue(0) == 2
+        assert local(RatFunc(P(2, 2), P(0, 1)), 0, "residue") == 2
 
     def test_regular_point_residue_zero(self):
-        assert RatFunc(P(1, 1)).residue(0) == 0
+        assert local(RatFunc(P(1, 1)), 0, "residue") == 0
 
     def test_double_pole_rejected(self):
         f = RatFunc(P(1), P(-1, 1) * P(-1, 1))
         with pytest.raises(PoleError):
-            f.residue(1)
+            local(f, 1, "residue")
         with pytest.raises(PoleError):
-            f.regular_value(1)
+            local(f, 1, "value")
 
     def test_regular_value_at_pole(self):
-        assert RatFunc(P(2, 2), P(0, 1)).regular_value(0) == 2
+        assert local(RatFunc(P(2, 2), P(0, 1)), 0, "value") == 2
 
     def test_regular_value_at_regular_point(self):
-        assert RatFunc(P(1, 1)).regular_value(0) == 1
+        assert local(RatFunc(P(1, 1)), 0, "value") == 1
 
     def test_finite_part_matches_known_expansion(self):
         # 2k/(k-1) at 1: residue 2, finite part 2
         f = RatFunc(P(0, 2), P(-1, 1))
-        assert f.residue(1) == 2
-        assert f.regular_value(1) == 2
+        assert local(f, 1, "residue") == 2
+        assert local(f, 1, "value") == 2
 
 
 class TestDerivative:
@@ -159,8 +164,8 @@ def test_eval_is_ring_homomorphism(f, g, a):
 @given(ratfuncs().filter(bool), small_frac)
 def test_regular_points_have_zero_residue(f, a):
     if f.den(a) != 0:
-        assert f.residue(a) == 0
-        assert f.regular_value(a) == f.eval(a)
+        assert local(f, a, "residue") == 0
+        assert local(f, a, "value") == f.eval(a)
 
 
 # -- local expansion at a point -------------------------------------------------
@@ -180,9 +185,9 @@ def simple_pole_or_regular(draw):
 def test_local_expansion_matches_definitions(case):
     f, a = case
     linear = RatFunc(UniPoly((-a, 1)))
-    res = f.residue(a)
+    res = local(f, a, "residue")
     assert res == (f * linear).eval(a)
-    assert f.regular_value(a) == (f + RatFunc(UniPoly.const(-res), UniPoly((-a, 1)))).eval(a)
+    assert local(f, a, "value") == (f + RatFunc(UniPoly.const(-res), UniPoly((-a, 1)))).eval(a)
     if f.den(a):
         assert res == 0
         assert f.derivative_at(a) == f.derivative().eval(a)
@@ -190,6 +195,44 @@ def test_local_expansion_matches_definitions(case):
         with pytest.raises(PoleError) as info:
             f.derivative_at(a)
         assert info.value.order == 1
+
+
+@st.composite
+def shared_denominators(draw):
+    """(nums, den, a, j): numerators over one denominator with a root of
+    order j at ``a``, an integer or a rational point, some numerators
+    vanishing at ``a``; ``den`` is not reduced against them."""
+    a = draw(st.one_of(st.integers(-6, 6), small_frac))
+    j = draw(st.integers(0, 3))
+    den = draw(nonzero_polys.filter(lambda d: d(a) != 0))
+    for _ in range(j):
+        den = den * UniPoly((-a, 1))
+    vanish = st.tuples(polys, st.booleans()).map(lambda t: t[0] * UniPoly((-a, 1)) if t[1] else t[0])
+    return draw(st.lists(vanish, min_size=1, max_size=4)), den, a, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_denominators())
+def test_local_values_over_a_shared_denominator(case):
+    nums, den, a, j = case
+    kinds = ("residue", "value", "slope")
+    if j > 1:
+        for kind in kinds:
+            with pytest.raises(PoleError) as info:
+                local_values(nums, den, a, kind)
+            assert (info.value.point, info.value.order) == (a, j)
+        return
+    fs = [RatFunc(num, den) for num in nums]
+    res = [(f * RatFunc(UniPoly((-a, 1)))).eval(a) for f in fs]
+    assert local_values(nums, den, a, "residue") == res
+    poles = [RatFunc(UniPoly.const(-r), UniPoly((-a, 1))) for r in res]
+    assert local_values(nums, den, a, "value") == [(f + p).eval(a) for f, p in zip(fs, poles)]
+    if any(res):
+        with pytest.raises(PoleError) as info:
+            local_values(nums, den, a, "slope")
+        assert (info.value.point, info.value.order) == (a, 1)
+    else:
+        assert local_values(nums, den, a, "slope") == [f.derivative().eval(a) for f in fs]
 
 
 @given(polys, small_frac)
@@ -204,9 +247,10 @@ def test_higher_order_poles_raise_with_their_order(order):
     for _ in range(order):
         den = den * P(-a, 1)
     f = RatFunc(P(1, 1), den)
-    for local in (f.residue, f.regular_value, f.derivative_at, f.eval):
+    reads = [lambda a, kind=kind: local(f, a, kind) for kind in ("residue", "value", "slope")]
+    for read in (*reads, f.derivative_at, f.eval):
         with pytest.raises(PoleError) as info:
-            local(a)
+            read(a)
         assert (info.value.point, info.value.order) == (a, order)
         assert str(info.value) == f"pole of order {order} at 3"
 
@@ -233,8 +277,8 @@ def test_local_expansion_against_sympy(num, den, a):
     g = expr(num) / expr(den)
     pt = sp.Rational(a.numerator, a.denominator)
     res = sp.residue(g, x, pt)
-    assert f.residue(a) == Q(str(res))
-    assert f.regular_value(a) == Q(str(sp.limit(g - res / (x - pt), x, pt)))
+    assert local(f, a, "residue") == Q(str(res))
+    assert local(f, a, "value") == Q(str(sp.limit(g - res / (x - pt), x, pt)))
     if den(a):
         assert f.derivative_at(a) == Q(str(sp.diff(g, x).subs(x, pt)))
 
@@ -245,8 +289,9 @@ def test_inexact_or_foreign_input_raises_type_error(bad):
         UniPoly([Q(1, 2), bad])
     p, f = P(-1, 0, 1), RatFunc(P(2, 2), P(0, 1))
     calls = (lambda: UniPoly.const(bad), lambda: RatFunc(bad), lambda: p + bad, lambda: p.scale(bad),
-             lambda: p.multiplicity(bad), lambda: f.eval(bad), lambda: f.residue(bad),
-             lambda: f.regular_value(bad), lambda: f.derivative_at(bad))
+             lambda: p.multiplicity(bad), lambda: f.eval(bad), lambda: local(f, bad, "residue"),
+             lambda: local(f, bad, "value"), lambda: local(f, bad, "slope"),
+             lambda: f.derivative_at(bad))
     for call in calls:
         with pytest.raises(TypeError):
             call()

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import os
 import pathlib
 import re
@@ -17,13 +18,14 @@ from capelli import knopsahi as ks
 from capelli import verify as vf
 from capelli.config import Config
 from capelli.partitions import classify
-from capelli.ratfunc import RatFunc, UniPoly
+from capelli.ratfunc import RatFunc, UniPoly, local_values
 from capelli.report import Check
 
 
 def test_raising_check_names_type_and_frame(monkeypatch):
-    double_pole = RatFunc(UniPoly.one(), UniPoly((-3, 1)) * UniPoly((-3, 1)))
-    monkeypatch.setattr(ks, "characterization_holds", lambda lam: double_pole.residue(3))
+    double_pole = UniPoly((-3, 1)) * UniPoly((-3, 1))
+    monkeypatch.setattr(ks, "characterization_holds",
+                        lambda lam: local_values([UniPoly.one()], double_pole, 3, "residue"))
     check = vf.check_characterization((2, 0))
     assert check.status == "fail" and check.rhs == "-"
     assert re.fullmatch(r"error: PoleError at ratfunc\.py:\d+: pole of order 2 at 3", check.lhs)
@@ -107,6 +109,9 @@ _F_CLOSED = idn.f_closed
 _PSI_L = idn.psi_l
 _BLOCK_EVAL = dl.block_eval
 _RESTRICTION_PAIR = ep.restriction_pair
+_LOCAL_VALUES = ks.local_values
+_Q_SOURCE, _Q_START = inspect.getsourcelines(ks.q_poly)
+_Q_ROUTES_LINE = _Q_START + next(i for i, line in enumerate(_Q_SOURCE) if "routes disagree" in line)
 
 
 def _half_on_every_nil(op_t, blks):
@@ -117,6 +122,15 @@ def _value_as_nil(op_t, blks):
     """binom q in place of binom q' for the nil part of a multiplicity-2 block."""
     return [dl.DualScalar(d.value, d.value if b.mult == 2 else d.nil)
             for b, d in zip(blks, _BLOCK_EVAL(op_t, blks))]
+
+
+def _value_without_d2(nums, den, a, kind):
+    """The regular value with its D''/2 term dropped: den read through its
+    linear Taylor part D(a) + D'(a)(x - a)."""
+    if kind == "value":
+        d0, d1 = den.value_and_slope(a)
+        den = UniPoly((d0 - d1 * a, d1))
+    return _LOCAL_VALUES(nums, den, a, kind)
 
 
 def _one_on_every_nil(f, mus, k):
@@ -164,11 +178,22 @@ def _one_on_every_nil(f, mus, k):
         (ep, "restriction_pair", _one_on_every_nil, ("jordan-restrictions", ((3, 0), 1)),
          Check("jordan-restrictions", (("lambda", "3,0"), ("k", "1")), "fail",
                "nil on 2,1 = 2", "1")),
+        # the first record the sweep fails: the finite part of P_(2,0) at a
+        # pole is off, so the two routes to Q_(2,0) disagree
+        (ks, "local_values", _value_without_d2, ("q-depolarized", ((2, 0), 0)),
+         Check("q-depolarized", (("lambda", "2,0"), ("k", "0")), "fail",
+               f"error: AssertionError at knopsahi.py:{_Q_ROUTES_LINE}: "
+               "Q_(2, 0) routes disagree at k=0")),
+        (ks, "local_values", _value_without_d2, ("super-cat-degeneration", ((1, 1), 0)),
+         Check("super-cat-degeneration", (("lambda", "1,1"), ("k", "0")), "fail",
+               "(1/2)x^2 + xy + (1/2)y^2 + (1/2)x + (1/2)y",
+               "(1/2)x^2 + 2xy + (1/2)y^2 + (1/2)x + (1/2)y")),
     ],
     ids=["pole-set", "min-poly", "raising-dougall", "h-function-point", "f-closed-form-point",
          "psi-chain-diagonal", "eigen-routes",
          "q-depolarized", "block-vanishing-nil", "block-vanishing-binom-dropped",
-         "block-vanishing-value-as-nil", "jordan-restrictions-nil"],
+         "block-vanishing-value-as-nil", "jordan-restrictions-nil", "q-depolarized-no-d2",
+         "super-cat-degeneration-no-d2"],
 )
 def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
     monkeypatch.setattr(owner, attr, stub)
