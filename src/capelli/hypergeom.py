@@ -11,7 +11,8 @@ quotient
 which is valid verbatim for non-negative integers b, c, d.  Evaluation
 runs on integers: a = p/q is read with ``ratfunc.as_ratio``, and each result
 is one ``Fraction``.  The same integer kernels build the x and y tables
-of the identity-e chain.
+of the identity-e chain, and ``derivative_coeffs`` gives the constants of
+the derivative identity's double sum as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -55,6 +56,24 @@ def over_lcm(rows) -> tuple[list[list[int]], int]:
     positive denominator, the lcm of every den."""
     den = math.lcm(*(d for row in rows for _, d in row))
     return [[n * (den // d) for n, d in row] for row in rows], den
+
+
+def derivative_coeffs(i: int, j: int, n: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The constants c(q, p) of the falling-factorial derivative identity's
+    double sum as integers over one denominator: (rows, M), row q holding
+    the pairs (p, M c(q, p)) for i+j-q <= p <= min(N-q, N-1), for
+    q = 0..min(i, j); larger q have the factor i_(q) j_(q) = 0.
+
+    c(q, p) = (-1)^(N+p+q+1) (N-p)_(q) i_(q) j_(q) (N-i-j)_(N-p-q) / ((N-p) q!),
+    each falling factorial of an integer from ``pochhammer_num``, and M is
+    the lcm of the (N-p) q!.
+    """
+    spans = [range(i + j - q, min(n - q, n - 1) + 1) for q in range(min(i, j) + 1)]
+    rows, m = over_lcm([[((-1) ** (n + p + q + 1) * pochhammer_num(n - p, 1, q, -1)
+                          * pochhammer_num(i, 1, q, -1) * pochhammer_num(j, 1, q, -1)
+                          * pochhammer_num(n - i - j, 1, n - p - q, -1),
+                          (n - p) * math.factorial(q)) for p in ps] for q, ps in enumerate(spans)])
+    return [list(zip(ps, row)) for ps, row in zip(spans, rows)], m
 
 
 def falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:

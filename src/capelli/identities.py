@@ -5,12 +5,16 @@ The headline identity expresses
 
     d/dx ( x_(N-i) x_(N-j) / x_(N) )
 
-as an explicit double sum of rational functions; it is checked as an
-equality of canonical rational functions, no sampling involved.  The left
-side is the quotient-rule derivative; the right side sums its numerators
-over x_(N)^2 and is normalized once.  Each x_(m) is
-``UniPoly(falling_coeffs(m))``, and a check renders its sides only when it
-fails.
+as an explicit double sum of rational functions; it is checked as an exact
+equality in Q(x), no sampling involved.  Both sides live over x_(N)^2: the
+left side is the quotient-rule numerator n'd - nd' (n = x_(N-i) x_(N-j),
+d = x_(N)), the right side an integer numerator over M x_(N)^2, M the lcm
+of the denominators of its constants (``hypergeom.derivative_coeffs``).
+Two rational functions over one denominator are equal exactly when their
+numerators are, so the check compares M (n'd - nd') with the right
+numerator on integer coefficients, with no gcd, normalization or
+``Fraction``; it builds canonical rational functions only to render a
+failure.  Each x_(m) is ``UniPoly(falling_coeffs(m))``.
 
 The chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two variables;
 it is verified by exact evaluation on tensor grids larger than the degree
@@ -18,11 +22,13 @@ bounds left after clearing the denominators.  psi_1, psi_2 and F(s) take a
 whole point list and read each point with ``as_ratio``: the factors of x
 alone and of y alone (with their pole checks) are built once per distinct
 coordinate as integer numerators over one denominator, and each point
-costs integer arithmetic and one ``Fraction``.  psi_1 and F(s) read x_(m)
-off ``falling_table`` and build each y entry from ``pochhammer_num``
-products as one integer pair, a table over its lcm; psi_2 keeps the
-monomial x_(d) as a cross-check, and it and F(0)'s closed form take
-prod (y+t) and sum 1/(y+t) from ``harmonic_num``.
+costs integer arithmetic and one ``Fraction``.  F(s)'s closed form takes
+one x and a list of y, and builds the factors of x once.  psi_R on the
+diagonal is read off the right numerator over M x_(N)^2 the same way.
+psi_1 and F(s) read x_(m) off ``falling_table`` and build each y entry
+from ``pochhammer_num`` products as one integer pair, a table over its
+lcm; psi_2 keeps the monomial x_(d) as a cross-check, and it and F(0)'s
+closed form take prod (y+t) and sum 1/(y+t) from ``harmonic_num``.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -35,63 +41,52 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bipoly import falling_coeffs
-from .hypergeom import (_falling_basis_at, falling, falling_table, harmonic_num, over_lcm,
-                        pfq_terminating, pochhammer_num)
-from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, render_frac,
-                      render_ratfunc, render_unipoly)
+from .hypergeom import (_falling_basis_at, derivative_coeffs, falling, falling_table,
+                        harmonic_num, over_lcm, pfq_terminating, pochhammer_num)
+from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, local_values,
+                      render_frac, render_ratfunc, render_unipoly)
 
 X = UniPoly.x()
 
 
-# -- the derivative identity, in canonical rational-function form -------------------
+# -- the derivative identity, as integer numerators over x_(N)^2 ----------------------
 
 
-def lhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
-    """d/dx of x_(N-i) x_(N-j) / x_(N), canonical in Q(x)."""
+def lhs_derivative_num(i: int, j: int, n: int) -> UniPoly:
+    """The quotient-rule numerator n'd - nd' of d/dx (n / d), n = x_(N-i)
+    x_(N-j) and d = x_(N): the left side is it over d^2 = x_(N)^2."""
     _check_ijn(i, j, n)
     num = UniPoly(falling_coeffs(n - i)) * UniPoly(falling_coeffs(n - j))
-    # reduce, then differentiate: normalizing n'd - nd' over d^2 once is slower (larger gcd)
-    return RatFunc(num, UniPoly(falling_coeffs(n))).derivative()
+    den = UniPoly(falling_coeffs(n))
+    return num.derivative() * den - num * den.derivative()
 
 
-def rhs_derivative_identity(i: int, j: int, n: int) -> RatFunc:
-    """The double sum over (q, p); terms with q > min(i, j) vanish because of
-    the i_(q) j_(q) prefactor and are skipped before any falling factorial
-    with a negative step could be formed.
+def rhs_derivative_num(i: int, j: int, n: int) -> tuple[UniPoly, int]:
+    """The double sum over (q, p) as (total, M): the sum is total / (M x_(N)^2),
+    and total has integer coefficients.
 
     The (q, p) term is c(q, p) x_(p-i) x_(p-j) (x-p+q) / (x_(p+1) (x-N+q)_(q)),
-    and its denominator divides x_(N)^2 with cofactor (x-p-1)_(N-p-1) x_(N-q).
-    Over that shared denominator the p-dependent part B_p = x_(p-i) x_(p-j)
-    (x-p-1)_(N-p-1) is built once per p, the sum over p for each q is a
-    linear combination of the B_p, and the whole sum is normalized once.
+    and ``derivative_coeffs`` gives M c(q, p) as integers.  The term's
+    denominator divides x_(N)^2 with cofactor (x-p-1)_(N-p-1) x_(N-q).  Over
+    that shared denominator the p-dependent part B_p = x_(p-i) x_(p-j)
+    (x-p-1)_(N-p-1) is built once per p, and the sum over p for each q is an
+    integer combination of the B_p (x-p+q).
     """
     _check_ijn(i, j, n)
-    # tail[p] = (x-p-1)_(N-p-1) = x_(N) / x_(p+1), built from p = N-1 down
-    tail = [UniPoly.one()] * n
-    for p in range(n - 2, -1, -1):
-        tail[p] = tail[p + 1] * UniPoly((-(p + 1), 1))
-    body: dict[int, UniPoly] = {}
+    rows, m = derivative_coeffs(i, j, n)
+    # B_p for each p the rows hold, max(i, j) <= p < N, with the tail
+    # (x-p-1)_(N-p-1) = x_(N) / x_(p+1) built from p = N-1 down
+    body, tail = {}, UniPoly.one()
+    for p in range(n - 1, max(i, j) - 1, -1):
+        body[p] = UniPoly(falling_coeffs(p - i)) * UniPoly(falling_coeffs(p - j)) * tail
+        tail = tail * UniPoly((-p, 1))
     total = UniPoly.zero()
-    for q in range(0, min(i, j) + 1):
-        # sum over p of c B_p and of c (q - p) B_p, so the q-term is
-        # (x * lead + rest) x_(N-q)
-        lead = rest = UniPoly.zero()
-        for p in range(i + j - q, min(n - q, n - 1) + 1):
-            const = (
-                Fraction((-1) ** (n + p + q + 1))
-                * falling(n - p, q)
-                * falling(i, q)
-                * falling(j, q)
-                * falling(n - i - j, n - p - q)
-                / ((n - p) * math.factorial(q))
-            )
-            if p not in body:
-                body[p] = UniPoly(falling_coeffs(p - i)) * UniPoly(falling_coeffs(p - j)) * tail[p]
-            lead = lead + body[p].scale(const)
-            rest = rest + body[p].scale(const * (q - p))
-        total = total + (X * lead + rest) * UniPoly(falling_coeffs(n - q))
-    x_n = UniPoly(falling_coeffs(n))
-    return RatFunc(total, x_n * x_n)
+    for q, row in enumerate(rows):
+        acc = UniPoly.zero()
+        for p, const in row:
+            acc = acc + body[p] * UniPoly((const * (q - p), const))
+        total = total + acc * UniPoly(falling_coeffs(n - q))
+    return total, m
 
 
 def _check_ijn(i: int, j: int, n: int) -> None:
@@ -105,8 +100,12 @@ def _outcome(lhs, rhs, render) -> tuple[bool, str, str]:
 
 
 def derivative_identity_check(i: int, j: int, n: int) -> tuple[bool, str, str]:
-    return _outcome(lhs_derivative_identity(i, j, n), rhs_derivative_identity(i, j, n),
-                    render_ratfunc)
+    """Both numerators over M x_(N)^2, compared: equal numerators are equal
+    rational functions.  A failure renders each side in canonical form."""
+    lhs, (total, m) = lhs_derivative_num(i, j, n), rhs_derivative_num(i, j, n)
+    x_n = UniPoly(falling_coeffs(n))
+    return _outcome(lhs.scale(m), total,
+                    lambda num, var: render_ratfunc(RatFunc(num, x_n * x_n.scale(m)), var))
 
 
 def logderiv_check(n: int) -> tuple[bool, str, str]:
@@ -250,11 +249,16 @@ def psi_chain_check(i: int, j: int, n: int) -> tuple[bool, str, str, int, int]:
         if a != b:
             return (False, f"{render_frac(a)} at ({render_frac(x)},{render_frac(y)})",
                     render_frac(b), *grid)
-    psi_r = rhs_derivative_identity(i, j, n)
+    # psi_R = total / (M x_(N)^2), read by integer Taylor passes and one
+    # Fraction per point
+    total, m = rhs_derivative_num(i, j, n)
+    x_n = UniPoly(falling_coeffs(n))
+    den = x_n * x_n.scale(m)
     dpsi_l = psi_l(n, d, j).derivative()
     diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
     for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
-        for lhs, rhs in ((psi_r.eval(x), on_diag), (dpsi_l.eval(x), rhs_d)):
+        psi_r = local_values([total], den, x, "value")[0]
+        for lhs, rhs in ((psi_r, on_diag), (dpsi_l.eval(x), rhs_d)):
             if lhs != rhs:
                 return False, f"{render_frac(lhs)} at x={render_frac(x)}", render_frac(rhs), *grid
     return True, "-", "-", *grid
@@ -285,25 +289,29 @@ def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int
     return _falling_basis_at(points, x_rows, y_rows, 0)
 
 
-def f_closed(s: int, j: int, l: int, x: Fraction, y: Fraction) -> Fraction:
-    """Closed forms: a falling-factorial quotient for 1 <= s <= l, a harmonic
-    difference times x_(j+l)-type product for s = 0, summed on integers; at
-    s = 0 a vanishing factor raises, y+t before x+t at each t."""
+def f_closed(s: int, j: int, l: int, x: Fraction, ys: Sequence[Fraction]) -> list[Fraction]:
+    """Closed forms at (x, y) for each y in ``ys``: a falling-factorial
+    quotient in x alone for 1 <= s <= l, and for s = 0 a harmonic difference
+    times an x_(j+l)-type product, summed on integers with the factors of x
+    built once; at s = 0 a vanishing factor raises, y+t before x+t at each t."""
     if s >= 1:
-        return (
+        return [
             falling(x + j + l, l - s)
             * falling(x + j, j)
             / (s * math.factorial(l - s) * _nonzero(falling(j + l, j), f"({j + l})_({j})"))
-        )
-    (px, qx), (py, qy) = as_ratio(x), as_ratio(y)
-    (uy, hy), (ux, hx) = harmonic_num(py, qy, j), harmonic_num(px, qx, j)
-    # the first vanishing factor, y+t before x+t at each t: y+t at t = -py, x+t at t = -px
-    if not uy and (ux or py >= px):
-        raise SamplePoleError(f"y+{-py}")
-    _nonzero(ux, f"x+{-px}")
-    # sum 1/(y+t) - sum 1/(x+t) = hy/uy - hx/ux
-    return Fraction(pochhammer_num(px + (j + l) * qx, qx, j + l, -1) * (hy * ux - hx * uy),
-                    qx ** (j + l) * math.factorial(j + l) * uy * ux)
+        ] * len(ys)
+    px, qx = as_ratio(x)
+    ux, hx = harmonic_num(px, qx, j)
+    num, den, out = pochhammer_num(px + (j + l) * qx, qx, j + l, -1), qx ** (j + l), []
+    for py, qy in map(as_ratio, ys):
+        uy, hy = harmonic_num(py, qy, j)
+        # the first vanishing factor, y+t before x+t at each t: y+t at t = -py, x+t at t = -px
+        if not uy and (ux or py >= px):
+            raise SamplePoleError(f"y+{-py}")
+        _nonzero(ux, f"x+{-px}")
+        # sum 1/(y+t) - sum 1/(x+t) = hy/uy - hx/ux
+        out.append(Fraction(num * (hy * ux - hx * uy), den * math.factorial(j + l) * uy * ux))
+    return out
 
 
 def f_grid(j: int, l: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -318,18 +326,15 @@ def f_grid(j: int, l: int) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def f_closed_form_check(j: int, l: int) -> tuple[bool, str, str, int]:
-    """Defining sum vs closed form on ``f_grid`` for every integer s in [0, l];
-    for s >= 1 the closed form is evaluated once per x.  The outcome ends
-    with the grid's size."""
+    """Defining sum vs closed form on ``f_grid`` for every integer s in
+    [0, l].  The outcome ends with the grid's size."""
     if j < 0 or l < 0:
         raise ValueError("j and l must be non-negative")
     xs, ys = f_grid(j, l)
     pts = [(x, y) for x in xs for y in ys]
     for s in range(l + 1):
-        # for s >= 1 the closed form depends on x alone
-        by_x = {x: f_closed(s, j, l, x, ys[0]) for x in xs} if s else {}
-        for (x, y), a in zip(pts, f_sum_at(pts, s, j, l)):
-            b = by_x[x] if s else f_closed(s, j, l, x, y)
+        closed = (b for x in xs for b in f_closed(s, j, l, x, ys))
+        for (x, y), a, b in zip(pts, f_sum_at(pts, s, j, l), closed):
             if a != b:
                 return (False, f"{render_frac(a)} at s={s},({render_frac(x)},{render_frac(y)})",
                         render_frac(b), len(pts))

@@ -10,14 +10,15 @@ shared denominator of a Knop-Sahi polynomial more than once per
 specializes a block-model operator per block instead of once per check,
 normalizes a categorical closed form's coefficients more than once per
 scaled Knop-Sahi term and shared monomial,
-normalizes the derivative identity per term, recomputes a psi-chain factor
+normalizes, takes a gcd, calls ``falling`` or builds a ``Fraction`` in a
+passing derivative-identity check, recomputes a psi-chain factor
 per sample point that depends on x or y alone, builds x_(m) other than from
 the cached ``falling_coeffs`` table, builds the falling products of
 ``ks_poly`` or ``shifted_eval`` other than from one ``UniPoly.falling``
 table, computes the y-values of ``shifted_eval`` other than from one
 ``falling_table``, multiplies out an x-factor of psi_1 or F(s) per table
-entry instead of reading one ``falling_table`` per x, evaluates the
-closed form of F(s) per point at s >= 1 instead of per x, renders a
+entry instead of reading one ``falling_table`` per x, builds the factors
+of x in the closed form of F(s) per point instead of per x, renders a
 passing identity check, squares a polynomial power's base after its last
 bit, builds the interpolation oracle's matrix from bivariate polynomials
 instead of 1-D falling tables, factors an oracle system more than once
@@ -331,14 +332,21 @@ def test_cat_eig_formula_normalizes_once_per_scaled_term(monkeypatch):
     assert seen == set(PClass)
 
 
-def test_rhs_derivative_identity_normalizes_once(monkeypatch):
+def test_passing_derivative_identity_compares_integer_numerators(monkeypatch):
+    """For every triple with N <= 7 a passing check makes no RatFunc
+    normalization, gcd or polynomial division, calls no ``falling`` and
+    builds no ``Fraction``."""
     for n in range(8):
         for i in range(n + 1):
             for j in range(n + 1 - i):
-                inits = _counter(monkeypatch, RatFunc, "__init__")
-                idn.rhs_derivative_identity(i, j, n)
-                assert len(inits) == 1, (i, j, n)
-                monkeypatch.undo()
+                work = [_counter(monkeypatch, owner, name) for owner, name in (
+                    (UniPoly, "divmod"), (UniPoly, "gcd"), (RatFunc, "__init__"),
+                    (hg, "falling"), (idn, "falling"))]
+                _refuse_fraction_arithmetic(monkeypatch)
+                outcome = []
+                made = _fraction_count(
+                    monkeypatch, lambda: outcome.append(idn.derivative_identity_check(i, j, n)))
+                assert (outcome, made, work) == ([(True, "-", "-")], 0, [[]] * 5), (i, j, n)
 
 
 @pytest.mark.parametrize("i, j, n", [(0, 0, 2), (1, 1, 3), (0, 2, 4), (2, 1, 5)])
@@ -414,13 +422,20 @@ def test_f_sum_computes_x_factors_once_per_x(monkeypatch, s, j, l):
 
 
 @pytest.mark.parametrize("j, l", [(0, 2), (1, 1), (2, 3)])
-def test_f_closed_form_check_takes_positive_s_once_per_x(monkeypatch, j, l):
+def test_f_closed_form_check_builds_x_factors_once_per_x(monkeypatch, j, l):
     xs, ys = idn.f_grid(j, l)
     closed = _counter(monkeypatch, idn, "f_closed")
+    harmonic = _counter(monkeypatch, idn, "harmonic_num")
+    kernels = _counter(monkeypatch, idn, "pochhammer_num")
     assert idn.f_closed_form_check(j, l)[0]
-    # s = 0 at every point, each s >= 1 once per x
-    assert [args[0] for args in closed] == [0] * len(xs) * len(ys) + [
-        s for s in range(1, l + 1) for _ in xs]
+    # one call per s and x, over every y of the grid
+    assert [(a[0], a[3], a[4]) for a in closed] == [(s, x, ys) for s in range(l + 1) for x in xs]
+    # at s = 0, (x+j+l)_(j+l) and prod (x+t) once per x (the xs are integers,
+    # the ys thirds), prod (y+t) once per point
+    assert sorted(a for a in kernels if a[1] == 1) == sorted(
+        (x.numerator + j + l, 1, j + l, -1) for x in xs)
+    assert sorted(a for a in harmonic if a[1] == 1) == sorted((x.numerator, 1, j) for x in xs)
+    assert len(harmonic) == len(xs) * (1 + len(ys))
 
 
 def _fraction_count(monkeypatch, call) -> int:
@@ -478,7 +493,7 @@ def test_f_closed_at_s0_builds_one_fraction_per_point(monkeypatch):
     ``Fraction`` per point, whatever j."""
     for j in range(5):
         for x, y in [(Q(10), Q(1, 3)), (Q(23, 2), Q(7, 5)), (Q(-7, 3), Q(-5, 2))]:
-            made = _fraction_count(monkeypatch, lambda: idn.f_closed(0, j, 2, x, y))
+            made = _fraction_count(monkeypatch, lambda: idn.f_closed(0, j, 2, x, [y]))
             assert made == 1, (j, x, y)
 
 

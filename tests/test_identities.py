@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction as Q
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_eval
+import reference_poly
+from capelli import hypergeom as hg
 from capelli import identities as idn
 from capelli import verify as vf
 from capelli.hypergeom import falling
@@ -28,26 +31,49 @@ def verify_derivative_identity(n_max: int) -> list[tuple[bool, str, str]]:
     return out
 
 
+def x_falling_squared(n: int) -> UniPoly:
+    x_n = UniPoly.falling(X, n)[-1]
+    return x_n * x_n
+
+
+def lhs_side(i: int, j: int, n: int) -> RatFunc:
+    """The left side, its numerator over x_(N)^2."""
+    return RatFunc(idn.lhs_derivative_num(i, j, n), x_falling_squared(n))
+
+
+def rhs_side(i: int, j: int, n: int) -> RatFunc:
+    """The right side, its numerator over M x_(N)^2."""
+    total, m = idn.rhs_derivative_num(i, j, n)
+    return RatFunc(total, x_falling_squared(n).scale(m))
+
+
 class TestDerivativeIdentitySides:
     def test_quotient_collapses(self):
         # i = j = 0, N = 2: d/dx x_(2) = 2x - 1
-        assert idn.lhs_derivative_identity(0, 0, 2) == RF((-1, 2))
+        assert lhs_side(0, 0, 2) == RF((-1, 2))
 
     def test_partial_cancellation(self):
         # x_(1) x_(2) / x_(2) = x
-        assert idn.lhs_derivative_identity(1, 0, 2) == RF((1,))
+        assert lhs_side(1, 0, 2) == RF((1,))
 
     def test_genuine_rational(self):
         # x_(1)^2 / x_(2) = x/(x-1), derivative -1/(x-1)^2
-        assert idn.lhs_derivative_identity(1, 1, 2) == RF((-1,), (1, -2, 1))
+        assert lhs_side(1, 1, 2) == RF((-1,), (1, -2, 1))
 
     def test_rhs_matches(self):
         for args in [(0, 0, 2), (1, 0, 2), (1, 1, 2), (2, 1, 4), (0, 3, 5)]:
-            assert idn.rhs_derivative_identity(*args) == idn.lhs_derivative_identity(*args)
+            assert rhs_side(*args) == lhs_side(*args)
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            idn.lhs_derivative_identity(2, 1, 2)
+            idn.lhs_derivative_num(2, 1, 2)
+        with pytest.raises(ValueError):
+            idn.rhs_derivative_num(2, 1, 2)
+
+    def test_numerators_have_integer_coefficients(self):
+        for args in [(0, 0, 2), (1, 1, 2), (2, 1, 4), (2, 2, 6), (3, 3, 10)]:
+            total, m = idn.rhs_derivative_num(*args)
+            assert idn.lhs_derivative_num(*args).den == total.den == 1 and m > 0
 
 
 def rhs_per_term(i: int, j: int, n: int) -> RatFunc:
@@ -73,11 +99,23 @@ def rhs_per_term(i: int, j: int, n: int) -> RatFunc:
     return total
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_rhs_matches_per_term_sum(n):
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            assert idn.rhs_derivative_identity(i, j, n) == rhs_per_term(i, j, n), (i, j, n)
+            assert rhs_side(i, j, n) == rhs_per_term(i, j, n), (i, j, n)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_lhs_matches_the_reference_quotient_rule(n):
+    """The left numerator over x_(N)^2 is d/dx (x_(N-i) x_(N-j) / x_(N)) as
+    the reference rational functions of ``reference_poly`` differentiate it."""
+    fall = reference_poly.UniPoly.falling(reference_poly.UniPoly((0, 1)), n)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            want = reference_poly.RatFunc(fall[n - i] * fall[n - j], fall[n]).derivative()
+            got = lhs_side(i, j, n)
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (i, j, n)
 
 
 class TestSweeps:
@@ -96,7 +134,7 @@ class TestPsiChain:
         # i, j, N = 1, 1, 3 at (10, 1/3), and on the diagonal y = x - N
         pts = [(Q(10), Q(1, 3)), (Q(10), Q(7))]
         assert idn.psi1_at(pts, 2, 1) == idn.psi2_at(pts, 2, 1)
-        assert idn.psi1_at(pts[1:], 2, 1) == [idn.rhs_derivative_identity(1, 1, 3).eval(Q(10))]
+        assert idn.psi1_at(pts[1:], 2, 1) == [rhs_side(1, 1, 3).eval(Q(10))]
         assert idn.psi2_at(pts[1:], 2, 1) == [idn.psi_l(3, 2, 1).derivative().eval(Q(10))]
 
     def test_grid(self):
@@ -256,23 +294,35 @@ def test_float_equal_to_an_exact_point_is_refused(evaluate):
 def test_f_closed_at_s0_matches_the_fraction_reference(x, y, j, l):
     """F(0)'s integer harmonic difference has the reference's value, or
     stops at the same pole factor."""
-    assert _outcome(lambda: idn.f_closed(0, j, l, x, y)) == _outcome(
+    assert _outcome(lambda: idn.f_closed(0, j, l, x, [y])[0]) == _outcome(
         lambda: reference_eval.f_closed_s0(j, l, x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
+       ys=st.lists(st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
+                   max_size=5),
+       j=st.integers(0, 5), l=st.integers(0, 3))
+def test_f_closed_over_a_y_list_matches_the_reference(x, ys, j, l):
+    """One x and a list of y, the factors of x built once: the reference's
+    values in order, or the pole of the first point that has one."""
+    assert _outcome(lambda: idn.f_closed(0, j, l, x, ys)) == _outcome(
+        lambda: [reference_eval.f_closed_s0(j, l, x, y) for y in ys])
 
 
 class TestFClosedForm:
     def test_single_point(self):
         for s in range(2):
-            assert idn.f_sum_at([(Q(7), Q(5))], s, 1, 1) == [idn.f_closed(s, 1, 1, Q(7), Q(5))]
+            assert idn.f_sum_at([(Q(7), Q(5))], s, 1, 1) == idn.f_closed(s, 1, 1, Q(7), [Q(5)])
 
     def test_harmonic_case(self):
         for s in range(2):
-            assert idn.f_sum_at([(Q(9), Q(4))], s, 2, 1) == [idn.f_closed(s, 2, 1, Q(9), Q(4))]
+            assert idn.f_sum_at([(Q(9), Q(4))], s, 2, 1) == idn.f_closed(s, 2, 1, Q(9), [Q(4)])
 
     def test_no_numerator_terms(self):
         # j = 0 makes F(0) an empty harmonic sum on both sides
         assert idn.f_sum_at([(Q(9), Q(4))], 0, 0, 2) == [0] == [f_sum_pointwise(0, 0, 2, Q(9), Q(4))]
-        assert idn.f_closed(0, 0, 2, Q(9), Q(4)) == 0
+        assert idn.f_closed(0, 0, 2, Q(9), [Q(4)]) == [0]
         assert idn.f_closed_form_check(0, 2)[0]
 
     def test_default_grids(self):
@@ -316,7 +366,12 @@ def test_failing_psi_chain_record_names_its_witness(monkeypatch):
 
 
 def _plus_x(f):
-    return lambda *args: f(*args) + RatFunc(UniPoly((0, 1)))
+    """x added to the right side: x times its shared denominator M x_(N)^2
+    added to its numerator."""
+    def wrong(i, j, n):
+        total, m = f(i, j, n)
+        return total + X * x_falling_squared(n).scale(m), m
+    return wrong
 
 
 def _plus_one(f):
@@ -326,10 +381,10 @@ def _plus_one(f):
 @pytest.mark.parametrize(
     "attr, wrong, task, want",
     [
-        ("rhs_derivative_identity", _plus_x, ("derivative-identity", (1, 1, 2)),
+        ("rhs_derivative_num", _plus_x, ("derivative-identity", (1, 1, 2)),
          Check("derivative-identity", (("i", "1"), ("j", "1"), ("N", "2")), "fail",
                "-1/(x^2-2x+1)", "(x^3-2x^2+x-1)/(x^2-2x+1)")),
-        ("rhs_derivative_identity", _plus_x, ("derivative-identity", (0, 0, 3)),
+        ("rhs_derivative_num", _plus_x, ("derivative-identity", (0, 0, 3)),
          Check("derivative-identity", (("i", "0"), ("j", "0"), ("N", "3")), "fail",
                "3x^2-6x+2", "3x^2-5x+2")),
         ("falling", _plus_one, ("falling-log-derivative", (3,)),
@@ -343,6 +398,30 @@ def test_failing_identity_records_render_both_sides(monkeypatch, attr, wrong, ta
     in x, with no witness point, since the sides are whole functions."""
     monkeypatch.setattr(idn, attr, wrong(getattr(idn, attr)))
     assert vf.run_task(task) == want
+
+
+def _recompiled(fn, old: str, new: str):
+    """``fn`` compiled again from its own source, with ``old`` (which occurs
+    there once) replaced by ``new``, over a copy of its module's globals."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def test_constant_without_its_factorial_fails_first_at_2_2_4(monkeypatch):
+    """Each constant M c(q, p) read as M // (N-p) in place of M // ((N-p) q!):
+    the q! of c(q, p) is lost, which matters from q = 2 on, so the sweep to
+    N = 7 first fails at i = j = 2, N = 4, with both sides rendered."""
+    wrong = _recompiled(hg.derivative_coeffs, "(n - p) * math.factorial(q))", "(n - p))")
+    monkeypatch.setattr(idn, "derivative_coeffs", wrong)
+    tasks = [t for t in vf.suite_tasks("identity-e", vf.Bounds(n_max=7))
+             if t[0] == "derivative-identity"]
+    assert next(c for c in map(vf.run_task, tasks) if c.status != "pass") == Check(
+        "derivative-identity", (("i", "2"), ("j", "2"), ("N", "4")), "fail",
+        "(-4x^2+12x-6)/(x^4-10x^3+37x^2-60x+36)",
+        "(-4x^3+16x^2-20x+12)/(x^5-11x^4+47x^3-97x^2+96x-36)")
 
 
 def test_psi_l_denominator_is_the_product():
