@@ -20,9 +20,10 @@ number (``DualScalar``).
 * ``d_op`` combines one or two of these per the class of the partition and
   returns the combination at s = t as (d, q), where its coefficients
   provably have no pole (asserted there); ``block_eval`` reads binom(m, d)
-  times q and its slope at the block's Casimir value, one
-  ``UniPoly.value_and_slope`` per block, keeping the slope as the nil part
-  on the multiplicity-2 ones;
+  times q at the block's Casimir value, and its slope as the nil part on
+  the multiplicity-2 blocks only: nothing on a block with binom(m, d) = 0,
+  one ``UniPoly.value_and_slope`` on a multiplicity-2 block, one ``q(c)``
+  on the others;
 * ``block_values`` reads generalized values off the blocks (the nil part of
   a multiplicity-2 block is the value at its missing singular partner);
   ``cat_eig_from_blocks`` interpolates them and re-checks the result with
@@ -74,6 +75,9 @@ class DualScalar(NamedTuple):
         return not self.value and not self.nil
 
 
+ZERO = DualScalar(Fraction(0))
+
+
 class Block(NamedTuple):
     """One indecomposable summand: partition label, the Casimir value
     c_cat(lam, t) by which C acts on it, and multiplicity."""
@@ -119,8 +123,10 @@ def block_eval(op_t: tuple[int, UniPoly], blks: list[Block]) -> list[DualScalar]
 
     E acts as |lam|, and C as c + eps on multiplicity-2 blocks and as the
     plain scalar c otherwise.  So the value is binom(|lam|, d) q(c) and, on a
-    multiplicity-2 block, the nil part is binom(|lam|, d) q'(c): one
-    ``value_and_slope`` per block.
+    multiplicity-2 block, the nil part is binom(|lam|, d) q'(c).  Where the
+    binomial is 0 nothing is evaluated; otherwise q is read once, as
+    ``value_and_slope`` on a multiplicity-2 block and ``q(c)`` on the others,
+    and scaled only when the binomial exceeds 1.
     """
     d, q = op_t
     out = []
@@ -128,8 +134,13 @@ def block_eval(op_t: tuple[int, UniPoly], blks: list[Block]) -> list[DualScalar]
         if b.mult not in (1, 2):
             raise AssertionError(f"block {b.lam} has multiplicity {b.mult}, not 1 or 2")
         n = math.comb(size(b.lam), d)
-        value, slope = q.value_and_slope(b.c)
-        out.append(DualScalar(n * value, n * slope) if b.mult == 2 else DualScalar(n * value))
+        if not n:
+            dv = ZERO
+        elif b.mult == 2:
+            dv = DualScalar(*q.value_and_slope(b.c))
+        else:
+            dv = DualScalar(q(b.c))
+        out.append(dv if n <= 1 else DualScalar(n * dv.value, n * dv.nil))
     return out
 
 

@@ -26,7 +26,9 @@ per (k, d), expands the oracle's solution with ``Fraction`` arithmetic
 instead of on its integer numerators, renders a passing cross-route
 record's two equal sides twice, rebuilds square_op(f) per point of a
 generalized-value check or builds it when no point reads it, evaluates a
-block-model operator other than by one ``value_and_slope`` per block, brings a
+block-model operator where binom(E, d) is 0, otherwise other than by one
+``value_and_slope`` per multiplicity-2 block and one ``q(c)`` per
+multiplicity-1 block, or scales it where the binomial is 1, brings a
 polynomial's coefficients to a common denominator more than once per
 point-list evaluation, recomputes a
 block's Casimir value in ``block_eval``, evaluates a
@@ -219,21 +221,30 @@ def test_ks_pole_set_makes_no_gcd(monkeypatch):
 
 
 def test_block_eval_makes_no_ratfunc_work(monkeypatch):
-    t = Q(-2)
-    ops = {lam: dl.d_op(lam, t) for lam in upto(4)}
-    blks = {lam: [blk for m in range(size(lam) + 1) for blk in dl.blocks(m, t)] for lam in ops}
-    evals = _counter(monkeypatch, RatFunc, "eval")
-    inits = _counter(monkeypatch, RatFunc, "__init__")
-    casimirs = _counter(monkeypatch, dl, "c_cat")  # each block carries its value
-    # no bivariate evaluation: one value_and_slope of q per block
-    bivariate = [_counter(monkeypatch, BiPoly, name) for name in ("eval_at", "partials")]
-    denominators = [_counter(monkeypatch, m, "common_denominator") for m in (bipoly, ratfunc)]
-    slopes = _counter(monkeypatch, UniPoly, "value_and_slope")
-    for lam, op_t in ops.items():
-        dl.block_eval(op_t, blks[lam])
-    assert (evals, inits, casimirs) == ([], [], [])
-    assert bivariate == [[], []] and denominators == [[], []]
-    assert len(slopes) == sum(map(len, blks.values()))
+    for t in (Q(-2), Q(-4), Q(1, 2)):
+        ops = {lam: dl.d_op(lam, t) for lam in upto(4)}
+        blks = {lam: [b for m in range(size(lam) + 1) for b in dl.blocks(m, t)] for lam in ops}
+        # the sweep's blocks: binom(|b|, |lam|) is 1 on the size-|lam| blocks, 0 below
+        read = [b for lam in ops for b in blks[lam] if size(b.lam) == size(lam)]
+        assert any(b.mult == 2 for b in read) == (t.denominator == 1 and t <= 0)
+        evals = _counter(monkeypatch, RatFunc, "eval")
+        inits = _counter(monkeypatch, RatFunc, "__init__")
+        casimirs = _counter(monkeypatch, dl, "c_cat")  # each block carries its value
+        # no bivariate evaluation: q read once per block that binom(E, d) keeps,
+        # with its slope only where there is a nil part, and never scaled
+        bivariate = [_counter(monkeypatch, BiPoly, name) for name in ("eval_at", "partials")]
+        denominators = [_counter(monkeypatch, m, "common_denominator") for m in (bipoly, ratfunc)]
+        slopes = _counter(monkeypatch, UniPoly, "value_and_slope")
+        values = _counter(monkeypatch, UniPoly, "__call__")
+        products = [_counter(monkeypatch, Q, name) for name in ("__mul__", "__rmul__")]
+        for lam, op_t in ops.items():
+            dl.block_eval(op_t, blks[lam])
+        monkeypatch.undo()
+        assert (evals, inits, casimirs) == ([], [], []), t
+        assert bivariate == [[], []] and denominators == [[], []], t
+        assert [args[1] for args in slopes] == [b.c for b in read if b.mult == 2], t
+        assert [args[1] for args in values] == [b.c for b in read if b.mult == 1], t
+        assert products == [[], []], t
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capelli import deligne as dl
 from capelli import eigenpoly as ep
@@ -95,6 +95,13 @@ block_list = [Block(lam=lam, c=c_cat(lam, t), mult=m) for lam in upto(4)
 
 @settings(max_examples=60, deadline=None)
 @given(ops, st.sampled_from(block_list))
+# binom(E, d) = 0 on a multiplicity-2 block, 1 on both multiplicities, and 3
+# on both: the sweep's blocks only ever read 0 or 1
+@example((3, [Q(1), Q(2), Q(3)]), Block(lam=(1, 1), c=c_cat((1, 1), Q(-2)), mult=2))
+@example((2, [Q(1), Q(2), Q(3)]), Block(lam=(1, 1), c=c_cat((1, 1), Q(-2)), mult=2))
+@example((2, [Q(1), Q(2), Q(3)]), Block(lam=(2, 0), c=c_cat((2, 0), Q(3)), mult=1))
+@example((1, [Q(1, 2), Q(-1), Q(3)]), Block(lam=(2, 1), c=c_cat((2, 1), Q(1, 2)), mult=2))
+@example((1, [Q(1, 2), Q(-1), Q(3)]), Block(lam=(2, 1), c=c_cat((2, 1), Q(1, 2)), mult=1))
 def test_block_eval_is_dual_number_substitution(op, blk):
     # binom(E, d) q(C) with E -> |lam| and C -> c + nil*eps, eps^2 = 0:
     # C^i -> c^i + i c^(i-1) nil*eps

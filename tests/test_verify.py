@@ -124,6 +124,12 @@ def _value_as_nil(op_t, blks):
             for b, d in zip(blks, _BLOCK_EVAL(op_t, blks))]
 
 
+def _slope_as_simple_nil(op_t, blks):
+    """q'(c) as the nil part of a multiplicity-1 block, which has none."""
+    return [d if b.mult == 2 else dl.DualScalar(d.value, op_t[1].value_and_slope(b.c)[1])
+            for b, d in zip(blks, _BLOCK_EVAL(op_t, blks))]
+
+
 def _value_without_d2(nums, den, a, kind):
     """The regular value with its D''/2 term dropped: den read through its
     linear Taylor part D(a) + D'(a)(x - a)."""
@@ -175,6 +181,10 @@ def _one_on_every_nil(f, mus, k):
         (dl, "block_eval", _value_as_nil, ("block-vanishing", ((2, 0), Q(0))),
          Check("block-vanishing", (("lambda", "2,0"), ("t", "0")), "fail",
                "ev(D, 2,0) = 0", "1")),
+        # min_poly(0, t) = x on the multiplicity-1 block (0,0), c = 0: slope 1
+        (dl, "block_eval", _slope_as_simple_nil, ("min-poly", (0, Q(-6))),
+         Check("min-poly", (("d", "0"), ("t", "-6")), "fail",
+               "annihilates all size-d blocks", "no proper divisor does")),
         (ep, "restriction_pair", _one_on_every_nil, ("jordan-restrictions", ((3, 0), 1)),
          Check("jordan-restrictions", (("lambda", "3,0"), ("k", "1")), "fail",
                "nil on 2,1 = 2", "1")),
@@ -192,7 +202,8 @@ def _one_on_every_nil(f, mus, k):
     ids=["pole-set", "min-poly", "raising-dougall", "h-function-point", "f-closed-form-point",
          "psi-chain-diagonal", "eigen-routes",
          "q-depolarized", "block-vanishing-nil", "block-vanishing-binom-dropped",
-         "block-vanishing-value-as-nil", "jordan-restrictions-nil", "q-depolarized-no-d2",
+         "block-vanishing-value-as-nil", "min-poly-slope-as-simple-nil",
+         "jordan-restrictions-nil", "q-depolarized-no-d2",
          "super-cat-degeneration-no-d2"],
 )
 def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
