@@ -5,7 +5,7 @@ arithmetic and a truthiness test for zero) for arithmetic, the basis
 changes and ``square_op``.  Evaluation is rational only: ``eval_at`` takes
 ``Fraction`` or ``int`` coefficients and a list of points, brings the
 coefficients to one common denominator once per call and sums each point
-on integer numerators; ``eval2`` is its one-point case.  A ``RatFunc``
+on integer numerators; a single point is a list of one.  A ``RatFunc``
 coefficient must be specialized first.
 
 The canonical internal form is the ordinary monomial basis; the
@@ -144,10 +144,6 @@ class BiPoly:
                 acc += c * xs[i] * ys[j]
             out.append(Fraction(acc, d * xs[0] * ys[0]))
         return out
-
-    def eval2(self, a, b) -> Fraction:
-        """f(a, b): ``eval_at`` at the one point (a, b)."""
-        return self.eval_at([(a, b)])[0]
 
     def map_coeffs(self, transform: Callable) -> "BiPoly":
         """Apply ``transform`` to every coefficient, dropping resulting zeros."""

@@ -29,7 +29,8 @@ number (``DualScalar``).
   ``cat_eig_from_blocks`` interpolates them and re-checks the result with
   ``gen_eval``; ``cat_eig_formula`` takes the closed forms' limits in
   Q(kappa) at kappa = kb, which are those at s = t since kappa = -s/2 is an
-  invertible affine change of variable.  The two must agree exactly.
+  invertible affine change of variable; the quasiregular one is route c,
+  ``eig_qreg_limit``.  The two must agree exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bipoly import BiPoly
-from .eigenpoly import interpolate_ev, singular_scale
+from .eigenpoly import eig_qreg_limit, interpolate_ev, singular_scale
 from .knopsahi import gen_eval, ks_poly
 from .partitions import (
     PClass,
@@ -253,7 +254,9 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
 
     taken coefficient-wise in Q(kappa): s = -2 kappa is an invertible affine
     change of variable, so they are the s -> t limits, pole orders
-    included.  Double poles cannot survive the combination and would raise.
+    included.  The quasiregular limit is route c itself (``eig_qreg_limit``,
+    which raises ``AssertionError`` on a residual pole); a double pole in
+    the singular one raises ``PoleError``.
     """
     kb = kbar(t)
     cls = classify_at(lam, kb)
@@ -262,13 +265,11 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
         if not h_val:
             raise AssertionError(f"H_{lam}({kb}) = 0 outside the quasiregular case")
         return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)
+    if cls is PClass.QUASIREGULAR:
+        return eig_qreg_limit(lam, int(kb))
     lamd = paired(lam, int(kb), cls)
-    if cls is PClass.SINGULAR:
-        scaled = [(lamd, RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd)))]
-    else:
-        scaled = [(mu, RatFunc(1, h_poly(mu))) for mu in (lam, lamd)]
-    body = sum((ks_poly(mu).body.scale(scale) for mu, scale in scaled), BiPoly.zero())
-    return body.map_coeffs(lambda c: c.eval(kb))
+    scale = RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd))
+    return ks_poly(lamd).body.scale(scale).map_coeffs(lambda c: c.eval(kb))
 
 
 def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:

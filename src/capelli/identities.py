@@ -23,8 +23,9 @@ whole point list and read each point with ``as_ratio``: the factors of x
 alone and of y alone (with their pole checks) are built once per distinct
 coordinate as integer numerators over one denominator, and each point
 costs integer arithmetic and one ``Fraction``.  F(s)'s closed form takes
-one x and a list of y, and builds the factors of x once.  psi_R on the
-diagonal is read off the right numerator over M x_(N)^2 the same way.
+one x and a list of y, and builds the factors of x once.  On the diagonal
+``local_values`` reads psi_R as the value of the right numerator over
+M x_(N)^2 and d/dx psi_L as the slope of x_(d) over (x-N+1) ... (x-N+j).
 psi_1 and F(s) read x_(m) off ``falling_table`` and build each y entry
 from ``pochhammer_num`` products as one integer pair, a table over its
 lcm; psi_2 keeps the monomial x_(d) as a cross-check, and it and F(0)'s
@@ -206,11 +207,6 @@ def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
     return out
 
 
-def psi_l(n: int, d: int, j: int) -> RatFunc:
-    """x_(d) / ((x-N+1) ... (x-N+j)) as a rational function of x."""
-    return RatFunc(UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j)[-1])
-
-
 def chain_bound(i: int, j: int, n: int) -> int:
     """Degree bound for the psi_1 = psi_2 comparison.
 
@@ -254,11 +250,14 @@ def psi_chain_check(i: int, j: int, n: int) -> tuple[bool, str, str, int, int]:
     total, m = rhs_derivative_num(i, j, n)
     x_n = UniPoly(falling_coeffs(n))
     den = x_n * x_n.scale(m)
-    dpsi_l = psi_l(n, d, j).derivative()
+    # psi_L = x_(d) / ((x-N+1) ... (x-N+j)); every diagonal x >= N + 1 is a
+    # regular point of the tail
+    x_d, tail = UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j)[-1]
     diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
     for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
         psi_r = local_values([total], den, x, "value")[0]
-        for lhs, rhs in ((psi_r, on_diag), (dpsi_l.eval(x), rhs_d)):
+        dpsi_l = local_values([x_d], tail, x, "slope")[0]
+        for lhs, rhs in ((psi_r, on_diag), (dpsi_l, rhs_d)):
             if lhs != rhs:
                 return False, f"{render_frac(lhs)} at x={render_frac(x)}", render_frac(rhs), *grid
     return True, "-", "-", *grid

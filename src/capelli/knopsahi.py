@@ -232,10 +232,14 @@ def gen_eval(f: BiPoly, mus: Iterable[Pair2], k) -> list[Fraction]:
 
 def h_jump(lam: Pair2, k: int) -> Fraction:
     """beta'(k) - alpha'(k) for k-singular lam, with beta = H_lam and
-    alpha(kappa) = -r_lam/(kappa-k) * H_{lam+}(kappa)."""
+    alpha(kappa) = -r_lam/(kappa-k) * H_{lam+}(kappa).  alpha'(k) is the
+    slope at a simple root of kappa - k, where the numerator vanishes since
+    H_{lam+}(k) = 0 for the quasiregular lam+; any other numerator raises
+    ``PoleError``."""
     lamd = paired(lam, k, PClass.SINGULAR)
-    alpha = RatFunc(h_poly(lamd).scale(-r_coeff(lam, k)), UniPoly((-k, 1)))
-    return RatFunc(h_poly(lam)).derivative_at(k) - alpha.derivative_at(k)
+    alpha_num = h_poly(lamd).scale(-r_coeff(lam, k))
+    alpha_slope = local_values([alpha_num], UniPoly((-k, 1)), k, "slope")[0]
+    return h_poly(lam).derivative()(k) - alpha_slope
 
 
 def tcheck_values(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:

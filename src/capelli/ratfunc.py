@@ -32,10 +32,11 @@ slope (N' D - N D') / D^2.  Each result is one ``Fraction`` of integers; no
 polynomial division, gcd or ``Fraction`` arithmetic runs.  A root of D of
 order two or more is a hard error (``PoleError``); the objects this package
 builds are guaranteed to have simple poles only, so a higher-order pole
-always signals a bug upstream.
+always signals a bug upstream.  It is also the one place a slope of a
+quotient is read, so ``RatFunc`` has no derivative of its own.
 
-Evaluation (``UniPoly.__call__`` and ``value_and_slope``, ``RatFunc.eval``,
-and ``BiPoly.eval_at`` / ``eval2``) takes ``int`` or ``Fraction`` points and
+Evaluation (``UniPoly.__call__`` and ``value_and_slope``, ``RatFunc.eval``
+and ``BiPoly.eval_at``) takes ``int`` or ``Fraction`` points and
 reads each as numerator and denominator (``as_ratio``; ``UniPoly.__call__``
 and ``RatFunc.eval`` share one integer Horner kernel, and ``BiPoly`` brings
 its coefficients to one denominator with ``common_denominator`` once per
@@ -482,19 +483,6 @@ class RatFunc:
             nv, nd = _horner(self.num, a)
             return Fraction(nv * dd, nd * dv)
         raise PoleError(a, self.den.multiplicity(a))
-
-    def derivative_at(self, a: Scalar) -> Fraction:
-        """f'(a) at a regular point ``a``: ``local_values`` of the one
-        numerator; raises ``PoleError`` (with the order) at a pole."""
-        return local_values([self.num], self.den, a, "slope")[0]
-
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     # -- protocol ------------------------------------------------------------
 

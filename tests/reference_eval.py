@@ -1,6 +1,6 @@
 """Reference evaluators: the plain ``Fraction`` Horner loops and the generic
 bivariate substitution that ``UniPoly.__call__``, ``value_and_slope`` and
-``BiPoly.eval2`` replace with integer arithmetic over one common denominator,
+``BiPoly.eval_at`` replace with integer arithmetic over one common denominator,
 the term-by-term ``Fraction`` sum that ``hypergeom.pfq_terminating``
 replaces with an inside-out sum on integers, and the ``Fraction`` harmonic
 sums of F(0)'s closed form that ``identities.f_closed`` takes on integers.

@@ -59,17 +59,17 @@ class TestToFallingCoeff:
         assert falling_expansion(f).get((0, 0), 0) == kp1
 
 
-class TestEval2:
+class TestEvalAtOnePoint:
     def test_integers(self):
-        assert XY.eval2(Q(2), Q(3)) == 6
+        assert XY.eval_at([(Q(2), Q(3))]) == [6]
 
     def test_shifted_zero(self):
         k = 1
         f = X + Y + BiPoly({(0, 0): Q(k + 1)})
-        assert f.eval2(Q(-k - 1), Q(0)) == 0
+        assert f.eval_at([(Q(-k - 1), Q(0))]) == [0]
 
     def test_falling_point(self):
-        assert falling_term(2, 0).eval2(Q(3), Q(0)) == 6
+        assert falling_term(2, 0).eval_at([(Q(3), Q(0))]) == [6]
 
 
 class TestSymmetry:
@@ -189,8 +189,9 @@ def test_square_op_matches_peeling_division(f):
 
 @settings(max_examples=50, deadline=None)
 @given(sparse, sparse, coeffs, coeffs)
-def test_eval2_multiplicative(f, g, a, b):
-    assert (f * g).eval2(a, b) == f.eval2(a, b) * g.eval2(a, b)
+def test_eval_at_is_multiplicative(f, g, a, b):
+    (fg,), (fv,), (gv,) = (h.eval_at([(a, b)]) for h in (f * g, f, g))
+    assert fg == fv * gv
 
 
 @settings(max_examples=40, deadline=None)

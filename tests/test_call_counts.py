@@ -2,43 +2,55 @@
 and deligne sweeps.
 
 Each guard wraps a function with a counter and asserts how often it runs.
-Nothing is timed, so the guards are deterministic: they fail when a change
-brings back normalization, polynomial division or ``Fraction`` arithmetic
-where values at kappa = k are read off the local expansion, or reads the
-shared denominator of a Knop-Sahi polynomial more than once per
-``local_values`` call, rebuilds an eigenvalue polynomial per block,
-specializes a block-model operator per block instead of once per check,
-normalizes a categorical closed form's coefficients more than once per
-scaled Knop-Sahi term and shared monomial,
-normalizes, takes a gcd, calls ``falling`` or builds a ``Fraction`` in a
-passing derivative-identity check, recomputes a psi-chain factor
-per sample point that depends on x or y alone, builds x_(m) other than from
-the cached ``falling_coeffs`` table, builds the falling products of
-``ks_poly`` or ``shifted_eval`` other than from one ``UniPoly.falling``
-table, computes the y-values of ``shifted_eval`` other than from one
-``falling_table``, multiplies out an x-factor of psi_1 or F(s) per table
-entry instead of reading one ``falling_table`` per x, builds the factors
-of x in the closed form of F(s) per point instead of per x, renders a
-passing identity check, squares a polynomial power's base after its last
-bit, builds the interpolation oracle's matrix from bivariate polynomials
-instead of 1-D falling tables, factors an oracle system more than once
-per (k, d), expands the oracle's solution with ``Fraction`` arithmetic
-instead of on its integer numerators, renders a passing cross-route
-record's two equal sides twice, rebuilds square_op(f) per point of a
-generalized-value check or builds it when no point reads it, evaluates a
-block-model operator where binom(E, d) is 0, otherwise other than by one
-``value_and_slope`` per multiplicity-2 block and one ``q(c)`` per
-multiplicity-1 block, or scales it where the binomial is 1, brings a
-polynomial's coefficients to a common denominator more than once per
-point-list evaluation, recomputes a
-block's Casimir value in ``block_eval``, evaluates a
-polynomial, a rational function or the Casimir at a rational point with
-``Fraction`` arithmetic instead of on integer numerators, does
-``Fraction`` arithmetic in the sum, product, scaling or gcd of
-``UniPoly``s or in a terminating pFq, builds more
-than one ``Fraction`` per point in psi_1, psi_2 or F(s) beyond psi_2's
-per-x table or in F(0)'s closed form, or builds a y row of psi_1 or F(s)
-from an x-derived product or from the harmonic kernel.
+Nothing is timed, so the guards are deterministic.  A guard fails when a
+change:
+
+* normalizes, divides or takes a gcd where the residue, finite part or
+  pole set of a Knop-Sahi polynomial at kappa = k is read off its local
+  expansion, or reads the shared denominator more than once per
+  ``local_values`` call (``sing_part`` / ``reg_part``, ``ks_pole_set``);
+* builds the falling products of ``ks_poly`` or ``shifted_eval`` other than
+  from one ``UniPoly.falling`` table, or the y-values of ``shifted_eval``
+  other than from one ``falling_table``;
+* normalizes a ``ks_poly`` coefficient more than once per monomial, or an
+  ``l_op`` coefficient more than once;
+* rebuilds the eigenvalue polynomial, or builds square_op(f) when no point
+  reads it, in a jordan-restrictions check;
+* builds the interpolation oracle's matrix from bivariate polynomials
+  instead of 1-D falling tables, or factors an oracle system more than once
+  per (k, d);
+* renders a passing cross-route record's two equal sides twice, or a
+  failing one's fewer than twice;
+* does ``RatFunc`` work, reads q(C) where binom(E, d) is 0, reads a slope
+  on a multiplicity-1 block, scales by the binomial or recomputes a
+  Casimir value in ``block_eval``;
+* rebuilds square_op(f) per point of a generalized-value check, or builds
+  it when no point reads it;
+* brings a polynomial's coefficients to a common denominator more than
+  once per point-list evaluation;
+* takes the partials of a block-model operator more than once, or
+  specializes a block-model operator per block instead of once per check;
+* normalizes a categorical closed form's coefficients more than once per
+  scaled Knop-Sahi term and shared monomial;
+* normalizes, divides, takes a gcd, calls ``falling`` or builds a
+  ``Fraction`` in a passing derivative-identity check;
+* builds x_(m) other than from the cached ``falling_coeffs`` table in
+  psi-chain;
+* normalizes, divides or takes a gcd in a passing psi-chain check or in
+  ``tcheck_values`` / ``h_jump``, whose slopes ``local_values`` reads;
+* renders a passing identity check;
+* multiplies out an x-factor of psi_1 or F(s) per table entry instead of
+  reading one ``falling_table`` per x, builds a y row from an x-derived
+  product or from the harmonic kernel, or builds the factors of x in F(s)'s
+  closed form per point instead of per x;
+* builds more than one ``Fraction`` per point in psi_1, psi_2 or F(s),
+  beyond psi_2's per-x table, or in F(0)'s closed form;
+* evaluates a polynomial, a rational function or the Casimir at a rational
+  point with ``Fraction`` arithmetic instead of on integer numerators, or
+  does ``Fraction`` arithmetic in the sum, product, scaling or gcd of
+  ``UniPoly``s or in a terminating pFq;
+* expands the oracle's solution with ``Fraction`` arithmetic instead of on
+  its integer numerators.
 """
 
 from fractions import Fraction as Q
@@ -152,11 +164,11 @@ def test_cold_oracle_solves_once_without_bivariate_evaluation(monkeypatch, k, la
     # square_op counted wherever a module of the oracle's path binds the name
     owners = [m for m in (bipoly, ep) if hasattr(m, "square_op")]
     squares = [_counter(monkeypatch, m, "square_op") for m in owners]
-    evals = [_counter(monkeypatch, BiPoly, name) for name in ("eval2", "eval_at")]
+    evals = _counter(monkeypatch, BiPoly, "eval_at")
     solves = _counter(monkeypatch, ep, "gauss_solve")
     routes = [_counter(monkeypatch, ep, name) for name in ("ks_poly", "reg_part")]
     ep.interpolate_ev({lam: Q(1)}, size(lam), k)
-    assert (squares, evals, len(solves)) == ([[]] * len(owners), [[], []], 1)
+    assert (squares, evals, len(solves)) == ([[]] * len(owners), [], 1)
     assert routes == [[], []]  # the oracle reads no closed form
 
 
@@ -368,10 +380,35 @@ def test_psi_chain_builds_each_falling_polynomial_once(monkeypatch, i, j, n):
     misses = falling_coeffs.cache_info().misses
     assert misses <= n + 2
     # x_(m) comes from falling_coeffs only, one UniPoly.falling of x per
-    # cache miss; otherwise UniPoly.falling builds just psi_L's
-    # denominator (x-N+j)_(j)
+    # cache miss; otherwise UniPoly.falling builds just psi_L's tail
+    # (x-N+j)_(j)
     others = [base for base, _ in builds if base != UniPoly.x()]
     assert (len(builds) - len(others), others) == (misses, [UniPoly((j - n, 1))])
+
+
+def _normalizing_work(monkeypatch) -> list:
+    """Counters on UniPoly divmods, gcds and RatFunc normalizations."""
+    return [_counter(monkeypatch, UniPoly, "divmod"), _counter(monkeypatch, UniPoly, "gcd"),
+            _counter(monkeypatch, RatFunc, "__init__")]
+
+
+@pytest.mark.parametrize("i, j, n", [(0, 0, 2), (1, 1, 3), (0, 2, 4), (2, 1, 5)])
+def test_passing_psi_chain_makes_no_normalization(monkeypatch, i, j, n):
+    # d/dx psi_L on the diagonal is a slope from local_values
+    work = _normalizing_work(monkeypatch)
+    assert idn.psi_chain_check(i, j, n)[0]
+    assert work == [[], [], []]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_h_jump_makes_no_normalization(monkeypatch, k):
+    # beta'(k) by UniPoly.derivative, alpha'(k) a slope from local_values
+    singular = [lam for lam in upto(8) if classify(lam, k) is PClass.SINGULAR]
+    assert singular
+    work = _normalizing_work(monkeypatch)
+    for lam in singular:
+        ks.tcheck_values(lam, k)
+    assert work == [[], [], []]
 
 
 def test_passing_identity_checks_render_nothing(monkeypatch):
@@ -551,7 +588,7 @@ def test_evaluation_does_no_fraction_arithmetic(monkeypatch, coeffs, a):
     a_, b_ = _Opaque(a), _Opaque(Q(a) + 2)
     pts_ = [(_Opaque(x), _Opaque(y)) for x, y in pts]
     _refuse_fraction_arithmetic(monkeypatch)
-    got = (p(a_), p.value_and_slope(a_), f.eval2(a_, b_))
+    got = (p(a_), p.value_and_slope(a_), f.eval_at([(a_, b_)])[0])
     got_at = f.eval_at(pts_)
     monkeypatch.undo()
     assert (got, got_at) == (want, want_at)

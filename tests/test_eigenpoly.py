@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_eval
 from capelli import eigenpoly as ep
 from capelli.bipoly import BiPoly, from_falling, square_op
 from capelli.eigenpoly import ROUTES, SingularSystemError, gauss_solve
@@ -64,7 +65,7 @@ def has_row_swap(system) -> bool:
 def ev_matrix_by_eval2(k, d):
     """Reference build of the oracle matrix: expand each basis element to
     monomials and evaluate it, or its square_op on a k-singular row, with
-    ``BiPoly.eval2``."""
+    the power-table ``reference_eval.eval2``."""
     parts = upto(d)
     columns = []
     for a, b in parts:
@@ -73,7 +74,7 @@ def ev_matrix_by_eval2(k, d):
         col = []
         for mu in parts:
             poly = sq if classify_at(mu, k) is PClass.SINGULAR else g
-            col.append(poly.eval2(*eval_point(mu, k)))
+            col.append(reference_eval.eval2(poly, *eval_point(mu, k)))
         columns.append(col)
     return tuple(zip(*columns))
 

@@ -135,7 +135,10 @@ class TestPsiChain:
         pts = [(Q(10), Q(1, 3)), (Q(10), Q(7))]
         assert idn.psi1_at(pts, 2, 1) == idn.psi2_at(pts, 2, 1)
         assert idn.psi1_at(pts[1:], 2, 1) == [rhs_side(1, 1, 3).eval(Q(10))]
-        assert idn.psi2_at(pts[1:], 2, 1) == [idn.psi_l(3, 2, 1).derivative().eval(Q(10))]
+        # psi_L = x_(2) / (x - 2)
+        ref = reference_poly
+        psi_l = ref.RatFunc(ref.UniPoly((0, -1, 1)), ref.UniPoly((-2, 1)))
+        assert idn.psi2_at(pts[1:], 2, 1) == [psi_l.derivative_at(Q(10))]
 
     def test_grid(self):
         assert idn.psi_chain_check(2, 1, 4)[0]
@@ -424,13 +427,19 @@ def test_constant_without_its_factorial_fails_first_at_2_2_4(monkeypatch):
         "(-4x^3+16x^2-20x+12)/(x^5-11x^4+47x^3-97x^2+96x-36)")
 
 
-def test_psi_l_denominator_is_the_product():
-    """psi_L's denominator (x-N+j)_(j) equals (x-N+1) ... (x-N+j)."""
+def test_psi2_on_the_diagonal_is_the_slope_of_psi_l():
+    """psi_2(x, x-N) = d/dx psi_L(x), psi_L = x_(d) / ((x-N+1) ... (x-N+j))
+    built as a product and differentiated by the ``reference_poly`` quotient
+    rule, at the first diagonal points of ``chain_grid``."""
+    ref_x = reference_poly.UniPoly((0, 1))
     for n in range(8):
         for i in range(n + 1):
+            x_d = reference_poly.UniPoly.falling(ref_x, n - i)[-1]
             for j in range(n + 1 - i):
-                den = UniPoly.one()
+                den = reference_poly.UniPoly((1,))
                 for t in range(1, j + 1):
-                    den = den * UniPoly((t - n, 1))
-                x_d = UniPoly.falling(UniPoly((0, 1)), n - i)[-1]
-                assert idn.psi_l(n, n - i, j) == RatFunc(x_d, den)
+                    den = den * reference_poly.UniPoly((t - n, 1))
+                psi_l = reference_poly.RatFunc(x_d, den)
+                xs = [Q(n + 1 + u) for u in range(3)]
+                want = [psi_l.derivative_at(x) for x in xs]
+                assert idn.psi2_at([(x, x - n) for x in xs], n - i, j) == want, (n, i, j)

@@ -231,13 +231,15 @@ class TestTCheck:
 
 
 def test_h_jump_equals_inline_expression():
-    # the expression tcheck_values and qreg_variation_body built inline
+    # the expression tcheck_values and qreg_variation_body built inline, with
+    # the slopes of the reference's quotient rule
     for k in range(4):
         for lam in upto(10):
             if classify(lam, k) is not PClass.SINGULAR:
                 continue
-            alpha = RatFunc(h_poly(dagger(lam, k)).scale(-ks.r_coeff(lam, k)), UniPoly((-k, 1)))
-            beta = RatFunc(h_poly(lam))
+            alpha_num = ref.UniPoly(h_poly(dagger(lam, k)).coeffs).scale(-ks.r_coeff(lam, k))
+            alpha = ref.RatFunc(alpha_num, ref.UniPoly((-k, 1)))
+            beta = ref.RatFunc(ref.UniPoly(h_poly(lam).coeffs))
             want = beta.derivative_at(k) - alpha.derivative_at(k)
             assert ks.h_jump(lam, k) == want, (lam, k)
 

@@ -137,7 +137,6 @@ def test_ratfunc_matches_reference(fs, gs):
     _same_ratfunc(f + g, rf + rg)
     _same_ratfunc(f * g, rf * rg)
     _same_ratfunc(-f, -rf)
-    _same_ratfunc(f.derivative(), rf.derivative())
     assert (f == g) == (rf.num == rg.num and rf.den == rg.den)
 
 
@@ -155,4 +154,4 @@ def test_local_values_match_reference(case):
     assert local_values([f.num], f.den, a, "value") == [rf.regular_value(a)]
     if order == 0:
         assert f.eval(a) == rf.eval(a)
-        assert f.derivative_at(a) == rf.derivative_at(a)
+        assert local_values([f.num], f.den, a, "slope") == [rf.derivative_at(a)]

@@ -18,7 +18,7 @@ from capelli import knopsahi as ks
 from capelli import verify as vf
 from capelli.config import Config
 from capelli.partitions import classify
-from capelli.ratfunc import RatFunc, UniPoly, local_values
+from capelli.ratfunc import UniPoly, local_values
 from capelli.report import Check
 
 
@@ -106,9 +106,9 @@ def _raise_boom(*args):
 _BOOM_LINE = _raise_boom.__code__.co_firstlineno + 1
 _H_SUM = idn.h_sum
 _F_CLOSED = idn.f_closed
-_PSI_L = idn.psi_l
 _BLOCK_EVAL = dl.block_eval
 _RESTRICTION_PAIR = ep.restriction_pair
+_EIGEN = ep.eigen
 _LOCAL_VALUES = ks.local_values
 _Q_SOURCE, _Q_START = inspect.getsourcelines(ks.q_poly)
 _Q_ROUTES_LINE = _Q_START + next(i for i, line in enumerate(_Q_SOURCE) if "routes disagree" in line)
@@ -139,6 +139,10 @@ def _value_without_d2(nums, den, a, kind):
     return _LOCAL_VALUES(nums, den, a, kind)
 
 
+def _one_on_every_slope(nums, den, a, kind):
+    return [v + (kind == "slope") for v in _LOCAL_VALUES(nums, den, a, kind)]
+
+
 def _one_on_every_nil(f, mus, k):
     return [(a, d_nil + 1) for a, d_nil in _RESTRICTION_PAIR(f, mus, k)]
 
@@ -160,8 +164,8 @@ def _one_on_every_nil(f, mus, k):
         (idn, "f_closed", lambda *a: [v + 1 for v in _F_CLOSED(*a)], ("f-closed-form", (1, 1)),
          Check("f-closed-form", (("j", "1"), ("l", "1"), ("points", "60")), "fail",
                "245/4 at s=0,(12,1/3)", "249/4")),
-        # psi_L + x: d/dx psi_L is off by one at the first diagonal point
-        (idn, "psi_l", lambda *a: _PSI_L(*a) + RatFunc(UniPoly((0, 1))), ("psi-chain", (1, 1, 3)),
+        # d/dx psi_L is off by one at the first diagonal point
+        (idn, "local_values", _one_on_every_slope, ("psi-chain", (1, 1, 3)),
          Check("psi-chain", (("i", "1"), ("j", "1"), ("N", "3"), ("points", "121"),
                              ("degree_bound", "10")), "fail", "3/2 at x=4", "1/2")),
         (ks, "gen_eval", lambda f, mus, k: [Q(1, 2)] * len(mus), ("eigen-routes", ((2, 1), 1)),
@@ -188,6 +192,11 @@ def _one_on_every_nil(f, mus, k):
         (ep, "restriction_pair", _one_on_every_nil, ("jordan-restrictions", ((3, 0), 1)),
          Check("jordan-restrictions", (("lambda", "3,0"), ("k", "1")), "fail",
                "nil on 2,1 = 2", "1")),
+        # f doubled: its nil parts still vanish on (2,1), whose partner is
+        # not (2,1), but the value there is 2, not delta = 1
+        (ep, "eigen", lambda *a: _EIGEN(*a).scale(Q(2)), ("jordan-restrictions", ((2, 1), 1)),
+         Check("jordan-restrictions", (("lambda", "2,1"), ("k", "1")), "fail",
+               "value on 2,1 = 2", "1")),
         # the first record the sweep fails: the finite part of P_(2,0) at a
         # pole is off, so the two routes to Q_(2,0) disagree
         (ks, "local_values", _value_without_d2, ("q-depolarized", ((2, 0), 0)),
@@ -203,7 +212,7 @@ def _one_on_every_nil(f, mus, k):
          "psi-chain-diagonal", "eigen-routes",
          "q-depolarized", "block-vanishing-nil", "block-vanishing-binom-dropped",
          "block-vanishing-value-as-nil", "min-poly-slope-as-simple-nil",
-         "jordan-restrictions-nil", "q-depolarized-no-d2",
+         "jordan-restrictions-nil", "jordan-restrictions-value", "q-depolarized-no-d2",
          "super-cat-degeneration-no-d2"],
 )
 def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
@@ -213,8 +222,8 @@ def test_failing_records_are_exact(monkeypatch, owner, attr, stub, task, want):
 
 @pytest.mark.parametrize("lam, k, route", [((2, 1), 1, "d"), ((2, 0), 1, "a"), ((3, 0), 1, "b")])
 def test_super_cat_degeneration_compares_the_last_closed_form(monkeypatch, lam, k, route):
-    """Route c is cat_eig_formula's own quasiregular expression, so the
-    check compares route d there: a wrong route d must fail the record."""
+    """cat_eig_formula's quasiregular branch is route c itself, so the check
+    compares route d there: a wrong route d must fail the record."""
     assert ep.ROUTES[classify(lam, k)][-2] == route
     good = ep._ROUTE_FN[route]
     monkeypatch.setitem(ep._ROUTE_FN, route, lambda lam, k: good(lam, k).scale(Q(2)))
