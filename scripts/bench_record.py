@@ -1,0 +1,122 @@
+"""Record this checkout's benchmark as ``BENCH_<label>.json``.
+
+Usage, from the root of a source checkout:
+
+    python3 scripts/bench_record.py LABEL
+
+For each of the seeds 1, 2 and 3, one after another, it runs
+
+    python3 perfbench/run.py --workload all --seconds S --seed N
+
+with S the ``run_seconds`` of BENCHMARK.json (35), and reads the last two
+lines that run prints: the ``record`` line (seed, resolved bounds, machine
+facts, git SHA, per-run samples) and the final JSON line (``correct``,
+``attempted``, ``failed`` and the metrics).  It writes
+``BENCH_<label>.json`` at the checkout root with the git SHA, whether the
+tracked files differ from it, the source digest, the checkout path's length
+(the path length alone moves ``peak_rss_mb``), the machine facts, the bounds,
+the seeds, ``correct`` / ``attempted`` / ``failed``, and for each end-to-end
+metric of BENCHMARK.json on each workload its value per seed and the q1 /
+median / q3 across seeds.  Standard library only.  A run that fails or prints
+no such lines ends the script with status 2 and a one-line message.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+
+
+def run_once(seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``perfbench/run.py --workload all`` run: its record and its result line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
+           "--seconds", str(seconds), "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) < 2 or not lines[-2].startswith("record "):
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        raise RuntimeError(f"bench_record: seed {seed}: run.py exited {proc.returncode}: {tail}")
+    return json.loads(lines[-2][len("record "):]), json.loads(lines[-1])
+
+
+def git_dirty() -> bool | None:
+    """Whether tracked files differ from HEAD; None outside a git checkout."""
+    try:
+        out = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                             cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(out.strip())
+
+
+def summarize(values: list[float]) -> dict:
+    """q1 / median / q3 of the per-seed values (one value stands for all three)."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"values": values, "q1": q1, "median": median, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("label", help="names the output, BENCH_<label>.json")
+    args = ap.parse_args(argv)
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
+        print(f"bench_record: label {args.label!r} is not [A-Za-z0-9_-]+", file=sys.stderr)
+        return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+
+    try:
+        runs = [run_once(seed, spec["run_seconds"]) for seed in SEEDS]
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    records = [record for record, _ in runs]
+    results = [result for _, result in runs]
+    if any(r["bounds"] != records[0]["bounds"] for r in records):
+        print("bench_record: the runs resolved different bounds", file=sys.stderr)
+        return 2
+
+    machine = records[0]["machine"]
+    metrics = {
+        w: {m: {"unit": unit, **summarize([r["metrics"][f"{w}.{m}"]["value"] for r in results])}
+            for m, unit in end_to_end.items()}
+        for w in workloads
+    }
+    out = {
+        "label": args.label,
+        "git_sha": machine.get("git_sha"),
+        "git_dirty": git_dirty(),
+        "src_sha256": machine.get("src_sha256"),
+        "checkout_path_len": len(str(ROOT)),
+        "machine": {k: v for k, v in machine.items()
+                    if k not in ("git_sha", "src_sha256", "loadavg")},
+        "loadavg": [r["machine"]["loadavg"] for r in records],
+        "command": "perfbench/run.py --workload all",
+        "seconds": spec["run_seconds"],
+        "seeds": list(SEEDS),
+        "bounds": records[0]["bounds"],
+        "correct": all(r["correct"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": metrics,
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"bench_record: wrote {path.name} ({len(SEEDS)} runs, correct={out['correct']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -295,7 +295,7 @@ def cmd_table(args, cfg) -> int:
             f"{lamd[0]},{lamd[1]}" if lamd is not None else "-",
             str(ell(lam, k)) if cls is PClass.QUASIREGULAR else "-",
             render_unipoly(h),
-            render_frac(Fraction(h(k))),
+            render_frac(h(k)),
             render_frac(c_super(lam, k)),
             render_frac(c_cat(lam, Fraction(-2 * k))),
         ])

@@ -27,10 +27,10 @@ number (``DualScalar``).
 * ``block_values`` reads generalized values off the blocks (the nil part of
   a multiplicity-2 block is the value at its missing singular partner);
   ``cat_eig_from_blocks`` interpolates them and re-checks the result with
-  ``gen_eval``; ``cat_eig_formula`` takes the closed forms' limits in
-  Q(kappa) at kappa = kb, which are those at s = t since kappa = -s/2 is an
-  invertible affine change of variable; the quasiregular one is route c,
-  ``eig_qreg_limit``.  The two must agree exactly.
+  ``gen_eval``; ``cat_eig_formula`` takes the closed forms' limits at
+  kappa = kb = -t/2: route c, ``eig_qreg_limit``, for the quasiregular one,
+  one scalar times one Knop-Sahi body at kb for the others.  The two must
+  agree exactly.
 """
 
 from __future__ import annotations
@@ -252,24 +252,31 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
         singular:      (c_{lam+}(-2 kappa) - c_lam(-2 kappa)) P_{lam+} / H_{lam+}
         quasiregular:  P_lam / H_lam + P_{lam+} / H_{lam+}
 
-    taken coefficient-wise in Q(kappa): s = -2 kappa is an invertible affine
-    change of variable, so they are the s -> t limits, pole orders
-    included.  The quasiregular limit is route c itself (``eig_qreg_limit``,
-    which raises ``AssertionError`` on a residual pole); a double pole in
-    the singular one raises ``PoleError``.
+    taken in Q(kappa): s = -2 kappa is an invertible affine change of
+    variable, so they are the s -> t limits, pole orders included.  The
+    quasiregular one is route c (a residual pole raises ``AssertionError``).
+    P_{lam+} has no pole at kb, as lam+ is kb-quasiregular, so the singular
+    one is the limit of ``_singular_ratio`` times P_{lam+} at kb.
     """
     kb = kbar(t)
     cls = classify_at(lam, kb)
-    if cls is PClass.REGULAR:
+    if cls is PClass.QUASIREGULAR:
+        return eig_qreg_limit(lam, int(kb))
+    if cls is PClass.SINGULAR:
+        mu, scale = _singular_ratio(lam, int(kb))
+    else:
         h_val = h_poly(lam)(kb)
         if not h_val:
             raise AssertionError(f"H_{lam}({kb}) = 0 outside the quasiregular case")
-        return ks_poly(lam).body.map_coeffs(lambda c: c.eval(kb) / h_val)
-    if cls is PClass.QUASIREGULAR:
-        return eig_qreg_limit(lam, int(kb))
-    lamd = paired(lam, int(kb), cls)
-    scale = RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd))
-    return ks_poly(lamd).body.scale(scale).map_coeffs(lambda c: c.eval(kb))
+        mu, scale = lam, 1 / h_val
+    return ks_poly(mu).body.map_coeffs(lambda c: c.eval(kb) * scale)
+
+
+def _singular_ratio(lam: Pair2, k: int) -> tuple[Pair2, Fraction]:
+    """lam+ and lim_{kappa -> k} (c_{lam+}(-2 kappa) - c_lam(-2 kappa)) /
+    H_{lam+}(kappa) for k-singular lam; a pole there raises ``PoleError``."""
+    lamd = paired(lam, k, PClass.SINGULAR)
+    return lamd, RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd)).eval(k)
 
 
 def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
@@ -279,12 +286,10 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
             = 4 (l1 - l2 - k - 1) / H'_{lam+}(k).
 
     It is the s -> -2k limit in s = -2 kappa, an invertible affine change of
-    variable.  Returns both sides, exactly; the right one is route b's
-    ``singular_scale``.
+    variable.  Returns both sides, exactly; the left one scales
+    ``cat_eig_formula``'s singular form, the right one is route b's.
     """
-    lamd = paired(lam, k, PClass.SINGULAR)
-    ratio = RatFunc(c_cat(lamd, T) - c_cat(lam, T), h_poly(lamd))
-    return ratio.eval(k), singular_scale(lam, k)
+    return _singular_ratio(lam, k)[1], singular_scale(lam, k)
 
 
 # -- verification helpers ----------------------------------------------------------------

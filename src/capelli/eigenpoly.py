@@ -35,10 +35,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .bipoly import BiPoly, from_falling, square_op
+from .bipoly import BiPoly, from_falling
 from .hypergeom import falling_table
 from .knopsahi import (
     eval_point,
+    gen_eval,
     h_jump,
     ks_poly,
     q_poly,
@@ -131,7 +132,8 @@ def gauss_solve(system: tuple, rhs: Sequence[Fraction]) -> tuple[list[int], int]
 
 # (k, d) -> the oracle's system factored by ``bareiss_factor``; past
 # _SYSTEMS_MAX the oldest goes first.  One t needs at most 15 systems
-# (d <= 14) and the deligne sweep runs t-outer, so it factors none twice.
+# (d <= 14) and the deligne sweep runs t-outer, so alone it factors none
+# twice; in ``verify all`` it refactors some that the capelli suite evicted.
 _SYSTEMS: dict[tuple[Fraction, int], tuple] = {}
 _SYSTEMS_MAX = 32
 
@@ -224,7 +226,7 @@ def eig_regular(lam: Pair2, k: int) -> BiPoly:
     """Route a (k-regular lam): P_lam^k scaled by 1 / H_lam(k)."""
     if classify(lam, k) is not PClass.REGULAR:
         raise ValueError(f"{lam} is not {k}-regular; route a requires regular")
-    h = Fraction(h_poly(lam)(k))
+    h = h_poly(lam)(k)
     if not h:
         raise AssertionError(f"H_{lam}({k}) = 0 on a regular partition")
     return reg_part(lam, k).scale(1 / h)
@@ -343,22 +345,16 @@ def eigen(lam: Pair2, k: int, route: str | None = None) -> BiPoly:
 
 def restriction_pair(f: BiPoly, mus: Iterable[Pair2], k: int) -> list[tuple[Fraction, Fraction]]:
     """Jordan pairs (semisimple, nilpotent), in order, on the blocks ``mus``
-    of the operator whose eigenvalue polynomial is ``f``; square_op(f) is
-    built once for all of them.
+    of the operator whose eigenvalue polynomial is ``f``.
 
-    The semisimple part is f at the shifted point of mu, the nilpotent
-    coefficient is square_op(f) there; each of the two is evaluated by one
-    ``eval_at`` call over all the points.  Only regular/quasiregular mu
-    index a block: a k-singular one raises ``ValueError`` before anything
-    is evaluated.
+    Only a k-quasiregular mu indexes a multiplicity-2 block; any other
+    raises ``ValueError`` before anything is evaluated.  Both parts are
+    generalized values, read by one ``gen_eval`` call over the mus and then
+    their singular partners: the semisimple part is the value at mu, f at
+    its shifted point, and the nilpotent coefficient the value at the
+    partner, whose shifted point is the coordinate swap of mu's.
     """
-    if not f.is_symmetric():
-        raise ValueError("restriction_pair requires a symmetric polynomial")
-    pts = []
-    for mu in mus:
-        if classify(mu, k) is PClass.SINGULAR:
-            raise ValueError(f"no block exists for {k}-singular {mu}")
-        pts.append(eval_point(mu, k))
-    if not pts:
-        return []
-    return list(zip(f.eval_at(pts), square_op(f).eval_at(pts)))
+    mus = list(mus)
+    partners = [paired(mu, k, PClass.QUASIREGULAR) for mu in mus]
+    values = gen_eval(f, mus + partners, k)
+    return list(zip(values[:len(mus)], values[len(mus):]))

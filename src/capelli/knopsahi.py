@@ -159,7 +159,7 @@ def r_coeff(lam: Pair2, k: int) -> Fraction:
     formula; the two must agree exactly.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
-    via_h = -Fraction(h_poly(lam)(k)) / h_poly(lamd).derivative()(k)
+    via_h = -h_poly(lam)(k) / h_poly(lamd).derivative()(k)
     l1, l2 = lam
     diff = l1 - l2
     closed = Fraction(
@@ -183,7 +183,7 @@ def q_poly(lam: Pair2, k: int) -> BiPoly:
 
     route1 = reg_part(lam, k) - _at_kappa(lamd, k, "slope").scale(r)
 
-    pole = RatFunc(UniPoly.const(r), UniPoly((-k, 1)))
+    pole = RatFunc(r, UniPoly((-k, 1)))
     combo = ks_poly(lam).body - ks_poly(lamd).body.scale(pole)
     route2 = combo.map_coeffs(lambda c: c.eval(k))
 

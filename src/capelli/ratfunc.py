@@ -104,10 +104,6 @@ class UniPoly:
         return cls((1,))
 
     @classmethod
-    def const(cls, c: Scalar) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> "UniPoly":
         return cls((0, 1))
 

@@ -394,7 +394,7 @@ def tasks_deligne(b: Bounds, cfg: Config) -> list[Task]:
         for lam in upto(b.deligne_size_max):
             out.append(("cat-eigen", (lam, t)))
             out.append(("block-vanishing", (lam, t)))
-    for k in range(min(b.k_max, 3) + 1):
+    for k in range(b.k_max + 1):
         out += [("super-cat-degeneration", (lam, k)) for lam in upto(b.deligne_size_max)]
     for k in range(b.k_max + 1):
         for lam in upto(b.size_max):

@@ -30,8 +30,10 @@ change:
   once per point-list evaluation;
 * takes the partials of a block-model operator more than once, or
   specializes a block-model operator per block instead of once per check;
-* normalizes a categorical closed form's coefficients more than once per
-  scaled Knop-Sahi term and shared monomial;
+* makes a Q(kappa) product in a regular or singular categorical closed
+  form (only the singular scale is normalized), or normalizes route c's
+  coefficients more than once per scaled Knop-Sahi term and shared
+  monomial;
 * normalizes, divides, takes a gcd, calls ``falling`` or builds a
   ``Fraction`` in a passing derivative-identity check;
 * builds x_(m) other than from the cached ``falling_coeffs`` table in
@@ -146,7 +148,7 @@ def test_ks_poly_normalizes_once_per_monomial(monkeypatch):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_jordan_check_builds_f_once(monkeypatch, k):
     # square_op counted wherever a module of the check's path binds the name
-    owners = [m for m in (bipoly, ep, vf) if hasattr(m, "square_op")]
+    owners = [m for m in (bipoly, ks, ep, vf) if hasattr(m, "square_op")]
     for lam in upto(5):
         # square_op(f) only when a quasiregular block of size <= |lam| reads it
         read = int(any(classify(mu, k) is PClass.QUASIREGULAR for mu in upto(size(lam))))
@@ -278,11 +280,12 @@ def test_point_evaluators_take_one_common_denominator_per_polynomial(monkeypatch
     f = ep.eigen((3, 1), k)
     mus = upto(6)
     regular = [mu for mu in mus if classify(mu, k) is not PClass.SINGULAR]
-    assert 1 < len(regular) < len(mus)  # both k-singular and other mu
+    quasi = [mu for mu in mus if classify(mu, k) is PClass.QUASIREGULAR]
+    assert 1 < len(regular) < len(mus) and quasi  # both k-singular and other mu
     # (evaluator, points, polynomials evaluated): f, and square_op(f) when it is read
     cases = [(ks.gen_eval, mus, 2), (ks.gen_eval, mus * 3, 2), (ks.gen_eval, regular, 1),
-             (ks.gen_eval, regular[:1], 1), (ep.restriction_pair, regular, 2),
-             (ep.restriction_pair, regular[:1], 2)]
+             (ks.gen_eval, regular[:1], 1), (ep.restriction_pair, quasi, 2),
+             (ep.restriction_pair, quasi[:1], 2)]
     for evaluate, pts, polys in cases:
         denominators = _counter(monkeypatch, bipoly, "common_denominator")
         evaluate(f, pts, k)
@@ -341,13 +344,14 @@ def test_cat_eig_formula_normalizes_once_per_scaled_term(monkeypatch):
         for lam in upto(6):
             cls = classify_at(lam, kb)
             seen.add(cls)
-            # the Knop-Sahi bodies that the closed form scales and sums
-            mus = [] if cls is PClass.REGULAR else [paired(lam, int(kb), cls)]
-            if cls is PClass.QUASIREGULAR:
-                mus.append(lam)
-            keys = [set(ks.ks_poly(mu).body.terms) for mu in mus]
-            # one scale and one product per term of each body, one sum per shared monomial
-            bound = sum(len(k) + 1 for k in keys) + (len(keys[0] & keys[1]) if mus[1:] else 0)
+            if cls is PClass.QUASIREGULAR:  # route c: it scales and sums two bodies
+                keys = [set(ks.ks_poly(mu).body.terms) for mu in (paired(lam, int(kb), cls), lam)]
+                # one scale and one product per term of each body, one sum per shared monomial
+                bound = sum(len(k) + 1 for k in keys) + len(keys[0] & keys[1])
+            else:
+                # one body specialized, then scaled by a scalar: no Q(kappa) product,
+                # and only the singular scale's ratio is normalized
+                bound = int(cls is PClass.SINGULAR)
             inits = _counter(monkeypatch, RatFunc, "__init__")
             dl.cat_eig_formula(lam, t)
             assert len(inits) <= bound, (lam, t, len(inits), bound)

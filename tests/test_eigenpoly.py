@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_eval
 from capelli import eigenpoly as ep
+from capelli import knopsahi as ks
 from capelli.bipoly import BiPoly, from_falling, square_op
 from capelli.eigenpoly import ROUTES, SingularSystemError, gauss_solve
 from capelli.knopsahi import eval_point, gen_eval
@@ -347,21 +348,43 @@ class TestVariationAssembly:
 
 class TestRestrictionPair:
     def test_identity_on_own_block(self):
-        assert ep.restriction_pair(ep.eigen((1, 0), 1), [(1, 0)], 1) == [(1, 0)]
+        assert ep.restriction_pair(ep.eigen((1, 1), 0), [(1, 1)], 0) == [(1, 0)]
 
     def test_pure_nilpotent_on_dagger(self):
         assert ep.restriction_pair(ep.eigen((2, 0), 0), [(1, 1)], 0) == [(0, 1)]
 
     def test_order_exceeds_degree(self):
-        assert ep.restriction_pair(ep.eigen((1, 0), 1), [(0, 0)], 1) == [(0, 0)]
+        # square_op of a linear symmetric f is zero
+        assert ep.restriction_pair(ep.eigen((1, 0), 0), [(1, 1)], 0) == [(2, 0)]
 
     def test_pairs_in_point_order(self):
-        f = ep.eigen((1, 0), 0)
-        assert ep.restriction_pair(f, [(2, 1), (0, 0), (1, 1)], 0) == [(3, 0), (0, 0), (2, 0)]
+        f = ep.eigen((2, 1), 0)
+        assert ep.restriction_pair(f, [(3, 3), (1, 1), (2, 2)], 0) == [
+            (24, -1), (0, 0), (4, Q(-1, 2))]
+
+    def test_pairs_are_read_at_the_block_point(self):
+        # the nil part is the generalized value at the singular partner, whose
+        # shifted point is the coordinate swap of mu's: square_op(f) is
+        # symmetric.  f: symmetric, of degree 8, no vanishing coefficient
+        f = BiPoly({(a, b): Q(1 + a * b, 1 + a + b) for a in range(9) for b in range(9 - a)})
+        assert f.is_symmetric()
+        for k in range(4):
+            mus = [mu for mu in upto(8) if classify(mu, k) is PClass.QUASIREGULAR]
+            pts = [eval_point(mu, k) for mu in mus]
+            assert mus and ep.restriction_pair(f, mus, k) == list(
+                zip(f.eval_at(pts), square_op(f).eval_at(pts))), k
 
     def test_singular_block_rejected(self):
         with pytest.raises(ValueError):
-            ep.restriction_pair(ep.eigen((1, 0), 1), [(1, 0), (3, 0)], 1)
+            ep.restriction_pair(ep.eigen((1, 0), 1), [(2, 1), (3, 0)], 1)
+
+    def test_regular_block_rejected_before_evaluation(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("evaluated before the blocks were checked")
+
+        monkeypatch.setattr(ep, "gen_eval", never)
+        with pytest.raises(ValueError, match=r"is not 1-quasiregular"):
+            ep.restriction_pair(ep.eigen((1, 0), 1), [(2, 1), (1, 0)], 1)
 
     def test_asymmetric_f_rejected_without_points(self):
         with pytest.raises(ValueError):
@@ -371,5 +394,5 @@ class TestRestrictionPair:
         def never(f):
             raise AssertionError("square_op built for an empty point list")
 
-        monkeypatch.setattr(ep, "square_op", never)
+        monkeypatch.setattr(ks, "square_op", never)
         assert ep.restriction_pair(ep.eigen((2, 0), 0), [], 0) == []

@@ -156,7 +156,7 @@ class TestHPoly:
         # (l1 - l2)! l2! prod_{i < l2} (l1 - 1 - i - kappa), factor by factor
         for lam in pt.upto(14):
             l1, l2 = lam
-            want = UniPoly.const(math.factorial(l1 - l2) * math.factorial(l2))
+            want = UniPoly((math.factorial(l1 - l2) * math.factorial(l2),))
             for i in range(l2):
                 want = want * UniPoly((l1 - 1 - i, -1))
             assert pt.h_poly(lam) == want, lam

@@ -193,7 +193,7 @@ def test_local_expansion_matches_definitions(case):
     linear = RatFunc(UniPoly((-a, 1)))
     res = local(f, a, "residue")
     assert res == (f * linear).eval(a)
-    assert local(f, a, "value") == (f + RatFunc(UniPoly.const(-res), UniPoly((-a, 1)))).eval(a)
+    assert local(f, a, "value") == (f + RatFunc(UniPoly((-res,)), UniPoly((-a, 1)))).eval(a)
     if f.den(a):
         assert res == 0
         assert local(f, a, "slope") == ref_slope(f.num, f.den, a)
@@ -231,7 +231,7 @@ def test_local_values_over_a_shared_denominator(case):
     fs = [RatFunc(num, den) for num in nums]
     res = [(f * RatFunc(UniPoly((-a, 1)))).eval(a) for f in fs]
     assert local_values(nums, den, a, "residue") == res
-    poles = [RatFunc(UniPoly.const(-r), UniPoly((-a, 1))) for r in res]
+    poles = [RatFunc(UniPoly((-r,)), UniPoly((-a, 1))) for r in res]
     assert local_values(nums, den, a, "value") == [(f + p).eval(a) for f, p in zip(fs, poles)]
     if any(res):
         with pytest.raises(PoleError) as info:
@@ -294,7 +294,7 @@ def test_inexact_or_foreign_input_raises_type_error(bad):
     with pytest.raises(TypeError):
         UniPoly([Q(1, 2), bad])
     p, f = P(-1, 0, 1), RatFunc(P(2, 2), P(0, 1))
-    calls = (lambda: UniPoly.const(bad), lambda: RatFunc(bad), lambda: p + bad, lambda: p.scale(bad),
+    calls = (lambda: UniPoly((bad,)), lambda: RatFunc(bad), lambda: p + bad, lambda: p.scale(bad),
              lambda: p.multiplicity(bad), lambda: f.eval(bad), lambda: local(f, bad, "residue"),
              lambda: local(f, bad, "value"), lambda: local(f, bad, "slope"))
     for call in calls:

@@ -90,7 +90,7 @@ def test_primitive_prs_with_large_content_matches_sympy(a, b, common, c):
 
 def _roots(*roots, lead=1):
     """lead * prod (x - r) over ``roots``, repeated roots listed again."""
-    out = UniPoly.const(lead)
+    out = UniPoly((lead,))
     for r in roots:
         out = out * UniPoly((-Q(r), 1))
     return out
@@ -102,7 +102,7 @@ GCD_CASES = {
     "repeated-roots": (_roots(2, 2, 2, -1), _roots(2, 2, -1, -1)),
     "shared-roots": (_roots(1, 3, -4), _roots(3, -4, -4, Q(7, 2), lead=12)),
     "coprime": (_roots(0, 1, lead=-10**30), _roots(Q(-1, 3), lead=10**30 + 1)),
-    "constant": (UniPoly.const(Q(-9, 4)), _roots(6, 6)),
+    "constant": (UniPoly((Q(-9, 4),)), _roots(6, 6)),
 }
 
 

@@ -286,8 +286,8 @@ def test_built_in_ceilings_bound_the_task_count():
             top._replace(**{field: getattr(top, field) + 1}).validate(cfg)
     counts = {s: len(vf.suite_tasks(s, top, cfg)) for s in vf.SUITES if s != "all"}
     assert counts == {"knop-sahi": 332, "capelli": 686, "identity-e": 693,
-                      "dougall": 13310, "deligne": 9486}
-    assert len(vf.suite_tasks("all", top, cfg)) == 24507
+                      "dougall": 13310, "deligne": 9678}
+    assert len(vf.suite_tasks("all", top, cfg)) == 24699
 
 
 class _RecordingPool:
