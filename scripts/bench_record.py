@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 scripts/bench_record.py LABEL
+    python3 scripts/bench_record.py LABEL [--parent PATH]
 
 For each of the seeds 1, 2 and 3, one after another, it runs
 
@@ -17,8 +17,19 @@ tracked files differ from it, the source digest, the checkout path's length
 (the path length alone moves ``peak_rss_mb``), the machine facts, the bounds,
 the seeds, ``correct`` / ``attempted`` / ``failed``, and for each end-to-end
 metric of BENCHMARK.json on each workload its value per seed and the q1 /
-median / q3 across seeds.  Standard library only.  A run that fails or prints
-no such lines ends the script with status 2 and a one-line message.
+median / q3 across seeds.
+
+``--parent PATH`` names a second checkout, usually the parent commit's.  The
+runs then alternate between the trees, parent first at each seed (parent 1,
+this 1, parent 2, this 2, ...), so a change of host state between runs
+falls on both trees alike, and the record gains a ``parent`` entry with the
+same per-tree fields: SHA, dirtiness, source digest, path length, load
+averages, the outcome counts and the per-seed metrics.  Both trees must
+resolve the same bounds.
+
+Standard library only.  A run that fails or prints no such lines, or a
+``--parent`` that is this checkout or has no ``perfbench/run.py``, ends the
+script with status 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -35,23 +46,25 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 
 
-def run_once(seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``perfbench/run.py --workload all`` run: its record and its result line."""
+def run_once(root: Path, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``perfbench/run.py --workload all`` run in the checkout ``root``:
+    its record and its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
            "--seconds", str(seconds), "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode or len(lines) < 2 or not lines[-2].startswith("record "):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        raise RuntimeError(f"bench_record: seed {seed}: run.py exited {proc.returncode}: {tail}")
+        raise RuntimeError(f"bench_record: {root}: seed {seed}: run.py exited "
+                           f"{proc.returncode}: {tail}")
     return json.loads(lines[-2][len("record "):]), json.loads(lines[-1])
 
 
-def git_dirty() -> bool | None:
+def git_dirty(root: Path) -> bool | None:
     """Whether tracked files differ from HEAD; None outside a git checkout."""
     try:
         out = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                             cwd=ROOT, capture_output=True, text=True, check=True).stdout
+                             cwd=root, capture_output=True, text=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
     return bool(out.strip())
@@ -66,55 +79,78 @@ def summarize(values: list[float]) -> dict:
     return {"values": values, "q1": q1, "median": median, "q3": q3}
 
 
+def tree_record(root: Path, runs: list[tuple[dict, dict]], spec: dict) -> dict:
+    """The per-tree part of a record: identity, outcome counts and, for each
+    end-to-end metric on each workload, its per-seed values and quartiles."""
+    records = [record for record, _ in runs]
+    results = [result for _, result in runs]
+    machine = records[0]["machine"]
+    return {
+        "git_sha": machine.get("git_sha"),
+        "git_dirty": git_dirty(root),
+        "src_sha256": machine.get("src_sha256"),
+        "checkout_path_len": len(str(root)),
+        "loadavg": [r["machine"]["loadavg"] for r in records],
+        "correct": all(r["correct"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": {
+            w["name"]: {m["name"]: {"unit": m["unit"], **summarize(
+                [r["metrics"][f"{w['name']}.{m['name']}"]["value"] for r in results])}
+                for m in spec["end_to_end"]}
+            for w in spec["workloads"]
+        },
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("label", help="names the output, BENCH_<label>.json")
+    ap.add_argument("--parent", type=Path, metavar="PATH",
+                    help="a second checkout whose runs alternate with this one's")
     args = ap.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
         print(f"bench_record: label {args.label!r} is not [A-Za-z0-9_-]+", file=sys.stderr)
         return 2
+    trees = [ROOT]
+    if args.parent is not None:
+        parent = args.parent.resolve()
+        if parent == ROOT or not (parent / "perfbench" / "run.py").is_file():
+            print(f"bench_record: --parent {args.parent}: not a second checkout with "
+                  "perfbench/run.py", file=sys.stderr)
+            return 2
+        trees.insert(0, parent)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    end_to_end = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    workloads = [w["name"] for w in spec["workloads"]]
 
+    runs: dict[Path, list] = {root: [] for root in trees}
     try:
-        runs = [run_once(seed, spec["run_seconds"]) for seed in SEEDS]
+        for seed in SEEDS:
+            for root in trees:
+                runs[root].append(run_once(root, seed, spec["run_seconds"]))
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 2
-    records = [record for record, _ in runs]
-    results = [result for _, result in runs]
+    records = [record for tree in runs.values() for record, _ in tree]
     if any(r["bounds"] != records[0]["bounds"] for r in records):
         print("bench_record: the runs resolved different bounds", file=sys.stderr)
         return 2
 
-    machine = records[0]["machine"]
-    metrics = {
-        w: {m: {"unit": unit, **summarize([r["metrics"][f"{w}.{m}"]["value"] for r in results])}
-            for m, unit in end_to_end.items()}
-        for w in workloads
-    }
+    machine = runs[ROOT][0][0]["machine"]
     out = {
         "label": args.label,
-        "git_sha": machine.get("git_sha"),
-        "git_dirty": git_dirty(),
-        "src_sha256": machine.get("src_sha256"),
-        "checkout_path_len": len(str(ROOT)),
+        **tree_record(ROOT, runs[ROOT], spec),
         "machine": {k: v for k, v in machine.items()
                     if k not in ("git_sha", "src_sha256", "loadavg")},
-        "loadavg": [r["machine"]["loadavg"] for r in records],
         "command": "perfbench/run.py --workload all",
         "seconds": spec["run_seconds"],
         "seeds": list(SEEDS),
         "bounds": records[0]["bounds"],
-        "correct": all(r["correct"] for r in results),
-        "attempted": sum(r["attempted"] for r in results),
-        "failed": sum(r["failed"] for r in results),
-        "metrics": metrics,
     }
+    if len(trees) > 1:
+        out["parent"] = tree_record(trees[0], runs[trees[0]], spec)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
-    print(f"bench_record: wrote {path.name} ({len(SEEDS)} runs, correct={out['correct']})")
+    print(f"bench_record: wrote {path.name} ({len(records)} runs, correct={out['correct']})")
     return 0
 
 

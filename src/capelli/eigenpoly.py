@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, Sequence
 from .bipoly import BiPoly, from_falling
 from .hypergeom import falling_table
 from .knopsahi import (
+    _limit_at,
     eval_point,
     gen_eval,
     h_jump,
@@ -58,7 +59,7 @@ from .partitions import (
     size,
     upto,
 )
-from .ratfunc import PoleError, RatFunc, as_ratio, common_denominator
+from .ratfunc import PoleError, as_ratio, common_denominator
 
 
 class SingularSystemError(ArithmeticError):
@@ -245,13 +246,17 @@ def eig_singular(lam: Pair2, k: int) -> BiPoly:
 
 def eig_qreg_limit(lam: Pair2, k: int) -> BiPoly:
     """Route c (k-quasiregular lam): pole-cancelling limit of the H-normalized
-    sum P_lam/H_lam + P_{lam+}/H_{lam+} at kappa = k."""
+    sum P_lam/H_lam + P_{lam+}/H_{lam+} at kappa = k.
+
+    With a = den_lam H_lam and b = den_{lam+} H_{lam+}, the numerators
+    n_lam b + n_{lam+} a over a b are cancelled exactly by
+    ``knopsahi._limit_at`` on integers; no ``RatFunc`` is made.  A residual
+    pole raises ``AssertionError``."""
     lamd = paired(lam, k, PClass.QUASIREGULAR)
-    combined = ks_poly(lam).body.scale(RatFunc(1, h_poly(lam))) + ks_poly(lamd).body.scale(
-        RatFunc(1, h_poly(lamd))
-    )
+    p, pd = ks_poly(lam), ks_poly(lamd)
+    a, b = p.den * h_poly(lam), pd.den * h_poly(lamd)
     try:
-        return combined.map_coeffs(lambda c: c.eval(k))
+        return _limit_at(((p.nums, b), (pd.nums, a)), a * b, k)
     except PoleError as exc:  # the poles must cancel in the sum
         raise AssertionError(f"residual pole in route c for {lam}, k={k}: {exc}") from exc
 

@@ -20,6 +20,12 @@ shared denominator, by one ``ratfunc.local_values`` call each; it computes the
 residue scale r_lam by two independent formulas, builds the depolarized
 polynomial Q_lam by two independent routes, and provides the generalized
 evaluation functional used to characterize eigenvalue polynomials.
+
+The pole-cancelling limits, route 2 of ``q_poly`` and route c of
+``eigenpoly``, have a kernel of their own, ``_limit_at``: the numerators are
+summed over one shared denominator on integers and the factor (kappa - k)^m
+is divided out exactly by synthetic division, with no ``RatFunc``.  It is
+not Taylor reading, so the two routes to Q_lam share no kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, NamedTuple
 
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
@@ -34,7 +41,7 @@ from .hypergeom import falling_table
 from .partitions import (
     PClass, Pair2, check_partition, classify_at, h_poly, paired, size, upto,
 )
-from .ratfunc import RatFunc, UniPoly, as_ratio, local_values
+from .ratfunc import PoleError, RatFunc, UniPoly, _convolve, as_ratio, local_values
 
 KAPPA = UniPoly.x()
 
@@ -52,7 +59,10 @@ class KsPoly(NamedTuple):
 
     Values at kappa = k (``sing_part``, ``reg_part``, ``ks_pole_set`` and the
     kappa-derivative of route 1 of ``q_poly``) are read off ``nums`` and
-    ``den`` by one ``local_values`` call; they normalize nothing.
+    ``den`` by one ``local_values`` call, and the limits of route 2 and route
+    c off the same pair by ``_limit_at``; they normalize nothing.  ``body``
+    is read only by the CLI's ``ks`` rendering and by the regular and
+    singular branches of ``deligne.cat_eig_formula``.
     """
 
     den: UniPoly
@@ -175,21 +185,70 @@ def q_poly(lam: Pair2, k: int) -> BiPoly:
     """Depolarized polynomial Q_lam for k-singular lam, by two routes.
 
     Route 1: finite part of P_lam minus r_lam times the kappa-derivative of
-    P_{lam+} at k.  Route 2: coefficient-wise limit of
-    P_lam - r_lam/(kappa-k) * P_{lam+}.  Exact agreement is asserted.
+    P_{lam+} at k, read by ``local_values``.  Route 2: coefficient-wise limit
+    of P_lam - r_lam/(kappa-k) * P_{lam+}, its numerators
+    n_lam den_{lam+} (kappa - k) - r_lam n_{lam+} den_lam over den_lam
+    den_{lam+} (kappa - k) cancelled exactly by ``_limit_at``; a residual
+    pole raises ``PoleError``.  Exact agreement is asserted.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
     r = r_coeff(lam, k)
 
     route1 = reg_part(lam, k) - _at_kappa(lamd, k, "slope").scale(r)
 
-    pole = RatFunc(r, UniPoly((-k, 1)))
-    combo = ks_poly(lam).body - ks_poly(lamd).body.scale(pole)
-    route2 = combo.map_coeffs(lambda c: c.eval(k))
+    p, pd = ks_poly(lam), ks_poly(lamd)
+    pole = UniPoly((-k, 1))
+    route2 = _limit_at(((p.nums, pd.den * pole), (pd.nums, p.den.scale(-r))),
+                       p.den * pd.den * pole, k)
 
     if route1 != route2:
         raise AssertionError(f"Q_{lam} routes disagree at k={k}")
     return route1
+
+
+def _limit_at(parts: tuple[tuple[BiPoly, UniPoly], ...], den: UniPoly, k: int) -> BiPoly:
+    """Coefficient-wise value at kappa = k of sum(nums * cof) / den over the
+    pairs (nums, cof) of ``parts``, ``nums`` a ``BiPoly`` of ``UniPoly``
+    numerators and ``cof`` a ``UniPoly`` cofactor: the exact cancellation of
+    den's pole at k, on integer coefficient lists.
+
+    m, the multiplicity of k in den, and (den / (kappa - k)^m)(k) are read
+    once.  Each monomial's numerator is summed on integers, divided exactly
+    by kappa - k m times and its quotient read at k, all by synthetic
+    division, and one ``Fraction`` is built.  A nonzero remainder on the way
+    is a residual pole: ``PoleError`` with its order.  No gcd, normalization
+    or ``RatFunc`` is made.
+    """
+    m, dk = _deflate(den.nums, k, len(den.nums))
+    out = {}
+    for key in dict.fromkeys(key for nums, _ in parts for key in nums.terms):
+        acc, s = [], 1
+        for nums, cof in parts:
+            c = nums.terms.get(key)
+            if c:
+                t = c.den * cof.den
+                acc = [x * t + y * s for x, y in
+                       zip_longest(acc, _convolve(c.nums, cof.nums), fillvalue=0)]
+                s *= t
+        j, v = _deflate(acc, k, m)
+        if j < m:
+            raise PoleError(k, m - j)
+        out[key] = Fraction(v * den.den, s * dk)
+    return BiPoly(out)
+
+
+def _deflate(nums: list[int], k: int, stop: int) -> tuple[int, int]:
+    """(j, q_j(k)) for the first j < stop with q_j(k) != 0, else (stop,
+    q_stop(k)), where q_j = nums / (kappa - k)^j: the integer polynomial
+    ``nums`` (lowest degree first) divided by kappa - k one synthetic
+    division at a time, each remainder the value at k of what it divides."""
+    c = list(reversed(nums))
+    for j in range(stop + 1):
+        for i in range(1, len(c)):
+            c[i] += k * c[i - 1]
+        t = c.pop() if c else 0
+        if t or j == stop:
+            return j, t
 
 
 # -- generalized evaluation ---------------------------------------------------------

@@ -164,12 +164,7 @@ class UniPoly:
         a, b = self.nums, other.nums
         if not a or not b:
             return UniPoly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _reduced(out, self.den * other.den)
+        return _reduced(_convolve(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -324,6 +319,17 @@ def local_values(nums: list[UniPoly], den: UniPoly, a: Scalar, kind: str) -> lis
         if i == 2 and t[0]:
             raise PoleError(a, 1)
         out.append(Fraction((t[i] * dj - (t[i - 1] * dk if i else 0)) * sd, sn * dj * dj))
+    return out
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The product of two nonempty integer coefficient lists, lowest degree
+    first: the one polynomial product on numerators."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 

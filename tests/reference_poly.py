@@ -10,11 +10,20 @@ tests use them, to check every operation of the package's classes.
 
 ``square_op`` is the reference for ``capelli.bipoly.square_op``: it divides
 f_x - f_y by x - y with a general peeling loop instead of the closed form.
+
+``route_c`` and ``q_route_2`` are the references for the two pole-cancelling
+limits, route c of ``capelli.eigenpoly`` and route 2 of
+``capelli.knopsahi.q_poly``: each combination is formed in Q(kappa) with the
+package's canonical ``RatFunc`` arithmetic, one normalization per
+coefficient and operation, and then evaluated at k.
 """
 
 from fractions import Fraction
 
 import reference_eval
+from capelli import knopsahi
+from capelli.partitions import PClass, h_poly, paired
+from capelli.ratfunc import RatFunc as QKappa, UniPoly as QPoly
 
 
 class UniPoly:
@@ -210,3 +219,21 @@ def square_op(f):
             g[(i, j - 1)] = g.get((i, j - 1), 0) + -j * c
     quot = divide_x_minus_y({k: c for k, c in g.items() if c})
     return {k: c * Fraction(1, 4) for k, c in quot.items() if c}
+
+
+def route_c(lam, k):
+    """lim_{kappa -> k} (P_lam / H_lam + P_{lam+} / H_{lam+}) for k-quasiregular
+    lam, by normalized ``body`` arithmetic in Q(kappa)."""
+    lamd = paired(lam, k, PClass.QUASIREGULAR)
+    combined = (knopsahi.ks_poly(lam).body.scale(QKappa(1, h_poly(lam)))
+                + knopsahi.ks_poly(lamd).body.scale(QKappa(1, h_poly(lamd))))
+    return combined.map_coeffs(lambda c: c.eval(k))
+
+
+def q_route_2(lam, k):
+    """lim_{kappa -> k} (P_lam - r_lam / (kappa - k) P_{lam+}) for k-singular
+    lam, by normalized ``body`` arithmetic in Q(kappa)."""
+    lamd = paired(lam, k, PClass.SINGULAR)
+    pole = QKappa(knopsahi.r_coeff(lam, k), QPoly((-k, 1)))
+    combo = knopsahi.ks_poly(lam).body - knopsahi.ks_poly(lamd).body.scale(pole)
+    return combo.map_coeffs(lambda c: c.eval(k))

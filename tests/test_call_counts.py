@@ -30,10 +30,10 @@ change:
   once per point-list evaluation;
 * takes the partials of a block-model operator more than once, or
   specializes a block-model operator per block instead of once per check;
-* makes a Q(kappa) product in a regular or singular categorical closed
-  form (only the singular scale is normalized), or normalizes route c's
-  coefficients more than once per scaled Knop-Sahi term and shared
-  monomial;
+* makes a Q(kappa) product in a categorical closed form (only the singular
+  scale is normalized);
+* normalizes or takes a gcd in route c or in a whole ``q_poly`` call,
+  whose pole-cancelling limits run on cleared integer numerators;
 * normalizes, divides, takes a gcd, calls ``falling`` or builds a
   ``Fraction`` in a passing derivative-identity check;
 * builds x_(m) other than from the cached ``falling_coeffs`` table in
@@ -344,19 +344,39 @@ def test_cat_eig_formula_normalizes_once_per_scaled_term(monkeypatch):
         for lam in upto(6):
             cls = classify_at(lam, kb)
             seen.add(cls)
-            if cls is PClass.QUASIREGULAR:  # route c: it scales and sums two bodies
-                keys = [set(ks.ks_poly(mu).body.terms) for mu in (paired(lam, int(kb), cls), lam)]
-                # one scale and one product per term of each body, one sum per shared monomial
-                bound = sum(len(k) + 1 for k in keys) + len(keys[0] & keys[1])
-            else:
-                # one body specialized, then scaled by a scalar: no Q(kappa) product,
-                # and only the singular scale's ratio is normalized
-                bound = int(cls is PClass.SINGULAR)
+            # route c cancels its pole on cleared numerators; otherwise one body is
+            # specialized, then scaled by a scalar: no Q(kappa) product, and only
+            # the singular scale's ratio is normalized
+            bound = int(cls is PClass.SINGULAR)
             inits = _counter(monkeypatch, RatFunc, "__init__")
             dl.cat_eig_formula(lam, t)
             assert len(inits) <= bound, (lam, t, len(inits), bound)
             monkeypatch.undo()
     assert seen == set(PClass)
+
+
+def test_pole_cancelling_limits_make_no_normalization(monkeypatch):
+    """Route c at every quasiregular (lam, k) and a whole ``q_poly`` call at
+    every singular one, |lam| <= 6 and k <= 3, make no ``RatFunc`` and take
+    no gcd once ``ks_poly`` is warm; route c reads no ``local_values`` and
+    ``q_poly`` only route 1's two, so neither limit shares route 1's kernel."""
+    pairs = [(lam, k, classify(lam, k)) for k in range(4) for lam in upto(6)]
+    qreg = [(lam, k) for lam, k, cls in pairs if cls is PClass.QUASIREGULAR]
+    sing = [(lam, k) for lam, k, cls in pairs if cls is PClass.SINGULAR]
+    assert qreg and sing
+    for lam, k, cls in pairs:
+        if cls is not PClass.REGULAR:
+            for mu in (lam, paired(lam, k, cls)):
+                ks.ks_poly(mu)  # build (and normalize) outside the counted region
+    work = [_counter(monkeypatch, RatFunc, "__init__"), _counter(monkeypatch, UniPoly, "gcd")]
+    kernels = _counter(monkeypatch, ks, "local_values")
+    for lam, k in qreg:
+        ep.eig_qreg_limit(lam, k)
+    assert kernels == []
+    for lam, k in sing:
+        ks.q_poly(lam, k)
+    assert work == [[], []]
+    assert len(kernels) == 2 * len(sing)
 
 
 def test_passing_derivative_identity_compares_integer_numerators(monkeypatch):

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_eval
+import reference_poly
 from capelli import eigenpoly as ep
 from capelli import knopsahi as ks
+from capelli import verify as vf
 from capelli.bipoly import BiPoly, from_falling, square_op
 from capelli.eigenpoly import ROUTES, SingularSystemError, gauss_solve
 from capelli.knopsahi import eval_point, gen_eval
-from capelli.partitions import PClass, classify, classify_at, size, upto
+from capelli.partitions import PClass, classify, classify_at, paired, size, upto
 from capelli.ratfunc import common_denominator
 
 HALF_SQUARE = BiPoly(
@@ -254,6 +256,31 @@ class TestQuasiregularRoutes:
 
     def test_limit_matches_explicit(self):
         assert ep.eig_qreg_limit((2, 2), 1) == ep.eig_qreg_explicit((2, 2), 1)
+
+    def test_limit_matches_q_kappa_reference(self):
+        # the cleared-numerator cancellation against normalized Q(kappa) arithmetic
+        pairs = [(lam, k) for k in range(5) for lam in upto(10)
+                 if classify(lam, k) is PClass.QUASIREGULAR]
+        assert len(pairs) > 30
+        for lam, k in pairs:
+            assert ep.eig_qreg_limit(lam, k) == reference_poly.route_c(lam, k), (lam, k)
+
+    @pytest.mark.parametrize("lam, k", [((1, 1), 0), ((2, 1), 1), ((4, 3), 2)])
+    def test_residual_pole_fails_route_c_and_its_record(self, monkeypatch, lam, k):
+        # doubled numerators of P_{lam+} leave half its pole uncancelled
+        lamd, real = paired(lam, k, PClass.QUASIREGULAR), ks.ks_poly
+
+        def doubled(mu):
+            p = real(mu)
+            return p._replace(nums=p.nums.scale(2)) if mu == lamd else p
+
+        monkeypatch.setattr(ep, "ks_poly", doubled)
+        with pytest.raises(AssertionError, match="residual pole in route c"):
+            ep.eig_qreg_limit(lam, k)
+        check = vf.run_task(("eigen-routes", (lam, k)))
+        assert check.status == "fail"
+        assert check.lhs.startswith("error: AssertionError at eigenpoly.py:")
+        assert "residual pole in route c" in check.lhs
 
     def test_explicit_anchor(self):
         assert ep.eig_qreg_explicit((1, 1), 0) == HALF_SQUARE

@@ -173,6 +173,23 @@ class TestQPoly:
         with pytest.raises(ValueError):
             ks.q_poly((1, 1), 0)
 
+    def test_route_2_matches_q_kappa_reference(self):
+        # q_poly asserts route 2 equals route 1, so this pins route 2 to the
+        # normalized Q(kappa) limit
+        pairs = [(lam, k) for k in range(5) for lam in upto(10)
+                 if classify(lam, k) is PClass.SINGULAR]
+        assert len(pairs) > 30
+        for lam, k in pairs:
+            assert ks.q_poly(lam, k) == ref.q_route_2(lam, k), (lam, k)
+
+    @pytest.mark.parametrize("lam, k", [((2, 0), 0), ((3, 0), 1), ((5, 1), 2)])
+    def test_perturbed_residue_scale_raises(self, monkeypatch, lam, k):
+        # a wrong r_lam leaves a residual pole in route 2
+        r = ks.r_coeff(lam, k)
+        monkeypatch.setattr(ks, "r_coeff", lambda lam, k: r * 2)
+        with pytest.raises(PoleError):
+            ks.q_poly(lam, k)
+
 
 class TestGenEval:
     @pytest.mark.parametrize("bad", [0.5, 0.0, "0", None])
