@@ -27,6 +27,15 @@ same per-tree fields: SHA, dirtiness, source digest, path length, load
 averages, the outcome counts and the per-seed metrics.  Both trees must
 resolve the same bounds.
 
+Each tree's entry also records, as read before its first run, whether
+PYTHONDONTWRITEBYTECODE is set and which modules of ``src/capelli`` have
+cached bytecode for this interpreter.  ``run.py`` hands its environment to
+every child, so without a cache each child compiles every module it
+imports: on a 2-CPU host ``setup_s`` read 0.070-0.075 s without a cache and
+0.045-0.048 s with one, and ``peak_rss_mb`` moves with it.  When the two
+trees differ there, the script prints a one-line warning, since their
+``setup_s`` and ``peak_rss_mb`` then compare compile costs as well.
+
 Standard library only.  A run that fails or prints no such lines, or a
 ``--parent`` that is this checkout or has no ``perfbench/run.py``, ends the
 script with status 2 and a one-line message.
@@ -35,7 +44,9 @@ script with status 2 and a one-line message.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -70,6 +81,23 @@ def git_dirty(root: Path) -> bool | None:
     return bool(out.strip())
 
 
+def bytecode_state(root: Path) -> dict:
+    """Whether PYTHONDONTWRITEBYTECODE is set, and for each module of
+    ``src/capelli`` whether its cached bytecode for this interpreter exists."""
+    return {
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "cached": {path.stem: Path(importlib.util.cache_from_source(str(path))).is_file()
+                   for path in sorted((root / "src" / "capelli").glob("*.py"))},
+    }
+
+
+def compile_state(bytecode: dict) -> tuple[bool, list[bool]]:
+    """What decides whether a child compiles: the flag, and whether the
+    modules have caches (none, all, or some), so that two trees whose module
+    lists differ still compare."""
+    return bytecode["dont_write_bytecode"], sorted(set(bytecode["cached"].values()))
+
+
 def summarize(values: list[float]) -> dict:
     """q1 / median / q3 of the per-seed values (one value stands for all three)."""
     if len(values) > 1:
@@ -79,9 +107,10 @@ def summarize(values: list[float]) -> dict:
     return {"values": values, "q1": q1, "median": median, "q3": q3}
 
 
-def tree_record(root: Path, runs: list[tuple[dict, dict]], spec: dict) -> dict:
-    """The per-tree part of a record: identity, outcome counts and, for each
-    end-to-end metric on each workload, its per-seed values and quartiles."""
+def tree_record(root: Path, runs: list[tuple[dict, dict]], spec: dict, bytecode: dict) -> dict:
+    """The per-tree part of a record: identity, bytecode state, outcome
+    counts and, for each end-to-end metric on each workload, its per-seed
+    values and quartiles."""
     records = [record for record, _ in runs]
     results = [result for _, result in runs]
     machine = records[0]["machine"]
@@ -90,6 +119,7 @@ def tree_record(root: Path, runs: list[tuple[dict, dict]], spec: dict) -> dict:
         "git_dirty": git_dirty(root),
         "src_sha256": machine.get("src_sha256"),
         "checkout_path_len": len(str(root)),
+        "bytecode": bytecode,
         "loadavg": [r["machine"]["loadavg"] for r in records],
         "correct": all(r["correct"] for r in results),
         "attempted": sum(r["attempted"] for r in results),
@@ -121,6 +151,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         trees.insert(0, parent)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bytecode = {root: bytecode_state(root) for root in trees}
+    if len(trees) > 1 and compile_state(bytecode[trees[0]]) != compile_state(bytecode[ROOT]):
+        print(f"bench_record: warning: {trees[0]} and {ROOT} differ in cached bytecode, so "
+              "their setup_s and peak_rss_mb also compare compile costs", file=sys.stderr)
 
     runs: dict[Path, list] = {root: [] for root in trees}
     try:
@@ -138,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     machine = runs[ROOT][0][0]["machine"]
     out = {
         "label": args.label,
-        **tree_record(ROOT, runs[ROOT], spec),
+        **tree_record(ROOT, runs[ROOT], spec, bytecode[ROOT]),
         "machine": {k: v for k, v in machine.items()
                     if k not in ("git_sha", "src_sha256", "loadavg")},
         "command": "perfbench/run.py --workload all",
@@ -147,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "bounds": records[0]["bounds"],
     }
     if len(trees) > 1:
-        out["parent"] = tree_record(trees[0], runs[trees[0]], spec)
+        out["parent"] = tree_record(trees[0], runs[trees[0]], spec, bytecode[trees[0]])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"bench_record: wrote {path.name} ({len(records)} runs, correct={out['correct']})")

@@ -1,18 +1,28 @@
-"""Terminating generalized hypergeometric series in exact rational arithmetic.
+"""Terminating generalized hypergeometric series in exact rational arithmetic,
+and the integer kernels of the identity-e chain.
 
 A series pFq(a1..ap; b1..bq; z) terminates when some numerator parameter is
 a non-positive integer; only such series are evaluated here, so every value
-is an exact ``Fraction``.  Gamma functions never appear: the right-hand side
-of Dougall's very-well-poised 5F4 summation is pre-reduced to the Pochhammer
-quotient
+is exact.  Gamma functions never appear: the right-hand side of Dougall's
+very-well-poised 5F4 summation is pre-reduced to the Pochhammer quotient
 
     (a+1)_(b) (a+b+c+1)_(d) / ( (a+c+1)_(d) (a+d+1)_(b) )    (rising factorials)
 
 which is valid verbatim for non-negative integers b, c, d.  Evaluation
-runs on integers: a = p/q is read with ``ratfunc.as_ratio``, and each result
-is one ``Fraction``.  The same integer kernels build the x and y tables
-of the identity-e chain, and ``derivative_coeffs`` gives the constants of
-the derivative identity's double sum as integers over one denominator.
+runs on integers: ``pfq_ratio`` sums a series whose parameters are integer
+pairs (p, q), reduced or not, and returns one integer pair; the
+``Fraction`` reader ``pfq_terminating`` splits its parameters with
+``ratfunc.as_ratio``, and ``well_poised_5f4`` builds the very-well-poised
+parameters that both Dougall's check and H(s)'s series route read.
+``dougall_check`` builds its parameters as pairs from a = p/q and makes
+only its two result ``Fraction``s.
+
+The identity-e chain takes its integer parts from here: the x and y tables
+(``falling_table``, ``harmonic_num``, ``pochhammer_num`` products over one
+lcm with ``over_lcm``), the falling-basis Horner kernel that returns each
+point as an integer pair (``_falling_basis_at``), the constants of the
+derivative identity's double sum (``derivative_coeffs``) and of psi_1's
+terms (``e_coeffs``), and H(s)'s terms E1(q, s) (``e1_num``).
 """
 
 from __future__ import annotations
@@ -76,6 +86,35 @@ def derivative_coeffs(i: int, j: int, n: int) -> tuple[list[list[tuple[int, int]
     return [list(zip(ps, row)) for ps, row in zip(spans, rows)], m
 
 
+def e_coeffs(d: int, j: int) -> tuple[list[range], list[list[tuple[int, int]]]]:
+    """psi_1's ranges and constants: (spans, rows), spans[q] the r of row q,
+    max(1, q) <= r <= d-j+q for q = 0..j, and rows[q] the integer pairs
+    (num, den) of K(q, r) = (-1)^(r+q+1) r_(q) j_(q) (d-j)_(r-q) / (r q!),
+    each falling factorial of an integer from ``pochhammer_num``."""
+    spans = [range(max(1, q), d - j + q + 1) for q in range(j + 1)]
+    return spans, [[((-1) ** (r + q + 1) * pochhammer_num(r, 1, q, -1) * pochhammer_num(j, 1, q, -1)
+                      * pochhammer_num(d - j, 1, r - q, -1), r * math.factorial(q)) for r in rs]
+                    for q, rs in enumerate(spans)]
+
+
+def e1_num(q: int, s: int, j: int, x, y) -> tuple[int, int, int]:
+    """E1(q, s) of H(s) at x = px/qx, y = py/qy as integers (num, yden, xden),
+    E1 = num / (yden xden); yden = s! qy^(j+1) (y+q+s+j)_(j+1) and xden =
+    qx^(q+s) (x+q+s)_(q+s) vanish with their factors, and the powers of
+    qx and qy cancel.
+
+    E1(q, s) = (q+s-1)!/s! binom(j, q) (y+2q+s) (y+j)_(j-q) (x-y)_(q)
+    (x+j+s)_(s) / ((y+q+s+j)_(j+1) (x+q+s)_(q+s)), q + s >= 1.
+    """
+    (px, qx), (py, qy) = as_ratio(x), as_ratio(y)
+    return (math.factorial(q + s - 1) * math.comb(j, q) * (py + (2 * q + s) * qy)
+            * pochhammer_num(py + j * qy, qy, j - q, -1)
+            * pochhammer_num(px * qy - py * qx, qx * qy, q, -1)
+            * pochhammer_num(px + (j + s) * qx, qx, s, -1),
+            math.factorial(s) * pochhammer_num(py + (q + s + j) * qy, qy, j + 1, -1),
+            pochhammer_num(px + (q + s) * qx, qx, q + s, -1))
+
+
 def falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:
     """The integer pairs q^m (x_(m)(p/q), x_(m)'(p/q)) for m = 0..d.
 
@@ -91,22 +130,29 @@ def falling_table(p: int, q: int, d: int) -> list[tuple[int, int]]:
 
 
 def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> Fraction:
-    """Exact finite sum of the terminating pFq(numerator; denominator; argument).
+    """Exact finite sum of the terminating pFq(numerator; denominator; argument):
+    each parameter read with ``as_ratio``, summed by ``pfq_ratio``."""
+    return Fraction(*pfq_ratio([as_ratio(a) for a in numerator],
+                               [as_ratio(b) for b in denominator], as_ratio(argument)))
+
+
+def pfq_ratio(numerator, denominator, z=(1, 1)) -> tuple[int, int]:
+    """The terminating pFq as an integer pair (num, den), den != 0, with every
+    parameter and the argument ``z`` an integer pair (p, q), q > 0, reduced
+    or not: a parameter is an integer when q divides p.
 
     The sum stops at the smallest |a| over non-positive-integer numerator
     parameters; a denominator parameter that vanishes before then is an error.
     1 + r_0 (1 + r_1 (1 + ...)), r_n the term ratio, is summed inside out.
     """
-    numerator = [as_ratio(a) for a in numerator]
-    denominator = [as_ratio(b) for b in denominator]
-    zp, zq = as_ratio(argument)
-    stops = [-p for p, q in numerator if q == 1 and p <= 0]
+    stops = [-p // q for p, q in numerator if p <= 0 and not p % q]
     if not stops:
         raise ValueError("series does not terminate: no non-positive integer upstairs")
     n_max = min(stops)
     for p, q in denominator:
-        if q == 1 and p <= 0 and -p < n_max:
-            raise ValueError(f"denominator parameter {p} vanishes within the summation range")
+        if p <= 0 and not p % q and -p // q < n_max:
+            raise ValueError(f"denominator parameter {p // q} vanishes within the summation range")
+    zp, zq = z
     num = den = 1
     for n in range(n_max - 1, -1, -1):
         u, v = zp, zq * (n + 1)
@@ -115,15 +161,24 @@ def pfq_terminating(numerator: Sequence, denominator: Sequence, argument=1) -> F
         for p, q in denominator:
             u, v = u * q, v * (p + n * q)
         num, den = v * den + u * num, v * den
-    return Fraction(num, den)
+    return num, den
 
 
-def _falling_basis_at(points, x_rows, y_rows, shift: int) -> list[Fraction]:
-    """sum_q (x-y-shift)_(q) <X_q, Y_q> at each point (x, y).  The rows are
-    built at the first point with a given x = p/q by ``x_rows(p, q)``, or
-    with a given y = p/q by ``y_rows(p, q)``; each returns (integer rows,
-    one denominator), so no ``Fraction`` is built per x or per y.  Per
-    point Horner's rule runs on integers and builds one ``Fraction``."""
+def well_poised_5f4(a, b, c, d) -> tuple[int, int]:
+    """The very-well-poised 5F4(a/2+1, a, b, c, d; a/2, a-b+1, a-c+1,
+    a-d+1; 1) of Dougall's summation as an integer pair, its parameters
+    integer pairs as ``pfq_ratio`` reads them."""
+    p, q = a
+    return pfq_ratio(((p + 2 * q, 2 * q), a, b, c, d),
+                     ((p, 2 * q), *((p * v - u * q + q * v, q * v) for u, v in (b, c, d))))
+
+
+def _falling_basis_at(points, x_rows, y_rows, shift: int) -> list[tuple[int, int]]:
+    """sum_q (x-y-shift)_(q) <X_q, Y_q> at each point (x, y), as an integer
+    pair (num, den), den > 0.  The rows are built at the first point with a
+    given x = p/q by ``x_rows(p, q)``, or with a given y = p/q by
+    ``y_rows(p, q)``; each returns (integer rows, one positive denominator).
+    Per point Horner's rule runs on integers; no ``Fraction`` is built."""
     xs, ys, out = {}, {}, []
     for x, y in points:
         kx, ky = as_ratio(x), as_ratio(y)
@@ -137,7 +192,7 @@ def _falling_basis_at(points, x_rows, y_rows, shift: int) -> list[Fraction]:
         for q in range(len(yrows) - 1, -1, -1):
             acc = acc * (w - q * den) + scale * sum(map(operator.mul, yrows[q], xrows[q]))
             scale *= den
-        out.append(Fraction(acc, xden * yden * scale // den))
+        out.append((acc, xden * yden * scale // den))
     return out
 
 
@@ -145,23 +200,20 @@ def dougall_check(a, b: int, c: int, d: int) -> tuple[Fraction, Fraction]:
     """Both sides (lhs, rhs) of Dougall's 5F4 summation at unit argument.
 
     lhs = 5F4(a/2+1, a, -b, -c, -d; a/2, a+b+1, a+c+1, a+d+1; 1), summed
-    exactly; rhs is the Pochhammer form of the Gamma quotient (the powers
-    of q in a = p/q cancel).  Requires a + b + c + d + 1 > 0, a != 0, and
-    non-negative integers b, c, d.
+    exactly by ``well_poised_5f4`` on integer pairs built from a = p/q; rhs
+    is the Pochhammer form of the Gamma quotient (the powers of q cancel).
+    Requires a + b + c + d + 1 > 0, non-negative integers b, c, d, and a
+    not 0 or a negative integer: there a/2 vanishes, a/2 + 1 stops the
+    series early, or a denominator parameter vanishes.
     """
     p, q = as_ratio(a)
     if min(b, c, d) < 0:
         raise ValueError("b, c, d must be non-negative integers")
     if p + (b + c + d + 1) * q <= 0:
         raise ValueError("requires a + b + c + d + 1 > 0")
-    if not p:
-        raise ValueError("a = 0 puts a zero in the denominator parameters")
-    a = Fraction(p, q)
-    lhs = pfq_terminating(
-        (a / 2 + 1, a, -b, -c, -d), (a / 2, a + b + 1, a + c + 1, a + d + 1)
-    )
-    rhs = Fraction(
-        pochhammer_num(p + q, q, b, 1) * pochhammer_num(p + (b + c + 1) * q, q, d, 1),
-        pochhammer_num(p + (c + 1) * q, q, d, 1) * pochhammer_num(p + (d + 1) * q, q, b, 1),
-    )
-    return lhs, rhs
+    if q == 1 and p <= 0:
+        raise ValueError("a = 0 or a negative integer breaks the series")
+    lhs = well_poised_5f4((p, q), (-b, 1), (-c, 1), (-d, 1))
+    rhs = (pochhammer_num(p + q, q, b, 1) * pochhammer_num(p + (b + c + 1) * q, q, d, 1),
+           pochhammer_num(p + (c + 1) * q, q, d, 1) * pochhammer_num(p + (d + 1) * q, q, b, 1))
+    return Fraction(*lhs), Fraction(*rhs)

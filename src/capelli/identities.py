@@ -12,24 +12,30 @@ d = x_(N)), the right side an integer numerator over M x_(N)^2, M the lcm
 of the denominators of its constants (``hypergeom.derivative_coeffs``).
 Two rational functions over one denominator are equal exactly when their
 numerators are, so the check compares M (n'd - nd') with the right
-numerator on integer coefficients, with no gcd, normalization or
-``Fraction``; it builds canonical rational functions only to render a
-failure.  Each x_(m) is ``UniPoly(falling_coeffs(m))``.
+numerator.  Both are built on the integer coefficient tuples of
+``falling_coeffs(m)`` (x_(m)) with ``ratfunc._convolve``, and compared in
+one integer pass, with no ``UniPoly``, gcd, normalization or ``Fraction``;
+canonical rational functions are built only to render a failure.
 
 The chain (psi_L, psi_R, psi_1, psi_2, F(s), H(s)) lives in two variables;
 it is verified by exact evaluation on tensor grids larger than the degree
-bounds left after clearing the denominators.  psi_1, psi_2 and F(s) take a
-whole point list and read each point with ``as_ratio``: the factors of x
-alone and of y alone (with their pole checks) are built once per distinct
-coordinate as integer numerators over one denominator, and each point
-costs integer arithmetic and one ``Fraction``.  F(s)'s closed form takes
-one x and a list of y, and builds the factors of x once.  On the diagonal
-``local_values`` reads psi_R as the value of the right numerator over
-M x_(N)^2 and d/dx psi_L as the slope of x_(d) over (x-N+1) ... (x-N+j).
+bounds left after clearing the denominators.  psi_1, psi_2, F(s) and F(s)'s
+closed form take whole point lists, read each point with ``as_ratio`` and
+return each value as an integer pair (num, den): the factors of x alone and
+of y alone (with their pole checks) are built once per distinct coordinate
+as integer numerators over one denominator, and each point costs integer
+arithmetic only.  The checks compare pairs by cross-multiplication,
+a d' = a' d, and build ``Fraction``s only to render a failing witness.
 psi_1 and F(s) read x_(m) off ``falling_table`` and build each y entry
 from ``pochhammer_num`` products as one integer pair, a table over its
-lcm; psi_2 keeps the monomial x_(d) as a cross-check, and it and F(0)'s
-closed form take prod (y+t) and sum 1/(y+t) from ``harmonic_num``.
+lcm; psi_2 keeps the monomial x_(d) as a cross-check, read with its slope
+by one integer Taylor pass, and it and F(0)'s closed form take prod (y+t)
+and sum 1/(y+t) from ``harmonic_num``.  On the diagonal ``local_values``
+reads psi_R as the value of the right numerator over M x_(N)^2 and
+d/dx psi_L as the slope of x_(d) over (x-N+1) ... (x-N+j).  H(s) sums its
+terms E1(q, s) as integer pairs from ``hypergeom.e1_num`` over one running
+denominator; its 5F4 route reads the very-well-poised series on integer
+pairs and never reads that sum.
 
 Empty products are 1 and empty sums are 0 throughout; these conventions are
 load-bearing at the q = 0, j = 0 and s = 0 boundaries.
@@ -39,32 +45,32 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .bipoly import falling_coeffs
-from .hypergeom import (_falling_basis_at, derivative_coeffs, falling, falling_table,
-                        harmonic_num, over_lcm, pfq_terminating, pochhammer_num)
-from .ratfunc import (RatFunc, UniPoly, as_ratio, common_denominator, local_values,
-                      render_frac, render_ratfunc, render_unipoly)
-
-X = UniPoly.x()
+from .hypergeom import (_falling_basis_at, derivative_coeffs, e1_num, e_coeffs, falling,
+                        falling_table, harmonic_num, over_lcm, pochhammer_num, well_poised_5f4)
+from .ratfunc import (RatFunc, UniPoly, _convolve, _taylor, as_ratio, local_values, render_frac,
+                      render_ratfunc, render_unipoly)
 
 
 # -- the derivative identity, as integer numerators over x_(N)^2 ----------------------
 
 
-def lhs_derivative_num(i: int, j: int, n: int) -> UniPoly:
+def lhs_derivative_num(i: int, j: int, n: int) -> list[int]:
     """The quotient-rule numerator n'd - nd' of d/dx (n / d), n = x_(N-i)
-    x_(N-j) and d = x_(N): the left side is it over d^2 = x_(N)^2."""
+    x_(N-j) and d = x_(N), as integer coefficients, lowest degree first:
+    the left side is it over d^2 = x_(N)^2."""
     _check_ijn(i, j, n)
-    num = UniPoly(falling_coeffs(n - i)) * UniPoly(falling_coeffs(n - j))
-    den = UniPoly(falling_coeffs(n))
-    return num.derivative() * den - num * den.derivative()
+    num, den = _convolve(falling_coeffs(n - i), falling_coeffs(n - j)), falling_coeffs(n)
+    num1, den1 = ([k * c for k, c in enumerate(f)][1:] for f in (num, den))
+    return [a - b for a, b in zip(_convolve(num1, den), _convolve(num, den1))]
 
 
-def rhs_derivative_num(i: int, j: int, n: int) -> tuple[UniPoly, int]:
+def rhs_derivative_num(i: int, j: int, n: int) -> tuple[list[int], int]:
     """The double sum over (q, p) as (total, M): the sum is total / (M x_(N)^2),
-    and total has integer coefficients.
+    total an integer coefficient list, lowest degree first.
 
     The (q, p) term is c(q, p) x_(p-i) x_(p-j) (x-p+q) / (x_(p+1) (x-N+q)_(q)),
     and ``derivative_coeffs`` gives M c(q, p) as integers.  The term's
@@ -77,17 +83,21 @@ def rhs_derivative_num(i: int, j: int, n: int) -> tuple[UniPoly, int]:
     rows, m = derivative_coeffs(i, j, n)
     # B_p for each p the rows hold, max(i, j) <= p < N, with the tail
     # (x-p-1)_(N-p-1) = x_(N) / x_(p+1) built from p = N-1 down
-    body, tail = {}, UniPoly.one()
+    body, tail = {}, (1,)
     for p in range(n - 1, max(i, j) - 1, -1):
-        body[p] = UniPoly(falling_coeffs(p - i)) * UniPoly(falling_coeffs(p - j)) * tail
-        tail = tail * UniPoly((-p, 1))
-    total = UniPoly.zero()
+        body[p] = _convolve(_convolve(falling_coeffs(p - i), falling_coeffs(p - j)), tail)
+        tail = _convolve(tail, (-p, 1))
+    total = []
     for q, row in enumerate(rows):
-        acc = UniPoly.zero()
+        acc = [0]
         for p, const in row:
-            acc = acc + body[p] * UniPoly((const * (q - p), const))
-        total = total + acc * UniPoly(falling_coeffs(n - q))
+            acc = _plus(acc, _convolve(body[p], (const * (q - p), const)))
+        total = _plus(total, _convolve(acc, falling_coeffs(n - q)))
     return total, m
+
+
+def _plus(a, b) -> list[int]:
+    return [u + v for u, v in zip_longest(a, b, fillvalue=0)]
 
 
 def _check_ijn(i: int, j: int, n: int) -> None:
@@ -95,27 +105,27 @@ def _check_ijn(i: int, j: int, n: int) -> None:
         raise ValueError(f"need 0 <= i, j and i + j <= N; got ({i}, {j}, {n})")
 
 
-def _outcome(lhs, rhs, render) -> tuple[bool, str, str]:
-    """``(True, "-", "-")``, or both sides rendered in x when they differ."""
-    return (True, "-", "-") if lhs == rhs else (False, render(lhs, "x"), render(rhs, "x"))
-
-
 def derivative_identity_check(i: int, j: int, n: int) -> tuple[bool, str, str]:
-    """Both numerators over M x_(N)^2, compared: equal numerators are equal
-    rational functions.  A failure renders each side in canonical form."""
+    """Both numerators over M x_(N)^2, compared on integer coefficients:
+    equal numerators are equal rational functions.  Only a failure builds
+    polynomials, to render each side in canonical form."""
     lhs, (total, m) = lhs_derivative_num(i, j, n), rhs_derivative_num(i, j, n)
+    if not any(m * a - b for a, b in zip_longest(lhs, total, fillvalue=0)):
+        return True, "-", "-"
     x_n = UniPoly(falling_coeffs(n))
-    return _outcome(lhs.scale(m), total,
-                    lambda num, var: render_ratfunc(RatFunc(num, x_n * x_n.scale(m)), var))
+    return (False, render_ratfunc(RatFunc(UniPoly(lhs), x_n * x_n), "x"),
+            render_ratfunc(RatFunc(UniPoly(total), x_n * x_n.scale(m)), "x"))
 
 
 def logderiv_check(n: int) -> tuple[bool, str, str]:
     """d/dx x_(N) = sum_{t=1}^{N} (-1)^(t+1)/t * N_(t) x_(N-t), as polynomials."""
-    rhs = UniPoly.zero()
+    lhs, rhs = UniPoly(falling_coeffs(n)).derivative(), UniPoly.zero()
     for t in range(1, n + 1):
         c = Fraction((-1) ** (t + 1), t) * falling(n, t)
         rhs = rhs + UniPoly(falling_coeffs(n - t)).scale(c)
-    return _outcome(UniPoly(falling_coeffs(n)).derivative(), rhs, render_unipoly)
+    if lhs == rhs:
+        return True, "-", "-"
+    return False, render_unipoly(lhs, "x"), render_unipoly(rhs, "x")
 
 
 # -- the two-variable chain -----------------------------------------------------------
@@ -156,18 +166,14 @@ def e_term(q: int, r: int, x: Fraction, y: Fraction, d: int, j: int) -> Fraction
     return num / den
 
 
-def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
-    """psi_1 = sum of E(q, r) at each point.  E(q, r) factors as
-    K(q, r) x_(d-r) Y(q, r, y) (x-y-d)_(q): K constant, x_(d-r) per x, and
-    K Y per y = p/q as one integer pair.  The pole checks are e_term's, in
-    its order: row by row (q), entry by entry (r), (y+r+j)_(j+r) and then
-    y+q; an empty row checks nothing."""
-    spans = [range(max(1, q), d - j + q + 1) for q in range(j + 1)]
-    consts = [
-        [(-1) ** (r + q + 1) * falling(r, q) * falling(j, q) * falling(d - j, r - q)
-         / (r * math.factorial(q)) for r in rs]
-        for q, rs in enumerate(spans)
-    ]
+def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[tuple[int, int]]:
+    """psi_1 = sum of E(q, r) at each point, as an integer pair (num, den),
+    den > 0.  E(q, r) factors as K(q, r) x_(d-r) Y(q, r, y) (x-y-d)_(q):
+    K constant (``e_coeffs``), x_(d-r) per x, and K Y per y = p/q as one
+    integer pair.  The pole checks are e_term's, in its order: row by row
+    (q), entry by entry (r), (y+r+j)_(j+r) and then y+q; an empty row
+    checks nothing."""
+    spans, consts = e_coeffs(d, j)
 
     def x_rows(p, q):
         # x_(d-r) over q**d, at index r - 1
@@ -177,33 +183,34 @@ def psi1_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list
 
     def y_rows(u, v):
         # K (y+r+q) (y+r-1)_(r-q) / ((y+r+j)_(j+r) (y+q)) at y = u/v, the powers of v cancelled
-        return over_lcm([[(k.numerator * (u + (r + q) * v)
+        return over_lcm([[(kn * (u + (r + q) * v)
                            * pochhammer_num(u + (r - 1) * v, v, r - q, -1) * v ** (j + q),
-                           k.denominator
+                           kd
                            * _nonzero(pochhammer_num(u + (r + j) * v, v, j + r, -1),
                                       f"(y+{r}+{j})_({j + r})")
-                           * _nonzero(u + q * v, f"y+{q}")) for r, k in zip(rs, ks)]
+                           * _nonzero(u + q * v, f"y+{q}")) for r, (kn, kd) in zip(rs, ks)]
                          for q, (rs, ks) in enumerate(zip(spans, consts))])
 
     return _falling_basis_at(points, x_rows, y_rows, d)
 
 
-def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[Fraction]:
+def psi2_at(points: Sequence[tuple[Fraction, Fraction]], d: int, j: int) -> list[tuple[int, int]]:
     """psi_2, the Leibniz expansion of d/dx psi_L with the pole variable
-    renamed to y: x_(d) and its slope per x, from one ``value_and_slope``;
-    prod (y+t) and sum 1/(y+t) per y."""
+    renamed to y, as an integer pair (num, den), den > 0: x_(d) and its
+    slope per x from one integer Taylor pass over its monomial
+    coefficients; prod (y+t) and sum 1/(y+t) per y."""
     x_d = UniPoly(falling_coeffs(d))
     xs, ys, out = {}, {}, []
     for x, y in points:
-        kx, (p, q) = as_ratio(x), as_ratio(y)
-        if kx not in xs:
-            xs[kx] = common_denominator(x_d.value_and_slope(Fraction(*kx)))
+        (px, qx), (p, q) = as_ratio(x), as_ratio(y)
+        if (px, qx) not in xs:
+            xs[px, qx] = _taylor(x_d, px, qx)
         if (p, q) not in ys:
             # q**j prod (y+t), and prod sum 1/(y+t); prod = 0 means q = 1 and y = -t
             prod, harm = harmonic_num(p, q, j)
             ys[p, q] = _nonzero(prod, f"y+{-p}") * q**j, harm * q**j, prod * prod
-        ((fall, slope), xden), (u, v, yden) = xs[kx], ys[p, q]
-        out.append(Fraction(slope * u - fall * v, xden * yden))
+        ((fall, slope, _), xden), (u, v, yden) = xs[px, qx], ys[p, q]
+        out.append((slope * u - fall * v, xden * yden))
     return out
 
 
@@ -241,34 +248,48 @@ def psi_chain_check(i: int, j: int, n: int) -> tuple[bool, str, str, int, int]:
     d = n - i
     pts = chain_grid(i, j, n)
     grid = len(pts), chain_bound(i, j, n)
-    for (x, y), a, b in zip(pts, psi1_at(pts, d, j), psi2_at(pts, d, j)):
-        if a != b:
-            return (False, f"{render_frac(a)} at ({render_frac(x)},{render_frac(y)})",
-                    render_frac(b), *grid)
-    # psi_R = total / (M x_(N)^2), read by integer Taylor passes and one
-    # Fraction per point
+    miss = _mismatch(pts, psi1_at(pts, d, j), psi2_at(pts, d, j), _at)
+    if miss:
+        return *miss, *grid
+    # psi_R = total / (M x_(N)^2) and psi_L = x_(d) / ((x-N+1) ... (x-N+j)),
+    # read at each diagonal x by local_values, one Fraction each; every
+    # x >= N + 1 is a regular point of both denominators
     total, m = rhs_derivative_num(i, j, n)
     x_n = UniPoly(falling_coeffs(n))
-    den = x_n * x_n.scale(m)
-    # psi_L = x_(d) / ((x-N+1) ... (x-N+j)); every diagonal x >= N + 1 is a
-    # regular point of the tail
-    x_d, tail = UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j)[-1]
-    diag = [(x, x - n) for x in sorted({x for x, _ in pts})]
-    for (x, _), on_diag, rhs_d in zip(diag, psi1_at(diag, d, j), psi2_at(diag, d, j)):
-        psi_r = local_values([total], den, x, "value")[0]
-        dpsi_l = local_values([x_d], tail, x, "slope")[0]
-        for lhs, rhs in ((psi_r, on_diag), (dpsi_l, rhs_d)):
-            if lhs != rhs:
-                return False, f"{render_frac(lhs)} at x={render_frac(x)}", render_frac(rhs), *grid
-    return True, "-", "-", *grid
+    reads = ((UniPoly(total), x_n * x_n.scale(m), "value"),
+             (UniPoly(falling_coeffs(d)), UniPoly.falling(UniPoly((j - n, 1)), j)[-1], "slope"))
+    xs = sorted({x for x, _ in pts})
+    diag = [(x, x - n) for x in xs]
+    # at each x, psi_R against psi_1 and then d/dx psi_L against psi_2
+    lhs = [as_ratio(local_values([f], g, x, kind)[0]) for x in xs for f, g, kind in reads]
+    rhs = [v for pair in zip(psi1_at(diag, d, j), psi2_at(diag, d, j)) for v in pair]
+    miss = _mismatch([x for x in xs for _ in reads], lhs, rhs, lambda x: f"x={render_frac(x)}")
+    return (*miss, *grid) if miss else (True, "-", "-", *grid)
+
+
+def _mismatch(points, lhs, rhs, where):
+    """``(False, a, b)`` at the first point where the pairs (num, den) of
+    ``lhs`` and ``rhs`` differ as fractions, compared by cross-multiplication:
+    each side rendered from one ``Fraction``, the left one followed by
+    ``at where(point)``.  None when every pair agrees."""
+    for pt, (a, b), (c, d) in zip(points, lhs, rhs):
+        if a * d != c * b:
+            return (False, f"{render_frac(Fraction(a, b))} at {where(pt)}",
+                    render_frac(Fraction(c, d)))
+    return None
+
+
+def _at(point) -> str:
+    return f"({render_frac(point[0])},{render_frac(point[1])})"
 
 
 # -- F(s) and H(s) ---------------------------------------------------------------------
 
 
 def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int) -> list[Fraction]:
-    """The defining sum of F(s) at each point; the q = 0 term exists only
-    for s >= 1.  Term q is K(q) X_q(x) Y_q(y) (x-y)_(q), X_q = (x+j+l)_(j+l-q-s)."""
+    """The defining sum of F(s) at each point, as an integer pair (num,
+    den), den > 0; the q = 0 term exists only for s >= 1.  Term q is
+    K(q) X_q(x) Y_q(y) (x-y)_(q), X_q = (x+j+l)_(j+l-q-s)."""
     qs = range(j + 1)
 
     def x_rows(p, q):
@@ -288,28 +309,31 @@ def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int
     return _falling_basis_at(points, x_rows, y_rows, 0)
 
 
-def f_closed(s: int, j: int, l: int, x: Fraction, ys: Sequence[Fraction]) -> list[Fraction]:
-    """Closed forms at (x, y) for each y in ``ys``: a falling-factorial
-    quotient in x alone for 1 <= s <= l, and for s = 0 a harmonic difference
-    times an x_(j+l)-type product, summed on integers with the factors of x
-    built once; at s = 0 a vanishing factor raises, y+t before x+t at each t."""
+def f_closed(s: int, j: int, l: int, xs: Sequence[Fraction],
+             ys: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """Closed forms at each (x, y), x in ``xs`` and then y in ``ys``, as
+    integer pairs (num, den), den != 0: a falling-factorial quotient in x
+    alone for 1 <= s <= l, and for s = 0 a harmonic difference times an
+    x_(j+l)-type product, summed on integers with the factors of x built
+    once per x and those of y once per y; at s = 0 a vanishing factor
+    raises, y+t before x+t at each t."""
     if s >= 1:
-        return [
-            falling(x + j + l, l - s)
-            * falling(x + j, j)
-            / (s * math.factorial(l - s) * _nonzero(falling(j + l, j), f"({j + l})_({j})"))
-        ] * len(ys)
-    px, qx = as_ratio(x)
-    ux, hx = harmonic_num(px, qx, j)
-    num, den, out = pochhammer_num(px + (j + l) * qx, qx, j + l, -1), qx ** (j + l), []
-    for py, qy in map(as_ratio, ys):
-        uy, hy = harmonic_num(py, qy, j)
-        # the first vanishing factor, y+t before x+t at each t: y+t at t = -py, x+t at t = -px
-        if not uy and (ux or py >= px):
-            raise SamplePoleError(f"y+{-py}")
-        _nonzero(ux, f"x+{-px}")
-        # sum 1/(y+t) - sum 1/(x+t) = hy/uy - hx/ux
-        out.append(Fraction(num * (hy * ux - hx * uy), den * math.factorial(j + l) * uy * ux))
+        c = s * math.factorial(l - s) * falling(j + l, j)
+        per_x = [as_ratio(falling(x + j + l, l - s) * falling(x + j, j) / c) for x in xs]
+        return [v for v in per_x for _ in ys]
+    ys = [(*as_ratio(y), *harmonic_num(*as_ratio(y), j)) for y in ys]
+    out = []
+    for px, qx in map(as_ratio, xs):
+        ux, hx = harmonic_num(px, qx, j)
+        num = pochhammer_num(px + (j + l) * qx, qx, j + l, -1)
+        den = qx ** (j + l) * math.factorial(j + l)
+        for py, qy, uy, hy in ys:
+            # the first vanishing factor, y+t before x+t at each t: y+t at t = -py, x+t at t = -px
+            if not uy and (ux or py >= px):
+                raise SamplePoleError(f"y+{-py}")
+            _nonzero(ux, f"x+{-px}")
+            # sum 1/(y+t) - sum 1/(x+t) = hy/uy - hx/ux
+            out.append((num * (hy * ux - hx * uy), den * uy * ux))
     return out
 
 
@@ -332,40 +356,44 @@ def f_closed_form_check(j: int, l: int) -> tuple[bool, str, str, int]:
     xs, ys = f_grid(j, l)
     pts = [(x, y) for x in xs for y in ys]
     for s in range(l + 1):
-        closed = (b for x in xs for b in f_closed(s, j, l, x, ys))
-        for (x, y), a, b in zip(pts, f_sum_at(pts, s, j, l), closed):
-            if a != b:
-                return (False, f"{render_frac(a)} at s={s},({render_frac(x)},{render_frac(y)})",
-                        render_frac(b), len(pts))
+        miss = _mismatch(pts, f_sum_at(pts, s, j, l), f_closed(s, j, l, xs, ys),
+                         lambda pt: f"s={s},{_at(pt)}")
+        if miss:
+            return *miss, len(pts)
     return True, "-", "-", len(pts)
 
 
-def e1_term(q: int, s: int, x: Fraction, y: Fraction, j: int) -> Fraction:
-    return (
-        Fraction(math.factorial(q + s - 1), math.factorial(s))
-        * math.comb(j, q)
-        * (y + 2 * q + s)
-        * falling(y + j, j - q)
-        / _nonzero(falling(y + q + s + j, j + 1), f"(y+{q + s + j})_({j + 1})")
-        * falling(x - y, q)
-        * falling(x + j + s, s)
-        / _nonzero(falling(x + q + s, q + s), f"(x+{q + s})_({q + s})")
-    )
-
-
 def h_sum(s: int, j: int, x: Fraction, y: Fraction) -> Fraction:
-    return sum(e1_term(q, s, x, y, j) for q in range(1 if s == 0 else 0, j + 1))
+    """H(s) = sum over q of E1(q, s) at (x, y), the q = 0 term only for
+    s >= 1: each term an integer pair from ``e1_num``, summed over one
+    running denominator, and one ``Fraction`` per call.  A vanishing factor
+    raises, in q order, the y factor before the x factor at each q."""
+    num, den = 0, 1
+    for q in range(s == 0, j + 1):
+        n, d = _e1(q, s, j, x, y)
+        num, den = num * d + n * den, den * d
+    return Fraction(num, den)
+
+
+def _e1(q: int, s: int, j: int, x, y) -> tuple[int, int]:
+    """E1(q, s) at (x, y) as (num, den); the y factor's pole is checked
+    before the x factor's."""
+    n, yden, xden = e1_num(q, s, j, x, y)
+    return n, (_nonzero(yden, f"(y+{q + s + j})_({j + 1})")
+               * _nonzero(xden, f"(x+{q + s})_({q + s})"))
 
 
 def h_hypergeometric(s: int, j: int, x: Fraction, y: Fraction) -> Fraction:
     """H(s) through its very-well-poised 5F4 representation (s >= 1); only
-    the first j + 1 terms of the series are nonzero."""
+    the first j + 1 terms of the series are nonzero.  E1(0, s) times the
+    very-well-poised series at a = y + s, b = -j, c = s and d = y - x, its
+    parameters integer pairs built from x = px/qx and y = py/qy."""
     if s < 1:
         raise ValueError("the 5F4 form is used for s >= 1")
-    return e1_term(0, s, x, y, j) * pfq_terminating(
-        (y / 2 + Fraction(s, 2) + 1, y + s, -j, s, y - x),
-        (y / 2 + Fraction(s, 2), y + s + j + 1, y + 1, x + s + 1),
-    )
+    (px, qx), (py, qy) = as_ratio(x), as_ratio(y)
+    n, d = _e1(0, s, j, x, y)
+    num, den = well_poised_5f4((py + s * qy, qy), (-j, 1), (s, 1), (py * qx - px * qy, qx * qy))
+    return Fraction(n * num, d * den)
 
 
 def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> tuple[bool, str, str]:
@@ -380,5 +408,7 @@ def h_function_check(j: int, s: int, x: Fraction, y: Fraction) -> tuple[bool, st
         via_5f4 = h_hypergeometric(s, j, x, y)
         return (got == expected == via_5f4, f"{render_frac(got)} at s={s}",
                 f"{render_frac(expected)} (5F4: {render_frac(via_5f4)})")
-    expected = sum(1 / (y + t) - 1 / (x + t) for t in range(1, j + 1))
+    # sum 1/(y+t) - sum 1/(x+t) = hy/uy - hx/ux, uy and ux > 0
+    (uy, hy), (ux, hx) = harmonic_num(*as_ratio(y), j), harmonic_num(*as_ratio(x), j)
+    expected = Fraction(hy * ux - hx * uy, uy * ux)
     return got == expected, f"{render_frac(got)} at s=0", render_frac(expected)

@@ -2,8 +2,10 @@
 bivariate substitution that ``UniPoly.__call__``, ``value_and_slope`` and
 ``BiPoly.eval_at`` replace with integer arithmetic over one common denominator,
 the term-by-term ``Fraction`` sum that ``hypergeom.pfq_terminating``
-replaces with an inside-out sum on integers, and the ``Fraction`` harmonic
-sums of F(0)'s closed form that ``identities.f_closed`` takes on integers.
+replaces with an inside-out sum on integers, the ``Fraction`` harmonic
+sums of F(0)'s closed form that ``identities.f_closed`` takes on integers,
+and H(s) as the pointwise ``Fraction`` sum of its terms E1(q, s), which
+``identities.h_sum`` sums as integer pairs.
 
 They work in any exact ring, so they also evaluate ``RatFunc`` coefficients
 at ``RatFunc`` points, which the package's evaluators reject.
@@ -80,3 +82,24 @@ def f_closed_s0(j, l, x, y):
         for t in range(1, j + 1)
     )
     return falling(x + j + l, j + l) / math.factorial(j + l) * harm
+
+
+def e1_term(q, s, x, y, j):
+    """One summand E1(q, s) of H(s) at an exact point, one ``Fraction``
+    operation at a time; its y factor's pole is checked before its x
+    factor's."""
+    return (
+        Fraction(math.factorial(q + s - 1), math.factorial(s))
+        * math.comb(j, q)
+        * (y + 2 * q + s)
+        * falling(y + j, j - q)
+        / _nonzero(falling(y + q + s + j, j + 1), f"(y+{q + s + j})_({j + 1})")
+        * falling(x - y, q)
+        * falling(x + j + s, s)
+        / _nonzero(falling(x + q + s, q + s), f"(x+{q + s})_({q + s})")
+    )
+
+
+def h_sum(s, j, x, y):
+    """H(s) as the sum of ``e1_term`` over q, the q = 0 term only for s >= 1."""
+    return sum((e1_term(q, s, x, y, j) for q in range(1 if s == 0 else 0, j + 1)), Fraction(0))

@@ -31,6 +31,9 @@ EXEMPT = {
     # the psi_1 reference of tests/test_identities.py, and a name the
     # benchmark tracer wraps; the sweep builds psi_1 from tables instead
     ("identities.py", "e_term"),
+    # the Fraction-level reader of the terminating pFq: src sums its series
+    # through the integer-pair kernel pfq_ratio
+    ("hypergeom.py", "pfq_terminating"),
     # the report's byte-stable JSON text: the CLI writes it through
     # report.json_text, and perfbench/child.py calls it and digests it
     ("report.py", "RunReport.to_json"),

@@ -34,8 +34,9 @@ change:
   scale is normalized);
 * normalizes or takes a gcd in route c or in a whole ``q_poly`` call,
   whose pole-cancelling limits run on cleared integer numerators;
-* normalizes, divides, takes a gcd, calls ``falling`` or builds a
-  ``Fraction`` in a passing derivative-identity check;
+* normalizes, divides, takes a gcd, brings coefficients to a common
+  denominator, calls ``falling`` or builds a ``Fraction`` in a passing
+  derivative-identity check;
 * builds x_(m) other than from the cached ``falling_coeffs`` table in
   psi-chain;
 * normalizes, divides or takes a gcd in a passing psi-chain check or in
@@ -45,8 +46,9 @@ change:
   reading one ``falling_table`` per x, builds a y row from an x-derived
   product or from the harmonic kernel, or builds the factors of x in F(s)'s
   closed form per point instead of per x;
-* builds more than one ``Fraction`` per point in psi_1, psi_2 or F(s),
-  beyond psi_2's per-x table, or in F(0)'s closed form;
+* builds a ``Fraction`` in psi_1, psi_2, F(s) or F(0)'s closed form, per
+  point of a passing psi-chain or f-closed-form grid, or beyond the one
+  result of ``h_sum`` and the two of ``dougall_check``;
 * evaluates a polynomial, a rational function or the Casimir at a rational
   point with ``Fraction`` arithmetic instead of on integer numerators, or
   does ``Fraction`` arithmetic in the sum, product, scaling or gcd of
@@ -381,19 +383,20 @@ def test_pole_cancelling_limits_make_no_normalization(monkeypatch):
 
 def test_passing_derivative_identity_compares_integer_numerators(monkeypatch):
     """For every triple with N <= 7 a passing check makes no RatFunc
-    normalization, gcd or polynomial division, calls no ``falling`` and
-    builds no ``Fraction``."""
+    normalization, gcd, polynomial division or ``common_denominator`` pass
+    (so builds no ``UniPoly``), calls no ``falling`` and builds no
+    ``Fraction``."""
     for n in range(8):
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 work = [_counter(monkeypatch, owner, name) for owner, name in (
                     (UniPoly, "divmod"), (UniPoly, "gcd"), (RatFunc, "__init__"),
-                    (hg, "falling"), (idn, "falling"))]
+                    (ratfunc, "common_denominator"), (hg, "falling"), (idn, "falling"))]
                 _refuse_fraction_arithmetic(monkeypatch)
                 outcome = []
                 made = _fraction_count(
                     monkeypatch, lambda: outcome.append(idn.derivative_identity_check(i, j, n)))
-                assert (outcome, made, work) == ([(True, "-", "-")], 0, [[]] * 5), (i, j, n)
+                assert (outcome, made, work) == ([(True, "-", "-")], 0, [[]] * 6), (i, j, n)
 
 
 @pytest.mark.parametrize("i, j, n", [(0, 0, 2), (1, 1, 3), (0, 2, 4), (2, 1, 5)])
@@ -500,14 +503,15 @@ def test_f_closed_form_check_builds_x_factors_once_per_x(monkeypatch, j, l):
     harmonic = _counter(monkeypatch, idn, "harmonic_num")
     kernels = _counter(monkeypatch, idn, "pochhammer_num")
     assert idn.f_closed_form_check(j, l)[0]
-    # one call per s and x, over every y of the grid
-    assert [(a[0], a[3], a[4]) for a in closed] == [(s, x, ys) for s in range(l + 1) for x in xs]
+    # one call per s, over the whole grid
+    assert [(a[0], a[3], a[4]) for a in closed] == [(s, xs, ys) for s in range(l + 1)]
     # at s = 0, (x+j+l)_(j+l) and prod (x+t) once per x (the xs are integers,
-    # the ys thirds), prod (y+t) once per point
+    # the ys thirds), prod (y+t) once per y
     assert sorted(a for a in kernels if a[1] == 1) == sorted(
         (x.numerator + j + l, 1, j + l, -1) for x in xs)
     assert sorted(a for a in harmonic if a[1] == 1) == sorted((x.numerator, 1, j) for x in xs)
-    assert len(harmonic) == len(xs) * (1 + len(ys))
+    assert sorted(a for a in harmonic if a[1] == 3) == sorted((y.numerator, 3, j) for y in ys)
+    assert len(harmonic) == len(xs) + len(ys)
 
 
 def _fraction_count(monkeypatch, call) -> int:
@@ -535,38 +539,78 @@ CHAIN_EVALUATORS = {
 
 
 @pytest.mark.parametrize("name", CHAIN_EVALUATORS)
-def test_chain_evaluators_build_one_fraction_per_point(monkeypatch, name):
-    """Fraction constructions are one per point plus a table cost per
-    distinct x and per distinct y.  With cx and cy read off two-point lists,
-    a list with repeats counts exactly
-    points + cx (|xs| - 1) + cy (|ys| - 1) + (the one-point count - 1)."""
+def test_chain_evaluators_build_no_fraction(monkeypatch, name):
+    """psi_1, psi_2 and F(s) return integer pairs: no ``Fraction`` per
+    point, per x or per y, on a tensor list with repeats and on a
+    scattered one."""
     evaluate = CHAIN_EVALUATORS[name]
     xs = [Q(10), Q(23, 2), Q(13), Q(40, 3)]
     ys = [Q(1, 3), Q(7, 5), Q(-5, 2)]
-
-    def count(pts):
-        return _fraction_count(monkeypatch, lambda: evaluate(pts))
-
-    one = count([(xs[0], ys[0])])
-    cx = count([(xs[0], ys[0]), (xs[1], ys[0])]) - one - 1
-    cy = count([(xs[0], ys[0]), (xs[0], ys[1])]) - one - 1
-    # the x-only factors of psi_1 and F(s) are integers; psi_2's are
-    # value_and_slope's pair and the point it reads; every y-only factor
-    # is an integer
-    assert (cx, cy) == (3 if name == "psi2" else 0, 0)
     for pts in ([(x, y) for x in xs for y in ys] * 2,
                 [(xs[a], ys[b]) for a, b in [(0, 0), (3, 2), (0, 2), (3, 2), (1, 0), (1, 2)]]):
-        nx, ny = len({x for x, _ in pts}), len({y for _, y in pts})
-        assert count(pts) == len(pts) + cx * (nx - 1) + cy * (ny - 1) + one - 1
+        assert _fraction_count(monkeypatch, lambda: evaluate(pts)) == 0
 
 
-def test_f_closed_at_s0_builds_one_fraction_per_point(monkeypatch):
-    """F(0)'s closed form sums its harmonic difference on integers: one
-    ``Fraction`` per point, whatever j."""
+def test_f_closed_at_s0_builds_no_fraction(monkeypatch):
+    """F(0)'s closed form sums its harmonic difference on integers and
+    returns integer pairs, whatever j."""
     for j in range(5):
-        for x, y in [(Q(10), Q(1, 3)), (Q(23, 2), Q(7, 5)), (Q(-7, 3), Q(-5, 2))]:
-            made = _fraction_count(monkeypatch, lambda: idn.f_closed(0, j, 2, x, [y]))
-            assert made == 1, (j, x, y)
+        xs, ys = [Q(10), Q(23, 2), Q(-7, 3)], [Q(1, 3), Q(7, 5), Q(-5, 2)]
+        assert _fraction_count(monkeypatch, lambda: idn.f_closed(0, j, 2, xs, ys)) == 0, j
+
+
+def _counts_on_grids(monkeypatch, name, check, grids) -> list:
+    """The ``Fraction`` count of ``check()`` with ``idn.<name>`` returning
+    each of ``grids`` in turn, built outside the counted region; every
+    check must pass."""
+    counts, outcomes = [], []
+    for grid in grids:
+        monkeypatch.setattr(idn, name, lambda *args, grid=grid: grid)
+        counts.append(_fraction_count(monkeypatch, lambda: outcomes.append(check()[0])))
+    assert all(outcomes)
+    return counts
+
+
+@pytest.mark.parametrize("i, j, n", [(0, 0, 2), (1, 1, 3), (0, 2, 4), (2, 1, 5)])
+def test_passing_psi_chain_builds_no_fraction_per_point(monkeypatch, i, j, n):
+    """The grid is compared by cross-multiplication: more y values build no
+    more ``Fraction``s.  The diagonal builds three per x: the point x - N
+    and the two ``local_values`` readings."""
+    pts = idn.chain_grid(i, j, n)
+    xs = sorted({x for x, _ in pts})
+    more = pts + [(x, Q(2, 7) + v) for x in xs for v in range(5)]
+    counts = _counts_on_grids(monkeypatch, "chain_grid", lambda: idn.psi_chain_check(i, j, n),
+                              [pts, more])
+    assert counts == [3 * len(xs)] * 2
+
+
+@pytest.mark.parametrize("j, l", [(0, 0), (0, 2), (1, 1), (2, 3), (3, 0)])
+def test_passing_f_closed_form_builds_no_fraction_per_point(monkeypatch, j, l):
+    """The grid is compared by cross-multiplication: more y values build no
+    more ``Fraction``s, and at l = 0 (s = 0 only) none are built.  At
+    s >= 1 the closed form is one falling quotient per x."""
+    xs, ys = idn.f_grid(j, l)
+    more = ys + [Q(2, 7) + v for v in range(5)]
+    counts = _counts_on_grids(monkeypatch, "f_grid", lambda: idn.f_closed_form_check(j, l),
+                              [(xs, ys), (xs, more)])
+    assert counts[0] == counts[1] and (l or counts == [0, 0])
+
+
+def test_h_sum_builds_one_fraction(monkeypatch):
+    """H(s)'s terms are integer pairs over one running denominator: one
+    ``Fraction`` per call, whatever j and s."""
+    for j in range(5):
+        for s in range(4):
+            for x, y in [(Q(10), Q(1, 3)), (Q(23, 2), Q(7, 5)), (Q(-7, 3), Q(-5, 2))]:
+                assert _fraction_count(monkeypatch, lambda: idn.h_sum(s, j, x, y)) == 1, (j, s)
+
+
+@pytest.mark.parametrize("a", [1, 2, 5, Q(3, 2), Q(-7, 2)])
+def test_dougall_check_builds_only_its_two_results(monkeypatch, a):
+    """The nine parameters are reduced integer pairs and the series is
+    summed on them: the two sides are the only ``Fraction``s built."""
+    for b, c, d in [(1, 2, 3), (4, 4, 4), (0, 3, 5)]:
+        assert _fraction_count(monkeypatch, lambda: hg.dougall_check(a, b, c, d)) == 2, (b, c, d)
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capelli.bipoly import falling_coeffs
-from capelli.hypergeom import (dougall_check, falling, falling_table, harmonic_num, over_lcm,
-                               pfq_terminating, pochhammer_num)
+from capelli.hypergeom import (dougall_check, falling, falling_table, harmonic_num,
+                               over_lcm, pfq_ratio, pfq_terminating, pochhammer_num)
 from capelli.ratfunc import UniPoly
 
 
@@ -219,3 +220,45 @@ class TestDougall:
                     for d in range(3):
                         lhs, rhs = dougall_check(a, b, c, d)
                         assert lhs == rhs, (a, b, c, d)
+
+    @pytest.mark.parametrize("a", [*range(-12, 0), Q(-7, 2), Q(-5, 3), Q(-1, 2)])
+    def test_negative_a_raises_or_sums(self, a):
+        """Over b, c, d <= 6 a negative a gives equal sides or ValueError,
+        never unequal sides or another error: at a negative integer a,
+        a/2 + 1 <= 0 would stop the series early (a = -6, b = 3, c = d = 6)
+        or a denominator parameter would vanish (a = -2, b = c = d = 1), so
+        every such call raises."""
+        for b, c, d in itertools.product(range(7), repeat=3):
+            try:
+                lhs, rhs = dougall_check(a, b, c, d)
+            except ValueError:
+                assert a + b + c + d + 1 <= 0 or Q(a).denominator == 1, (a, b, c, d)
+                continue
+            assert lhs == rhs and Q(a).denominator > 1, (a, b, c, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(num=st.lists(st.fractions(-6, 6, max_denominator=4), min_size=1, max_size=4),
+       den=st.lists(st.fractions(-8, 6, max_denominator=4), max_size=3),
+       scale=st.lists(st.integers(1, 5), min_size=8, max_size=8))
+def test_pfq_ratio_reads_unreduced_pairs(num, den, scale):
+    """Each parameter as (k p, k q) gives the value or error of the reduced
+    pairs: termination and vanishing are read off q | p, not q == 1."""
+    def pairs(params, ks):
+        return [(k * a.numerator, k * a.denominator) for a, k in zip(params, ks)]
+
+    def outcome(params_num, params_den):
+        try:
+            return Q(*pfq_ratio(params_num, params_den, (2, 3)))
+        except ValueError as err:
+            return str(err)
+
+    num = [Q(-3), *num]
+    assert outcome(pairs(num, scale), pairs(den, scale[5:])) == outcome(
+        pairs(num, [1] * 8), pairs(den, [1] * 8))
+
+
+def test_pfq_ratio_is_the_reader_without_its_fraction():
+    """``pfq_terminating`` is ``pfq_ratio`` on the ``as_ratio`` pairs."""
+    num, den = pfq_ratio(((-3, 1), (1, 2), (7, 3)), ((5, 2), (-4, 1)), (2, 3))
+    assert Q(num, den) == pfq_terminating((-3, Q(1, 2), Q(7, 3)), (Q(5, 2), -4), Q(2, 3))

@@ -37,14 +37,19 @@ def x_falling_squared(n: int) -> UniPoly:
 
 
 def lhs_side(i: int, j: int, n: int) -> RatFunc:
-    """The left side, its numerator over x_(N)^2."""
-    return RatFunc(idn.lhs_derivative_num(i, j, n), x_falling_squared(n))
+    """The left side, its integer numerator over x_(N)^2."""
+    return RatFunc(UniPoly(idn.lhs_derivative_num(i, j, n)), x_falling_squared(n))
 
 
 def rhs_side(i: int, j: int, n: int) -> RatFunc:
-    """The right side, its numerator over M x_(N)^2."""
+    """The right side, its integer numerator over M x_(N)^2."""
     total, m = idn.rhs_derivative_num(i, j, n)
-    return RatFunc(total, x_falling_squared(n).scale(m))
+    return RatFunc(UniPoly(total), x_falling_squared(n).scale(m))
+
+
+def values(pairs) -> list[Q]:
+    """The integer pairs (num, den) of the chain's evaluators as fractions."""
+    return [Q(a, b) for a, b in pairs]
 
 
 class TestDerivativeIdentitySides:
@@ -73,7 +78,7 @@ class TestDerivativeIdentitySides:
     def test_numerators_have_integer_coefficients(self):
         for args in [(0, 0, 2), (1, 1, 2), (2, 1, 4), (2, 2, 6), (3, 3, 10)]:
             total, m = idn.rhs_derivative_num(*args)
-            assert idn.lhs_derivative_num(*args).den == total.den == 1 and m > 0
+            assert all(type(c) is int for c in [*idn.lhs_derivative_num(*args), *total]) and m > 0
 
 
 def rhs_per_term(i: int, j: int, n: int) -> RatFunc:
@@ -133,12 +138,12 @@ class TestPsiChain:
     def test_spec_point(self):
         # i, j, N = 1, 1, 3 at (10, 1/3), and on the diagonal y = x - N
         pts = [(Q(10), Q(1, 3)), (Q(10), Q(7))]
-        assert idn.psi1_at(pts, 2, 1) == idn.psi2_at(pts, 2, 1)
-        assert idn.psi1_at(pts[1:], 2, 1) == [rhs_side(1, 1, 3).eval(Q(10))]
+        assert values(idn.psi1_at(pts, 2, 1)) == values(idn.psi2_at(pts, 2, 1))
+        assert values(idn.psi1_at(pts[1:], 2, 1)) == [rhs_side(1, 1, 3).eval(Q(10))]
         # psi_L = x_(2) / (x - 2)
         ref = reference_poly
         psi_l = ref.RatFunc(ref.UniPoly((0, -1, 1)), ref.UniPoly((-2, 1)))
-        assert idn.psi2_at(pts[1:], 2, 1) == [psi_l.derivative_at(Q(10))]
+        assert values(idn.psi2_at(pts[1:], 2, 1)) == [psi_l.derivative_at(Q(10))]
 
     def test_grid(self):
         assert idn.psi_chain_check(2, 1, 4)[0]
@@ -195,9 +200,9 @@ def point_lists(draw):
 @given(pts=point_lists(), d=st.integers(0, 5), data=st.data())
 def test_psi_tables_match_pointwise(pts, d, data):
     j = data.draw(st.integers(0, d))
-    assert _outcome(lambda: idn.psi1_at(pts, d, j)) == _outcome(
+    assert _outcome(lambda: values(idn.psi1_at(pts, d, j))) == _outcome(
         lambda: [psi1_pointwise(x, y, d, j) for x, y in pts])
-    assert _outcome(lambda: idn.psi2_at(pts, d, j)) == _outcome(
+    assert _outcome(lambda: values(idn.psi2_at(pts, d, j))) == _outcome(
         lambda: [psi2_pointwise(x, y, d, j) for x, y in pts])
 
 
@@ -206,8 +211,10 @@ def test_psi_tables_match_pointwise_on_grids():
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 pts, d = idn.chain_grid(i, j, n), n - i
-                assert idn.psi1_at(pts, d, j) == [psi1_pointwise(x, y, d, j) for x, y in pts]
-                assert idn.psi2_at(pts, d, j) == [psi2_pointwise(x, y, d, j) for x, y in pts]
+                want1 = [psi1_pointwise(x, y, d, j) for x, y in pts]
+                want2 = [psi2_pointwise(x, y, d, j) for x, y in pts]
+                assert values(idn.psi1_at(pts, d, j)) == want1
+                assert values(idn.psi2_at(pts, d, j)) == want2
 
 
 @pytest.mark.parametrize(
@@ -246,7 +253,7 @@ def f_sum_pointwise(s: int, j: int, l: int, x, y) -> Q:
 @given(pts=point_lists(), j=st.integers(0, 3), l=st.integers(0, 3), data=st.data())
 def test_f_sum_batch_matches_pointwise(pts, j, l, data):
     s = data.draw(st.integers(0, l))
-    assert _outcome(lambda: idn.f_sum_at(pts, s, j, l)) == _outcome(
+    assert _outcome(lambda: values(idn.f_sum_at(pts, s, j, l))) == _outcome(
         lambda: [f_sum_pointwise(s, j, l, x, y) for x, y in pts])
 
 
@@ -297,35 +304,40 @@ def test_float_equal_to_an_exact_point_is_refused(evaluate):
 def test_f_closed_at_s0_matches_the_fraction_reference(x, y, j, l):
     """F(0)'s integer harmonic difference has the reference's value, or
     stops at the same pole factor."""
-    assert _outcome(lambda: idn.f_closed(0, j, l, x, [y])[0]) == _outcome(
+    assert _outcome(lambda: values(idn.f_closed(0, j, l, [x], [y]))[0]) == _outcome(
         lambda: reference_eval.f_closed_s0(j, l, x, y))
 
 
 @settings(max_examples=100, deadline=None)
-@given(x=st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
+@given(xs=st.lists(st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
+                   max_size=3),
        ys=st.lists(st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
                    max_size=5),
        j=st.integers(0, 5), l=st.integers(0, 3))
-def test_f_closed_over_a_y_list_matches_the_reference(x, ys, j, l):
-    """One x and a list of y, the factors of x built once: the reference's
-    values in order, or the pole of the first point that has one."""
-    assert _outcome(lambda: idn.f_closed(0, j, l, x, ys)) == _outcome(
-        lambda: [reference_eval.f_closed_s0(j, l, x, y) for y in ys])
+def test_f_closed_over_x_and_y_lists_matches_the_reference(xs, ys, j, l):
+    """A list of x and a list of y, the factors of each built once: the
+    reference's values in order, x-major, or the pole of the first point
+    that has one."""
+    assert _outcome(lambda: values(idn.f_closed(0, j, l, xs, ys))) == _outcome(
+        lambda: [reference_eval.f_closed_s0(j, l, x, y) for x in xs for y in ys])
 
 
 class TestFClosedForm:
     def test_single_point(self):
         for s in range(2):
-            assert idn.f_sum_at([(Q(7), Q(5))], s, 1, 1) == idn.f_closed(s, 1, 1, Q(7), [Q(5)])
+            assert values(idn.f_sum_at([(Q(7), Q(5))], s, 1, 1)) == values(
+                idn.f_closed(s, 1, 1, [Q(7)], [Q(5)]))
 
     def test_harmonic_case(self):
         for s in range(2):
-            assert idn.f_sum_at([(Q(9), Q(4))], s, 2, 1) == idn.f_closed(s, 2, 1, Q(9), [Q(4)])
+            assert values(idn.f_sum_at([(Q(9), Q(4))], s, 2, 1)) == values(
+                idn.f_closed(s, 2, 1, [Q(9)], [Q(4)]))
 
     def test_no_numerator_terms(self):
         # j = 0 makes F(0) an empty harmonic sum on both sides
-        assert idn.f_sum_at([(Q(9), Q(4))], 0, 0, 2) == [0] == [f_sum_pointwise(0, 0, 2, Q(9), Q(4))]
-        assert idn.f_closed(0, 0, 2, Q(9), [Q(4)]) == [0]
+        assert values(idn.f_sum_at([(Q(9), Q(4))], 0, 0, 2)) == [0] == [
+            f_sum_pointwise(0, 0, 2, Q(9), Q(4))]
+        assert values(idn.f_closed(0, 0, 2, [Q(9)], [Q(4)])) == [0]
         assert idn.f_closed_form_check(0, 2)[0]
 
     def test_default_grids(self):
@@ -354,11 +366,42 @@ class TestHFunction:
             idn.h_function_check(3, 1, Q(4), Q(2))
 
 
+def test_h_sum_matches_the_pointwise_e1_sum_at_every_pole():
+    """On a grid of integers and halves that meets the poles of both
+    factors of E1(q, s), alone and at one point, the integer H(s) has the
+    pointwise ``e1_term`` sum's value or raises with its factor text."""
+    coords = [Q(v, 2) for v in range(-16, 7)]
+    factors = set()
+    for j in range(4):
+        for s in range(4):
+            for x in coords:
+                for y in coords:
+                    got = _outcome(lambda: idn.h_sum(s, j, x, y))
+                    assert got == _outcome(lambda: reference_eval.h_sum(s, j, x, y)), (s, j, x, y)
+                    if isinstance(got, tuple):
+                        factors.add(got[1][1])  # "x" or "y", the factor's variable
+    assert factors == {"x", "y"}
+    # at x = y = -1 both factors of the q = 0 term vanish: the y factor is named
+    assert _outcome(lambda: idn.h_sum(1, 0, Q(-1), Q(-1))) == ("pole", "(y+1)_(1)")
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_series_route_on_reduced_pairs(s):
+    """The 5F4 route reads (y+s)/2 and y - x as reduced pairs, whether or
+    not they are integers: H(s) = 1/s at points with x - y - j > 0."""
+    for j in range(4):
+        for y in (Q(1, 3), Q(1, 2), Q(2), Q(5, 3), Q(7, 2), Q(3)):
+            for x in (y + j + 1, y + j + Q(3, 2), Q(10 * j + 11, 3)):
+                if x - y - j > 0:
+                    assert idn.h_hypergeometric(s, j, x, y) == Q(1, s), (s, j, x, y)
+
+
 def test_failing_psi_chain_record_names_its_witness(monkeypatch):
     """A grid mismatch gives the exact record: the grid's size and degree
     bound among the params, the witness point after the left side."""
     psi2_at = idn.psi2_at
-    monkeypatch.setattr(idn, "psi2_at", lambda pts, d, j: [v + 1 for v in psi2_at(pts, d, j)])
+    monkeypatch.setattr(idn, "psi2_at",
+                        lambda pts, d, j: [(a + b, b) for a, b in psi2_at(pts, d, j)])
     assert vf.run_task(("psi-chain", (1, 2, 4))) == Check(
         name="psi-chain",
         params=(("i", "1"), ("j", "2"), ("N", "4"), ("points", "225"), ("degree_bound", "14")),
@@ -370,10 +413,10 @@ def test_failing_psi_chain_record_names_its_witness(monkeypatch):
 
 def _plus_x(f):
     """x added to the right side: x times its shared denominator M x_(N)^2
-    added to its numerator."""
+    added to its integer numerator."""
     def wrong(i, j, n):
         total, m = f(i, j, n)
-        return total + X * x_falling_squared(n).scale(m), m
+        return (UniPoly(total) + X * x_falling_squared(n).scale(m)).nums, m
     return wrong
 
 
@@ -442,4 +485,4 @@ def test_psi2_on_the_diagonal_is_the_slope_of_psi_l():
                 psi_l = reference_poly.RatFunc(x_d, den)
                 xs = [Q(n + 1 + u) for u in range(3)]
                 want = [psi_l.derivative_at(x) for x in xs]
-                assert idn.psi2_at([(x, x - n) for x in xs], n - i, j) == want, (n, i, j)
+                assert values(idn.psi2_at([(x, x - n) for x in xs], n - i, j)) == want, (n, i, j)

@@ -161,7 +161,8 @@ def _one_on_every_nil(f, mus, k):
         (idn, "h_sum", lambda s, j, x, y: _H_SUM(s, j, x, y) + 1, ("h-function", (2, 1)),
          Check("h-function", (("j", "2"), ("s", "1"), ("x", "17/3"), ("y", "5/3")), "fail",
                "2 at s=1", "1 (5F4: 1)")),
-        (idn, "f_closed", lambda *a: [v + 1 for v in _F_CLOSED(*a)], ("f-closed-form", (1, 1)),
+        (idn, "f_closed", lambda *a: [(n + d, d) for n, d in _F_CLOSED(*a)],
+         ("f-closed-form", (1, 1)),
          Check("f-closed-form", (("j", "1"), ("l", "1"), ("points", "60")), "fail",
                "245/4 at s=0,(12,1/3)", "249/4")),
         # d/dx psi_L is off by one at the first diagonal point
