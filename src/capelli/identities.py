@@ -286,7 +286,8 @@ def _at(point) -> str:
 # -- F(s) and H(s) ---------------------------------------------------------------------
 
 
-def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int, l: int) -> list[Fraction]:
+def f_sum_at(points: Sequence[tuple[Fraction, Fraction]], s: int, j: int,
+             l: int) -> list[tuple[int, int]]:
     """The defining sum of F(s) at each point, as an integer pair (num,
     den), den > 0; the q = 0 term exists only for s >= 1.  Term q is
     K(q) X_q(x) Y_q(y) (x-y)_(q), X_q = (x+j+l)_(j+l-q-s)."""
@@ -313,13 +314,15 @@ def f_closed(s: int, j: int, l: int, xs: Sequence[Fraction],
              ys: Sequence[Fraction]) -> list[tuple[int, int]]:
     """Closed forms at each (x, y), x in ``xs`` and then y in ``ys``, as
     integer pairs (num, den), den != 0: a falling-factorial quotient in x
-    alone for 1 <= s <= l, and for s = 0 a harmonic difference times an
-    x_(j+l)-type product, summed on integers with the factors of x built
-    once per x and those of y once per y; at s = 0 a vanishing factor
-    raises, y+t before x+t at each t."""
+    alone for 1 <= s <= l, one ``pochhammer_num`` pair per x, and for s = 0
+    a harmonic difference times an x_(j+l)-type product, summed on integers
+    with the factors of x built once per x and those of y once per y; at
+    s = 0 a vanishing factor raises, y+t before x+t at each t."""
     if s >= 1:
-        c = s * math.factorial(l - s) * falling(j + l, j)
-        per_x = [as_ratio(falling(x + j + l, l - s) * falling(x + j, j) / c) for x in xs]
+        c = s * math.factorial(l - s) * math.perm(j + l, j)
+        per_x = [(pochhammer_num(px + (j + l) * qx, qx, l - s, -1)
+                  * pochhammer_num(px + j * qx, qx, j, -1), c * qx ** (j + l - s))
+                 for px, qx in map(as_ratio, xs)]
         return [v for v in per_x for _ in ys]
     ys = [(*as_ratio(y), *harmonic_num(*as_ratio(y), j)) for y in ys]
     out = []

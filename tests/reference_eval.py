@@ -2,9 +2,9 @@
 bivariate substitution that ``UniPoly.__call__``, ``value_and_slope`` and
 ``BiPoly.eval_at`` replace with integer arithmetic over one common denominator,
 the term-by-term ``Fraction`` sum that ``hypergeom.pfq_terminating``
-replaces with an inside-out sum on integers, the ``Fraction`` harmonic
-sums of F(0)'s closed form that ``identities.f_closed`` takes on integers,
-and H(s) as the pointwise ``Fraction`` sum of its terms E1(q, s), which
+replaces with an inside-out sum on integers, F(s)'s closed form (at s = 0
+its harmonic sums) in ``Fraction`` arithmetic, which ``identities.f_closed``
+takes on integers, and H(s) as the pointwise ``Fraction`` sum of its terms E1(q, s), which
 ``identities.h_sum`` sums as integer pairs.
 
 They work in any exact ring, so they also evaluate ``RatFunc`` coefficients
@@ -82,6 +82,13 @@ def f_closed_s0(j, l, x, y):
         for t in range(1, j + 1)
     )
     return falling(x + j + l, j + l) / math.factorial(j + l) * harm
+
+
+def f_closed_s(s, j, l, x):
+    """F(s)'s closed form for 1 <= s <= l, a falling-factorial quotient in x
+    alone, one ``Fraction`` operation at a time."""
+    return falling(x + j + l, l - s) * falling(x + j, j) / (
+        s * math.factorial(l - s) * falling(j + l, j))
 
 
 def e1_term(q, s, x, y, j):

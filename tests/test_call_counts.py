@@ -46,9 +46,9 @@ change:
   reading one ``falling_table`` per x, builds a y row from an x-derived
   product or from the harmonic kernel, or builds the factors of x in F(s)'s
   closed form per point instead of per x;
-* builds a ``Fraction`` in psi_1, psi_2, F(s) or F(0)'s closed form, per
-  point of a passing psi-chain or f-closed-form grid, or beyond the one
-  result of ``h_sum`` and the two of ``dougall_check``;
+* builds a ``Fraction`` in psi_1, psi_2, F(s) or F(s)'s closed form, in a
+  passing f-closed-form grid, per point of a passing psi-chain grid, or
+  beyond the one result of ``h_sum`` and the two of ``dougall_check``;
 * evaluates a polynomial, a rational function or the Casimir at a rational
   point with ``Fraction`` arithmetic instead of on integer numerators, or
   does ``Fraction`` arithmetic in the sum, product, scaling or gcd of
@@ -506,9 +506,12 @@ def test_f_closed_form_check_builds_x_factors_once_per_x(monkeypatch, j, l):
     # one call per s, over the whole grid
     assert [(a[0], a[3], a[4]) for a in closed] == [(s, xs, ys) for s in range(l + 1)]
     # at s = 0, (x+j+l)_(j+l) and prod (x+t) once per x (the xs are integers,
-    # the ys thirds), prod (y+t) once per y
+    # the ys thirds), prod (y+t) once per y; at s >= 1, (x+j+l)_(l-s) and
+    # (x+j)_(j) once per x
     assert sorted(a for a in kernels if a[1] == 1) == sorted(
-        (x.numerator + j + l, 1, j + l, -1) for x in xs)
+        [(x.numerator + j + l, 1, j + l, -1) for x in xs]
+        + [k for s in range(1, l + 1) for x in xs
+           for k in ((x.numerator + j + l, 1, l - s, -1), (x.numerator + j, 1, j, -1))])
     assert sorted(a for a in harmonic if a[1] == 1) == sorted((x.numerator, 1, j) for x in xs)
     assert sorted(a for a in harmonic if a[1] == 3) == sorted((y.numerator, 3, j) for y in ys)
     assert len(harmonic) == len(xs) + len(ys)
@@ -551,12 +554,14 @@ def test_chain_evaluators_build_no_fraction(monkeypatch, name):
         assert _fraction_count(monkeypatch, lambda: evaluate(pts)) == 0
 
 
-def test_f_closed_at_s0_builds_no_fraction(monkeypatch):
-    """F(0)'s closed form sums its harmonic difference on integers and
-    returns integer pairs, whatever j."""
+def test_f_closed_builds_no_fraction(monkeypatch):
+    """F(s)'s closed form returns integer pairs: at s = 0 its harmonic
+    difference is summed on integers, at s >= 1 each x gives one
+    ``pochhammer_num`` pair, whatever j."""
     for j in range(5):
-        xs, ys = [Q(10), Q(23, 2), Q(-7, 3)], [Q(1, 3), Q(7, 5), Q(-5, 2)]
-        assert _fraction_count(monkeypatch, lambda: idn.f_closed(0, j, 2, xs, ys)) == 0, j
+        for s in range(3):
+            xs, ys = [Q(10), Q(23, 2), Q(-7, 3)], [Q(1, 3), Q(7, 5), Q(-5, 2)]
+            assert _fraction_count(monkeypatch, lambda: idn.f_closed(s, j, 2, xs, ys)) == 0, (j, s)
 
 
 def _counts_on_grids(monkeypatch, name, check, grids) -> list:
@@ -585,15 +590,15 @@ def test_passing_psi_chain_builds_no_fraction_per_point(monkeypatch, i, j, n):
 
 
 @pytest.mark.parametrize("j, l", [(0, 0), (0, 2), (1, 1), (2, 3), (3, 0)])
-def test_passing_f_closed_form_builds_no_fraction_per_point(monkeypatch, j, l):
-    """The grid is compared by cross-multiplication: more y values build no
-    more ``Fraction``s, and at l = 0 (s = 0 only) none are built.  At
-    s >= 1 the closed form is one falling quotient per x."""
+def test_passing_f_closed_form_builds_no_fraction(monkeypatch, j, l):
+    """The grid is compared by cross-multiplication and both sides are
+    integer pairs at every s: no ``Fraction`` is built, however many y
+    values the grid has."""
     xs, ys = idn.f_grid(j, l)
     more = ys + [Q(2, 7) + v for v in range(5)]
     counts = _counts_on_grids(monkeypatch, "f_grid", lambda: idn.f_closed_form_check(j, l),
                               [(xs, ys), (xs, more)])
-    assert counts[0] == counts[1] and (l or counts == [0, 0])
+    assert counts == [0, 0]
 
 
 def test_h_sum_builds_one_fraction(monkeypatch):

@@ -309,6 +309,17 @@ def test_f_closed_at_s0_matches_the_fraction_reference(x, y, j, l):
 
 
 @settings(max_examples=100, deadline=None)
+@given(x=st.fractions(-5, 9, max_denominator=3), j=st.integers(0, 6), l=st.integers(1, 3),
+       data=st.data())
+def test_f_closed_at_positive_s_matches_the_fraction_reference(x, j, l, data):
+    """At 1 <= s <= l the closed form is the reference's quotient in x alone,
+    the same at every y."""
+    s = data.draw(st.integers(1, l))
+    assert values(idn.f_closed(s, j, l, [x], [Q(1, 3), Q(-2)])) == [
+        reference_eval.f_closed_s(s, j, l, x)] * 2
+
+
+@settings(max_examples=100, deadline=None)
 @given(xs=st.lists(st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
                    max_size=3),
        ys=st.lists(st.one_of(st.integers(-5, 0).map(Q), st.fractions(-5, 9, max_denominator=3)),
