@@ -612,8 +612,8 @@ def test_h_sum_builds_one_fraction(monkeypatch):
 
 @pytest.mark.parametrize("a", [1, 2, 5, Q(3, 2), Q(-7, 2)])
 def test_dougall_check_builds_only_its_two_results(monkeypatch, a):
-    """The nine parameters are reduced integer pairs and the series is
-    summed on them: the two sides are the only ``Fraction``s built."""
+    """The nine parameters are integer pairs and the series is summed on
+    them: the two sides are the only ``Fraction``s built."""
     for b, c, d in [(1, 2, 3), (4, 4, 4), (0, 3, 5)]:
         assert _fraction_count(monkeypatch, lambda: hg.dougall_check(a, b, c, d)) == 2, (b, c, d)
 

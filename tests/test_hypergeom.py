@@ -256,9 +256,3 @@ def test_pfq_ratio_reads_unreduced_pairs(num, den, scale):
     num = [Q(-3), *num]
     assert outcome(pairs(num, scale), pairs(den, scale[5:])) == outcome(
         pairs(num, [1] * 8), pairs(den, [1] * 8))
-
-
-def test_pfq_ratio_is_the_reader_without_its_fraction():
-    """``pfq_terminating`` is ``pfq_ratio`` on the ``as_ratio`` pairs."""
-    num, den = pfq_ratio(((-3, 1), (1, 2), (7, 3)), ((5, 2), (-4, 1)), (2, 3))
-    assert Q(num, den) == pfq_terminating((-3, Q(1, 2), Q(7, 3)), (Q(5, 2), -4), Q(2, 3))

@@ -397,9 +397,10 @@ def test_h_sum_matches_the_pointwise_e1_sum_at_every_pole():
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_series_route_on_reduced_pairs(s):
-    """The 5F4 route reads (y+s)/2 and y - x as reduced pairs, whether or
-    not they are integers: H(s) = 1/s at points with x - y - j > 0."""
+def test_series_route_at_fractional_points(s):
+    """The 5F4 route builds its parameters as integer pairs, reduced or not
+    ((y+s)/2 over 2 qy, y - x over qx qy), whether or not they are integers:
+    H(s) = 1/s at points with x - y - j > 0."""
     for j in range(4):
         for y in (Q(1, 3), Q(1, 2), Q(2), Q(5, 3), Q(7, 2), Q(3)):
             for x in (y + j + 1, y + j + Q(3, 2), Q(10 * j + 11, 3)):
