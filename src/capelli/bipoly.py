@@ -225,15 +225,21 @@ def falling_expansion(f: BiPoly) -> dict[Key, object]:
 
     Peels from the top: x_(m) y_(n) = x^m y^n + componentwise-smaller
     monomials, so repeatedly removing the currently largest monomial
-    terminates and is exact.
+    terminates and is exact.  The remainder is one dict, updated in place
+    by adding v * (-c), as a ``RatFunc`` has no subtraction.
     """
     out: dict[Key, object] = {}
-    rem = f
-    while rem.terms:
-        m, n = max(rem.terms, key=lambda k: (k[0] + k[1], k[0]))
-        c = rem.terms[(m, n)]
-        out[(m, n)] = c
-        rem = rem - falling_term(m, n).scale(c)
+    rem = dict(f.terms)
+    while rem:
+        top = max(rem, key=lambda k: (k[0] + k[1], k[0]))
+        c = out[top] = rem.pop(top)
+        neg = -c
+        for k, v in falling_term(*top).terms.items():
+            if k != top:
+                s = rem.pop(k, None)
+                s = v * neg if s is None else s + v * neg
+                if s:
+                    rem[k] = s
     return out
 
 

@@ -12,6 +12,11 @@ unique symmetric polynomial of degree <= |lam| that vanishes at the shifted
 points (m1 - kappa - 1, m2) for every other partition mu = (m1, m2) of size
 <= |lam| and takes the value H_lam(kappa) at lam itself.
 
+``ks_poly`` keeps it as integer-coefficient numerators over the shared
+denominator (kappa+1)_(r), in the falling and in the monomial basis.  The
+canonical Q(kappa) body, one normalization per monomial, is built on its
+first read; only ``capelli ks`` and ``deligne.cat_eig_formula`` read it.
+
 Some coefficients have simple poles at non-negative integers kappa = k,
 exactly when lam is k-singular.  This module reads the residue, finite part
 and kappa-derivative at k (``sing_part``, ``reg_part`` and route 1 of
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Iterable, NamedTuple
 
@@ -46,29 +51,35 @@ from .ratfunc import PoleError, RatFunc, UniPoly, _convolve, as_ratio, local_val
 KAPPA = UniPoly.x()
 
 
-class KsPoly(NamedTuple):
+class _Cleared(NamedTuple):
+    den: UniPoly
+    cleared: tuple[tuple[UniPoly, int, int], ...]
+    nums: BiPoly
+
+
+class KsPoly(_Cleared):
     """One interpolation polynomial: falling-basis terms plus monomial form.
 
     ``cleared`` stores (numerator, m, n) of the falling basis over the shared
     denominator ``den`` = (kappa+1)_(r), whose roots -1, 0, ..., r-2 are
     simple.  ``nums`` is the same sum expanded into the monomial basis, a
-    ``BiPoly`` of ``UniPoly`` numerators over ``den``, and ``body`` is
-    ``nums`` with each coefficient normalized once in Q(kappa).  Keeping the
-    cleared form makes evaluation at shifted points a single
-    rational-function normalization instead of one per term.
+    ``BiPoly`` of ``UniPoly`` numerators over ``den``.  Keeping the cleared
+    form makes evaluation at shifted points a single rational-function
+    normalization instead of one per term.
 
     Values at kappa = k (``sing_part``, ``reg_part``, ``ks_pole_set`` and the
     kappa-derivative of route 1 of ``q_poly``) are read off ``nums`` and
     ``den`` by one ``local_values`` call, and the limits of route 2 and route
-    c off the same pair by ``_limit_at``; they normalize nothing.  ``body``
-    is read only by the CLI's ``ks`` rendering and by the regular and
-    singular branches of ``deligne.cat_eig_formula``.
+    c off the same pair by ``_limit_at``; they normalize nothing.  ``body``,
+    ``nums`` with each coefficient normalized once in Q(kappa), is built on
+    its first read and kept on this object; only the CLI's ``ks`` rendering
+    and the regular and singular branches of ``deligne.cat_eig_formula``
+    read it.
     """
 
-    den: UniPoly
-    cleared: tuple[tuple[UniPoly, int, int], ...]
-    nums: BiPoly
-    body: BiPoly
+    @cached_property
+    def body(self) -> BiPoly:
+        return self.nums.map_coeffs(lambda num: RatFunc(num, self.den))
 
 
 @lru_cache(maxsize=None)
@@ -87,9 +98,7 @@ def ks_poly(lam: Pair2) -> KsPoly:
             )
             num = (fall[r - i] * fall[r - j]).scale(scale)
             cleared.append((num, l2 + i, l2 + j))
-    nums = from_falling(cleared)
-    body = nums.map_coeffs(lambda num: RatFunc(num, den))
-    return KsPoly(den=den, cleared=tuple(cleared), nums=nums, body=body)
+    return KsPoly(den=den, cleared=tuple(cleared), nums=from_falling(cleared))
 
 
 def shifted_eval(lam: Pair2, mu: Pair2) -> RatFunc:

@@ -160,6 +160,8 @@ class UniPoly:
         return self + (-_as_poly(other))
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
+        if type(other) is int:  # a bool takes the general path
+            return _reduced([c * other for c in self.nums], self.den)
         other = _as_poly(other)
         a, b = self.nums, other.nums
         if not a or not b:

@@ -11,6 +11,10 @@ tests use them, to check every operation of the package's classes.
 ``square_op`` is the reference for ``capelli.bipoly.square_op``: it divides
 f_x - f_y by x - y with a general peeling loop instead of the closed form.
 
+``falling_expansion`` is the reference for ``capelli.bipoly.falling_expansion``:
+each peeling step subtracts c x_(m) y_(n) as a new ``BiPoly`` instead of
+updating one dict in place.
+
 ``route_c`` and ``q_route_2`` are the references for the two pole-cancelling
 limits, route c of ``capelli.eigenpoly`` and route 2 of
 ``capelli.knopsahi.q_poly``: each combination is formed in Q(kappa) with the
@@ -22,6 +26,7 @@ from fractions import Fraction
 
 import reference_eval
 from capelli import knopsahi
+from capelli.bipoly import falling_term
 from capelli.partitions import PClass, h_poly, paired
 from capelli.ratfunc import RatFunc as QKappa, UniPoly as QPoly
 
@@ -219,6 +224,18 @@ def square_op(f):
             g[(i, j - 1)] = g.get((i, j - 1), 0) + -j * c
     quot = divide_x_minus_y({k: c for k, c in g.items() if c})
     return {k: c * Fraction(1, 4) for k, c in quot.items() if c}
+
+
+def falling_expansion(f):
+    """The falling-basis coefficients of a ``capelli.bipoly.BiPoly``, peeled
+    from the largest monomial (graded, then by x-degree) as a new remainder
+    ``BiPoly`` at each step."""
+    out, rem = {}, f
+    while rem.terms:
+        m, n = max(rem.terms, key=lambda k: (k[0] + k[1], k[0]))
+        c = out[(m, n)] = rem.terms[(m, n)]
+        rem = rem - falling_term(m, n).scale(c)
+    return out
 
 
 def route_c(lam, k):

@@ -1,6 +1,7 @@
-"""``scripts/bench_record.py`` rejects a bad ``--parent`` with status 2 and
-one line, before it starts any benchmark run, and records each tree's
-bytecode state, warning in one line when the two trees differ there."""
+"""``scripts/bench_record.py`` rejects a bad ``--parent`` or ``--seeds`` with
+status 2 and one line, before it starts any benchmark run, records each
+tree's bytecode state, warning in one line when the two trees differ there,
+and counts per metric the seeds this tree wins against the parent."""
 
 import importlib.util
 import json
@@ -48,13 +49,16 @@ def _tree(path: pathlib.Path, cached: bool) -> pathlib.Path:
     return path
 
 
-def _fake_run(spec):
-    """``run_once`` stand-in: a record and a result line with every metric."""
+def _fake_run(spec, value=lambda root, seed, metric: 1.0, calls=None):
+    """``run_once`` stand-in: a record and a result line with every metric,
+    each read from ``value``; ``calls`` collects (root, seed) in run order."""
     def run_once(root, seed, seconds):
+        if calls is not None:
+            calls.append((root, seed))
         record = {"bounds": {"w": 1}, "machine": {"git_sha": None, "src_sha256": "0",
                                                    "loadavg": [0.0, 0.0, 0.0]}}
-        metrics = {f"{w['name']}.{m['name']}": {"value": 1.0} for w in spec["workloads"]
-                   for m in spec["end_to_end"]}
+        metrics = {f"{w['name']}.{m['name']}": {"value": value(root, seed, m["name"])}
+                   for w in spec["workloads"] for m in spec["end_to_end"]}
         return record, {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
     return run_once
 
@@ -74,3 +78,51 @@ def test_records_bytecode_and_warns_when_the_trees_differ(
     assert out["parent"]["bytecode"]["cached"] == {"a": parent_cached, "b": parent_cached}
     err = capsys.readouterr().err
     assert err.count("\n") == warned and ("warning" in err) == warned
+
+
+@pytest.mark.parametrize("seeds", ["0", "11", "-1", "x", "", "2.5", " 3"])
+def test_bad_seeds_exit_2_with_one_line(bench_record, monkeypatch, capsys, seeds):
+    monkeypatch.setattr(bench_record, "run_once", lambda *a: pytest.fail("a run started"))
+    assert bench_record.main(["x", "--seeds", seeds]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"bench_record: --seeds {seeds!r} ")
+
+
+def test_ten_seeds_alternate_and_count_the_wins(bench_record, monkeypatch, tmp_path):
+    root, parent = _tree(tmp_path / "this", True), _tree(tmp_path / "parent", True)
+    spec = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
+    # one metric where higher is better, to check that wins read ``better``
+    spec["end_to_end"][1]["better"] = "higher"
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    first, second = (m["name"] for m in spec["end_to_end"][:2])
+
+    def value(tree, seed, metric):
+        # this tree is lower at seeds 1-7, equal at 8, higher at 9 and 10
+        if tree == parent:
+            return 1.0
+        return 0.9 if seed <= 7 else 1.0 if seed == 8 else 1.1
+
+    calls = []
+    monkeypatch.setattr(bench_record, "ROOT", root)
+    monkeypatch.setattr(bench_record, "run_once", _fake_run(spec, value, calls))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert bench_record.main(["x", "--parent", str(parent), "--seeds", "10"]) == 0
+    out = json.loads((root / "BENCH_x.json").read_text())
+    assert calls == [(tree, seed) for seed in range(1, 11) for tree in (parent, root)]
+    assert out["seeds"] == list(range(1, 11))
+    assert len(out["metrics"]["kscap"][first]["values"]) == 10
+    for workload in (w["name"] for w in spec["workloads"]):
+        assert out["wins"][workload][first] == 7
+        assert out["wins"][workload][second] == 2
+
+
+def test_no_wins_without_a_parent(bench_record, monkeypatch, tmp_path):
+    root = _tree(tmp_path / "this", True)
+    shutil.copy(bench_record.ROOT / "BENCHMARK.json", root)
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_record, "ROOT", root)
+    monkeypatch.setattr(bench_record, "run_once", _fake_run(spec))
+    assert bench_record.main(["x"]) == 0
+    out = json.loads((root / "BENCH_x.json").read_text())
+    assert out["seeds"] == [1, 2, 3] and "wins" not in out

@@ -198,3 +198,15 @@ def test_eval_at_is_multiplicative(f, g, a, b):
 @given(coeffs, st.integers(0, 4), st.integers(0, 4))
 def test_single_term_round_trip(c, m, n):
     assert falling_expansion(from_falling([(c, m, n)])).get((m, n), 0) == c
+
+
+integer_bipolys = st.dictionaries(wide_keys, st.integers(-20, 20), max_size=8).map(BiPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_bipolys)
+@example(BiPoly({(3, 2): 1, (2, 3): 1, (2, 2): -7, (0, 0): 2}))
+def test_falling_expansion_matches_the_reference_peel(f):
+    expansion = falling_expansion(f)
+    assert list(expansion.items()) == list(reference_poly.falling_expansion(f).items())
+    assert from_falling((c, m, n) for (m, n), c in expansion.items()) == f

@@ -14,6 +14,11 @@ change:
   other than from one ``falling_table``;
 * normalizes a ``ks_poly`` coefficient more than once per monomial, or an
   ``l_op`` coefficient more than once;
+* normalizes anything in a ``ks_poly`` build, or a coefficient of the Q(kappa)
+  body in the knop-sahi and capelli sweeps, or more than once per lam, or
+  for a lam whose body deligne never reads, in the deligne sweep;
+* builds a ``BiPoly`` while peeling ``falling_expansion``, or convolves or
+  coerces in ``UniPoly * int``;
 * rebuilds the eigenvalue polynomial, or builds square_op(f) when no point
   reads it, in a jordan-restrictions check;
 * builds the interpolation oracle's matrix from bivariate polynomials
@@ -57,6 +62,7 @@ change:
   its integer numerators.
 """
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -111,7 +117,7 @@ def test_singular_and_finite_parts_make_no_gcd(monkeypatch, k):
     singular = [lam for lam in upto(10) if classify(lam, k) is PClass.SINGULAR]
     assert singular
     for lam in singular:
-        ks.ks_poly(lam)  # build (and normalize) outside the counted region
+        ks.ks_poly(lam)  # build outside the counted region
     reads = [lambda lam=lam, part=part: part(lam, k)
              for lam in singular for part in (ks.sing_part, ks.reg_part)]
     work, kernels, den_passes = _reads_at_k(monkeypatch, reads)
@@ -145,6 +151,80 @@ def test_ks_poly_normalizes_once_per_monomial(monkeypatch):
         body = build(lam).body
         assert len(inits) <= len(body.terms), lam
         monkeypatch.undo()
+
+
+def test_ks_poly_builds_no_ratfunc(monkeypatch):
+    # the Q(kappa) body waits for its first read
+    build = ks.ks_poly.__wrapped__
+    inits = _counter(monkeypatch, RatFunc, "__init__")
+    for lam in upto(8):
+        build(lam)
+    assert inits == []
+
+
+def _body_builds(monkeypatch, suites) -> tuple[Counter, dict, Counter]:
+    """Run the bench-bound ``suites`` in order on a cold ``ks_poly`` cache.
+    Returns, per lam, how many coefficients of P_lam's body they normalized
+    (each a ``RatFunc`` built from a numerator of ``ks_poly(lam).nums``), the
+    ``KsPoly`` of every lam built, and how often deligne asked for each lam."""
+    real, built, deligne_reads = ks.ks_poly, {}, Counter()
+    real.cache_clear()
+
+    def recorded(lam):
+        p = built[lam] = real(lam)
+        return p
+
+    def read_by_deligne(lam):
+        deligne_reads[lam] += 1
+        return recorded(lam)
+
+    monkeypatch.setattr(ks, "ks_poly", recorded)
+    monkeypatch.setattr(ep, "ks_poly", recorded)
+    monkeypatch.setattr(dl, "ks_poly", read_by_deligne)
+    inits = _counter(monkeypatch, RatFunc, "__init__")
+    bounds = vf.Bounds(size_max=5, psi_n_max=3, deligne_size_max=4)
+    for suite in suites:
+        assert vf.run_suite(suite, bounds).all_passed, suite
+    monkeypatch.undo()
+    owner = {id(c): lam for lam, p in built.items() for c in p.nums.terms.values()}
+    bodies = Counter(owner[id(args[1])] for args in inits if id(args[1]) in owner)
+    return bodies, built, deligne_reads
+
+
+def test_kscap_sweep_builds_no_body(monkeypatch):
+    bodies, built, _ = _body_builds(monkeypatch, ("knop-sahi", "capelli"))
+    assert built and not bodies
+
+
+def test_deligne_sweep_builds_each_body_at_most_once(monkeypatch):
+    # after a knop-sahi and capelli sweep has built P_lam up to |lam| = 5,
+    # and although deligne reads most of its bodies more than once
+    bodies, built, reads = _body_builds(monkeypatch, ("knop-sahi", "capelli", "deligne"))
+    assert bodies and set(bodies) <= set(reads) < set(built)
+    assert max(reads.values()) > 1
+    for lam, n in bodies.items():
+        assert n <= len(built[lam].nums.terms), lam
+
+
+def test_falling_expansion_builds_no_bipoly(monkeypatch):
+    fs = [ks.reg_part(mu, k) for mu in upto(6) for k in range(3)]
+    for f in fs:
+        bipoly.falling_expansion(f)  # fill the falling_term cache
+    inits = _counter(monkeypatch, BiPoly, "__init__")
+    for f in fs:
+        bipoly.falling_expansion(f)
+    assert inits == []
+
+
+def test_unipoly_times_int_makes_no_convolve(monkeypatch):
+    p = UniPoly((Q(1, 6), 0, -3, Q(5, 4)))
+    products = _counter(monkeypatch, ratfunc, "_convolve")
+    coercions = _counter(monkeypatch, ratfunc, "_as_poly")
+    for n in (0, 1, -1, 6, -12, 10 ** 20):
+        assert p * n == n * p
+    assert products == coercions == []
+    p * True  # a bool takes the general path
+    assert len(products) == len(coercions) == 1
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -229,7 +309,7 @@ def test_ks_pole_set_makes_no_gcd(monkeypatch):
     # nor any divmod, normalization or Fraction arithmetic: one kernel call
     # per k, one Horner pass over the shared denominator per kernel call
     for lam in upto(10):
-        ks.ks_poly(lam)  # build (and normalize) outside the counted region
+        ks.ks_poly(lam)  # build outside the counted region
     reads = [lambda lam=lam: ks.ks_pole_set(lam, 6) for lam in upto(10)]
     work, kernels, den_passes = _reads_at_k(monkeypatch, reads)
     assert work == [[], [], []]
@@ -339,7 +419,7 @@ def test_deligne_checks_specialize_once(monkeypatch, t):
 
 def test_cat_eig_formula_normalizes_once_per_scaled_term(monkeypatch):
     for mu in upto(6):
-        ks.ks_poly(mu)  # build (and normalize) outside the counted region
+        ks.ks_poly(mu).body  # build and normalize outside the counted region
     seen = set()
     for t in [Q(-4), Q(-2), Q(0), Q(3), Q(1, 2)]:
         kb = dl.kbar(t)
@@ -369,7 +449,7 @@ def test_pole_cancelling_limits_make_no_normalization(monkeypatch):
     for lam, k, cls in pairs:
         if cls is not PClass.REGULAR:
             for mu in (lam, paired(lam, k, cls)):
-                ks.ks_poly(mu)  # build (and normalize) outside the counted region
+                ks.ks_poly(mu)  # build outside the counted region
     work = [_counter(monkeypatch, RatFunc, "__init__"), _counter(monkeypatch, UniPoly, "gcd")]
     kernels = _counter(monkeypatch, ks, "local_values")
     for lam, k in qreg:

@@ -42,6 +42,30 @@ class TestConstruction:
             assert p.body == per_term, lam
 
 
+class TestFallingExpansion:
+    # the in-place peel against the BiPoly peel of the reference, in value
+    # and in insertion order (which the falling rendering follows)
+    def test_reg_parts_match_the_reference_peel(self):
+        for k in range(4):
+            for mu in upto(8):
+                f = ks.reg_part(mu, k)
+                assert list(falling_expansion(f).items()) == \
+                    list(ref.falling_expansion(f).items()), (mu, k)
+
+    def test_ratfunc_bodies_match_the_reference_peel(self):
+        for lam in upto(7):
+            body = ks.ks_poly(lam).body
+            assert list(falling_expansion(body).items()) == \
+                list(ref.falling_expansion(body).items()), lam
+
+    def test_body_is_read_lazily_and_kept(self):
+        p = ks.ks_poly.__wrapped__((3, 1))
+        assert "body" not in vars(p)
+        assert p.body is p.body == ks.ks_poly((3, 1)).body
+        doubled = p._replace(nums=p.nums.scale(2))
+        assert doubled.body == p.body.map_coeffs(lambda c: c * 2)
+
+
 class TestCharacterization:
     def test_vanishing_and_normalization(self):
         for lam in upto(5):

@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_poly as ref
 from capelli.ratfunc import PoleError, RatFunc, UniPoly, local_values
@@ -239,6 +239,16 @@ def test_local_values_over_a_shared_denominator(case):
         assert (info.value.point, info.value.order) == (a, 1)
     else:
         assert local_values(nums, den, a, "slope") == [ref_slope(f.num, f.den, a) for f in fs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.one_of(st.integers(-30, 30), st.integers(-10 ** 30, 10 ** 30)))
+@example(UniPoly((Q(1, 6), Q(-5, 4))), 0)
+@example(UniPoly((Q(1, 6), Q(-5, 4))), -12)
+def test_times_an_int_matches_the_general_product(p, n):
+    # the int fast path against the product with a constant polynomial
+    assert p * n == n * p == p * UniPoly((n,))
+    assert p * True == p and p * False == UniPoly.zero()
 
 
 @given(polys, small_frac)
