@@ -129,7 +129,7 @@ def test_singular_and_finite_parts_make_no_gcd(monkeypatch, k):
 def test_ks_poly_and_shifted_eval_take_one_falling_table(monkeypatch, lam):
     ks.ks_poly(lam)
     tables = _counter(monkeypatch, UniPoly, "falling")
-    ks.ks_poly.__wrapped__(lam)  # bypass the cache so the body is built
+    ks.ks_poly.__wrapped__(lam)  # bypass the cache so ks_poly builds
     ks.shifted_eval(lam, (2, 1))
     # (kappa+1)_(m) for m <= r, then the x-argument 1 - kappa up to x_(l1)
     assert tables == [(ks.KAPPA + 1, lam[0] - lam[1]), (UniPoly((1, -1)), lam[0])]
