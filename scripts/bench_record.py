@@ -2,10 +2,9 @@
 
 Usage, from the root of a source checkout:
 
-    python3 scripts/bench_record.py LABEL [--parent PATH] [--seeds N]
+    python3 scripts/bench_record.py LABEL [--parent PATH]
 
-For each of the seeds 1, 2, ..., N (``--seeds``, 1 to 10, default 3), one
-after another, it runs
+For each of the seeds 1, 2, ..., 10, one after another, it runs
 
     python3 perfbench/run.py --workload all --seconds S --seed N
 
@@ -21,16 +20,16 @@ metric of BENCHMARK.json on each workload its value per seed and the q1 /
 median / q3 across seeds.
 
 ``--parent PATH`` names a second checkout, usually the parent commit's.  The
-runs then alternate between the trees, parent first at each seed (parent 1,
-this 1, parent 2, this 2, ...), so a change of host state between runs
-falls on both trees alike, and the record gains a ``parent`` entry with the
-same per-tree fields: SHA, dirtiness, source digest, path length, load
+runs then alternate between the trees, and so does the tree that runs first
+at a seed (parent 1, this 1, this 2, parent 2, parent 3, ...), so a change
+of host state between runs falls on both trees alike and neither tree always
+runs first.  The record gains a ``parent`` entry with the same per-tree
+fields: SHA, dirtiness, source digest, path length, load
 averages, the outcome counts and the per-seed metrics.  Both trees must
 resolve the same bounds.  The record then also holds ``wins``: for each
 workload and end-to-end metric, in how many of the seeds this checkout's
 value beats the parent's, read by the metric's ``better`` in BENCHMARK.json
-(a tie is no win).  Ten seeds give the ten alternating pairs that a claimed
-gain is judged on.
+(a tie is no win): the ten pairs that a claimed gain is judged on.
 
 Each tree's entry also records, as read before its first run, whether
 PYTHONDONTWRITEBYTECODE is set and which modules of ``src/capelli`` have
@@ -41,10 +40,9 @@ imports: on a 2-CPU host ``setup_s`` read 0.070-0.075 s without a cache and
 trees differ there, the script prints a one-line warning, since their
 ``setup_s`` and ``peak_rss_mb`` then compare compile costs as well.
 
-Standard library only.  A run that fails or prints no such lines, a
-``--parent`` that is this checkout or has no ``perfbench/run.py``, or a
-``--seeds`` that is not an integer from 1 to 10 ends the script with status
-2 and a one-line message.
+Standard library only.  A run that fails or prints no such lines, or a
+``--parent`` that is this checkout or has no ``perfbench/run.py`` ends the
+script with status 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MAX_SEEDS = 10
+SEEDS = tuple(range(1, 11))
 
 
 def run_once(root: Path, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -156,17 +154,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("label", help="names the output, BENCH_<label>.json")
     ap.add_argument("--parent", type=Path, metavar="PATH",
                     help="a second checkout whose runs alternate with this one's")
-    ap.add_argument("--seeds", default="3", metavar="N",
-                    help=f"run seeds 1..N, 1 <= N <= {MAX_SEEDS} (default 3)")
     args = ap.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
         print(f"bench_record: label {args.label!r} is not [A-Za-z0-9_-]+", file=sys.stderr)
         return 2
-    if not (re.fullmatch(r"[0-9]+", args.seeds) and 1 <= int(args.seeds) <= MAX_SEEDS):
-        print(f"bench_record: --seeds {args.seeds!r} is not an integer from 1 to {MAX_SEEDS}",
-              file=sys.stderr)
-        return 2
-    seeds = list(range(1, int(args.seeds) + 1))
     trees = [ROOT]
     if args.parent is not None:
         parent = args.parent.resolve()
@@ -183,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
 
     runs: dict[Path, list] = {root: [] for root in trees}
     try:
-        for seed in seeds:
-            for root in trees:
+        for i, seed in enumerate(SEEDS):
+            for root in trees if i % 2 == 0 else trees[::-1]:
                 runs[root].append(run_once(root, seed, spec["run_seconds"]))
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
@@ -202,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
                     if k not in ("git_sha", "src_sha256", "loadavg")},
         "command": "perfbench/run.py --workload all",
         "seconds": spec["run_seconds"],
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "bounds": records[0]["bounds"],
     }
     if len(trees) > 1:

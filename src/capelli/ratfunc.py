@@ -161,7 +161,7 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if type(other) is int:  # a bool takes the general path
-            return _reduced([c * other for c in self.nums], self.den)
+            return self.scale(other)
         other = _as_poly(other)
         a, b = self.nums, other.nums
         if not a or not b:
