@@ -14,7 +14,8 @@ number (``DualScalar``).
   ``classify_at``, so every partition is regular unless t is a non-positive
   even integer;
 * blocks of size d exist for the partitions of d that are not kb-singular,
-  with multiplicity 2 exactly on the kb-quasiregular ones;
+  with multiplicity 2 exactly on the kb-quasiregular ones; ``blocks``
+  builds each such tuple once per (d, t), in a bounded cache;
 * ``l_op`` is the Lagrange factor over the size-d Casimir spectrum at a
   deformation parameter s, as its coefficients in Q(s);
 * ``d_op`` combines one or two of these per the class of the partition and
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bipoly import BiPoly
 from .eigenpoly import eig_qreg_limit, interpolate_ev, singular_scale
@@ -50,6 +51,7 @@ from .partitions import (
     check_partition,
     classify_at,
     h_poly,
+    h_value,
     of_size,
     paired,
     size,
@@ -107,18 +109,28 @@ def min_poly(d: int, t: Fraction) -> UniPoly:
     return out
 
 
-def blocks(d: int, t: Fraction) -> list[Block]:
-    """Indecomposable blocks of the degree-d symmetric power, graded-lex order."""
-    kb = kbar(t)
+def blocks(d: int, t: Fraction) -> tuple[Block, ...]:
+    """Indecomposable blocks of the degree-d symmetric power, graded-lex order.
+
+    An enumeration like ``of_size``, built once per (d, t) and kept in a
+    bounded cache keyed on the integer pair of t, so an ``int`` or
+    ``Fraction`` t hits it and anything else still raises ``TypeError``.
+    """
+    return _blocks(d, *as_ratio(t))
+
+
+@lru_cache(maxsize=32)  # one t at the size cap has 15 sizes; the sweep runs t-major
+def _blocks(d: int, p: int, q: int) -> tuple[Block, ...]:
+    t, kb = Fraction(p, q), Fraction(-p, 2 * q)
     out = []
     for lam in of_size(d):
         cls = classify_at(lam, kb)
         if cls is not PClass.SINGULAR:
             out.append(Block(lam=lam, c=c_cat(lam, t), mult=2 if cls is PClass.QUASIREGULAR else 1))
-    return out
+    return tuple(out)
 
 
-def block_eval(op_t: tuple[int, UniPoly], blks: list[Block]) -> list[DualScalar]:
+def block_eval(op_t: tuple[int, UniPoly], blks: Sequence[Block]) -> list[DualScalar]:
     """Evaluate an operator binom(E, d) q(C), already specialized at s = t
     and given as (d, q), on each of ``blks``, in order.
 
@@ -265,7 +277,7 @@ def cat_eig_formula(lam: Pair2, t: Fraction) -> BiPoly:
     if cls is PClass.SINGULAR:
         mu, scale = _singular_ratio(lam, int(kb))
     else:
-        h_val = h_poly(lam)(kb)
+        h_val = h_value(lam, kb)
         if not h_val:
             raise AssertionError(f"H_{lam}({kb}) = 0 outside the quasiregular case")
         mu, scale = lam, 1 / h_val
@@ -296,15 +308,29 @@ def singular_scale_limit(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
 
 
 def min_poly_is_minimal(d: int, t: Fraction) -> bool:
-    """The displayed product annihilates every size-d block and no proper
-    monic divisor does (checked by dropping one root multiplicity at a time)."""
-    p = min_poly(d, t)
-    blks = blocks(d, t)
+    """The displayed product p is the minimal polynomial of C on the size-d
+    blocks.
 
-    def annihilated(poly: UniPoly) -> bool:
-        return all(dv.is_zero() for dv in block_eval((0, poly), blks))
+    p must be monic, of degree the sum over the blocks' distinct Casimir
+    values of the largest multiplicity there (the degree of the minimal
+    polynomial: C - c has nilpotency order ``mult`` on a block), annihilate
+    every block, and have no proper monic divisor p / (x - u), u a root,
+    that does.  Each such divisor q is read only on the blocks at c = u:
+    (x - u) q = p annihilates every block, and x - u is invertible on a
+    block at c != u, so q's value and slope vanish there already.  A root u
+    that does not divide p raises ``ArithmeticError``.
+    """
+    p, blks = min_poly(d, t), blocks(d, t)
+    at: dict[Fraction, list[Block]] = {}
+    for b in blks:
+        at.setdefault(b.c, []).append(b)
 
-    if not annihilated(p):
+    def annihilated(poly: UniPoly, on: Sequence[Block]) -> bool:
+        return all(dv.is_zero() for dv in block_eval((0, poly), on))
+
+    degree = sum(max(b.mult for b in on) for on in at.values())
+    # canonical numerators over a positive denominator: monic is nums[-1] == den
+    if p.degree() != degree or p.nums[-1] != p.den or not annihilated(p, blks):
         return False
     roots = {c_cat(lam, t) for lam in of_size(d)}
-    return not any(annihilated(p.divexact(UniPoly((-u, 1)))) for u in roots)
+    return not any(annihilated(p.divexact(UniPoly((-u, 1))), at.get(u, ())) for u in roots)

@@ -54,6 +54,7 @@ from .partitions import (
     classify_at,
     ell,
     h_poly,
+    h_value,
     nu,
     paired,
     size,
@@ -227,7 +228,7 @@ def eig_regular(lam: Pair2, k: int) -> BiPoly:
     """Route a (k-regular lam): P_lam^k scaled by 1 / H_lam(k)."""
     if classify(lam, k) is not PClass.REGULAR:
         raise ValueError(f"{lam} is not {k}-regular; route a requires regular")
-    h = h_poly(lam)(k)
+    h = h_value(lam, k)
     if not h:
         raise AssertionError(f"H_{lam}({k}) = 0 on a regular partition")
     return reg_part(lam, k).scale(1 / h)
@@ -325,7 +326,7 @@ def qreg_variation_body(lam: Pair2, k: int) -> BiPoly:
     lamd = paired(lam, k, PClass.QUASIREGULAR)
     coeff = h_jump(lamd, k) / h_poly(lam).derivative()(k)
     body = q_poly(lamd, k) + reg_part(lam, k).scale(coeff)
-    return body.scale(Fraction(1) / h_poly(lamd)(k))
+    return body.scale(Fraction(1) / h_value(lamd, k))
 
 
 # -- dispatch ---------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple
 from .bipoly import BiPoly, falling_expansion, from_falling, square_op
 from .hypergeom import falling_table
 from .partitions import (
-    PClass, Pair2, check_partition, classify_at, h_poly, paired, size, upto,
+    PClass, Pair2, check_partition, classify_at, h_poly, h_value, paired, size, upto,
 )
 from .ratfunc import PoleError, RatFunc, UniPoly, _convolve, as_ratio, local_values
 
@@ -178,7 +178,7 @@ def r_coeff(lam: Pair2, k: int) -> Fraction:
     formula; the two must agree exactly.
     """
     lamd = paired(lam, k, PClass.SINGULAR)
-    via_h = -h_poly(lam)(k) / h_poly(lamd).derivative()(k)
+    via_h = -h_value(lam, k) / h_poly(lamd).derivative()(k)
     l1, l2 = lam
     diff = l1 - l2
     closed = Fraction(
@@ -314,7 +314,7 @@ def tcheck_values(lam: Pair2, k: int) -> tuple[Fraction, Fraction]:
     """The pair (t1, t2) of generalized values of Q_lam at lam-dagger and lam:
     t1 = H_lam(k) and t2 = ``h_jump(lam, k)`` / (4 (k + 1 - l1 + l2))."""
     t2 = h_jump(lam, k) / (4 * (k + 1 - lam[0] + lam[1]))
-    return h_poly(lam)(k), t2
+    return h_value(lam, k), t2
 
 
 # -- basis of regularized polynomials ------------------------------------------------

@@ -23,6 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .hypergeom import pochhammer_num
 from .ratfunc import UniPoly, as_ratio
 
 Pair2 = tuple[int, int]
@@ -104,6 +105,16 @@ def h_poly(lam: Pair2) -> UniPoly:
     l1, l2 = check_partition(lam)
     scale = math.factorial(l1 - l2) * math.factorial(l2)
     return UniPoly.falling(UniPoly((l1 - 1, -1)), l2)[-1].scale(scale)
+
+
+def h_value(lam: Pair2, k) -> Fraction:
+    """H_lam at a rational point kappa = k, on integers: with k = p/q,
+    (l1 - 1 - k)_(l2) is ``pochhammer_num((l1 - 1) q - p, q, l2, -1)`` / q**l2.
+    k is an ``int`` or a ``Fraction``; anything else raises ``TypeError``."""
+    l1, l2 = check_partition(lam)
+    p, q = as_ratio(k)
+    scale = math.factorial(l1 - l2) * math.factorial(l2)
+    return Fraction(scale * pochhammer_num((l1 - 1) * q - p, q, l2, -1), q**l2)
 
 
 def c_super(lam: Pair2, k: int) -> Fraction:

@@ -26,6 +26,10 @@ change:
   per (k, d);
 * renders a passing cross-route record's two equal sides twice, or a
   failing one's fewer than twice;
+* builds a block list more than once per miss of its bounded cache, reads
+  a divisor of the Casimir's minimal polynomial on a block off its root,
+  or builds H_lam as a polynomial to read it at a regular point in
+  ``cat_eig_formula``;
 * does ``RatFunc`` work, reads q(C) where binom(E, d) is 0, reads a slope
   on a multiplicity-1 block, scales by the binomial or recomputes a
   Casimir value in ``block_eval``;
@@ -435,6 +439,54 @@ def test_cat_eig_formula_normalizes_once_per_scaled_term(monkeypatch):
             assert len(inits) <= bound, (lam, t, len(inits), bound)
             monkeypatch.undo()
     assert seen == set(PClass)
+
+
+def test_cat_eig_formula_reads_h_at_a_point_without_building_it(monkeypatch):
+    # H_{lam+} for the singular scale's Q(kappa) limit, H_lam and H_{lam+} for
+    # route c; a regular lam reads H_lam(kb) through h_value alone
+    builds = {PClass.REGULAR: 0, PClass.SINGULAR: 1, PClass.QUASIREGULAR: 2}
+    for t in [Q(-4), Q(-2), Q(0), Q(3), Q(1, 2), Q(-5, 3)]:
+        kb = dl.kbar(t)
+        for lam in upto(6):
+            calls = [_counter(monkeypatch, m, "h_poly") for m in (dl, ep, ks)]
+            dl.cat_eig_formula(lam, t)
+            monkeypatch.undo()
+            assert sum(map(len, calls)) == builds[classify_at(lam, kb)], (lam, t)
+
+
+def test_bench_deligne_sweep_builds_block_lists_once_per_cache_miss(monkeypatch):
+    # the sweep asks 1,168 times for 144 distinct (d, t); t-major, the
+    # 32-entry cache misses 224 times
+    real, asked, lists = dl.blocks, [], []
+
+    def recorded(d, t):
+        asked.append((d, ratfunc.as_ratio(t)))
+        lists.append(real(d, t))  # kept alive, so each list's id stays its own
+        return lists[-1]
+
+    dl._blocks.cache_clear()
+    monkeypatch.setattr(dl, "blocks", recorded)
+    bounds = vf.Bounds(size_max=5, psi_n_max=3, deligne_size_max=4)
+    assert vf.run_suite("deligne", bounds).all_passed
+    monkeypatch.undo()
+    assert (len(asked), len(set(asked))) == (1168, 144)
+    assert len({id(blks) for blks in lists}) == 224
+
+
+@pytest.mark.parametrize("t", [Q(-4), Q(0), Q(3), Q(1, 2)])
+def test_min_poly_reads_each_divisor_only_at_its_root(monkeypatch, t):
+    for d in range(9):
+        p, blks = dl.min_poly(d, t), dl.blocks(d, t)
+        reads = _counter(monkeypatch, dl, "block_eval")
+        assert dl.min_poly_is_minimal(d, t), d
+        monkeypatch.undo()
+        # p on every block, then each p / (x - u) on the blocks at c = u only
+        (op, on), *divisors = reads
+        assert op == (0, p) and list(on) == list(blks), d
+        assert len(divisors) == len({b.c for b in blks}), d
+        for (_, q), on in divisors:
+            (u,) = {b.c for b in on}
+            assert q * UniPoly((-u, 1)) == p and list(on) == [b for b in blks if b.c == u], d
 
 
 def test_pole_cancelling_limits_make_no_normalization(monkeypatch):

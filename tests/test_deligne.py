@@ -12,7 +12,7 @@ from capelli.config import Config
 from capelli.deligne import Block, DualScalar
 from capelli.partitions import PClass, c_cat, classify, of_size, paired, size, upto
 from capelli.ratfunc import RatFunc, UniPoly
-from capelli.verify import DEFAULT_T_LIST
+from capelli.verify import DEFAULT_T_LIST, Bounds, run_suite
 
 
 def _at(coeffs, t: Q) -> UniPoly:
@@ -35,6 +35,17 @@ class TestMinPoly:
         for d in range(6):
             assert dl.min_poly_is_minimal(d, t)
 
+    @pytest.mark.parametrize("d, t", [(3, Q(5)), (4, Q(-2)), (2, Q(0)), (4, Q(1, 2))], ids=str)
+    def test_rejects_a_polynomial_that_is_not_minimal(self, monkeypatch, d, t):
+        p = dl.min_poly(d, t)
+        u = dl.blocks(d, t)[0].c
+        mutants = {"extra root": p * (C - 99), "extra irreducible factor": p * (C * C + 1),
+                   "not monic": p.scale(2), "one root doubled": p * (C - u),
+                   "one root dropped": p.divexact(C - u)}
+        for name, mutant in mutants.items():
+            monkeypatch.setattr(dl, "min_poly", lambda d_, t_, mutant=mutant: mutant)
+            assert not dl.min_poly_is_minimal(d, t), name
+
 
 class TestBlocks:
     def test_generic(self):
@@ -56,6 +67,20 @@ class TestBlocks:
         for call in calls:
             with pytest.raises(TypeError):
                 call()
+
+    def test_cached_exact_dimension_does_not_admit_an_equal_float(self):
+        # 0.5 == Q(1, 2) and 0.0 == 0 hash alike; the cache is keyed on integers
+        for exact, bad in ((Q(1, 2), 0.5), (0, 0.0)):
+            dl.blocks(2, exact)  # fills the cache
+            with pytest.raises(TypeError):
+                dl.blocks(2, bad)
+
+    def test_cache_stays_bounded_over_a_ceiling_sweep(self):
+        # 3 t values at the size cap are 45 (d, t) pairs, more than the cache holds
+        bounds = Bounds(deligne_size_max=14, minpoly_d_max=14, t_list=(Q(-2), Q(1, 2), Q(3)))
+        assert run_suite("deligne", bounds).all_passed
+        info = dl._blocks.cache_info()
+        assert info.currsize <= info.maxsize <= 32
 
 
 C = UniPoly.x()  # the Casimir as a polynomial in C
@@ -125,8 +150,8 @@ def _blocks_two_branch(d, t):
             if cls is not PClass.SINGULAR:
                 mult = 2 if cls is PClass.QUASIREGULAR else 1
                 out.append(Block(lam=lam, c=c_cat(lam, t), mult=mult))
-        return out
-    return [Block(lam=lam, c=c_cat(lam, t), mult=1) for lam in of_size(d)]
+        return tuple(out)
+    return tuple(Block(lam=lam, c=c_cat(lam, t), mult=1) for lam in of_size(d))
 
 
 @pytest.mark.parametrize("t", DEFAULT_T_LIST + (Q(-8), Q(2), Q(1, 3)), ids=str)

@@ -172,6 +172,17 @@ class TestHPoly:
                 vanishes = not pt.h_poly(lam)(k)
                 assert vanishes == (pt.classify(lam, k) is PClass.QUASIREGULAR)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, Q(1, 2), Q(-5, 3), Q(7, 3)], ids=str)
+    def test_value_is_the_polynomial_at_the_point(self, k):
+        for lam in pt.upto(8):
+            got = pt.h_value(lam, k)
+            assert type(got) is Q and got == pt.h_poly(lam)(k), lam
+
+    @pytest.mark.parametrize("bad", [0.5, "0", None])
+    def test_value_rejects_inexact_point(self, bad):
+        with pytest.raises(TypeError):
+            pt.h_value((2, 1), bad)
+
 
 class TestCasimir:
     def test_zero(self):
